@@ -3,7 +3,7 @@
 One binary, subcommand style. Every run writes a manifest (config
 snapshot, seed, input hashes, index version, per-phase timings) next to
 its artifacts so the run can be reproduced from the manifest alone.
-Exit codes: 0 ok, 1 I/O failure, 2 usage/config error.
+Exit codes: 0 ok, 1 I/O or format error, 2 usage/config error.
 """
 
 from __future__ import annotations
@@ -230,6 +230,10 @@ def cmd_evaluate(args) -> int:
         idx = index_mod.load_index(args.index)
         enc = retriever.load_checkpoint(args.checkpoint)
         by_id = {p.id: p for p in passages}
+        missing = [pid for pid in idx.ids if pid not in by_id]
+        if missing:
+            raise UsageError(f"{len(missing)} index ids have no passage in "
+                             f"--passages, first {missing[0]!r}")
 
         def retrieve(question: str, k: int):
             q_vec = retriever.encode_query(enc, corpus.tokenize(question))
@@ -385,7 +389,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (FileNotFoundError, OSError) as exc:
+    except (FileNotFoundError, OSError, index_mod.FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

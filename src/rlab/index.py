@@ -1,13 +1,15 @@
-"""Versioned embedding index with exact sharded top-k search.
+"""Versioned embedding index with exact top-k search.
 
-Search is exact: sharding only partitions the scan, and shard results are
-merged so the output is identical to a single brute-force pass. Ties are
-broken by ascending passage id everywhere a top-k cut is taken. Rebuilds
+Search is exact: one product scores every row and one global selection
+takes the top k, so the output is identical to a brute-force pass. Ties
+are broken by ascending passage id everywhere a top-k cut is taken. The
+`shards` field is stored metadata and does not change results. Rebuilds
 produce a new immutable index with an incremented version.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -74,49 +76,45 @@ def build(passages: Sequence[Passage], encoder: DualEncoder,
     )
 
 
-def shard_bounds(n: int, shards: int) -> list[tuple[int, int]]:
-    """Contiguous balanced partition: sizes differ by at most one."""
-    base, extra = divmod(n, shards)
-    bounds = []
-    pos = 0
-    for i in range(shards):
-        size = base + (1 if i < extra else 0)
-        bounds.append((pos, pos + size))
-        pos += size
-    return bounds
-
-
 def _top_k(ids: Sequence[str], scores: np.ndarray, k: int) -> list[tuple[str, float]]:
-    """k best by descending score, ties by ascending id."""
-    order = sorted(range(len(ids)), key=lambda i: (-scores[i], ids[i]))
-    return [(ids[i], float(scores[i])) for i in order[:k]]
+    """k best by descending score, ties by ascending id.
+
+    A partition finds the k-th best score; every row scoring at least that
+    stays a candidate, so all ties at the cut are ordered by id. Ids are
+    compared as Python strings (an object array), exactly like `sorted`.
+    """
+    if k < len(scores):
+        kth = -np.partition(-scores, k - 1)[k - 1]
+        rows = np.flatnonzero(scores >= kth)
+    else:
+        rows = np.arange(len(scores))
+    candidate_ids = np.array([ids[i] for i in rows], dtype=object)
+    order = rows[np.lexsort((candidate_ids, -scores[rows]))[:k]]
+    return [(ids[i], float(scores[i])) for i in order]
 
 
 def search(index: EmbeddingIndex, q_vec: np.ndarray, k: int) -> list[tuple[str, float]]:
-    """Exact top-k by dot product, fanned out over shards and merged.
+    """Exact top-k by dot product: one matvec and one global selection.
 
-    Returns min(k, N) results; identical to a full brute-force scan for
-    any shard count.
+    Returns min(k, N) results, identical to a full brute-force scan.
+    `index.shards` does not change the results.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     q_vec = np.asarray(q_vec, dtype=np.float64)
     if q_vec.shape != (index.dim,):
         raise ValueError(f"query dimension {q_vec.shape} != index dim {index.dim}")
-    # Scores are computed in one pass so a shard boundary can never change
-    # a value; shards partition the candidate selection and merge.
-    scores = index.vectors @ q_vec
-    candidates = []
-    for lo, hi in shard_bounds(index.size, index.shards):
-        if lo == hi:
-            continue
-        candidates.extend(_top_k(index.ids[lo:hi], scores[lo:hi], k))
-    candidates.sort(key=lambda t: (-t[1], t[0]))
-    return candidates[:k]
+    return _top_k(index.ids, index.vectors @ q_vec, k)
 
 
 def search_batch(index: EmbeddingIndex, q_vecs: np.ndarray, k: int) -> list[list[tuple[str, float]]]:
-    return [search(index, q, k) for q in q_vecs]
+    """`search` for each row of q_vecs, scored by one matrix product."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    q_vecs = np.asarray(q_vecs, dtype=np.float64)
+    if q_vecs.ndim != 2 or q_vecs.shape[1] != index.dim:
+        raise ValueError(f"query batch shape {q_vecs.shape} != (B, {index.dim})")
+    return [_top_k(index.ids, row, k) for row in q_vecs @ index.vectors.T]
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +123,43 @@ def search_batch(index: EmbeddingIndex, q_vecs: np.ndarray, k: int) -> list[list
 
 _MAGIC = b"RIDX"
 _FORMAT_VERSION = 1
+
+
+class FormatError(ValueError):
+    """An index file (RIDX or RPQX) is malformed or truncated."""
+
+
+def _remaining(fh) -> int:
+    return os.fstat(fh.fileno()).st_size - fh.tell()
+
+
+def _read_exact(fh, n: int, path) -> bytes:
+    """Read exactly n bytes or raise FormatError naming the file. The size
+    is checked first, so a corrupt length never allocates a huge buffer."""
+    left = _remaining(fh)
+    if n > left:
+        raise FormatError(f"{path}: truncated at byte {fh.tell()}: needs "
+                          f"{n} more bytes, has {left}")
+    return fh.read(n)
+
+
+def _read_end(fh, path):
+    if _remaining(fh):
+        raise FormatError(f"{path}: {_remaining(fh)} trailing bytes "
+                          f"after byte {fh.tell()}")
+
+
+def _read_ids(fh, id_len: int, n: int, path) -> list[str]:
+    """The newline-joined id table of n ids."""
+    try:
+        text = _read_exact(fh, id_len, path).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: id table is not UTF-8") from exc
+    # An empty table is one empty id when n == 1 and no id when n == 0.
+    ids = text.split("\n") if n or text else []
+    if len(ids) != n:
+        raise FormatError(f"{path}: {len(ids)} ids for {n} rows")
+    return ids
 
 
 def save_index(index: EmbeddingIndex, path):
@@ -141,15 +176,20 @@ def save_index(index: EmbeddingIndex, path):
 
 def load_index(path) -> EmbeddingIndex:
     with open(path, "rb") as fh:
-        if fh.read(4) != _MAGIC:
-            raise ValueError("bad index magic")
-        fmt, version, dim, prec, n, id_len = struct.unpack("<IIIBIQ", fh.read(25))
+        if _read_exact(fh, 4, path) != _MAGIC:
+            raise FormatError(f"{path}: bad index magic")
+        fmt, version, dim, prec, n, id_len = struct.unpack(
+            "<IIIBIQ", _read_exact(fh, 25, path))
         if fmt != _FORMAT_VERSION:
-            raise ValueError(f"unsupported index format {fmt}")
+            raise FormatError(f"{path}: unsupported index format {fmt}")
+        if prec not in _PRECISION_NAMES:
+            raise FormatError(f"{path}: unknown precision code {prec}")
         precision = _PRECISION_NAMES[prec]
-        ids = fh.read(id_len).decode("utf-8").split("\n") if id_len else []
-        dtype = "<f2" if precision == "float16" else "<f4"
-        vectors = np.frombuffer(fh.read(), dtype=dtype).astype(np.float64)
+        ids = _read_ids(fh, id_len, n, path)
+        dtype = np.dtype("<f2" if precision == "float16" else "<f4")
+        vectors = np.frombuffer(_read_exact(fh, n * dim * dtype.itemsize, path),
+                                dtype=dtype).astype(np.float64)
+        _read_end(fh, path)
     return EmbeddingIndex(version=version, dim=dim, ids=ids,
                           vectors=vectors.reshape(n, dim),
                           precision=precision)

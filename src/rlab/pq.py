@@ -16,7 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .index import EmbeddingIndex, _top_k
+from .index import (EmbeddingIndex, FormatError, _read_end, _read_exact,
+                    _read_ids, _top_k)
 
 
 @dataclass
@@ -57,6 +58,15 @@ class PQIndex:
         return self.code_bytes() + self.codec.codebook_bytes()
 
 
+# RPQX stores each code as an unsigned 16-bit integer.
+_MAX_K_C = 1 << 16
+
+
+def _check_k_c(k_c: int):
+    if k_c > _MAX_K_C:
+        raise ValueError(f"k_c={k_c} exceeds {_MAX_K_C}: RPQX codes are 16-bit")
+
+
 def _kmeans_pp_init(data: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """Farthest-point style seeding: first centroid random, each next one
     is the point with maximal squared distance to its nearest centroid."""
@@ -92,6 +102,7 @@ def train_pq(index: EmbeddingIndex, m: int, k_c: int,
     """
     if index.dim % m != 0:
         raise ValueError(f"m={m} does not divide dim={index.dim}")
+    _check_k_c(k_c)
     if k_c > index.size:
         raise ValueError("insufficient data: k_c exceeds index size")
     rng = np.random.default_rng(seed)
@@ -197,6 +208,7 @@ _FORMAT_VERSION = 1
 
 
 def save_pq_index(pqindex: PQIndex, path):
+    _check_k_c(pqindex.codec.k_c)
     id_blob = "\n".join(pqindex.ids).encode("utf-8")
     codec = pqindex.codec
     with open(path, "wb") as fh:
@@ -211,15 +223,22 @@ def save_pq_index(pqindex: PQIndex, path):
 
 def load_pq_index(path) -> PQIndex:
     with open(path, "rb") as fh:
-        if fh.read(4) != _MAGIC:
-            raise ValueError("bad PQ index magic")
-        fmt, version, dim, m, k_c, n, id_len = struct.unpack("<IIIIIIQ", fh.read(32))
+        if _read_exact(fh, 4, path) != _MAGIC:
+            raise FormatError(f"{path}: bad PQ index magic")
+        fmt, version, dim, m, k_c, n, id_len = struct.unpack(
+            "<IIIIIIQ", _read_exact(fh, 32, path))
         if fmt != _FORMAT_VERSION:
-            raise ValueError(f"unsupported PQ format {fmt}")
-        ids = fh.read(id_len).decode("utf-8").split("\n") if id_len else []
+            raise FormatError(f"{path}: unsupported PQ format {fmt}")
+        if m == 0 or dim % m:
+            raise FormatError(f"{path}: m={m} does not divide dim={dim}")
+        ids = _read_ids(fh, id_len, n, path)
         sub_dim = dim // m
-        cb = np.frombuffer(fh.read(4 * m * k_c * sub_dim), dtype="<f4")
-        codes = np.frombuffer(fh.read(2 * n * m), dtype="<u2")
+        cb = np.frombuffer(_read_exact(fh, 4 * m * k_c * sub_dim, path),
+                           dtype="<f4")
+        codes = np.frombuffer(_read_exact(fh, 2 * n * m, path), dtype="<u2")
+        _read_end(fh, path)
+    if codes.size and int(codes.max()) >= k_c:
+        raise FormatError(f"{path}: code {int(codes.max())} >= k_c={k_c}")
     codec = PQCodec(m=m, k_c=k_c,
                     codebooks=cb.astype(np.float64).reshape(m, k_c, sub_dim))
     return PQIndex(codec=codec, ids=ids,

@@ -85,6 +85,16 @@ class TestBuildAndSearch:
         float(score)
         assert pid.startswith("doc")
 
+    def test_truncated_index_exit_1(self, workspace, capsys):
+        tmp_path, raw = workspace
+        passages = run_ingest(tmp_path, raw)
+        index_path, ckpt = run_build(tmp_path, passages)
+        index_path.write_bytes(index_path.read_bytes()[:-5])
+        capsys.readouterr()
+        assert main(["search", "--index", str(index_path),
+                     "--checkpoint", str(ckpt), "--query", "doc0tok0"]) == 1
+        assert "index.ridx" in capsys.readouterr().err
+
     def test_manifest_records_index_version(self, workspace):
         tmp_path, raw = workspace
         passages = run_ingest(tmp_path, raw)
@@ -159,6 +169,28 @@ class TestEvaluate:
         out = capsys.readouterr().out
         assert "accuracy:" in out
         assert "mode=cyclic4" in out
+
+    @pytest.mark.parametrize("passages", ["absent", "subset"])
+    def test_index_ids_missing_from_passages_exit_2(self, workspace, capsys,
+                                                   passages):
+        tmp_path, raw = workspace
+        passages_path = run_ingest(tmp_path, raw)
+        index_path, ckpt = run_build(tmp_path, passages_path)
+        extra = []
+        if passages == "subset":
+            subset = tmp_path / "subset.jsonl"
+            subset.write_text("".join(
+                passages_path.read_text().splitlines(keepends=True)[:3]))
+            extra = ["--passages", str(subset)]
+        task_file = tmp_path / "tasks.jsonl"
+        task_file.write_text(json.dumps({"question": "doc4tok1",
+                                         "options": ["a", "b", "c", "d"],
+                                         "gold": 0}) + "\n")
+        capsys.readouterr()
+        assert main(["evaluate", "--task", str(task_file),
+                     "--index", str(index_path),
+                     "--checkpoint", str(ckpt)] + extra) == 2
+        assert "--passages" in capsys.readouterr().err
 
 
 class TestSwapIndex:

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from rlab.corpus import Passage
-from rlab.index import (EmbeddingIndex, build, load_index, save_index,
-                        search, shard_bounds)
+from rlab.index import (EmbeddingIndex, FormatError, build, load_index,
+                        save_index, search, search_batch)
 from rlab.retriever import Vocab, encode_doc, init_encoder
 
 from oracles import brute_force_search
@@ -18,6 +18,18 @@ def make_passages(n, tokens_per=3):
 def make_encoder(passages, dim=8, seed=0):
     vocab = Vocab([t for p in passages for t in p.text])
     return init_encoder(vocab, dim, seed=seed)
+
+
+def tied_index(shards=1):
+    """40 rows: 8 above, 16 tied on one vector, 16 below, for a query of
+    ones. Ids are a fixed shuffle, so row order is not id order."""
+    rng = np.random.default_rng(11)
+    vectors = np.concatenate([np.full((8, 4), 2.0) + rng.random((8, 4)),
+                              np.ones((16, 4)),
+                              rng.random((16, 4)) - 1.0])
+    ids = [f"p{i:03d}" for i in rng.permutation(40)]
+    return EmbeddingIndex(version=1, dim=4, ids=ids, vectors=vectors,
+                          shards=shards)
 
 
 def random_index(n, dim, seed=0, shards=1):
@@ -43,9 +55,6 @@ class TestBuild:
         second = build(passages, enc, previous_version=first.version)
         np.testing.assert_array_equal(first.vectors, second.vectors)
         assert second.version == 2
-
-    def test_shard_sizes_balanced(self):
-        assert shard_bounds(10, 4) == [(0, 3), (3, 6), (6, 8), (8, 10)]
 
     def test_empty_errors(self):
         with pytest.raises(ValueError):
@@ -97,10 +106,49 @@ class TestSearch:
             q = rng.normal(size=8)
             assert search(base, q, 13) == search(sharded, q, 13)
 
+    @pytest.mark.parametrize("k", [1, 8, 9, 15, 24, 25, 40, 50])
+    def test_ties_straddle_cut(self, k):
+        # The cut at k falls before, inside and after the tied group.
+        idx = tied_index()
+        q = np.ones(4)
+        got = search(idx, q, k)
+        want = brute_force_search(idx.ids, idx.vectors, q, k)
+        assert [g[0] for g in got] == [w[0] for w in want]
+        np.testing.assert_allclose([g[1] for g in got],
+                                   [w[1] for w in want], rtol=1e-12)
+
     def test_dimension_check(self):
         idx = random_index(3, 4)
         with pytest.raises(ValueError):
             search(idx, np.zeros(5), 1)
+
+
+class TestSearchBatch:
+    @pytest.mark.parametrize("shards", [1, 3])
+    @pytest.mark.parametrize("k", [1, 10, 30, 2000])
+    def test_equals_search(self, shards, k):
+        for idx in (random_index(1000, 16, seed=3, shards=shards),
+                    tied_index(shards=shards)):
+            rng = np.random.default_rng(4)
+            queries = np.concatenate([rng.normal(size=(7, idx.dim)),
+                                      np.ones((1, idx.dim))])
+            batch = search_batch(idx, queries, k)
+            assert len(batch) == len(queries)
+            for q, got in zip(queries, batch):
+                want = search(idx, q, k)
+                assert [g[0] for g in got] == [w[0] for w in want]
+                np.testing.assert_allclose([g[1] for g in got],
+                                           [w[1] for w in want], rtol=1e-12)
+
+    @pytest.mark.parametrize("queries, k", [
+        (np.zeros((2, 4)), 0),
+        (np.zeros((2, 5)), 1),
+        (np.zeros(4), 1),
+        (np.zeros((2, 2, 4)), 1),
+    ])
+    def test_bad_input(self, queries, k):
+        with pytest.raises(ValueError):
+            search_batch(random_index(3, 4), queries, k)
 
 
 class TestIndexFile:
@@ -118,6 +166,31 @@ class TestIndexFile:
         # Bit-exact: saving again reproduces the file.
         save_index(loaded, tmp_path / "idx2.ridx")
         assert path.read_bytes() == (tmp_path / "idx2.ridx").read_bytes()
+
+    def test_truncated_names_file(self, tmp_path):
+        idx = random_index(6, 4)
+        path = tmp_path / "idx.ridx"
+        save_index(idx, path)
+        data = path.read_bytes()
+        id_start = 4 + 25
+        vec_start = len(data) - 6 * 4 * 4
+        for cut in (0, 3, 10, id_start + 5, vec_start + 2, len(data) - 1):
+            path.write_bytes(data[:cut])
+            with pytest.raises(FormatError, match="idx.ridx.*truncated"):
+                load_index(path)
+
+    @pytest.mark.parametrize("mangle", [
+        lambda b: b"XXXX" + b[4:],  # magic
+        lambda b: b + b"\0",  # trailing bytes
+        lambda b: b[:16] + b"\x07" + b[17:],  # precision code
+        lambda b: b[:17] + b"\x09" + b[18:],  # N: 9 rows, 6 ids
+    ])
+    def test_malformed_is_format_error(self, tmp_path, mangle):
+        path = tmp_path / "idx.ridx"
+        save_index(random_index(6, 4), path)
+        path.write_bytes(mangle(path.read_bytes()))
+        with pytest.raises(FormatError, match="idx.ridx"):
+            load_index(path)
 
     def test_float16_rounds_on_write(self):
         passages = make_passages(3)

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from rlab.index import EmbeddingIndex, search
-from rlab.pq import (PQCodec, compress, compressed_bytes, compression_ratio,
-                     compressed_size_from_reported, decode, load_pq_index,
-                     pq_objective, pq_search, recall_at_k, save_pq_index,
-                     train_pq, uncompressed_bytes)
+from rlab.index import EmbeddingIndex, FormatError, search
+from rlab.pq import (PQCodec, PQIndex, compress, compressed_bytes,
+                     compression_ratio, compressed_size_from_reported, decode,
+                     load_pq_index, pq_objective, pq_search, recall_at_k,
+                     save_pq_index, train_pq, uncompressed_bytes)
+
+from oracles import brute_force_search
 
 
 def random_index(n, dim, seed=0):
@@ -44,6 +46,10 @@ class TestTrainPQ:
     def test_dim_divisibility(self):
         with pytest.raises(ValueError):
             train_pq(random_index(10, 8), m=3, k_c=2)
+
+    def test_k_c_beyond_16_bit_codes(self):
+        with pytest.raises(ValueError, match="65536"):
+            train_pq(random_index(4, 8), m=2, k_c=70_000)
 
     def test_insufficient_data(self):
         with pytest.raises(ValueError, match="insufficient"):
@@ -106,6 +112,24 @@ class TestPQSearch:
         pidx = compress(idx, codec)
         assert len(pq_search(pidx, np.ones(4), 12)) == 12
 
+    @pytest.mark.parametrize("k", [1, 17, 18, 19, 40, 64])
+    def test_shared_codes_tie_by_ascending_id(self, k):
+        # 64 rows on 2x2 codes: four code tuples, tied groups of 18,
+        # 20, 12 and 14 rows.
+        # Ids are shuffled, so row order is not id order. Rows that share
+        # codes decode to identical vectors, so the oracle ties them too.
+        rng = np.random.default_rng(14)
+        idx = EmbeddingIndex(version=1, dim=4,
+                             ids=[f"p{i:03d}" for i in rng.permutation(64)],
+                             vectors=rng.normal(size=(64, 4)))
+        pidx = compress(idx, train_pq(idx, m=2, k_c=2, seed=15))
+        q = rng.normal(size=4)
+        got = pq_search(pidx, q, k)
+        want = brute_force_search(pidx.ids, decode(pidx), q, k)
+        assert [g[0] for g in got] == [w[0] for w in want]
+        np.testing.assert_allclose([g[1] for g in got],
+                                   [w[1] for w in want], rtol=1e-9)
+
     def test_recall_monotone_in_codebook_size(self):
         idx = random_index(600, 16, seed=9)
         rng = np.random.default_rng(10)
@@ -151,3 +175,42 @@ class TestPQFile:
                                    pidx.codec.codebooks, atol=1e-6)
         save_pq_index(loaded, tmp_path / "idx2.rpqx")
         assert path.read_bytes() == (tmp_path / "idx2.rpqx").read_bytes()
+
+    def test_k_c_beyond_16_bit_codes_not_saved(self, tmp_path):
+        # Codes are stored as <u2: code 69999 would read back as 65535.
+        codec = PQCodec(m=1, k_c=70_000,
+                        codebooks=np.arange(70_000.0).reshape(1, 70_000, 1))
+        pidx = PQIndex(codec=codec, ids=["a", "b"],
+                       codes=np.array([[0], [69_999]]), version=1, dim=1)
+        path = tmp_path / "big.rpqx"
+        with pytest.raises(ValueError, match="65536"):
+            save_pq_index(pidx, path)
+        assert not path.exists()
+
+    def test_truncated_names_file(self, tmp_path):
+        idx = random_index(5, 4, seed=16)
+        pidx = compress(idx, train_pq(idx, m=2, k_c=3, seed=17))
+        path = tmp_path / "idx.rpqx"
+        save_pq_index(pidx, path)
+        data = path.read_bytes()
+        codes_start = len(data) - 5 * 2 * 2
+        cb_start = codes_start - 2 * 3 * 2 * 4
+        for cut in (0, 2, 20, 4 + 32 + 3, cb_start + 5, codes_start + 3,
+                    len(data) - 1):
+            path.write_bytes(data[:cut])
+            with pytest.raises(FormatError, match="idx.rpqx.*truncated"):
+                load_pq_index(path)
+
+    @pytest.mark.parametrize("mangle", [
+        lambda b: b"XXXX" + b[4:],  # magic
+        lambda b: b + b"\0",  # trailing bytes
+        lambda b: b[:16] + b"\0" + b[17:],  # m = 0
+        lambda b: b[:-2] + b"\x03\0",  # last code 3 >= k_c
+    ])
+    def test_malformed_is_format_error(self, tmp_path, mangle):
+        idx = random_index(5, 4, seed=16)
+        path = tmp_path / "idx.rpqx"
+        save_pq_index(compress(idx, train_pq(idx, m=2, k_c=3, seed=17)), path)
+        path.write_bytes(mangle(path.read_bytes()))
+        with pytest.raises(FormatError, match="idx.rpqx"):
+            load_pq_index(path)
