@@ -9,30 +9,21 @@ softmax is enough to reach perfect recall; freezing the retriever
 (mode=fixed) goes nowhere on the same budget.
 """
 
+import sys
 import time
+from pathlib import Path
 
-from rlab.corpus import Passage
 from rlab.losses import LossKind
-from rlab.retriever import Vocab, init_encoder
-from rlab.trainer import (MaintenanceMode, TrainConfig, TrainExample,
-                          init_state, recall_at_1, train)
+from rlab.trainer import (MaintenanceMode, TrainConfig, init_state,
+                          recall_at_1, train)
 
-
-def build_needle_corpus(n_passages=1000, n_examples=32, seed=0):
-    passages = [Passage(id=f"p{i:04d}", doc_id=f"d{i}",
-                        text=tuple(f"p{i}w{j}" for j in range(8)))
-                for i in range(n_passages)]
-    examples = [TrainExample(query=tuple(f"q{e}w{j}" for j in range(4)),
-                             output=passages[e].text[:4],
-                             gold_passage_id=passages[e].id)
-                for e in range(n_examples)]
-    tokens = [t for p in passages for t in p.text]
-    tokens += [t for ex in examples for t in ex.query]
-    return passages, examples, init_encoder(Vocab(tokens), dim=32, seed=seed)
+# The needle fixture is shared with the test suite (criterion 4).
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from needle import make_needle_task  # noqa: E402
 
 
 def run(loss, mode, temperature_target):
-    passages, examples, encoder = build_needle_corpus(seed=1)
+    passages, examples, encoder = make_needle_task(seed=1)
     state = init_state(encoder, passages)
     cfg = TrainConfig(k_retrieved=1000, batch_size=8, steps=200,
                       loss=loss, mode=mode, temperature=0.1,

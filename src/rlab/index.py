@@ -126,7 +126,7 @@ _FORMAT_VERSION = 1
 
 
 class FormatError(ValueError):
-    """An index file (RIDX or RPQX) is malformed or truncated."""
+    """An artifact file (RIDX, RPQX or RLAB) is malformed or truncated."""
 
 
 def _remaining(fh) -> int:

@@ -51,8 +51,7 @@ class PQIndex:
         return len(self.ids)
 
     def code_bytes(self) -> int:
-        bits = math.ceil(math.log2(self.codec.k_c)) if self.codec.k_c > 1 else 1
-        return math.ceil(self.size * self.codec.m * bits / 8)
+        return math.ceil(self.size * self.codec.m * _code_bits(self.codec.k_c) / 8)
 
     def memory_bytes(self) -> int:
         return self.code_bytes() + self.codec.codebook_bytes()
@@ -178,19 +177,21 @@ def recall_at_k(approx_results: Sequence[Sequence[tuple[str, float]]],
 # ---------------------------------------------------------------------------
 # Memory accounting
 
+def _code_bits(k_c: int) -> int:
+    return math.ceil(math.log2(k_c)) if k_c > 1 else 1
+
+
 def uncompressed_bytes(n: int, dim: int, bytes_per_scalar: int = 2) -> int:
     return n * dim * bytes_per_scalar
 
 
 def compressed_bytes(n: int, m: int, k_c: int, codebook_bytes: int = 0) -> float:
-    bits = math.ceil(math.log2(k_c)) if k_c > 1 else 1
-    return n * m * bits / 8 + codebook_bytes
+    return n * m * _code_bits(k_c) / 8 + codebook_bytes
 
 
 def compression_ratio(dim: int, bytes_per_scalar: int, m: int, k_c: int) -> float:
     """Per-vector ratio: (dim * bytes) / (m * ceil(log2 k_c) / 8)."""
-    bits = math.ceil(math.log2(k_c)) if k_c > 1 else 1
-    return dim * bytes_per_scalar / (m * bits / 8)
+    return dim * bytes_per_scalar / (m * _code_bits(k_c) / 8)
 
 
 def compressed_size_from_reported(uncompressed: float, dim: int,

@@ -7,7 +7,8 @@ over a retrieved top-K set is a temperature softmax of the scores.
 
 The query and document sides hold separate parameter sets (tied copies at
 initialization) so that query-side-only training can freeze the document
-encoder and keep a prebuilt index valid.
+encoder and keep a prebuilt index valid. Training and the finite-difference
+check (`retriever_gradient`) share one backprop, `encoder_gradient`.
 """
 
 from __future__ import annotations
@@ -23,10 +24,16 @@ UNK = "<unk>"
 DEFAULT_TEMPERATURE = 0.1  # tuned retrieval temperature
 
 
-class TrainMode(str, Enum):
+class MaintenanceMode(str, Enum):
+    """Index-maintenance strategy; the trainer module describes each."""
     FIXED = "fixed"
     QUERY_SIDE = "query_side"
-    FULL = "full"
+    RERANK = "rerank"
+    FULL_REFRESH = "full_refresh"
+
+    @property
+    def trains_docs(self) -> bool:
+        return self in (MaintenanceMode.RERANK, MaintenanceMode.FULL_REFRESH)
 
 
 class Vocab:
@@ -162,24 +169,35 @@ def _backprop_side(params: EncoderParams, vocab: Vocab, text: Sequence[str],
     np.add.at(grad_emb, rows, grad_pooled / len(rows))
 
 
-def score_gradient(retr_probs: np.ndarray, target_probs: np.ndarray,
-                   temperature: float) -> np.ndarray:
-    """d KL(target || p_retr) / d scores = (p_retr - target) / temperature."""
-    return (retr_probs - target_probs) / temperature
+def encoder_gradient(enc: DualEncoder, query: Sequence[str],
+                     docs: Sequence[Sequence[str]], q_vec: np.ndarray,
+                     d_vecs: np.ndarray, g_scores: np.ndarray,
+                     mode: MaintenanceMode) -> Gradients:
+    """Backprop d(loss)/d(scores), scores = d_vecs @ q_vec, into the encoder;
+    document gradients stay zero unless the mode trains the document side."""
+    grads = Gradients.zeros_like(enc)
+    _backprop_side(enc.query, enc.vocab, query, g_scores @ d_vecs,
+                   grads.query_embedding, grads.query_projection)
+    if mode.trains_docs:
+        for g_k, doc in zip(g_scores, docs):
+            _backprop_side(enc.doc, enc.vocab, doc, g_k * q_vec,
+                           grads.doc_embedding, grads.doc_projection)
+    return grads
 
 
 def retriever_gradient(enc: DualEncoder, query: Sequence[str],
                        docs: Sequence[Sequence[str]],
                        target_probs: np.ndarray, temperature: float,
-                       mode: TrainMode) -> Gradients:
+                       mode: MaintenanceMode) -> Gradients:
     """Gradient of KL(target || p_retr) with respect to encoder parameters.
 
-    The target is a constant (StopGradient). Scores are recomputed with the
+    d KL / d scores = (p_retr - target) / temperature, with the target a
+    constant (StopGradient). Scores are recomputed with the
     current parameters; in query_side mode document embeddings are treated
     as constants and their gradient entries stay identically zero.
     """
-    mode = TrainMode(mode)
-    if mode == TrainMode.FIXED:
+    mode = MaintenanceMode(mode)
+    if mode == MaintenanceMode.FIXED:
         raise ValueError("retriever frozen")
     target = np.asarray(target_probs, dtype=np.float64)
     if abs(target.sum() - 1.0) > 1e-6 or np.any(target < -1e-12):
@@ -188,17 +206,8 @@ def retriever_gradient(enc: DualEncoder, query: Sequence[str],
     q_vec = encode_query(enc, query)
     d_vecs = np.stack([encode_doc(enc, d) for d in docs])
     probs = retrieval_distribution(d_vecs @ q_vec, temperature)
-    g_scores = score_gradient(probs, target, temperature)
-
-    grads = Gradients.zeros_like(enc)
-    grad_q_vec = g_scores @ d_vecs
-    _backprop_side(enc.query, enc.vocab, query, grad_q_vec,
-                   grads.query_embedding, grads.query_projection)
-    if mode == TrainMode.FULL:
-        for g_k, doc in zip(g_scores, docs):
-            _backprop_side(enc.doc, enc.vocab, doc, g_k * q_vec,
-                           grads.doc_embedding, grads.doc_projection)
-    return grads
+    return encoder_gradient(enc, query, docs, q_vec, d_vecs,
+                            (probs - target) / temperature, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -221,19 +230,22 @@ def save_checkpoint(enc: DualEncoder, path):
 
 
 def load_checkpoint(path) -> DualEncoder:
+    from .index import FormatError, _read_exact  # index imports this module
     with open(path, "rb") as fh:
-        if fh.read(4) != _MAGIC:
-            raise ValueError("bad checkpoint magic")
-        version, dim, vsize = struct.unpack("<III", fh.read(12))
+        if _read_exact(fh, 4, path) != _MAGIC:
+            raise FormatError(f"{path}: bad checkpoint magic")
+        version, dim, vsize = struct.unpack("<III", _read_exact(fh, 12, path))
         if version != _VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        tables = []
-        for shape in ((vsize, dim), (dim, dim), (vsize, dim), (dim, dim)):
-            n = shape[0] * shape[1]
-            buf = fh.read(4 * n)
-            tables.append(np.frombuffer(buf, dtype="<f4").astype(np.float64)
-                          .reshape(shape))
-        tokens = fh.read().decode("utf-8").split("\n")
+            raise FormatError(f"{path}: unsupported checkpoint version {version}")
+        tables = [np.frombuffer(_read_exact(fh, 4 * rows * dim, path), dtype="<f4")
+                  .astype(np.float64).reshape(rows, dim)
+                  for rows in (vsize, dim, vsize, dim)]
+        try:
+            tokens = fh.read().decode("utf-8").split("\n")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: vocab is not UTF-8") from exc
+    if len(tokens) != vsize:
+        raise FormatError(f"{path}: {len(tokens)} vocab tokens for {vsize} rows")
     vocab = Vocab.__new__(Vocab)
     vocab.tokens = tokens
     vocab.index = {t: i for i, t in enumerate(tokens)}

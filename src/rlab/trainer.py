@@ -1,16 +1,18 @@
 """Joint training loop: retrieve, score with the LM, build the target,
 update the retriever.
 
-Index-maintenance strategies:
+Index-maintenance strategies (`retriever.MaintenanceMode`):
   fixed         no retriever updates (baseline);
   query_side    only the query encoder trains, the index never goes stale;
   rerank        retrieve top-L from the (possibly stale) index, re-embed
                 those L documents with the current parameters, keep top-K;
   full_refresh  train everything and rebuild the index every R steps.
 
-The optimizer is plain SGD with linear warmup and linear decay. With a
-fixed seed, configuration and corpus, the parameter trajectory and the
-emitted metrics are bit-identical across runs.
+Score gradients reach the encoder through `retriever.encoder_gradient`,
+the backprop that the gradient check covers. The optimizer is plain SGD
+with linear warmup and linear decay. With a fixed seed, configuration and
+corpus, the parameter trajectory and the emitted metrics are bit-identical
+across runs.
 """
 
 from __future__ import annotations
@@ -28,15 +30,8 @@ from .lm import LMScorer, OverlapLM
 from .losses import (LossKind, build_target, distill_step, emdr2_objective)
 from .pretext import PretextExample
 from .retriever import (DEFAULT_TEMPERATURE, DualEncoder, Gradients,
-                        _backprop_side, encode_doc, encode_query,
-                        retrieval_distribution)
-
-
-class MaintenanceMode(str, Enum):
-    FIXED = "fixed"
-    QUERY_SIDE = "query_side"
-    RERANK = "rerank"
-    FULL_REFRESH = "full_refresh"
+                        MaintenanceMode, encode_doc, encode_query,
+                        encoder_gradient, retrieval_distribution)
 
 
 class RefreshAction(str, Enum):
@@ -61,6 +56,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "mode", MaintenanceMode(self.mode))
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.mode == MaintenanceMode.RERANK and self.l_rerank_pool < self.k_retrieved:
@@ -140,11 +136,11 @@ def _retrieve(state: TrainerState, cfg: TrainConfig,
     if cfg.mode == MaintenanceMode.RERANK:
         pool = index_mod.search(state.index, q_vec, cfg.l_rerank_pool + extra)
         stale_ids = [pid for pid, _ in pool]
-        fresh = [(pid, float(np.dot(q_vec, encode_doc(state.encoder,
-                                                      state.passages[pid].text))))
-                 for pid in stale_ids]
-        fresh.sort(key=lambda t: (-t[1], t[0]))
-        ids = [pid for pid, _ in fresh]
+        fresh = np.array([np.dot(q_vec, encode_doc(state.encoder,
+                                                   state.passages[pid].text))
+                          for pid in stale_ids])
+        ids = [pid for pid, _ in index_mod._top_k(stale_ids, fresh,
+                                                  len(stale_ids))]
         # Stale-index signal: a fresh top-K element coming from the tail of
         # the stale pool suggests the true top-K may have escaped it.
         tail = set(stale_ids[cfg.l_rerank_pool - 1:])
@@ -166,7 +162,7 @@ def _example_gradient(state: TrainerState, cfg: TrainConfig, lm: LMScorer,
         return None, 0.0, ids
     docs = [tuple(state.passages[pid].text) for pid in ids]
     q_vec = encode_query(state.encoder, example.query)
-    if cfg.mode in (MaintenanceMode.FIXED, MaintenanceMode.QUERY_SIDE):
+    if not cfg.mode.trains_docs:
         # The index is never stale in these modes; its vectors are the
         # document embeddings.
         row = state.index_rows()
@@ -187,17 +183,8 @@ def _example_gradient(state: TrainerState, cfg: TrainConfig, lm: LMScorer,
 
     if cfg.mode == MaintenanceMode.FIXED:
         return None, loss_value, ids
-
-    grads = Gradients.zeros_like(state.encoder)
-    g_scores = step.grad_wrt_scores
-    grad_q_vec = g_scores @ d_vecs
-    _backprop_side(state.encoder.query, state.encoder.vocab, example.query,
-                   grad_q_vec, grads.query_embedding, grads.query_projection)
-    if cfg.mode in (MaintenanceMode.RERANK, MaintenanceMode.FULL_REFRESH):
-        for g_k, doc in zip(g_scores, docs):
-            _backprop_side(state.encoder.doc, state.encoder.vocab, doc,
-                           g_k * q_vec, grads.doc_embedding,
-                           grads.doc_projection)
+    grads = encoder_gradient(state.encoder, example.query, docs, q_vec,
+                             d_vecs, step.grad_wrt_scores, cfg.mode)
     return grads, loss_value, ids
 
 
@@ -229,7 +216,7 @@ def train_step(state: TrainerState, batch: Sequence[TrainExample],
         lr = _learning_rate(cfg, state.step)
         state.encoder.query.embedding -= lr * total.query_embedding
         state.encoder.query.projection -= lr * total.query_projection
-        if cfg.mode in (MaintenanceMode.RERANK, MaintenanceMode.FULL_REFRESH):
+        if cfg.mode.trains_docs:
             state.encoder.doc.embedding -= lr * total.doc_embedding
             state.encoder.doc.projection -= lr * total.doc_projection
 

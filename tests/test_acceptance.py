@@ -26,7 +26,7 @@ from rlab.losses import (LossKind, adist_target, distill_step,
 from rlab.pq import (compress, compressed_size_from_reported,
                      compression_ratio, decode, pq_search, recall_at_k,
                      train_pq)
-from rlab.retriever import TrainMode, retrieval_distribution, retriever_gradient
+from rlab.retriever import retrieval_distribution, retriever_gradient
 from rlab.pretext import mlm_example, reconstruct_mlm, _sample_span_length
 from rlab.trainer import (MaintenanceMode, TrainConfig, init_state,
                           recall_at_1, train)
@@ -123,7 +123,7 @@ def test_criterion_03_gradients_match_finite_differences():
     docs = [p.text for p in passages[:3]]
     grads = retriever_gradient(encoder, examples[0].query, docs,
                                np.array([0.7, 0.2, 0.1]), temperature,
-                               TrainMode.QUERY_SIDE)
+                               MaintenanceMode.QUERY_SIDE)
     assert np.all(grads.doc_embedding == 0.0)
     assert np.all(grads.doc_projection == 0.0)
     assert np.any(grads.query_embedding != 0.0)

@@ -95,6 +95,18 @@ class TestBuildAndSearch:
                      "--checkpoint", str(ckpt), "--query", "doc0tok0"]) == 1
         assert "index.ridx" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cut", ["header", "tables"])
+    def test_truncated_checkpoint_exit_1(self, workspace, capsys, cut):
+        tmp_path, raw = workspace
+        passages = run_ingest(tmp_path, raw)
+        index_path, ckpt = run_build(tmp_path, passages)
+        blob = ckpt.read_bytes()
+        ckpt.write_bytes(blob[:10] if cut == "header" else blob[:len(blob) // 2])
+        capsys.readouterr()
+        assert main(["search", "--index", str(index_path),
+                     "--checkpoint", str(ckpt), "--query", "doc0tok0"]) == 1
+        assert "index.rlab" in capsys.readouterr().err
+
     def test_manifest_records_index_version(self, workspace):
         tmp_path, raw = workspace
         passages = run_ingest(tmp_path, raw)

@@ -1,9 +1,12 @@
+import struct
+
 import numpy as np
 import pytest
 
-from rlab.retriever import (DualEncoder, EncoderParams, Gradients, TrainMode,
-                            Vocab, encode, encode_doc, encode_query,
-                            init_encoder, load_checkpoint,
+from rlab.index import FormatError
+from rlab.retriever import (DualEncoder, EncoderParams, Gradients,
+                            MaintenanceMode, Vocab, encode, encode_doc,
+                            encode_query, init_encoder, load_checkpoint,
                             retrieval_distribution, retriever_gradient,
                             save_checkpoint, score)
 
@@ -136,7 +139,7 @@ class TestRetrieverGradient:
         d = np.stack([encode_doc(enc, doc) for doc in docs])
         target = retrieval_distribution(d @ q, 1.0)
         grads = retriever_gradient(enc, query, docs, target, 1.0,
-                                   TrainMode.FULL)
+                                   MaintenanceMode.FULL_REFRESH)
         assert np.abs(grads.query_embedding).max() < 1e-12
         assert np.abs(grads.doc_embedding).max() < 1e-12
 
@@ -144,18 +147,20 @@ class TestRetrieverGradient:
         enc = self.make()
         with pytest.raises(ValueError, match="frozen"):
             retriever_gradient(enc, ["t0"], [["t1"]], np.array([1.0]), 1.0,
-                               TrainMode.FIXED)
+                               MaintenanceMode.FIXED)
 
     def test_query_side_doc_grads_zero(self):
         enc = self.make()
         grads = retriever_gradient(enc, ["t0"], [["t1"], ["t2"]],
                                    np.array([1.0, 0.0]), 0.5,
-                                   TrainMode.QUERY_SIDE)
+                                   MaintenanceMode.QUERY_SIDE)
         assert np.all(grads.doc_embedding == 0.0)
         assert np.all(grads.doc_projection == 0.0)
         assert np.abs(grads.query_embedding).max() > 0
 
-    @pytest.mark.parametrize("mode", [TrainMode.QUERY_SIDE, TrainMode.FULL])
+    @pytest.mark.parametrize("mode", [MaintenanceMode.QUERY_SIDE,
+                                      MaintenanceMode.RERANK,
+                                      MaintenanceMode.FULL_REFRESH])
     def test_finite_difference_agreement(self, mode):
         rng = np.random.default_rng(42)
         step = 1e-5
@@ -173,7 +178,7 @@ class TestRetrieverGradient:
 
             tables = [("query", enc.query.embedding, grads.query_embedding),
                       ("query_proj", enc.query.projection, grads.query_projection)]
-            if mode == TrainMode.FULL:
+            if mode.trains_docs:
                 tables += [("doc", enc.doc.embedding, grads.doc_embedding),
                            ("doc_proj", enc.doc.projection, grads.doc_projection)]
             for name, table, grad in tables:
@@ -208,3 +213,35 @@ class TestCheckpoint:
         path.write_bytes(b"NOPE" + b"\x00" * 32)
         with pytest.raises(ValueError, match="magic"):
             load_checkpoint(path)
+
+    def _saved(self, tmp_path, enc):
+        path = tmp_path / "enc.rlab"
+        save_checkpoint(enc, path)
+        return path, path.read_bytes()
+
+    def test_truncated_raises_format_error(self, tmp_path, small_encoder):
+        path, blob = self._saved(tmp_path, small_encoder)
+        vsize, dim = len(small_encoder.vocab), small_encoder.dim
+        tables_end = 16 + 4 * (2 * vsize * dim + 2 * dim * dim)
+        for cut in (0, 2, 10,                    # magic, header
+                    16 + 4 * vsize * dim // 2,   # query embedding
+                    16 + 4 * vsize * dim + 4,    # query projection
+                    tables_end - 1,              # doc projection
+                    tables_end,                  # no vocab at all
+                    tables_end + 9):             # inside the vocab
+            path.write_bytes(blob[:cut])
+            with pytest.raises(FormatError, match="enc.rlab"):
+                load_checkpoint(path)
+
+    def test_malformed_raises_format_error(self, tmp_path, small_encoder):
+        path, blob = self._saved(tmp_path, small_encoder)
+        bad_version = blob[:4] + struct.pack("<I", 9) + blob[8:]
+        not_utf8 = blob + b"\n\xff\xfe"
+        extra_token = blob + b"\nextra"
+        for data, message in ((b"NOPE" + blob[4:], "magic"),
+                              (bad_version, "version 9"),
+                              (not_utf8, "UTF-8"),
+                              (extra_token, "tokens")):
+            path.write_bytes(data)
+            with pytest.raises(FormatError, match=message):
+                load_checkpoint(path)

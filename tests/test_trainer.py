@@ -8,11 +8,11 @@ import pytest
 
 from rlab.index import build, search
 from rlab.lm import OverlapLM
-from rlab.losses import LossKind
-from rlab.retriever import encode_query
+from rlab.losses import LossKind, pdist_target
+from rlab.retriever import encode_query, retriever_gradient
 from rlab.trainer import (MaintenanceMode, RefreshAction, StepMetrics,
-                          TrainConfig, TrainExample, _learning_rate,
-                          _retrieve, init_state, recall_at_1,
+                          TrainConfig, TrainExample, _example_gradient,
+                          _learning_rate, _retrieve, init_state, recall_at_1,
                           refresh_policy, train, train_step,
                           write_metrics_csv)
 
@@ -37,6 +37,15 @@ class TestConfigValidation:
 
     def test_closed_book_allowed(self):
         TrainConfig(k_retrieved=0)
+
+    def test_mode_given_as_string(self):
+        cfg = TrainConfig(mode="rerank", k_retrieved=5, l_rerank_pool=10)
+        assert cfg.mode is MaintenanceMode.RERANK
+        assert cfg.mode.trains_docs
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError):
+            TrainConfig(mode="bogus")
 
 
 class TestRefreshPolicy:
@@ -126,6 +135,30 @@ class TestRetrieve:
 
 
 class TestTrainStep:
+    @pytest.mark.parametrize("mode", [MaintenanceMode.FULL_REFRESH,
+                                      MaintenanceMode.QUERY_SIDE])
+    def test_example_gradient_is_retriever_gradient(self, mode):
+        # training applies the gradient that criterion 3 checks
+        passages, examples, encoder = small_task()
+        state = init_state(encoder, passages)
+        cfg = TrainConfig(mode=mode, k_retrieved=10, loss=LossKind.PDIST,
+                          temperature=0.1, temperature_target=1.0)
+        lm = OverlapLM(vocab_size=5000)
+        ex = examples[0]
+        grads, _, ids = _example_gradient(state, cfg, lm, ex)
+        docs = [tuple(state.passages[pid].text) for pid in ids]
+        target = pdist_target(lm.per_doc_loglik(ex.query, docs, ex.output),
+                              cfg.temperature_target)
+        want = retriever_gradient(encoder, ex.query, docs, target.probs,
+                                  cfg.temperature, mode)
+        for name in ("query_embedding", "query_projection",
+                     "doc_embedding", "doc_projection"):
+            got, exp = getattr(grads, name), getattr(want, name)
+            if mode == MaintenanceMode.FULL_REFRESH:
+                np.testing.assert_array_equal(got, exp)
+            else:  # query_side scores against float32-rounded index rows
+                np.testing.assert_allclose(got, exp, rtol=1e-6)
+
     def test_fixed_mode_never_updates(self):
         passages, examples, encoder = small_task()
         state = init_state(encoder, passages)
