@@ -90,10 +90,12 @@ def cmd_build_index(args) -> int:
         tokens = [t for p in passages for t in p.text]
         enc = retriever.init_encoder(retriever.Vocab(tokens), args.dim,
                                      seed=args.seed)
-        retriever.save_checkpoint(enc, Path(args.out).with_suffix(".rlab"))
     idx = index_mod.build(passages, enc, shards=args.shards,
                           precision=args.precision)
+    # The index is written first: an id it rejects leaves no files behind.
     index_mod.save_index(idx, args.out)
+    if not args.checkpoint:
+        retriever.save_checkpoint(enc, Path(args.out).with_suffix(".rlab"))
     _write_manifest(Path(args.out).parent, "build-index",
                     {"shards": args.shards, "precision": args.precision,
                      "dim": enc.dim, "seed": args.seed},

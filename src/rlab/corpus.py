@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
+
+from .formats import FormatError
 
 VALID_SOURCES = ("wiki", "cc", "infobox")
 
@@ -239,12 +241,25 @@ def write_passages(passages: Iterable[Passage], path) -> int:
 
 
 def read_passages(path) -> list[Passage]:
+    """Passages from JSONL, one object per line; blank lines are skipped.
+    A malformed line raises FormatError naming the file and line."""
     out = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(passage_from_json(json.loads(line)))
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, 1):
+            where = f"{path}, line {lineno}"
+            try:
+                obj = json.loads(line.decode("utf-8")) if line.strip() else None
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"{where}: not UTF-8") from exc
+            except ValueError as exc:
+                raise FormatError(f"{where}: invalid JSON: {exc}") from exc
+            if obj is None:
+                continue
+            if not (isinstance(obj, dict) and "id" in obj
+                    and isinstance(obj.get("text"), str)):
+                raise FormatError(f"{where}: expected an object with an id "
+                                  f"and a string text")
+            out.append(passage_from_json(obj))
     return out
 
 

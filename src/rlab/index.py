@@ -9,14 +9,15 @@ produce a new immutable index with an incremented version.
 
 from __future__ import annotations
 
-import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .corpus import Passage
+from .formats import FormatError, join_lines, read_end, read_exact, read_lines
 from .retriever import DualEncoder, encode_doc
 
 _PRECISIONS = {"float32": 0, "float16": 1}
@@ -44,6 +45,11 @@ class EmbeddingIndex:
     @property
     def size(self) -> int:
         return len(self.ids)
+
+    @cached_property
+    def row_of(self) -> dict[str, int]:
+        """Passage id -> row, built on first use; an index never changes."""
+        return {pid: i for i, pid in enumerate(self.ids)}
 
     def memory_bytes(self) -> int:
         per_scalar = 2 if self.precision == "float16" else 4
@@ -125,45 +131,8 @@ _MAGIC = b"RIDX"
 _FORMAT_VERSION = 1
 
 
-class FormatError(ValueError):
-    """An artifact file (RIDX, RPQX or RLAB) is malformed or truncated."""
-
-
-def _remaining(fh) -> int:
-    return os.fstat(fh.fileno()).st_size - fh.tell()
-
-
-def _read_exact(fh, n: int, path) -> bytes:
-    """Read exactly n bytes or raise FormatError naming the file. The size
-    is checked first, so a corrupt length never allocates a huge buffer."""
-    left = _remaining(fh)
-    if n > left:
-        raise FormatError(f"{path}: truncated at byte {fh.tell()}: needs "
-                          f"{n} more bytes, has {left}")
-    return fh.read(n)
-
-
-def _read_end(fh, path):
-    if _remaining(fh):
-        raise FormatError(f"{path}: {_remaining(fh)} trailing bytes "
-                          f"after byte {fh.tell()}")
-
-
-def _read_ids(fh, id_len: int, n: int, path) -> list[str]:
-    """The newline-joined id table of n ids."""
-    try:
-        text = _read_exact(fh, id_len, path).decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: id table is not UTF-8") from exc
-    # An empty table is one empty id when n == 1 and no id when n == 0.
-    ids = text.split("\n") if n or text else []
-    if len(ids) != n:
-        raise FormatError(f"{path}: {len(ids)} ids for {n} rows")
-    return ids
-
-
 def save_index(index: EmbeddingIndex, path):
-    id_blob = "\n".join(index.ids).encode("utf-8")
+    id_blob = join_lines(index.ids, "id")
     dtype = "<f2" if index.precision == "float16" else "<f4"
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
@@ -176,20 +145,20 @@ def save_index(index: EmbeddingIndex, path):
 
 def load_index(path) -> EmbeddingIndex:
     with open(path, "rb") as fh:
-        if _read_exact(fh, 4, path) != _MAGIC:
+        if read_exact(fh, 4, path) != _MAGIC:
             raise FormatError(f"{path}: bad index magic")
         fmt, version, dim, prec, n, id_len = struct.unpack(
-            "<IIIBIQ", _read_exact(fh, 25, path))
+            "<IIIBIQ", read_exact(fh, 25, path))
         if fmt != _FORMAT_VERSION:
             raise FormatError(f"{path}: unsupported index format {fmt}")
         if prec not in _PRECISION_NAMES:
             raise FormatError(f"{path}: unknown precision code {prec}")
         precision = _PRECISION_NAMES[prec]
-        ids = _read_ids(fh, id_len, n, path)
+        ids = read_lines(fh, id_len, n, path, "id")
         dtype = np.dtype("<f2" if precision == "float16" else "<f4")
-        vectors = np.frombuffer(_read_exact(fh, n * dim * dtype.itemsize, path),
+        vectors = np.frombuffer(read_exact(fh, n * dim * dtype.itemsize, path),
                                 dtype=dtype).astype(np.float64)
-        _read_end(fh, path)
+        read_end(fh, path)
     return EmbeddingIndex(version=version, dim=dim, ids=ids,
                           vectors=vectors.reshape(n, dim),
                           precision=precision)

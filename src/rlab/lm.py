@@ -14,15 +14,19 @@ in-document frequency with a uniform vocabulary floor,
 Conditioning on a document set pools the token counts of all documents,
 matching the composition semantics where every document contributes to a
 single fused context. The query does not enter the counts.
+
+Each call counts the output tokens in every document into one
+(|output|, K) matrix, by string equality, and every score is a numpy
+expression over it; nothing is kept between calls.
 """
 
 from __future__ import annotations
 
 import json
-import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Protocol, Sequence
+
+import numpy as np
 
 TokenSeq = Sequence[str]
 
@@ -41,6 +45,21 @@ class LMScorer(Protocol):
                             output: TokenSeq) -> list[float]: ...
 
 
+def _count_matrix(docs: Sequence[TokenSeq],
+                  output: TokenSeq) -> tuple[np.ndarray, np.ndarray]:
+    """(|output|, K) counts of each output token in each document, and the
+    K document lengths."""
+    if not output:
+        raise ValueError("empty output")
+    n_docs = len(docs)
+    row = {t: i for i, t in enumerate(dict.fromkeys(output))}
+    cells = [row[t] * n_docs + k for k, doc in enumerate(docs)
+             for t in doc if t in row]
+    counts = np.bincount(cells, minlength=len(row) * n_docs)
+    return (counts.reshape(len(row), n_docs)[[row[t] for t in output]],
+            np.array([len(doc) for doc in docs]))
+
+
 @dataclass
 class OverlapLM:
     vocab_size: int
@@ -51,95 +70,47 @@ class OverlapLM:
             raise ValueError("vocab_size must be >= 1")
         if not (0.0 < self.smoothing < 1.0):
             raise ValueError("smoothing must be strictly inside (0,1)")
-        self._count_cache: dict[tuple, Counter] = {}
 
-    def _counts(self, doc: TokenSeq) -> Counter:
-        # Documents are reused across training steps; memoize their counts
-        # (hashable token tuples only).
-        if isinstance(doc, tuple):
-            cached = self._count_cache.get(doc)
-            if cached is None:
-                cached = self._count_cache[doc] = Counter(doc)
-            return cached
-        return Counter(doc)
+    def _token_logs(self, counts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        """log p(t | context) per output token (row) and context (column);
+        an empty context has frequency zero."""
+        freq = np.divide(counts, lengths, out=np.zeros(counts.shape),
+                         where=lengths > 0)
+        return np.log(self.smoothing * freq
+                      + (1.0 - self.smoothing) / self.vocab_size)
 
-    def _loglik_from_counts(self, counts: Counter, length: int,
-                            output: TokenSeq) -> float:
-        floor = (1.0 - self.smoothing) / self.vocab_size
-        total = 0.0
-        for t in output:
-            freq = counts[t] / length if length else 0.0
-            total += math.log(self.smoothing * freq + floor)
-        return total
+    def _logliks(self, counts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        """Output log-likelihood per context. The running sum adds the
+        token factors in token order; `sum` may pair them up."""
+        return np.cumsum(self._token_logs(counts, lengths), axis=0)[-1]
 
     def per_doc_loglik(self, query, docs, output):
-        if not output:
-            raise ValueError("empty output")
-        return [self._loglik_from_counts(self._counts(d), len(d), output)
-                for d in docs]
+        return self._logliks(*_count_matrix(docs, output)).tolist()
 
     def joint_loglik(self, query, docs, output):
         if not docs:
             raise ValueError("docs must be nonempty")
-        if not output:
-            raise ValueError("empty output")
-        pooled = Counter()
-        length = 0
-        for d in docs:
-            pooled.update(d)
-            length += len(d)
-        return self._loglik_from_counts(pooled, length, output)
+        counts, lengths = _count_matrix(docs, output)
+        return float(self._logliks(counts.sum(axis=1, keepdims=True),
+                                   lengths.sum(keepdims=True))[0])
 
     def loo_logliks(self, query, docs, output):
         if len(docs) < 2:
             raise ValueError("leave-one-out undefined for K=1")
-        # Pooled counts once, then subtract each doc's contribution: O(K)
-        # in the document count instead of re-pooling K times.
-        pooled = Counter()
-        total_len = 0
-        for d in docs:
-            pooled.update(self._counts(d))
-            total_len += len(d)
-        floor = (1.0 - self.smoothing) / self.vocab_size
-        out = []
-        for d in docs:
-            counts = self._counts(d)
-            length = total_len - len(d)
-            loglik = 0.0
-            for t in output:
-                freq = (pooled[t] - counts[t]) / length if length else 0.0
-                loglik += math.log(self.smoothing * freq + floor)
-            out.append(loglik)
-        return out
+        counts, lengths = _count_matrix(docs, output)
+        return self._logliks(counts.sum(axis=1, keepdims=True) - counts,
+                             lengths.sum() - lengths).tolist()
 
     def per_token_logliks(self, query, docs, output):
         """(K, |output|) per-token log factors, for token-level objectives."""
-        if not output:
-            raise ValueError("empty output")
-        floor = (1.0 - self.smoothing) / self.vocab_size
-        rows = []
-        for d in docs:
-            counts, length = self._counts(d), len(d)
-            rows.append([
-                math.log(self.smoothing * (counts[t] / length if length else 0.0)
-                         + floor)
-                for t in output
-            ])
-        return rows
+        return self._token_logs(*_count_matrix(docs, output)).T.tolist()
 
     def attention_relevance(self, query, docs, output):
         """Overlap proxy for aggregated attention mass: the mean over
         output tokens of each token's in-document frequency."""
-        if not output:
-            raise ValueError("empty output")
-        rel = []
-        for d in docs:
-            if not d:
-                rel.append(0.0)
-                continue
-            counts = self._counts(d)
-            rel.append(sum(counts[t] for t in output) / (len(d) * len(output)))
-        return rel
+        counts, lengths = _count_matrix(docs, output)
+        return np.divide(counts.sum(axis=0), lengths * len(output),
+                         out=np.zeros(len(docs)), where=lengths > 0).tolist()
 
 
 class MockScorer:

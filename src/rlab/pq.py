@@ -16,8 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .index import (EmbeddingIndex, FormatError, _read_end, _read_exact,
-                    _read_ids, _top_k)
+from .formats import FormatError, join_lines, read_end, read_exact, read_lines
+from .index import EmbeddingIndex, _top_k
 
 
 @dataclass
@@ -210,7 +210,7 @@ _FORMAT_VERSION = 1
 
 def save_pq_index(pqindex: PQIndex, path):
     _check_k_c(pqindex.codec.k_c)
-    id_blob = "\n".join(pqindex.ids).encode("utf-8")
+    id_blob = join_lines(pqindex.ids, "id")
     codec = pqindex.codec
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
@@ -224,20 +224,20 @@ def save_pq_index(pqindex: PQIndex, path):
 
 def load_pq_index(path) -> PQIndex:
     with open(path, "rb") as fh:
-        if _read_exact(fh, 4, path) != _MAGIC:
+        if read_exact(fh, 4, path) != _MAGIC:
             raise FormatError(f"{path}: bad PQ index magic")
         fmt, version, dim, m, k_c, n, id_len = struct.unpack(
-            "<IIIIIIQ", _read_exact(fh, 32, path))
+            "<IIIIIIQ", read_exact(fh, 32, path))
         if fmt != _FORMAT_VERSION:
             raise FormatError(f"{path}: unsupported PQ format {fmt}")
         if m == 0 or dim % m:
             raise FormatError(f"{path}: m={m} does not divide dim={dim}")
-        ids = _read_ids(fh, id_len, n, path)
+        ids = read_lines(fh, id_len, n, path, "id")
         sub_dim = dim // m
-        cb = np.frombuffer(_read_exact(fh, 4 * m * k_c * sub_dim, path),
+        cb = np.frombuffer(read_exact(fh, 4 * m * k_c * sub_dim, path),
                            dtype="<f4")
-        codes = np.frombuffer(_read_exact(fh, 2 * n * m, path), dtype="<u2")
-        _read_end(fh, path)
+        codes = np.frombuffer(read_exact(fh, 2 * n * m, path), dtype="<u2")
+        read_end(fh, path)
     if codes.size and int(codes.max()) >= k_c:
         raise FormatError(f"{path}: code {int(codes.max())} >= k_c={k_c}")
     codec = PQCodec(m=m, k_c=k_c,

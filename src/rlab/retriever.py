@@ -14,11 +14,14 @@ check (`retriever_gradient`) share one backprop, `encoder_gradient`.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
 import numpy as np
+
+from .formats import (FormatError, join_lines, read_end, read_exact, read_lines,
+                      remaining)
 
 UNK = "<unk>"
 DEFAULT_TEMPERATURE = 0.1  # tuned retrieval temperature
@@ -211,41 +214,43 @@ def retriever_gradient(enc: DualEncoder, query: Sequence[str],
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint format: magic "RLAB", version, d, vocab size, then row-major
-# float32 tables (query emb, query proj, doc emb, doc proj), then the
-# newline-joined vocab as UTF-8.
+# Checkpoint format: magic "RLAB", version, d, vocab size, vocab byte length
+# (from version 2), then row-major float32 tables (query emb, query proj,
+# doc emb, doc proj), then the newline-joined vocab as UTF-8. A version 1
+# file has no vocab length; its vocab runs to the end of the file.
 
 _MAGIC = b"RLAB"
-_VERSION = 1
+_VERSION = 2
 
 
 def save_checkpoint(enc: DualEncoder, path):
+    vocab_blob = join_lines(enc.vocab.tokens, "vocab token")
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
-        fh.write(struct.pack("<III", _VERSION, enc.dim, len(enc.vocab)))
+        fh.write(struct.pack("<IIIQ", _VERSION, enc.dim, len(enc.vocab),
+                             len(vocab_blob)))
         for table in (enc.query.embedding, enc.query.projection,
                       enc.doc.embedding, enc.doc.projection):
             fh.write(np.ascontiguousarray(table, dtype="<f4").tobytes())
-        fh.write("\n".join(enc.vocab.tokens).encode("utf-8"))
+        fh.write(vocab_blob)
 
 
 def load_checkpoint(path) -> DualEncoder:
-    from .index import FormatError, _read_exact  # index imports this module
     with open(path, "rb") as fh:
-        if _read_exact(fh, 4, path) != _MAGIC:
+        if read_exact(fh, 4, path) != _MAGIC:
             raise FormatError(f"{path}: bad checkpoint magic")
-        version, dim, vsize = struct.unpack("<III", _read_exact(fh, 12, path))
-        if version != _VERSION:
+        version, dim, vsize = struct.unpack("<III", read_exact(fh, 12, path))
+        if version not in (1, _VERSION):
             raise FormatError(f"{path}: unsupported checkpoint version {version}")
-        tables = [np.frombuffer(_read_exact(fh, 4 * rows * dim, path), dtype="<f4")
+        vocab_len = (struct.unpack("<Q", read_exact(fh, 8, path))[0]
+                     if version == _VERSION else None)
+        tables = [np.frombuffer(read_exact(fh, 4 * rows * dim, path), dtype="<f4")
                   .astype(np.float64).reshape(rows, dim)
                   for rows in (vsize, dim, vsize, dim)]
-        try:
-            tokens = fh.read().decode("utf-8").split("\n")
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"{path}: vocab is not UTF-8") from exc
-    if len(tokens) != vsize:
-        raise FormatError(f"{path}: {len(tokens)} vocab tokens for {vsize} rows")
+        if vocab_len is None:
+            vocab_len = remaining(fh)
+        tokens = read_lines(fh, vocab_len, vsize, path, "vocab token")
+        read_end(fh, path)
     vocab = Vocab.__new__(Vocab)
     vocab.tokens = tokens
     vocab.index = {t: i for i, t in enumerate(tokens)}

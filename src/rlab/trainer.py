@@ -18,14 +18,14 @@ across runs.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import index as index_mod
-from .corpus import Passage, exclude_self
+from .corpus import Passage
 from .lm import LMScorer, OverlapLM
 from .losses import (LossKind, build_target, distill_step, emdr2_objective)
 from .pretext import PretextExample
@@ -89,13 +89,6 @@ class TrainerState:
     passages: dict[str, Passage]
     step: int = 0
     stale_rerank_warnings: int = 0
-    _row_cache: tuple[int, dict[str, int]] | None = None
-
-    def index_rows(self) -> dict[str, int]:
-        if self._row_cache is None or self._row_cache[0] != self.index.version:
-            self._row_cache = (self.index.version,
-                               {pid: i for i, pid in enumerate(self.index.ids)})
-        return self._row_cache[1]
 
 
 @dataclass
@@ -127,11 +120,10 @@ def _learning_rate(cfg: TrainConfig, step: int) -> float:
     return cfg.learning_rate * remaining / span
 
 
-def _retrieve(state: TrainerState, cfg: TrainConfig,
-              example: TrainExample) -> list[str]:
-    """Candidate document ids for one example, honoring the maintenance
-    mode and self-exclusion."""
-    q_vec = encode_query(state.encoder, example.query)
+def _retrieve(state: TrainerState, cfg: TrainConfig, example: TrainExample,
+              q_vec: np.ndarray) -> list[str]:
+    """Candidate document ids for one example with query vector q_vec,
+    honoring the maintenance mode and self-exclusion."""
     extra = 1 if example.origin_passage_id else 0
     if cfg.mode == MaintenanceMode.RERANK:
         pool = index_mod.search(state.index, q_vec, cfg.l_rerank_pool + extra)
@@ -157,16 +149,15 @@ def _retrieve(state: TrainerState, cfg: TrainConfig,
 def _example_gradient(state: TrainerState, cfg: TrainConfig, lm: LMScorer,
                       example: TrainExample) -> tuple[Gradients | None, float, list[str]]:
     """Loss gradient (None when frozen), loss value, retrieved ids."""
-    ids = _retrieve(state, cfg, example)
+    q_vec = encode_query(state.encoder, example.query)
+    ids = _retrieve(state, cfg, example, q_vec)
     if not ids:
         return None, 0.0, ids
-    docs = [tuple(state.passages[pid].text) for pid in ids]
-    q_vec = encode_query(state.encoder, example.query)
+    docs = [state.passages[pid].text for pid in ids]
     if not cfg.mode.trains_docs:
         # The index is never stale in these modes; its vectors are the
         # document embeddings.
-        row = state.index_rows()
-        d_vecs = state.index.vectors[[row[pid] for pid in ids]]
+        d_vecs = state.index.vectors[[state.index.row_of[pid] for pid in ids]]
     else:
         d_vecs = np.stack([encode_doc(state.encoder, d) for d in docs])
     probs = retrieval_distribution(d_vecs @ q_vec, cfg.temperature)
@@ -263,7 +254,7 @@ def recall_at_1(state: TrainerState, examples: Sequence[TrainExample],
     """Fraction of examples whose top retrieved passage is their gold."""
     hits = 0
     for ex in examples:
-        ids = _retrieve(state, cfg, ex)
+        ids = _retrieve(state, cfg, ex, encode_query(state.encoder, ex.query))
         hits += int(bool(ids) and ids[0] == ex.gold_passage_id)
     return hits / len(examples)
 

@@ -32,6 +32,46 @@ def mp_emdr2(logliks, probs):
     return float(mpmath.log(total))
 
 
+def mp_overlap_lm(docs, output, vocab_size, smoothing):
+    """The smoothed unigram-overlap LM by its formula,
+    p(t|d) = lam * count_d(t)/|d| + (1 - lam)/|V|, one token at a time.
+
+    Returns per-document, joint (documents concatenated), leave-one-out
+    and per-token log-likelihoods, and the attention relevance (mean
+    in-document frequency of the output tokens; 0 for an empty document).
+    """
+    lam = mpmath.mpf(smoothing)
+
+    def prob(context, token):
+        freq = mpmath.mpf(0)
+        if len(context) > 0:
+            freq = mpmath.mpf(list(context).count(token)) / len(context)
+        return lam * freq + (1 - lam) / vocab_size
+
+    def loglik(context):
+        return sum(mpmath.log(prob(context, t)) for t in output)
+
+    def concat(ds):
+        return [t for d in ds for t in d]
+
+    rel = []
+    for d in docs:
+        if len(d) == 0:
+            rel.append(0.0)
+        else:
+            rel.append(float(sum(mpmath.mpf(list(d).count(t)) / len(d)
+                                 for t in output) / len(output)))
+    return {
+        "per_doc": [float(loglik(d)) for d in docs],
+        "joint": float(loglik(concat(docs))),
+        "loo": [float(loglik(concat(docs[:k] + docs[k + 1:])))
+                for k in range(len(docs))],
+        "per_token": [[float(mpmath.log(prob(d, t))) for t in output]
+                      for d in docs],
+        "relevance": rel,
+    }
+
+
 def brute_force_search(ids, vectors, q_vec, k):
     """Full scan; descending score, ties by ascending id."""
     scored = [(pid, float(vec @ q_vec)) for pid, vec in zip(ids, vectors)]

@@ -107,6 +107,28 @@ class TestBuildAndSearch:
                      "--checkpoint", str(ckpt), "--query", "doc0tok0"]) == 1
         assert "index.rlab" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad_line", [
+        b'{"id": "b", "text": "x y',        # truncated last line
+        b'{"text": "x y"}',                # no id
+        b'{"id": "b", "text": 5}',         # text not a string
+        b'{"id": "b", "text": "caf\xe9"}',  # not UTF-8
+    ])
+    def test_malformed_passages_exit_1(self, tmp_path, capsys, bad_line):
+        passages = tmp_path / "passages.jsonl"
+        passages.write_bytes(b'{"id": "a", "text": "x y"}\n' + bad_line)
+        assert main(["build-index", "--passages", str(passages),
+                     "--out", str(tmp_path / "index.ridx")]) == 1
+        assert "passages.jsonl, line 2" in capsys.readouterr().err
+
+    def test_newline_in_id_exit_2_and_nothing_written(self, tmp_path, capsys):
+        passages = tmp_path / "passages.jsonl"
+        passages.write_text('{"id": "a\\nb", "text": "x y"}\n'
+                            '{"id": "c", "text": "y z"}\n')
+        assert main(["build-index", "--passages", str(passages),
+                     "--out", str(tmp_path / "index.ridx")]) == 2
+        assert "'a\\nb'" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["passages.jsonl"]
+
     def test_manifest_records_index_version(self, workspace):
         tmp_path, raw = workspace
         passages = run_ingest(tmp_path, raw)

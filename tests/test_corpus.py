@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -7,7 +8,8 @@ from rlab.corpus import (FilterConfig, Passage, RawDocument, Section,
                          chunk, chunk_tokens, exclude_self, ingest,
                          linearize_document, linearize_structured,
                          passage_from_json, passage_to_json, quality_filter,
-                         repeated_token_ratio, tokenize)
+                         read_passages, repeated_token_ratio, tokenize)
+from rlab.index import FormatError
 
 
 def make_doc(sections, source="wiki", doc_id="d1"):
@@ -152,6 +154,28 @@ class TestIO:
         passages = ingest([doc], cfg=FilterConfig(min_doc_length=10))
         assert len(passages) == 1
         assert ";" in " ".join(passages[0].text)
+
+    @pytest.mark.parametrize("bad_line, reason", [
+        (b'{"id": "b", "text": "x y', "JSON"),        # truncated last line
+        (b'{"id": "b", "text": "caf\xe9"}', "UTF-8"),
+        (b'{"text": "x y"}', "id"),
+        (b'{"id": "b"}', "text"),
+        (b'{"id": "b", "text": 5}', "text"),
+        (b'["b", "x y"]', "object"),
+    ])
+    def test_read_passages_format_error_names_line(self, tmp_path, bad_line,
+                                                   reason):
+        path = tmp_path / "p.jsonl"
+        # The blank line counts: the bad record is on line 3.
+        path.write_bytes(b'{"id": "a", "text": "x y"}\n\n' + bad_line + b"\n")
+        with pytest.raises(FormatError, match=rf"p\.jsonl, line 3: .*{reason}"):
+            read_passages(path)
+
+    def test_read_passages_skips_blank_lines(self, tmp_path):
+        path = tmp_path / "p.jsonl"
+        p = Passage(id="a", doc_id="a", text=("x", "y"))
+        path.write_text("\n" + json.dumps(passage_to_json(p)) + "\n\n")
+        assert read_passages(path) == [p]
 
     def test_wiki_requires_dump_date(self):
         with pytest.raises(ValueError):

@@ -192,6 +192,15 @@ class TestIndexFile:
         with pytest.raises(FormatError, match="idx.ridx"):
             load_index(path)
 
+    def test_newline_in_id_rejected_before_write(self, tmp_path):
+        # "a\nb" would read back as two ids for one row.
+        idx = EmbeddingIndex(version=1, dim=2, ids=["a\nb", "c"],
+                             vectors=np.ones((2, 2)))
+        path = tmp_path / "idx.ridx"
+        with pytest.raises(ValueError, match=r"'a\\nb'"):
+            save_index(idx, path)
+        assert not path.exists()
+
     def test_float16_rounds_on_write(self):
         passages = make_passages(3)
         idx = build(passages, make_encoder(passages), precision="float16")

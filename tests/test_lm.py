@@ -1,9 +1,11 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from rlab.lm import MockScorer, OverlapLM
+
+from oracles import mp_overlap_lm
 
 
 @pytest.fixture
@@ -126,6 +128,52 @@ class TestInvariants:
         before = lm.per_doc_loglik([], [doc], ["a"])[0]
         after = lm.per_doc_loglik([], [doc + ["a"]], ["a"])[0]
         assert after >= before
+
+
+class TestOracle:
+    """All five scores against the formula evaluated in 50 digits."""
+
+    @given(docs=st.lists(st.lists(st.sampled_from("abcde"), max_size=6),
+                         min_size=1, max_size=4),
+           output=st.lists(st.sampled_from("abcdefg"), min_size=1, max_size=10),
+           vocab_size=st.integers(2, 50),
+           smoothing=st.floats(0.05, 0.95))
+    @example(docs=[[]], output=["a"], vocab_size=7, smoothing=0.5)  # empty, K=1
+    @example(docs=[["a", "b"], []], output=["a", "a", "z"],  # K=2, repeated
+             vocab_size=10, smoothing=0.5)                  # and absent tokens
+    @example(docs=[["a", "b", "a"], ["a", "b", "a"], ["c"]],  # duplicates
+             output=["a", "c", "b", "a", "a", "c", "b", "a", "d"],
+             vocab_size=9, smoothing=0.3)
+    @example(docs=[[], []], output=["a"], vocab_size=3, smoothing=0.5)
+    def test_matches_formula(self, docs, output, vocab_size, smoothing):
+        lm = OverlapLM(vocab_size=vocab_size, smoothing=smoothing)
+        want = mp_overlap_lm(docs, output, vocab_size, smoothing)
+        close = dict(rel=1e-12, abs=0.0)
+        assert lm.per_doc_loglik([], docs, output) == \
+            pytest.approx(want["per_doc"], **close)
+        assert lm.joint_loglik([], docs, output) == \
+            pytest.approx(want["joint"], **close)
+        for got, row in zip(lm.per_token_logliks([], docs, output),
+                            want["per_token"], strict=True):
+            assert got == pytest.approx(row, **close)
+        assert lm.attention_relevance([], docs, output) == \
+            pytest.approx(want["relevance"], **close)
+        if len(docs) == 1:
+            with pytest.raises(ValueError, match="leave-one-out"):
+                lm.loo_logliks([], docs, output)
+        else:
+            assert lm.loo_logliks([], docs, output) == \
+                pytest.approx(want["loo"], **close)
+
+    def test_keeps_no_state_between_calls(self):
+        lm = OverlapLM(vocab_size=9)
+        before = dict(vars(lm))
+        docs, output = [("a", "b"), ("b", "c", "c")], ("c", "a")
+        for _ in range(2):
+            for fn in (lm.per_doc_loglik, lm.joint_loglik, lm.loo_logliks,
+                       lm.per_token_logliks, lm.attention_relevance):
+                fn((), docs, output)
+        assert vars(lm) == before == {"vocab_size": 9, "smoothing": 0.5}
 
 
 class TestMockScorer:

@@ -187,6 +187,15 @@ class TestPQFile:
             save_pq_index(pidx, path)
         assert not path.exists()
 
+    def test_newline_in_id_rejected_before_write(self, tmp_path):
+        codec = PQCodec(m=1, k_c=1, codebooks=np.zeros((1, 1, 1)))
+        pidx = PQIndex(codec=codec, ids=["a", "b\n"],
+                       codes=np.zeros((2, 1), dtype=np.int64), version=1, dim=1)
+        path = tmp_path / "idx.rpqx"
+        with pytest.raises(ValueError, match=r"'b\\n'"):
+            save_pq_index(pidx, path)
+        assert not path.exists()
+
     def test_truncated_names_file(self, tmp_path):
         idx = random_index(5, 4, seed=16)
         pidx = compress(idx, train_pq(idx, m=2, k_c=3, seed=17))

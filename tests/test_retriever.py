@@ -219,13 +219,24 @@ class TestCheckpoint:
         save_checkpoint(enc, path)
         return path, path.read_bytes()
 
+    @staticmethod
+    def _tables_end(enc):
+        """Byte offset of the vocab in a version 2 file (24-byte header)."""
+        vsize, dim = len(enc.vocab), enc.dim
+        return 24 + 4 * (2 * vsize * dim + 2 * dim * dim)
+
+    def _with_vocab(self, blob, enc, vocab: bytes):
+        """blob with its vocab replaced and the header's length to match."""
+        return (blob[:16] + struct.pack("<Q", len(vocab))
+                + blob[24:self._tables_end(enc)] + vocab)
+
     def test_truncated_raises_format_error(self, tmp_path, small_encoder):
         path, blob = self._saved(tmp_path, small_encoder)
         vsize, dim = len(small_encoder.vocab), small_encoder.dim
-        tables_end = 16 + 4 * (2 * vsize * dim + 2 * dim * dim)
-        for cut in (0, 2, 10,                    # magic, header
-                    16 + 4 * vsize * dim // 2,   # query embedding
-                    16 + 4 * vsize * dim + 4,    # query projection
+        tables_end = self._tables_end(small_encoder)
+        for cut in (0, 2, 10, 20,                # magic, header
+                    24 + 4 * vsize * dim // 2,   # query embedding
+                    24 + 4 * vsize * dim + 4,    # query projection
                     tables_end - 1,              # doc projection
                     tables_end,                  # no vocab at all
                     tables_end + 9):             # inside the vocab
@@ -235,13 +246,46 @@ class TestCheckpoint:
 
     def test_malformed_raises_format_error(self, tmp_path, small_encoder):
         path, blob = self._saved(tmp_path, small_encoder)
+        vocab = blob[self._tables_end(small_encoder):]
         bad_version = blob[:4] + struct.pack("<I", 9) + blob[8:]
-        not_utf8 = blob + b"\n\xff\xfe"
-        extra_token = blob + b"\nextra"
+        not_utf8 = self._with_vocab(blob, small_encoder, vocab + b"\n\xff\xfe")
+        extra_token = self._with_vocab(blob, small_encoder, vocab + b"\nextra")
         for data, message in ((b"NOPE" + blob[4:], "magic"),
                               (bad_version, "version 9"),
                               (not_utf8, "UTF-8"),
-                              (extra_token, "tokens")):
+                              (extra_token, "tokens"),
+                              (blob + b"x", "trailing")):
             path.write_bytes(data)
             with pytest.raises(FormatError, match=message):
                 load_checkpoint(path)
+
+    def test_cut_inside_last_token_raises(self, tmp_path, small_encoder):
+        # The last token "t9" cut to "t" keeps the token count; only the
+        # stored vocab length catches it.
+        path, blob = self._saved(tmp_path, small_encoder)
+        assert small_encoder.vocab.tokens[-1] == "t9"
+        path.write_bytes(blob[:-1])
+        with pytest.raises(FormatError, match="enc.rlab.*truncated"):
+            load_checkpoint(path)
+
+    def test_version_1_still_loads(self, tmp_path, small_encoder):
+        path, blob = self._saved(tmp_path, small_encoder)
+        vsize, dim = len(small_encoder.vocab), small_encoder.dim
+        v1 = b"RLAB" + struct.pack("<III", 1, dim, vsize) + blob[24:]
+        path.write_bytes(v1)
+        loaded = load_checkpoint(path)
+        assert loaded.vocab.tokens == small_encoder.vocab.tokens
+        np.testing.assert_array_equal(
+            loaded.doc.projection,
+            small_encoder.doc.projection.astype(np.float32))
+        # Version 1 stores no vocab length: the vocab runs to end of file.
+        path.write_bytes(v1 + b"\nextra")
+        with pytest.raises(FormatError, match="tokens"):
+            load_checkpoint(path)
+
+    def test_newline_in_vocab_token_rejected_before_write(self, tmp_path):
+        enc = init_encoder(Vocab(["a", "b\nc"]), dim=2)
+        path = tmp_path / "enc.rlab"
+        with pytest.raises(ValueError, match=r"'b\\nc'"):
+            save_checkpoint(enc, path)
+        assert not path.exists()

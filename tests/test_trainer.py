@@ -97,7 +97,7 @@ class TestRetrieve:
         cfg = TrainConfig(k_retrieved=5, steps=1)
         ex = TrainExample(query=passages[0].text[:2], output=("x",),
                           origin_passage_id=passages[0].id)
-        ids = _retrieve(state, cfg, ex)
+        ids = _retrieve(state, cfg, ex, encode_query(encoder, ex.query))
         assert len(ids) == 5
         assert passages[0].id not in ids
 
@@ -108,7 +108,7 @@ class TestRetrieve:
         ex = examples[0]
         q_vec = encode_query(encoder, ex.query)
         expected = [pid for pid, _ in search(state.index, q_vec, 5)]
-        assert _retrieve(state, cfg, ex) == expected
+        assert _retrieve(state, cfg, ex, q_vec) == expected
 
     def test_rerank_agrees_with_fresh_index(self):
         # immediately after a build, rerank over L=N must equal plain top-K
@@ -118,7 +118,8 @@ class TestRetrieve:
                             l_rerank_pool=len(passages), steps=1)
         plain = TrainConfig(k_retrieved=5, steps=1)
         ex = examples[0]
-        assert _retrieve(state, fresh, ex) == _retrieve(state, plain, ex)
+        assert _retrieve(state, fresh, ex, encode_query(encoder, ex.query)) == \
+            _retrieve(state, plain, ex, encode_query(encoder, ex.query))
 
     def test_stale_rerank_warning_counter(self):
         passages, examples, encoder = small_task()
