@@ -24,6 +24,7 @@ from . import index as index_mod
 from . import lm as lm_mod
 from . import pq as pq_mod
 from . import pretext, retriever, trainer
+from .formats import atomic_write
 
 
 class UsageError(Exception):
@@ -50,7 +51,7 @@ def _write_manifest(out_dir: Path, command: str, config: dict,
         "timings_s": {k: round(v, 4) for k, v in timings.items()},
     }
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
+    with atomic_write(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
 
 

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .formats import FormatError
+from .formats import FormatError, atomic_write
 
 VALID_SOURCES = ("wiki", "cc", "infobox")
 
@@ -190,23 +190,57 @@ def exclude_self(results: Sequence[Passage], origin: Passage) -> list[Passage]:
 # JSONL interchange
 
 def document_from_json(obj: dict) -> RawDocument:
-    sections = tuple(Section(s.get("title", ""), s.get("text", ""))
-                     for s in obj.get("sections", []))
+    sections = tuple(Section(s.get("title", ""), s["text"])
+                     for s in obj["sections"])
     return RawDocument(
         id=obj["id"],
-        title=obj.get("title", ""),
+        title=obj["title"],
         sections=sections,
         source=obj.get("source", "wiki"),
         dump_date=obj.get("dump_date"),
     )
 
 
+def _jsonl_objects(path) -> Iterator[tuple[str, dict]]:
+    """(location, object) for each nonblank line of a JSONL file; text that
+    is not UTF-8, invalid JSON or a non-object raises FormatError naming the
+    file and line."""
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            where = f"{path}, line {lineno}"
+            try:
+                obj = json.loads(line.decode("utf-8"))
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"{where}: not UTF-8") from exc
+            except ValueError as exc:
+                raise FormatError(f"{where}: invalid JSON: {exc}") from exc
+            if not isinstance(obj, dict):
+                raise FormatError(f"{where}: expected a JSON object")
+            yield where, obj
+
+
+def _is_section(obj) -> bool:
+    return (isinstance(obj, dict) and isinstance(obj.get("text"), str)
+            and isinstance(obj.get("title", ""), str))
+
+
 def read_documents(path) -> Iterator[RawDocument]:
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                yield document_from_json(json.loads(line))
+    """Raw documents from JSONL, one object per line; blank lines are
+    skipped. A malformed line raises FormatError naming the file and line."""
+    for where, obj in _jsonl_objects(path):
+        if not (isinstance(obj.get("id"), str)
+                and isinstance(obj.get("title"), str)
+                and isinstance(obj.get("sections"), list)
+                and all(_is_section(s) for s in obj["sections"])):
+            raise FormatError(f"{where}: expected a string id, a string title "
+                              f"and a list of sections with string text")
+        try:
+            doc = document_from_json(obj)
+        except ValueError as exc:
+            raise FormatError(f"{where}: {exc}") from exc
+        yield doc
 
 
 def passage_to_json(p: Passage) -> dict:
@@ -233,7 +267,7 @@ def passage_from_json(obj: dict) -> Passage:
 
 def write_passages(passages: Iterable[Passage], path) -> int:
     n = 0
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, "w", encoding="utf-8") as fh:
         for p in passages:
             fh.write(json.dumps(passage_to_json(p)) + "\n")
             n += 1
@@ -244,22 +278,11 @@ def read_passages(path) -> list[Passage]:
     """Passages from JSONL, one object per line; blank lines are skipped.
     A malformed line raises FormatError naming the file and line."""
     out = []
-    with open(path, "rb") as fh:
-        for lineno, line in enumerate(fh, 1):
-            where = f"{path}, line {lineno}"
-            try:
-                obj = json.loads(line.decode("utf-8")) if line.strip() else None
-            except UnicodeDecodeError as exc:
-                raise FormatError(f"{where}: not UTF-8") from exc
-            except ValueError as exc:
-                raise FormatError(f"{where}: invalid JSON: {exc}") from exc
-            if obj is None:
-                continue
-            if not (isinstance(obj, dict) and "id" in obj
-                    and isinstance(obj.get("text"), str)):
-                raise FormatError(f"{where}: expected an object with an id "
-                                  f"and a string text")
-            out.append(passage_from_json(obj))
+    for where, obj in _jsonl_objects(path):
+        if not ("id" in obj and isinstance(obj.get("text"), str)):
+            raise FormatError(f"{where}: expected an object with an id "
+                              f"and a string text")
+        out.append(passage_from_json(obj))
     return out
 
 

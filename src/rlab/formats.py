@@ -4,17 +4,41 @@ Every reader (RIDX, RPQX, RLAB and passage JSONL) raises `FormatError`
 for malformed or truncated input, and the CLI maps it to exit 1. Binary
 reads are checked against the file size before they happen. String
 tables (ids, vocab tokens) are stored newline-joined, so writers refuse
-any string holding a newline before they open the file.
+any string holding a newline before they open the file. Every artifact
+writer goes through `atomic_write`, so a failed write leaves the previous
+file as it was.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
+import secrets
 from typing import Sequence
 
 
 class FormatError(ValueError):
     """An input file (RIDX, RPQX, RLAB or JSONL) is malformed or truncated."""
+
+
+@contextlib.contextmanager
+def atomic_write(path, mode: str = "wb", **open_kwargs):
+    """Yield a file opened on a new temporary file in path's directory;
+    when the block ends without error, `os.replace` moves it onto path. On
+    any error the temporary file is removed and path is left untouched.
+    (This guards against a failing or interrupted writer; it does not
+    fsync, so it makes no promise across a power loss.)"""
+    path = os.fspath(path)
+    tmp = f"{path}.{secrets.token_hex(4)}.tmp"
+    fh = open(tmp, mode.replace("w", "x"), **open_kwargs)
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def remaining(fh) -> int:

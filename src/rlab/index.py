@@ -17,7 +17,8 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import Passage
-from .formats import FormatError, join_lines, read_end, read_exact, read_lines
+from .formats import (FormatError, atomic_write, join_lines, read_end,
+                      read_exact, read_lines)
 from .retriever import DualEncoder, encode_doc
 
 _PRECISIONS = {"float32": 0, "float16": 1}
@@ -134,7 +135,7 @@ _FORMAT_VERSION = 1
 def save_index(index: EmbeddingIndex, path):
     id_blob = join_lines(index.ids, "id")
     dtype = "<f2" if index.precision == "float16" else "<f4"
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<IIIBIQ", _FORMAT_VERSION, index.version,
                              index.dim, _PRECISIONS[index.precision],

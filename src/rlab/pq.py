@@ -16,7 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .formats import FormatError, join_lines, read_end, read_exact, read_lines
+from .formats import (FormatError, atomic_write, join_lines, read_end,
+                      read_exact, read_lines)
 from .index import EmbeddingIndex, _top_k
 
 
@@ -212,7 +213,7 @@ def save_pq_index(pqindex: PQIndex, path):
     _check_k_c(pqindex.codec.k_c)
     id_blob = join_lines(pqindex.ids, "id")
     codec = pqindex.codec
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<IIIIIIQ", _FORMAT_VERSION, pqindex.version,
                              pqindex.dim, codec.m, codec.k_c, pqindex.size,

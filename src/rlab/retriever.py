@@ -9,6 +9,15 @@ The query and document sides hold separate parameter sets (tied copies at
 initialization) so that query-side-only training can freeze the document
 encoder and keep a prebuilt index valid. Training and the finite-difference
 check (`retriever_gradient`) share one backprop, `encoder_gradient`.
+
+An example touches only the embedding rows of its own tokens, so
+`Gradients` keeps each embedding gradient as sparse rows: the touched row
+ids and their values in accumulation order. `sum_rows` adds a row's values
+in that order, which is the order dense `np.add.at` accumulation would add
+them, so the SGD update `embedding[rows] -= lr * summed` is bit-identical
+to a dense one without ever filling a |V| x d table. The dense views
+`Gradients.query_embedding` and `doc_embedding` exist for the gradient
+check and tests.
 """
 
 from __future__ import annotations
@@ -20,8 +29,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .formats import (FormatError, join_lines, read_end, read_exact, read_lines,
-                      remaining)
+from .formats import (FormatError, atomic_write, join_lines, read_end,
+                      read_exact, read_lines, remaining)
 
 UNK = "<unk>"
 DEFAULT_TEMPERATURE = 0.1  # tuned retrieval temperature
@@ -138,38 +147,77 @@ def retrieval_distribution(scores: Sequence[float], temperature: float) -> np.nd
 
 @dataclass
 class Gradients:
-    """Gradient arrays mirroring DualEncoder parameters."""
+    """Gradients of the DualEncoder parameters. The projection gradients
+    are dense; each embedding gradient is sparse: the touched rows (repeats
+    allowed) and one value per row entry, in accumulation order. A row's
+    gradient is the in-order sum of its values, so no |V|-sized array is
+    ever filled."""
 
-    query_embedding: np.ndarray
-    query_projection: np.ndarray
-    doc_embedding: np.ndarray
+    vocab_size: int
+    query_rows: np.ndarray  # (n,) int64
+    query_values: np.ndarray  # (n, d)
+    query_projection: np.ndarray  # (d, d)
+    doc_rows: np.ndarray
+    doc_values: np.ndarray
     doc_projection: np.ndarray
 
     @classmethod
     def zeros_like(cls, enc: DualEncoder) -> "Gradients":
-        return cls(
-            np.zeros_like(enc.query.embedding),
-            np.zeros_like(enc.query.projection),
-            np.zeros_like(enc.doc.embedding),
-            np.zeros_like(enc.doc.projection),
-        )
+        no_rows = np.zeros(0, dtype=np.int64)
+        no_values = np.zeros((0, enc.dim))
+        return cls(len(enc.vocab),
+                   no_rows, no_values, np.zeros_like(enc.query.projection),
+                   no_rows, no_values, np.zeros_like(enc.doc.projection))
 
     def add_scaled(self, other: "Gradients", scale: float = 1.0):
-        self.query_embedding += scale * other.query_embedding
+        self.query_rows = np.concatenate([self.query_rows, other.query_rows])
+        self.query_values = np.concatenate([self.query_values,
+                                            scale * other.query_values])
         self.query_projection += scale * other.query_projection
-        self.doc_embedding += scale * other.doc_embedding
+        self.doc_rows = np.concatenate([self.doc_rows, other.doc_rows])
+        self.doc_values = np.concatenate([self.doc_values,
+                                          scale * other.doc_values])
         self.doc_projection += scale * other.doc_projection
+
+    def _dense(self, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
+        dense = np.zeros((self.vocab_size, values.shape[1]))
+        np.add.at(dense, rows, values)
+        dense.flags.writeable = False
+        return dense
+
+    @property
+    def query_embedding(self) -> np.ndarray:
+        """Read-only dense (|V|, d) view, for the gradient check and tests."""
+        return self._dense(self.query_rows, self.query_values)
+
+    @property
+    def doc_embedding(self) -> np.ndarray:
+        """Read-only dense (|V|, d) view, for the gradient check and tests."""
+        return self._dense(self.doc_rows, self.doc_values)
+
+
+def sum_rows(rows: np.ndarray,
+             values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows, ascending, and each one's values summed in order
+    from zero: the same additions as `np.add.at` into a dense table."""
+    distinct, inverse = np.unique(rows, return_inverse=True)
+    summed = np.zeros((len(distinct), values.shape[1]))
+    np.add.at(summed, inverse, values)
+    return distinct, summed
 
 
 def _backprop_side(params: EncoderParams, vocab: Vocab, text: Sequence[str],
-                   grad_vec: np.ndarray, grad_emb: np.ndarray,
-                   grad_proj: np.ndarray):
-    """Accumulate d(loss)/d(params) given d(loss)/d(encoded vector)."""
+                   grad_vec: np.ndarray,
+                   grad_proj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Accumulate d(loss)/d(projection) into grad_proj given d(loss)/d(encoded
+    vector); return the embedding rows of text and, one per row, the
+    gradient that token occurrence receives."""
     rows = vocab.rows(text)
     pooled = params.embedding[rows].mean(axis=0)
     grad_proj += np.outer(grad_vec, pooled)
     grad_pooled = params.projection.T @ grad_vec
-    np.add.at(grad_emb, rows, grad_pooled / len(rows))
+    return rows, np.broadcast_to(grad_pooled / len(rows),
+                                 (len(rows), len(grad_pooled)))
 
 
 def encoder_gradient(enc: DualEncoder, query: Sequence[str],
@@ -177,14 +225,20 @@ def encoder_gradient(enc: DualEncoder, query: Sequence[str],
                      d_vecs: np.ndarray, g_scores: np.ndarray,
                      mode: MaintenanceMode) -> Gradients:
     """Backprop d(loss)/d(scores), scores = d_vecs @ q_vec, into the encoder;
-    document gradients stay zero unless the mode trains the document side."""
+    document gradients stay zero unless the mode trains the document side.
+    Each side's embedding rows are summed in token order (over all K
+    documents on the document side)."""
     grads = Gradients.zeros_like(enc)
-    _backprop_side(enc.query, enc.vocab, query, g_scores @ d_vecs,
-                   grads.query_embedding, grads.query_projection)
+    grads.query_rows, grads.query_values = sum_rows(*_backprop_side(
+        enc.query, enc.vocab, query, g_scores @ d_vecs,
+        grads.query_projection))
     if mode.trains_docs:
-        for g_k, doc in zip(g_scores, docs):
-            _backprop_side(enc.doc, enc.vocab, doc, g_k * q_vec,
-                           grads.doc_embedding, grads.doc_projection)
+        sides = [_backprop_side(enc.doc, enc.vocab, doc, g_k * q_vec,
+                                grads.doc_projection)
+                 for g_k, doc in zip(g_scores, docs)]
+        grads.doc_rows, grads.doc_values = sum_rows(
+            np.concatenate([rows for rows, _ in sides]),
+            np.concatenate([values for _, values in sides]))
     return grads
 
 
@@ -225,7 +279,7 @@ _VERSION = 2
 
 def save_checkpoint(enc: DualEncoder, path):
     vocab_blob = join_lines(enc.vocab.tokens, "vocab token")
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<IIIQ", _VERSION, enc.dim, len(enc.vocab),
                              len(vocab_blob)))

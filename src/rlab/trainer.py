@@ -26,12 +26,13 @@ import numpy as np
 
 from . import index as index_mod
 from .corpus import Passage
+from .formats import atomic_write
 from .lm import LMScorer, OverlapLM
 from .losses import (LossKind, build_target, distill_step, emdr2_objective)
 from .pretext import PretextExample
 from .retriever import (DEFAULT_TEMPERATURE, DualEncoder, Gradients,
                         MaintenanceMode, encode_doc, encode_query,
-                        encoder_gradient, retrieval_distribution)
+                        encoder_gradient, retrieval_distribution, sum_rows)
 
 
 class RefreshAction(str, Enum):
@@ -205,10 +206,12 @@ def train_step(state: TrainerState, batch: Sequence[TrainExample],
 
     if cfg.mode != MaintenanceMode.FIXED and cfg.k_retrieved > 0:
         lr = _learning_rate(cfg, state.step)
-        state.encoder.query.embedding -= lr * total.query_embedding
+        rows, summed = sum_rows(total.query_rows, total.query_values)
+        state.encoder.query.embedding[rows] -= lr * summed
         state.encoder.query.projection -= lr * total.query_projection
         if cfg.mode.trains_docs:
-            state.encoder.doc.embedding -= lr * total.doc_embedding
+            rows, summed = sum_rows(total.doc_rows, total.doc_values)
+            state.encoder.doc.embedding[rows] -= lr * summed
             state.encoder.doc.projection -= lr * total.doc_projection
 
     return StepMetrics(
@@ -260,7 +263,7 @@ def recall_at_1(state: TrainerState, examples: Sequence[TrainExample],
 
 
 def write_metrics_csv(history: Sequence[StepMetrics], path):
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["step", "loss", "recall_at_1", "index_version"])
         for m in history:

@@ -58,6 +58,20 @@ class TestIngest:
         assert main(["ingest", "--in", str(tmp_path / "absent.jsonl"),
                      "--out", str(tmp_path / "o.jsonl")]) == 1
 
+    @pytest.mark.parametrize("bad_line", [
+        b'{"id": "b", "title": "T", "sections": [{"text": "x',  # cut line
+        b'{"title": "T", "sections": []}',                      # no id
+        b'{"id": "b", "title": "caf\xe9", "sections": []}',     # not UTF-8
+    ])
+    def test_malformed_documents_exit_1(self, workspace, capsys, bad_line):
+        tmp_path, raw = workspace
+        raw.write_bytes(raw.read_bytes() + bad_line)
+        lines = raw.read_bytes().count(b"\n") + 1
+        out = tmp_path / "o.jsonl"
+        assert main(["ingest", "--in", str(raw), "--out", str(out)]) == 1
+        assert f"raw.jsonl, line {lines}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_filter_key_exit_2(self, workspace):
         tmp_path, raw = workspace
         bad = tmp_path / "filter.json"

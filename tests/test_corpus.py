@@ -8,7 +8,8 @@ from rlab.corpus import (FilterConfig, Passage, RawDocument, Section,
                          chunk, chunk_tokens, exclude_self, ingest,
                          linearize_document, linearize_structured,
                          passage_from_json, passage_to_json, quality_filter,
-                         read_passages, repeated_token_ratio, tokenize)
+                         read_documents, read_passages, repeated_token_ratio,
+                         tokenize)
 from rlab.index import FormatError
 
 
@@ -176,6 +177,41 @@ class TestIO:
         p = Passage(id="a", doc_id="a", text=("x", "y"))
         path.write_text("\n" + json.dumps(passage_to_json(p)) + "\n\n")
         assert read_passages(path) == [p]
+
+    GOOD_DOCUMENT = json.dumps({
+        "id": "a", "title": "T", "dump_date": "2021-12-20",
+        "sections": [{"title": "S", "text": "x y"}]}).encode()
+
+    def test_read_documents_skips_blank_lines(self, tmp_path):
+        path = tmp_path / "raw.jsonl"
+        path.write_bytes(b"\n" + self.GOOD_DOCUMENT + b"\n\n")
+        assert list(read_documents(path)) == [RawDocument(
+            id="a", title="T", sections=(Section("S", "x y"),),
+            dump_date="2021-12-20")]
+
+    @pytest.mark.parametrize("bad_line, reason", [
+        (b'{"id": "b", "title": "T", "sections": [', "JSON"),  # cut line
+        (b'{"id": "b", "title": "caf\xe9", "sections": []}', "UTF-8"),
+        (b'["b", "T", []]', "object"),
+        (b'{"title": "T", "sections": []}', "id"),
+        (b'{"id": 5, "title": "T", "sections": []}', "id"),
+        (b'{"id": "b", "sections": []}', "title"),
+        (b'{"id": "b", "title": "T"}', "sections"),
+        (b'{"id": "b", "title": "T", "sections": {}}', "sections"),
+        (b'{"id": "b", "title": "T", "sections": [{"title": "S"}]}', "text"),
+        (b'{"id": "b", "title": "T", "sections": [{"text": 5}]}', "text"),
+        (b'{"id": "", "title": "T", "sections": [], "dump_date": "2021"}',
+         "nonempty"),
+        (b'{"id": "b", "title": "T", "sections": []}', "dump_date"),
+    ])
+    def test_read_documents_format_error_names_line(self, tmp_path, bad_line,
+                                                    reason):
+        path = tmp_path / "raw.jsonl"
+        # The blank line counts: the bad record is on line 3.
+        path.write_bytes(self.GOOD_DOCUMENT + b"\n\n" + bad_line + b"\n")
+        with pytest.raises(FormatError,
+                           match=rf"raw\.jsonl, line 3: .*{reason}"):
+            list(read_documents(path))
 
     def test_wiki_requires_dump_date(self):
         with pytest.raises(ValueError):

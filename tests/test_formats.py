@@ -1,0 +1,115 @@
+"""Artifact writers replace their target atomically: a writer that fails
+mid-write leaves the previous file byte for byte and no temporary file."""
+
+import os
+
+import pytest
+
+from rlab import formats
+from rlab.cli import _write_manifest, main
+from rlab.corpus import Passage, write_passages
+from rlab.index import build, save_index
+from rlab.pq import compress, save_pq_index, train_pq
+from rlab.retriever import Vocab, init_encoder, save_checkpoint
+from rlab.trainer import StepMetrics, write_metrics_csv
+
+
+class FailingFile:
+    """A file whose second write raises, after the first reached the disk."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.writes = 0
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes > 1:
+            raise OSError("no space left on device")
+        n = self.fh.write(data)
+        self.fh.flush()
+        return n
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+def fail_second_writes(monkeypatch):
+    """Every file `formats` opens from now on fails on its second write."""
+    monkeypatch.setattr(formats, "open",
+                        lambda *a, **kw: FailingFile(open(*a, **kw)),
+                        raising=False)
+
+
+@pytest.fixture
+def failing_writes(monkeypatch):
+    fail_second_writes(monkeypatch)
+
+
+def small_artifacts():
+    passages = [Passage(id=f"p{i}", doc_id=f"d{i}",
+                        text=tuple(f"t{i}w{j}" for j in range(3)))
+                for i in range(8)]
+    encoder = init_encoder(Vocab([t for p in passages for t in p.text]),
+                           dim=4, seed=0)
+    idx = build(passages, encoder)
+    pq_index = compress(idx, train_pq(idx, m=2, k_c=2, iterations=2, seed=0))
+    history = [StepMetrics(step=s, loss=0.5, recall_at_1=0.0,
+                           index_version=1) for s in range(1, 4)]
+    return passages, encoder, idx, pq_index, history
+
+
+WRITERS = {
+    "save_index": lambda a, path: save_index(a[2], path),
+    "save_pq_index": lambda a, path: save_pq_index(a[3], path),
+    "save_checkpoint": lambda a, path: save_checkpoint(a[1], path),
+    "write_passages": lambda a, path: write_passages(a[0], path),
+    "write_metrics_csv": lambda a, path: write_metrics_csv(a[4], path),
+    "manifest": lambda a, path: _write_manifest(
+        path.parent, "train", {"steps": 3}, {}, {"train": 0.1}),
+}
+
+
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+def test_successful_write_leaves_only_the_target(tmp_path, writer):
+    path = tmp_path / "manifest.json"
+    path.write_bytes(b"previous artifact")
+    WRITERS[writer](small_artifacts(), path)
+    assert os.listdir(tmp_path) == ["manifest.json"]
+    assert path.read_bytes() != b"previous artifact"
+
+
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+def test_failed_write_keeps_previous_file(tmp_path, failing_writes, writer):
+    path = tmp_path / "manifest.json"  # the name _write_manifest uses
+    path.write_bytes(b"previous artifact")
+    with pytest.raises(OSError, match="no space"):
+        WRITERS[writer](small_artifacts(), path)
+    assert path.read_bytes() == b"previous artifact"
+    assert os.listdir(tmp_path) == ["manifest.json"]
+
+
+def test_failed_write_of_new_file_leaves_nothing(tmp_path, failing_writes):
+    with pytest.raises(OSError):
+        WRITERS["save_index"](small_artifacts(), tmp_path / "new.ridx")
+    assert os.listdir(tmp_path) == []
+
+
+def test_failed_swap_index_keeps_active_index(tmp_path, monkeypatch, capsys):
+    idx = small_artifacts()[2]
+    active, replacement = tmp_path / "a.ridx", tmp_path / "b.ridx"
+    save_index(idx, active)
+    idx.version += 1
+    save_index(idx, replacement)
+    before = active.read_bytes()
+    fail_second_writes(monkeypatch)
+    assert main(["swap-index", "--from", str(active),
+                 "--to", str(replacement)]) == 1
+    assert "no space" in capsys.readouterr().err
+    assert active.read_bytes() == before
+    assert sorted(os.listdir(tmp_path)) == ["a.ridx", "b.ridx"]

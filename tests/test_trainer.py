@@ -6,10 +6,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from rlab.corpus import Passage
 from rlab.index import build, search
 from rlab.lm import OverlapLM
-from rlab.losses import LossKind, pdist_target
-from rlab.retriever import encode_query, retriever_gradient
+from rlab.losses import (LossKind, build_target, distill_step,
+                         emdr2_objective, pdist_target)
+from rlab.retriever import (Gradients, Vocab, encode_doc, encode_query,
+                            init_encoder, retrieval_distribution,
+                            retriever_gradient)
 from rlab.trainer import (MaintenanceMode, RefreshAction, StepMetrics,
                           TrainConfig, TrainExample, _example_gradient,
                           _learning_rate, _retrieve, init_state, recall_at_1,
@@ -236,6 +240,133 @@ class TestTrainStep:
         train_step(state_b, [examples[0], examples[0]], cfg, lm)
         np.testing.assert_allclose(state_a.encoder.query.embedding,
                                    state_b.encoder.query.embedding)
+
+
+def repeated_token_task(extra_vocab=0):
+    """Passages and queries whose tokens recur 3 to 5 times, interleaved,
+    and are shared across passages, queries and examples (each batch of 3
+    consecutive examples shares a query token), so row gradients are sums
+    of several different values."""
+    passages = []
+    for i in range(24):
+        a, b, c = (f"w{(i * k + k) % 13}" for k in (1, 3, 5))
+        passages.append(Passage(id=f"p{i:02d}", doc_id=f"d{i}",
+                                text=(a, b, a, c, a, b, c, b, a, f"u{i}", a)))
+    examples = [TrainExample(
+        query=(f"w{e % 13}", f"w{e // 3 + 4}") * 3 + (f"w{e % 13}",) * 2,
+        output=passages[e].text[:4], gold_passage_id=passages[e].id)
+        for e in range(12)]
+    tokens = [t for p in passages for t in p.text]
+    tokens += [f"x{i}" for i in range(extra_vocab)]
+    return passages, examples, init_encoder(Vocab(tokens), dim=6, seed=2)
+
+
+def dense_side_gradient(params, vocab, text, grad_vec, emb_grad, proj_grad):
+    rows = vocab.rows(text)
+    proj_grad += np.outer(grad_vec, params.embedding[rows].mean(axis=0))
+    np.add.at(emb_grad, rows, params.projection.T @ grad_vec / len(rows))
+
+
+def dense_reference_step(state, batch, cfg, lm):
+    """One SGD step with dense |V|x d gradients, sharing no code with
+    `Gradients`: per example np.add.at into zero tables, total += g / B,
+    table -= lr * total."""
+    state.step += 1
+    if refresh_policy(state.step, cfg) == RefreshAction.FULL_REBUILD:
+        state.index = build(list(state.passages.values()), state.encoder,
+                            previous_version=state.index.version)
+    if cfg.mode == MaintenanceMode.FIXED:
+        return
+    enc = state.encoder
+    tables = [enc.query.embedding, enc.query.projection,
+              enc.doc.embedding, enc.doc.projection]
+    total = [np.zeros_like(t) for t in tables]
+    for ex in batch:
+        q_vec = encode_query(enc, ex.query)
+        ids = _retrieve(state, cfg, ex, q_vec)
+        docs = [state.passages[pid].text for pid in ids]
+        if cfg.mode.trains_docs:
+            d_vecs = np.stack([encode_doc(enc, d) for d in docs])
+        else:
+            d_vecs = state.index.vectors[[state.index.row_of[pid]
+                                          for pid in ids]]
+        probs = retrieval_distribution(d_vecs @ q_vec, cfg.temperature)
+        if cfg.loss == LossKind.EMDR2:
+            g_scores = emdr2_objective(
+                lm.per_doc_loglik(ex.query, docs, ex.output), probs,
+                cfg.temperature).grad_wrt_scores
+        else:
+            target = build_target(cfg.loss, lm, ex.query, docs, ex.output,
+                                  cfg.temperature_target)
+            g_scores = distill_step(target, probs,
+                                    cfg.temperature).grad_wrt_scores
+        g = [np.zeros_like(t) for t in tables]
+        dense_side_gradient(enc.query, enc.vocab, ex.query, g_scores @ d_vecs,
+                            g[0], g[1])
+        if cfg.mode.trains_docs:
+            for g_k, doc in zip(g_scores, docs):
+                dense_side_gradient(enc.doc, enc.vocab, doc, g_k * q_vec,
+                                    g[2], g[3])
+        for t, g_t in zip(total, g):
+            t += g_t * (1.0 / len(batch))  # the trainer's 1/B, rounded once
+    lr = _learning_rate(cfg, state.step)
+    trained = 4 if cfg.mode.trains_docs else 2
+    for table, t in list(zip(tables, total))[:trained]:
+        table -= lr * t
+
+
+class TestSparseGradients:
+    @pytest.mark.parametrize("loss", [LossKind.PDIST, LossKind.EMDR2])
+    @pytest.mark.parametrize("mode", list(MaintenanceMode))
+    def test_bit_identical_to_dense_sgd(self, mode, loss):
+        passages, examples, encoder = repeated_token_task()
+        cfg = TrainConfig(mode=mode, loss=loss, k_retrieved=6,
+                          l_rerank_pool=10, refresh_interval=2, batch_size=3,
+                          steps=6, learning_rate=0.5, warmup_steps=2)
+        lm = OverlapLM(vocab_size=50)
+        state = init_state(encoder, passages)
+        reference = init_state(encoder.copy(), passages)
+        for step in range(cfg.steps):
+            batch = examples[3 * step % len(examples):][:3]
+            train_step(state, batch, cfg, lm)
+            dense_reference_step(reference, batch, cfg, lm)
+            for side in ("query", "doc"):
+                for table in ("embedding", "projection"):
+                    np.testing.assert_array_equal(
+                        getattr(getattr(state.encoder, side), table),
+                        getattr(getattr(reference.encoder, side), table),
+                        err_msg=f"step {step + 1}: {side} {table}")
+        initial = repeated_token_task()[2]
+        assert np.array_equal(state.encoder.query.embedding,
+                              initial.query.embedding) == (
+            mode == MaintenanceMode.FIXED)
+        assert np.array_equal(state.encoder.doc.embedding,
+                              initial.doc.embedding) == (not mode.trains_docs)
+
+    def test_no_array_grows_with_vocab(self):
+        def array_sizes(extra_vocab):
+            passages, examples, encoder = repeated_token_task(extra_vocab)
+            state = init_state(encoder, passages)
+            # K covers every passage, so the touched rows do not depend on
+            # the (vocab-dependent) initial ranking.
+            cfg = TrainConfig(mode=MaintenanceMode.FULL_REFRESH,
+                              k_retrieved=len(passages))
+            lm = OverlapLM(vocab_size=50)
+            total = Gradients.zeros_like(encoder)
+            sizes = [sorted(a.size for a in vars(total).values()
+                            if isinstance(a, np.ndarray))]
+            for ex in examples[:4]:
+                grads, _, _ = _example_gradient(state, cfg, lm, ex)
+                total.add_scaled(grads, 1.0 / 4)
+                sizes.append(sorted(a.size for a in vars(grads).values()
+                                    if isinstance(a, np.ndarray)))
+            sizes.append(sorted(a.size for a in vars(total).values()
+                                if isinstance(a, np.ndarray)))
+            return sizes
+
+        small, large = array_sizes(0), array_sizes(20000)
+        assert small == large
+        assert max(max(s) for s in large) < 20000
 
 
 class TestTrainLoop:
