@@ -1,17 +1,18 @@
 """Versioned embedding index with exact top-k search.
 
-Search is exact: one product scores every row and one global selection
-takes the top k, so the output is identical to a brute-force pass. Ties
-are broken by ascending passage id everywhere a top-k cut is taken. The
-`shards` field is stored metadata and does not change results. Rebuilds
-produce a new immutable index with an incremented version.
+An index keeps its rows in ascending id order, so a row's position is its
+id rank. Search is exact: one product scores every row and one global
+selection takes the top k rows, ties by ascending row (hence by id), so
+the output is identical to a brute-force pass. The `shards` field is
+stored metadata and does not change results. Rebuilds produce a new
+immutable index with an incremented version.
 """
 
 from __future__ import annotations
 
+import operator
 import struct
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -33,24 +34,45 @@ def _store(vectors: np.ndarray, precision: str) -> np.ndarray:
     return vectors.astype(np.float32).astype(np.float64)
 
 
+def _ascending(ids: Sequence[str]) -> bool:
+    """Whether ids are strictly ascending: one linear pass, no copy."""
+    rest = iter(ids)
+    next(rest, None)
+    return all(map(operator.lt, ids, rest))
+
+
+def sort_by_id(ids: Sequence[str], rows: np.ndarray) -> tuple[Sequence[str], np.ndarray]:
+    """ids in ascending order, with rows (one per id) permuted alongside.
+    Ascending ids are returned as given, with no copy. Duplicate ids raise
+    ValueError."""
+    if _ascending(ids):
+        return ids, rows
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    ids = [ids[i] for i in order]
+    if not _ascending(ids):
+        dup = next(a for a, b in zip(ids, ids[1:]) if a == b)
+        raise ValueError(f"duplicate id {dup!r}")
+    return ids, np.asarray(rows)[order]
+
+
 @dataclass
 class EmbeddingIndex:
+    """Row i holds the vector of ids[i]. The constructor puts the rows in
+    ascending id order, so ascending row is ascending id."""
     version: int
     dim: int
-    ids: list[str]  # ascending
+    ids: list[str]
     vectors: np.ndarray  # (N, dim)
     precision: str = "float32"
     shards: int = 1
     dump_date: str | None = None
 
+    def __post_init__(self):
+        self.ids, self.vectors = sort_by_id(self.ids, self.vectors)
+
     @property
     def size(self) -> int:
         return len(self.ids)
-
-    @cached_property
-    def row_of(self) -> dict[str, int]:
-        """Passage id -> row, built on first use; an index never changes."""
-        return {pid: i for i, pid in enumerate(self.ids)}
 
     def memory_bytes(self) -> int:
         per_scalar = 2 if self.precision == "float16" else 4
@@ -60,22 +82,18 @@ class EmbeddingIndex:
 def build(passages: Sequence[Passage], encoder: DualEncoder,
           shards: int = 1, precision: str = "float32",
           previous_version: int = 0) -> EmbeddingIndex:
-    """Embed every passage with the document encoder. Entries are ordered
-    by ascending passage id; version = previous + 1."""
+    """Embed every passage with the document encoder; the index sorts them
+    by id if needed. version = previous + 1."""
     if not passages:
         raise ValueError("cannot build an index from zero passages")
     if shards < 1:
         raise ValueError("shards must be >= 1")
-    ordered = sorted(passages, key=lambda p: p.id)
-    ids = [p.id for p in ordered]
-    if len(set(ids)) != len(ids):
-        raise ValueError("duplicate passage ids")
-    vectors = np.stack([encode_doc(encoder, p.text) for p in ordered])
-    dates = {p.dump_date for p in ordered if p.dump_date}
+    vectors = np.stack([encode_doc(encoder, p.text) for p in passages])
+    dates = {p.dump_date for p in passages if p.dump_date}
     return EmbeddingIndex(
         version=previous_version + 1,
         dim=encoder.dim,
-        ids=ids,
+        ids=[p.id for p in passages],
         vectors=_store(vectors, precision),
         precision=precision,
         shards=shards,
@@ -83,21 +101,25 @@ def build(passages: Sequence[Passage], encoder: DualEncoder,
     )
 
 
-def _top_k(ids: Sequence[str], scores: np.ndarray, k: int) -> list[tuple[str, float]]:
-    """k best by descending score, ties by ascending id.
+def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
+    """Rows of the k best scores: descending score, ties by ascending row.
 
     A partition finds the k-th best score; every row scoring at least that
-    stays a candidate, so all ties at the cut are ordered by id. Ids are
-    compared as Python strings (an object array), exactly like `sorted`.
+    stays a candidate, so all ties at the cut are ordered by row. In an
+    index, ascending row is ascending id.
     """
     if k < len(scores):
         kth = -np.partition(-scores, k - 1)[k - 1]
         rows = np.flatnonzero(scores >= kth)
     else:
         rows = np.arange(len(scores))
-    candidate_ids = np.array([ids[i] for i in rows], dtype=object)
-    order = rows[np.lexsort((candidate_ids, -scores[rows]))[:k]]
-    return [(ids[i], float(scores[i])) for i in order]
+    return rows[np.argsort(-scores[rows], kind="stable")[:k]]
+
+
+def _results(ids: Sequence[str], scores: np.ndarray, k: int) -> list[tuple[str, float]]:
+    """The top k as (id, score) pairs, best first."""
+    rows = _top_k(scores, k)
+    return list(zip([ids[i] for i in rows.tolist()], scores[rows].tolist()))
 
 
 def search(index: EmbeddingIndex, q_vec: np.ndarray, k: int) -> list[tuple[str, float]]:
@@ -111,7 +133,7 @@ def search(index: EmbeddingIndex, q_vec: np.ndarray, k: int) -> list[tuple[str, 
     q_vec = np.asarray(q_vec, dtype=np.float64)
     if q_vec.shape != (index.dim,):
         raise ValueError(f"query dimension {q_vec.shape} != index dim {index.dim}")
-    return _top_k(index.ids, index.vectors @ q_vec, k)
+    return _results(index.ids, index.vectors @ q_vec, k)
 
 
 def search_batch(index: EmbeddingIndex, q_vecs: np.ndarray, k: int) -> list[list[tuple[str, float]]]:
@@ -121,25 +143,33 @@ def search_batch(index: EmbeddingIndex, q_vecs: np.ndarray, k: int) -> list[list
     q_vecs = np.asarray(q_vecs, dtype=np.float64)
     if q_vecs.ndim != 2 or q_vecs.shape[1] != index.dim:
         raise ValueError(f"query batch shape {q_vecs.shape} != (B, {index.dim})")
-    return [_top_k(index.ids, row, k) for row in q_vecs @ index.vectors.T]
+    return [_results(index.ids, row, k) for row in q_vecs @ index.vectors.T]
 
 
 # ---------------------------------------------------------------------------
-# Index file: magic "RIDX", version, dim, precision, N; id table; vector
-# block. Little-endian throughout, bit-exact round trip.
+# Index file: magic "RIDX"; format, version, dim, precision, N, id table
+# bytes; then (format 2) shards, dump_date count (0 or 1) and bytes; the
+# dump_date; the id table, strictly ascending; the vector block.
+# Little-endian throughout, bit-exact round trip. Format 1 files, which
+# stop the header after the id table bytes, load with shards = 1 and no
+# dump_date.
 
 _MAGIC = b"RIDX"
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 
 
 def save_index(index: EmbeddingIndex, path):
     id_blob = join_lines(index.ids, "id")
+    dates = [] if index.dump_date is None else [index.dump_date]
+    date_blob = join_lines(dates, "dump_date")
     dtype = "<f2" if index.precision == "float16" else "<f4"
     with atomic_write(path) as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<IIIBIQ", _FORMAT_VERSION, index.version,
                              index.dim, _PRECISIONS[index.precision],
                              index.size, len(id_blob)))
+        fh.write(struct.pack("<IBI", index.shards, len(dates), len(date_blob)))
+        fh.write(date_blob)
         fh.write(id_blob)
         fh.write(np.ascontiguousarray(index.vectors, dtype=dtype).tobytes())
 
@@ -150,16 +180,39 @@ def load_index(path) -> EmbeddingIndex:
             raise FormatError(f"{path}: bad index magic")
         fmt, version, dim, prec, n, id_len = struct.unpack(
             "<IIIBIQ", read_exact(fh, 25, path))
-        if fmt != _FORMAT_VERSION:
+        if fmt not in (1, _FORMAT_VERSION):
             raise FormatError(f"{path}: unsupported index format {fmt}")
         if prec not in _PRECISION_NAMES:
             raise FormatError(f"{path}: unknown precision code {prec}")
         precision = _PRECISION_NAMES[prec]
+        shards, n_dates, date_len = 1, 0, 0
+        if fmt == 2:
+            shards, n_dates, date_len = struct.unpack(
+                "<IBI", read_exact(fh, 9, path))
+            if shards < 1 or n_dates > 1:
+                raise FormatError(f"{path}: bad header: shards={shards}, "
+                                  f"{n_dates} dump dates")
+        dates = read_lines(fh, date_len, n_dates, path, "dump_date")
         ids = read_lines(fh, id_len, n, path, "id")
         dtype = np.dtype("<f2" if precision == "float16" else "<f4")
         vectors = np.frombuffer(read_exact(fh, n * dim * dtype.itemsize, path),
                                 dtype=dtype).astype(np.float64)
         read_end(fh, path)
-    return EmbeddingIndex(version=version, dim=dim, ids=ids,
-                          vectors=vectors.reshape(n, dim),
-                          precision=precision)
+    return _from_file(EmbeddingIndex, path, version=version, dim=dim,
+                      ids=ids, vectors=vectors.reshape(n, dim),
+                      precision=precision, shards=shards,
+                      dump_date=dates[0] if dates else None)
+
+
+def _from_file(cls, path, **fields):
+    """cls(**fields) for an index read from path, whose id table must be
+    strictly ascending: FormatError if the constructor finds duplicates or
+    has to sort (it keeps ascending ids as given), so that the order is
+    checked in one pass."""
+    try:
+        index = cls(**fields)
+    except ValueError as exc:
+        raise FormatError(f"{path}: ids are not strictly ascending: {exc}") from exc
+    if index.ids is not fields["ids"]:
+        raise FormatError(f"{path}: ids are not strictly ascending")
+    return index

@@ -18,7 +18,7 @@ import numpy as np
 
 from .formats import (FormatError, atomic_write, join_lines, read_end,
                       read_exact, read_lines)
-from .index import EmbeddingIndex, _top_k
+from .index import EmbeddingIndex, _from_file, _results, sort_by_id
 
 
 @dataclass
@@ -42,10 +42,13 @@ class PQCodec:
 @dataclass
 class PQIndex:
     codec: PQCodec
-    ids: list[str]
+    ids: list[str]  # ascending; the constructor sorts rows as EmbeddingIndex
     codes: np.ndarray  # (N, m) centroid indices
     version: int
     dim: int
+
+    def __post_init__(self):
+        self.ids, self.codes = sort_by_id(self.ids, self.codes)
 
     @property
     def size(self) -> int:
@@ -158,7 +161,7 @@ def pq_search(pqindex: PQIndex, q_vec: np.ndarray, k: int) -> list[tuple[str, fl
     scores = np.zeros(pqindex.size)
     for j in range(codec.m):
         scores += tables[j][pqindex.codes[:, j]]
-    return _top_k(pqindex.ids, scores, k)
+    return _results(pqindex.ids, scores, k)
 
 
 def recall_at_k(approx_results: Sequence[Sequence[tuple[str, float]]],
@@ -203,7 +206,8 @@ def compressed_size_from_reported(uncompressed: float, dim: int,
 
 
 # ---------------------------------------------------------------------------
-# PQ index file: the exact-index header with a codec block appended.
+# PQ index file: magic "RPQX"; format, version, dim, m, k_c, N, id table
+# bytes; the id table, strictly ascending; float32 codebooks; uint16 codes.
 
 _MAGIC = b"RPQX"
 _FORMAT_VERSION = 1
@@ -243,6 +247,6 @@ def load_pq_index(path) -> PQIndex:
         raise FormatError(f"{path}: code {int(codes.max())} >= k_c={k_c}")
     codec = PQCodec(m=m, k_c=k_c,
                     codebooks=cb.astype(np.float64).reshape(m, k_c, sub_dim))
-    return PQIndex(codec=codec, ids=ids,
-                   codes=codes.astype(np.int64).reshape(n, m),
-                   version=version, dim=dim)
+    return _from_file(PQIndex, path, codec=codec, ids=ids,
+                      codes=codes.astype(np.int64).reshape(n, m),
+                      version=version, dim=dim)

@@ -8,15 +8,18 @@ Index-maintenance strategies (`retriever.MaintenanceMode`):
                 those L documents with the current parameters, keep top-K;
   full_refresh  train everything and rebuild the index every R steps.
 
-Score gradients reach the encoder through `retriever.encoder_gradient`,
-the backprop that the gradient check covers. The optimizer is plain SGD
-with linear warmup and linear decay. With a fixed seed, configuration and
-corpus, the parameter trajectory and the emitted metrics are bit-identical
-across runs.
+A step works in index rows, never passage ids: `TrainerState.passages`
+is in index row order, and the static modes take document vectors from
+the index rows. Score gradients reach the encoder through
+`retriever.encoder_gradient`, the backprop that the gradient check
+covers. The optimizer is plain SGD with linear warmup and linear decay.
+With a fixed seed, configuration and corpus, the parameter trajectory and
+the emitted metrics are bit-identical across runs.
 """
 
 from __future__ import annotations
 
+import bisect
 import csv
 from dataclasses import dataclass
 from enum import Enum
@@ -87,7 +90,7 @@ class TrainExample:
 class TrainerState:
     encoder: DualEncoder
     index: index_mod.EmbeddingIndex
-    passages: dict[str, Passage]
+    passages: list[Passage]  # passages[r] is the passage of index row r
     step: int = 0
     stale_rerank_warnings: int = 0
 
@@ -122,43 +125,45 @@ def _learning_rate(cfg: TrainConfig, step: int) -> float:
 
 
 def _retrieve(state: TrainerState, cfg: TrainConfig, example: TrainExample,
-              q_vec: np.ndarray) -> list[str]:
-    """Candidate document ids for one example with query vector q_vec,
-    honoring the maintenance mode and self-exclusion."""
-    extra = 1 if example.origin_passage_id else 0
+              q_vec: np.ndarray) -> np.ndarray:
+    """Index rows of the candidate documents for one example with query
+    vector q_vec, best first, honoring the maintenance mode and
+    self-exclusion."""
+    origin = example.origin_passage_id
+    extra = 1 if origin else 0
+    scores = state.index.vectors @ q_vec
     if cfg.mode == MaintenanceMode.RERANK:
-        pool = index_mod.search(state.index, q_vec, cfg.l_rerank_pool + extra)
-        stale_ids = [pid for pid, _ in pool]
+        pool = index_mod._top_k(scores, cfg.l_rerank_pool + extra)
+        # Rescored in row order, so fresh ties break by ascending id.
+        by_row = np.sort(pool)
         fresh = np.array([np.dot(q_vec, encode_doc(state.encoder,
-                                                   state.passages[pid].text))
-                          for pid in stale_ids])
-        ids = [pid for pid, _ in index_mod._top_k(stale_ids, fresh,
-                                                  len(stale_ids))]
+                                                   state.passages[r].text))
+                          for r in by_row.tolist()])
+        rows = by_row[index_mod._top_k(fresh, len(by_row))]
         # Stale-index signal: a fresh top-K element coming from the tail of
         # the stale pool suggests the true top-K may have escaped it.
-        tail = set(stale_ids[cfg.l_rerank_pool - 1:])
-        if set(ids[:cfg.k_retrieved]) & tail:
+        if np.isin(rows[:cfg.k_retrieved], pool[cfg.l_rerank_pool - 1:]).any():
             state.stale_rerank_warnings += 1
     else:
-        results = index_mod.search(state.index, q_vec, cfg.k_retrieved + extra)
-        ids = [pid for pid, _ in results]
-    if example.origin_passage_id:
-        ids = [pid for pid in ids if pid != example.origin_passage_id]
-    return ids[:cfg.k_retrieved]
+        rows = index_mod._top_k(scores, cfg.k_retrieved + extra)
+    row = bisect.bisect_left(state.index.ids, origin)
+    if origin and row < state.index.size and state.index.ids[row] == origin:
+        rows = rows[rows != row]
+    return rows[:cfg.k_retrieved]
 
 
 def _example_gradient(state: TrainerState, cfg: TrainConfig, lm: LMScorer,
-                      example: TrainExample) -> tuple[Gradients | None, float, list[str]]:
-    """Loss gradient (None when frozen), loss value, retrieved ids."""
+                      example: TrainExample) -> tuple[Gradients | None, float, np.ndarray]:
+    """Loss gradient (None when frozen), loss value, retrieved rows."""
     q_vec = encode_query(state.encoder, example.query)
-    ids = _retrieve(state, cfg, example, q_vec)
-    if not ids:
-        return None, 0.0, ids
-    docs = [state.passages[pid].text for pid in ids]
+    rows = _retrieve(state, cfg, example, q_vec)
+    if not len(rows):
+        return None, 0.0, rows
+    docs = [state.passages[r].text for r in rows.tolist()]
     if not cfg.mode.trains_docs:
         # The index is never stale in these modes; its vectors are the
         # document embeddings.
-        d_vecs = state.index.vectors[[state.index.row_of[pid] for pid in ids]]
+        d_vecs = state.index.vectors[rows]
     else:
         d_vecs = np.stack([encode_doc(state.encoder, d) for d in docs])
     probs = retrieval_distribution(d_vecs @ q_vec, cfg.temperature)
@@ -174,10 +179,10 @@ def _example_gradient(state: TrainerState, cfg: TrainConfig, lm: LMScorer,
         loss_value = step.value
 
     if cfg.mode == MaintenanceMode.FIXED:
-        return None, loss_value, ids
+        return None, loss_value, rows
     grads = encoder_gradient(state.encoder, example.query, docs, q_vec,
                              d_vecs, step.grad_wrt_scores, cfg.mode)
-    return grads, loss_value, ids
+    return grads, loss_value, rows
 
 
 def train_step(state: TrainerState, batch: Sequence[TrainExample],
@@ -187,7 +192,7 @@ def train_step(state: TrainerState, batch: Sequence[TrainExample],
     state.step += 1
     if refresh_policy(state.step, cfg) == RefreshAction.FULL_REBUILD:
         state.index = index_mod.build(
-            list(state.passages.values()), state.encoder,
+            state.passages, state.encoder,
             shards=state.index.shards, precision=state.index.precision,
             previous_version=state.index.version)
 
@@ -196,11 +201,12 @@ def train_step(state: TrainerState, batch: Sequence[TrainExample],
     for example in batch:
         if cfg.k_retrieved == 0:
             continue  # closed-book ablation: nothing to retrieve or train
-        grads, loss_value, ids = _example_gradient(state, cfg, lm, example)
+        grads, loss_value, rows = _example_gradient(state, cfg, lm, example)
         losses.append(loss_value)
         if example.gold_passage_id:
             with_gold += 1
-            hits += int(bool(ids) and ids[0] == example.gold_passage_id)
+            hits += int(len(rows) > 0 and state.index.ids[rows[0]]
+                        == example.gold_passage_id)
         if grads is not None:
             total.add_scaled(grads, 1.0 / len(batch))
 
@@ -224,9 +230,9 @@ def train_step(state: TrainerState, batch: Sequence[TrainExample],
 
 def init_state(encoder: DualEncoder, passages: Sequence[Passage],
                shards: int = 1) -> TrainerState:
-    idx = index_mod.build(list(passages), encoder, shards=shards)
-    return TrainerState(encoder=encoder, index=idx,
-                        passages={p.id: p for p in passages})
+    ordered = sorted(passages, key=lambda p: p.id)
+    idx = index_mod.build(ordered, encoder, shards=shards)
+    return TrainerState(encoder=encoder, index=idx, passages=ordered)
 
 
 def train(state: TrainerState, examples: Sequence[TrainExample],
@@ -257,8 +263,9 @@ def recall_at_1(state: TrainerState, examples: Sequence[TrainExample],
     """Fraction of examples whose top retrieved passage is their gold."""
     hits = 0
     for ex in examples:
-        ids = _retrieve(state, cfg, ex, encode_query(state.encoder, ex.query))
-        hits += int(bool(ids) and ids[0] == ex.gold_passage_id)
+        rows = _retrieve(state, cfg, ex, encode_query(state.encoder, ex.query))
+        hits += int(len(rows) > 0
+                    and state.index.ids[rows[0]] == ex.gold_passage_id)
     return hits / len(examples)
 
 

@@ -1,9 +1,10 @@
 import json
+from dataclasses import replace
 
 import pytest
 
 from rlab.cli import main
-from rlab.corpus import read_passages
+from rlab.corpus import read_passages, write_passages
 from rlab.index import load_index
 
 
@@ -143,6 +144,23 @@ class TestBuildAndSearch:
         assert "'a\\nb'" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["passages.jsonl"]
 
+    def test_duplicate_index_ids_exit_1(self, workspace, capsys):
+        tmp_path, raw = workspace
+        passages = run_ingest(tmp_path, raw)
+        index_path, ckpt = run_build(tmp_path, passages)
+        ids = load_index(index_path).ids
+        data = index_path.read_bytes()
+        # Overwrite the second id with a copy of the first (same length).
+        first, second = ids[0].encode(), ids[1].encode()
+        assert len(first) == len(second)
+        at = data.index(first + b"\n" + second)
+        index_path.write_bytes(data[:at] + first + b"\n" + first
+                               + data[at + 2 * len(first) + 1:])
+        capsys.readouterr()
+        assert main(["search", "--index", str(index_path),
+                     "--checkpoint", str(ckpt), "--query", "doc0tok0"]) == 1
+        assert "index.ridx" in capsys.readouterr().err
+
     def test_manifest_records_index_version(self, workspace):
         tmp_path, raw = workspace
         passages = run_ingest(tmp_path, raw)
@@ -246,13 +264,30 @@ class TestSwapIndex:
         tmp_path, raw = workspace
         passages = run_ingest(tmp_path, raw)
         idx_a, _ = run_build(tmp_path, passages)
+        # The replacement comes from a later dump of the same passages.
+        later = tmp_path / "later.jsonl"
+        write_passages([replace(p, dump_date="2022-12-20")
+                        for p in read_passages(passages)], later)
         idx_b = tmp_path / "b.ridx"
-        assert main(["build-index", "--passages", str(passages),
+        assert main(["build-index", "--passages", str(later),
                      "--out", str(idx_b), "--dim", "16", "--seed", "1"]) == 0
         capsys.readouterr()
         assert main(["swap-index", "--from", str(idx_a),
                      "--to", str(idx_b)]) == 0
         assert "swapped" in capsys.readouterr().out
+
+    def test_same_dump_date_exit_2(self, workspace, capsys):
+        tmp_path, raw = workspace
+        passages = run_ingest(tmp_path, raw)
+        idx_a, _ = run_build(tmp_path, passages)
+        idx_b = tmp_path / "b.ridx"
+        assert main(["build-index", "--passages", str(passages),
+                     "--out", str(idx_b), "--dim", "16", "--seed", "1"]) == 0
+        before = idx_a.read_bytes()
+        assert main(["swap-index", "--from", str(idx_a),
+                     "--to", str(idx_b)]) == 2
+        assert "dump_date" in capsys.readouterr().err
+        assert idx_a.read_bytes() == before
 
     def test_dim_mismatch_exit_2(self, workspace):
         tmp_path, raw = workspace

@@ -1,9 +1,14 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rlab.corpus import Passage
 from rlab.index import (EmbeddingIndex, FormatError, build, load_index,
                         save_index, search, search_batch)
+from rlab.pq import PQCodec, PQIndex, pq_search
 from rlab.retriever import Vocab, encode_doc, init_encoder
 
 from oracles import brute_force_search
@@ -151,6 +156,84 @@ class TestSearchBatch:
             search_batch(random_index(3, 4), queries, k)
 
 
+class TestIdOrder:
+    def test_unsorted_ids_sort_with_their_rows(self):
+        vectors = np.array([[3.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+        idx = EmbeddingIndex(version=1, dim=2, ids=["c", "a", "b"],
+                             vectors=vectors)
+        assert idx.ids == ["a", "b", "c"]
+        np.testing.assert_array_equal(idx.vectors[:, 0], [1.0, 2.0, 3.0])
+
+    def test_sorted_ids_are_kept_as_given(self):
+        ids, vectors = ["a", "a\0", "ab", "b"], np.eye(4)
+        idx = EmbeddingIndex(version=1, dim=4, ids=ids, vectors=vectors)
+        assert idx.ids is ids
+        assert idx.vectors is vectors
+
+    @pytest.mark.parametrize("ids", [["b", "a", "a"], ["a", "a"]])
+    def test_duplicate_ids_rejected(self, ids):
+        with pytest.raises(ValueError, match="duplicate id 'a'"):
+            EmbeddingIndex(version=1, dim=1, ids=ids,
+                           vectors=np.ones((len(ids), 1)))
+
+    def test_build_rejects_duplicate_passage_ids(self):
+        passages = make_passages(3)
+        passages.append(passages[1])
+        with pytest.raises(ValueError, match="duplicate id 'p0001'"):
+            build(passages, make_encoder(passages))
+
+    def test_build_orders_unsorted_passages(self):
+        passages = make_passages(5)
+        enc = make_encoder(passages)
+        shuffled = build(passages[::-1], enc)
+        np.testing.assert_array_equal(shuffled.vectors,
+                                      build(passages, enc).vectors)
+        assert shuffled.ids == [p.id for p in passages]
+
+
+# Ids drawn from a small alphabet with NUL, so that shared prefixes and
+# NUL-suffixed ids ("a" < "a\0" < "a\0\0") are common; numpy's fixed-width
+# str_ arrays would drop the trailing NULs and tie them with "a".
+ids_st = st.lists(st.text(alphabet="ab\0", max_size=3), min_size=1,
+                  max_size=12, unique=True)
+
+
+@st.composite
+def tied_search_case(draw):
+    """Unsorted unique ids, integer-valued vectors and query (so scores are
+    exact and ties common), and k below, at or above N."""
+    ids = draw(ids_st)
+    n, dim = len(ids), draw(st.integers(1, 3))
+    values = st.integers(-2, 2)
+    vectors = np.array(draw(st.lists(st.lists(values, min_size=dim,
+                                              max_size=dim),
+                                     min_size=n, max_size=n)), dtype=float)
+    queries = np.array(draw(st.lists(st.lists(values, min_size=dim,
+                                              max_size=dim),
+                                     min_size=1, max_size=3)), dtype=float)
+    k = draw(st.sampled_from([1, max(n - 1, 1), n, n + 1, 2 * n + 3]))
+    return ids, vectors, queries, k
+
+
+class TestSelectionProperty:
+    @given(tied_search_case())
+    @settings(max_examples=300, deadline=None)
+    def test_every_search_equals_brute_force(self, case):
+        ids, vectors, queries, k = case
+        want = [brute_force_search(ids, vectors, q, k) for q in queries]
+        idx = EmbeddingIndex(version=1, dim=vectors.shape[1], ids=list(ids),
+                             vectors=vectors.copy())
+        assert [search(idx, q, k) for q in queries] == want
+        assert search_batch(idx, queries, k) == want
+        # One subspace whose codebook holds every vector exactly, so the
+        # asymmetric scores are the exact dot products.
+        codec = PQCodec(m=1, k_c=len(ids), codebooks=vectors[None].copy())
+        pidx = PQIndex(codec=codec, ids=list(ids),
+                       codes=np.arange(len(ids))[:, None], version=1,
+                       dim=vectors.shape[1])
+        assert [pq_search(pidx, q, k) for q in queries] == want
+
+
 class TestIndexFile:
     @pytest.mark.parametrize("precision", ["float32", "float16"])
     def test_round_trip(self, tmp_path, precision):
@@ -184,6 +267,8 @@ class TestIndexFile:
         lambda b: b + b"\0",  # trailing bytes
         lambda b: b[:16] + b"\x07" + b[17:],  # precision code
         lambda b: b[:17] + b"\x09" + b[18:],  # N: 9 rows, 6 ids
+        lambda b: b[:29] + b"\0\0\0\0" + b[33:],  # shards = 0
+        lambda b: b[:33] + b"\x02" + b[34:],  # two dump dates
     ])
     def test_malformed_is_format_error(self, tmp_path, mangle):
         path = tmp_path / "idx.ridx"
@@ -191,6 +276,50 @@ class TestIndexFile:
         path.write_bytes(mangle(path.read_bytes()))
         with pytest.raises(FormatError, match="idx.ridx"):
             load_index(path)
+
+    @pytest.mark.parametrize("table", [b"b\na\na", b"b\na\nc", b"a\na\nc"])
+    def test_ids_not_strictly_ascending_is_format_error(self, tmp_path,
+                                                        table):
+        # Written as "a\nb\nc", then the id table is overwritten in place.
+        path = tmp_path / "idx.ridx"
+        save_index(EmbeddingIndex(version=1, dim=2, ids=["a", "b", "c"],
+                                  vectors=np.eye(3, 2)), path)
+        data = path.read_bytes()
+        at = data.index(b"a\nb\nc")
+        path.write_bytes(data[:at] + table + data[at + len(table):])
+        with pytest.raises(FormatError, match="idx.ridx.*not strictly ascending"):
+            load_index(path)
+
+    @pytest.mark.parametrize("dump_date, shards",
+                             [("2017-12-20", 3), (None, 1), ("", 2)])
+    def test_metadata_round_trip(self, tmp_path, dump_date, shards):
+        idx = random_index(4, 2, shards=shards)
+        idx.dump_date = dump_date
+        path = tmp_path / "idx.ridx"
+        save_index(idx, path)
+        loaded = load_index(path)
+        assert (loaded.dump_date, loaded.shards) == (dump_date, shards)
+        save_index(loaded, tmp_path / "idx2.ridx")
+        assert path.read_bytes() == (tmp_path / "idx2.ridx").read_bytes()
+
+    def test_version_1_file_loads(self, tmp_path):
+        # Version 1 has no shards or dump_date fields.
+        vectors = np.array([[1.0, 2.0], [3.0, 4.0]])
+        path = tmp_path / "v1.ridx"
+        path.write_bytes(b"RIDX" + struct.pack("<IIIBIQ", 1, 5, 2, 0, 2, 3)
+                         + b"a\nb" + vectors.astype("<f4").tobytes())
+        loaded = load_index(path)
+        assert (loaded.version, loaded.ids) == (5, ["a", "b"])
+        assert (loaded.dump_date, loaded.shards) == (None, 1)
+        np.testing.assert_array_equal(loaded.vectors, vectors)
+
+    def test_newline_in_dump_date_rejected_before_write(self, tmp_path):
+        idx = random_index(2, 2)
+        idx.dump_date = "2017\n12"
+        path = tmp_path / "idx.ridx"
+        with pytest.raises(ValueError, match="dump_date"):
+            save_index(idx, path)
+        assert not path.exists()
 
     def test_newline_in_id_rejected_before_write(self, tmp_path):
         # "a\nb" would read back as two ids for one row.

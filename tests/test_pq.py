@@ -210,6 +210,30 @@ class TestPQFile:
             with pytest.raises(FormatError, match="idx.rpqx.*truncated"):
                 load_pq_index(path)
 
+    @pytest.mark.parametrize("table", [b"z\nz", b"z\ny"])
+    def test_ids_not_strictly_ascending_is_format_error(self, tmp_path,
+                                                        table):
+        codec = PQCodec(m=1, k_c=1, codebooks=np.zeros((1, 1, 1)))
+        path = tmp_path / "idx.rpqx"
+        save_pq_index(PQIndex(codec=codec, ids=["y", "z"],
+                              codes=np.zeros((2, 1), dtype=np.int64),
+                              version=1, dim=1), path)
+        data = path.read_bytes()
+        at = data.index(b"y\nz")
+        path.write_bytes(data[:at] + table + data[at + len(table):])
+        with pytest.raises(FormatError, match="idx.rpqx.*not strictly ascending"):
+            load_pq_index(path)
+
+    def test_unsorted_ids_sort_with_their_codes(self):
+        codec = PQCodec(m=1, k_c=3, codebooks=np.arange(3.0).reshape(1, 3, 1))
+        pidx = PQIndex(codec=codec, ids=["c", "a", "b"],
+                       codes=np.array([[2], [0], [1]]), version=1, dim=1)
+        assert pidx.ids == ["a", "b", "c"]
+        np.testing.assert_array_equal(pidx.codes[:, 0], [0, 1, 2])
+        with pytest.raises(ValueError, match="duplicate id 'a'"):
+            PQIndex(codec=codec, ids=["a", "b", "a"],
+                    codes=np.zeros((3, 1), dtype=np.int64), version=1, dim=1)
+
     @pytest.mark.parametrize("mangle", [
         lambda b: b"XXXX" + b[4:],  # magic
         lambda b: b + b"\0",  # trailing bytes

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from rlab.corpus import Passage
-from rlab.index import build, search
+from rlab.index import EmbeddingIndex, build, search
 from rlab.lm import OverlapLM
 from rlab.losses import (LossKind, build_target, distill_step,
                          emdr2_objective, pdist_target)
@@ -101,7 +101,8 @@ class TestRetrieve:
         cfg = TrainConfig(k_retrieved=5, steps=1)
         ex = TrainExample(query=passages[0].text[:2], output=("x",),
                           origin_passage_id=passages[0].id)
-        ids = _retrieve(state, cfg, ex, encode_query(encoder, ex.query))
+        rows = _retrieve(state, cfg, ex, encode_query(encoder, ex.query))
+        ids = [state.index.ids[r] for r in rows]
         assert len(ids) == 5
         assert passages[0].id not in ids
 
@@ -112,7 +113,8 @@ class TestRetrieve:
         ex = examples[0]
         q_vec = encode_query(encoder, ex.query)
         expected = [pid for pid, _ in search(state.index, q_vec, 5)]
-        assert _retrieve(state, cfg, ex, q_vec) == expected
+        rows = _retrieve(state, cfg, ex, q_vec)
+        assert [state.index.ids[r] for r in rows] == expected
 
     def test_rerank_agrees_with_fresh_index(self):
         # immediately after a build, rerank over L=N must equal plain top-K
@@ -122,8 +124,30 @@ class TestRetrieve:
                             l_rerank_pool=len(passages), steps=1)
         plain = TrainConfig(k_retrieved=5, steps=1)
         ex = examples[0]
-        assert _retrieve(state, fresh, ex, encode_query(encoder, ex.query)) == \
-            _retrieve(state, plain, ex, encode_query(encoder, ex.query))
+        assert _retrieve(state, fresh, ex, encode_query(encoder, ex.query)).tolist() == \
+            _retrieve(state, plain, ex, encode_query(encoder, ex.query)).tolist()
+
+    def test_rerank_ties_by_id_not_stale_order(self):
+        # Every passage has the same text, so their fresh scores all tie,
+        # while the stale index ranks them in descending id order.
+        passages = [Passage(id=f"p{i:02d}", doc_id=f"d{i}", text=("a", "b"))
+                    for i in range(12)]
+        encoder = init_encoder(Vocab(["a", "b", "c"]), dim=4, seed=0)
+        state = init_state(encoder, passages)
+        ex = TrainExample(query=("a", "c"), output=("b",))
+        q_vec = encode_query(encoder, ex.query)
+        state.index = EmbeddingIndex(
+            version=1, dim=4, ids=[p.id for p in passages],
+            vectors=np.outer(np.arange(1.0, 13.0), q_vec))
+        assert [pid for pid, _ in search(state.index, q_vec, 3)] == \
+            ["p11", "p10", "p09"]
+        cfg = TrainConfig(mode=MaintenanceMode.RERANK, k_retrieved=4,
+                          l_rerank_pool=8)
+        rows = _retrieve(state, cfg, ex, q_vec)
+        assert [state.index.ids[r] for r in rows] == \
+            ["p04", "p05", "p06", "p07"]
+        # p04 closes the stale pool, and the fresh top-K holds it.
+        assert state.stale_rerank_warnings == 1
 
     def test_stale_rerank_warning_counter(self):
         passages, examples, encoder = small_task()
@@ -150,8 +174,8 @@ class TestTrainStep:
                           temperature=0.1, temperature_target=1.0)
         lm = OverlapLM(vocab_size=5000)
         ex = examples[0]
-        grads, _, ids = _example_gradient(state, cfg, lm, ex)
-        docs = [tuple(state.passages[pid].text) for pid in ids]
+        grads, _, rows = _example_gradient(state, cfg, lm, ex)
+        docs = [tuple(state.passages[r].text) for r in rows]
         target = pdist_target(lm.per_doc_loglik(ex.query, docs, ex.output),
                               cfg.temperature_target)
         want = retriever_gradient(encoder, ex.query, docs, target.probs,
@@ -273,7 +297,7 @@ def dense_reference_step(state, batch, cfg, lm):
     table -= lr * total."""
     state.step += 1
     if refresh_policy(state.step, cfg) == RefreshAction.FULL_REBUILD:
-        state.index = build(list(state.passages.values()), state.encoder,
+        state.index = build(state.passages, state.encoder,
                             previous_version=state.index.version)
     if cfg.mode == MaintenanceMode.FIXED:
         return
@@ -283,13 +307,12 @@ def dense_reference_step(state, batch, cfg, lm):
     total = [np.zeros_like(t) for t in tables]
     for ex in batch:
         q_vec = encode_query(enc, ex.query)
-        ids = _retrieve(state, cfg, ex, q_vec)
-        docs = [state.passages[pid].text for pid in ids]
+        rows = _retrieve(state, cfg, ex, q_vec)
+        docs = [state.passages[r].text for r in rows]
         if cfg.mode.trains_docs:
             d_vecs = np.stack([encode_doc(enc, d) for d in docs])
         else:
-            d_vecs = state.index.vectors[[state.index.row_of[pid]
-                                          for pid in ids]]
+            d_vecs = state.index.vectors[rows]
         probs = retrieval_distribution(d_vecs @ q_vec, cfg.temperature)
         if cfg.loss == LossKind.EMDR2:
             g_scores = emdr2_objective(
