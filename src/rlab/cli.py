@@ -63,6 +63,8 @@ def cmd_ingest(args) -> int:
     if args.filter_config:
         with open(args.filter_config, encoding="utf-8") as fh:
             raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise UsageError("filter config must be a JSON object")
         known = {f.name for f in dataclasses.fields(corpus.FilterConfig)}
         for key in raw:
             if key not in known:

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .formats import FormatError, atomic_write
+from .formats import FormatError, atomic_write, is_number, jsonl_objects
 
 VALID_SOURCES = ("wiki", "cc", "infobox")
 
@@ -64,6 +64,9 @@ class FilterConfig:
     max_repeated_token_ratio: float = 0.5
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if not is_number(value):
+                raise ValueError(f"{name} must be a number, not {value!r}")
         if not (0.0 <= self.min_alnum_ratio <= 1.0):
             raise ValueError("min_alnum_ratio must be in [0,1]")
         if not (0.0 <= self.max_repeated_token_ratio <= 1.0):
@@ -201,26 +204,6 @@ def document_from_json(obj: dict) -> RawDocument:
     )
 
 
-def _jsonl_objects(path) -> Iterator[tuple[str, dict]]:
-    """(location, object) for each nonblank line of a JSONL file; text that
-    is not UTF-8, invalid JSON or a non-object raises FormatError naming the
-    file and line."""
-    with open(path, "rb") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            where = f"{path}, line {lineno}"
-            try:
-                obj = json.loads(line.decode("utf-8"))
-            except UnicodeDecodeError as exc:
-                raise FormatError(f"{where}: not UTF-8") from exc
-            except ValueError as exc:
-                raise FormatError(f"{where}: invalid JSON: {exc}") from exc
-            if not isinstance(obj, dict):
-                raise FormatError(f"{where}: expected a JSON object")
-            yield where, obj
-
-
 def _is_section(obj) -> bool:
     return (isinstance(obj, dict) and isinstance(obj.get("text"), str)
             and isinstance(obj.get("title", ""), str))
@@ -229,7 +212,7 @@ def _is_section(obj) -> bool:
 def read_documents(path) -> Iterator[RawDocument]:
     """Raw documents from JSONL, one object per line; blank lines are
     skipped. A malformed line raises FormatError naming the file and line."""
-    for where, obj in _jsonl_objects(path):
+    for where, obj in jsonl_objects(path):
         if not (isinstance(obj.get("id"), str)
                 and isinstance(obj.get("title"), str)
                 and isinstance(obj.get("sections"), list)
@@ -278,7 +261,7 @@ def read_passages(path) -> list[Passage]:
     """Passages from JSONL, one object per line; blank lines are skipped.
     A malformed line raises FormatError naming the file and line."""
     out = []
-    for where, obj in _jsonl_objects(path):
+    for where, obj in jsonl_objects(path):
         if not ("id" in obj and isinstance(obj.get("text"), str)):
             raise FormatError(f"{where}: expected an object with an id "
                               f"and a string text")

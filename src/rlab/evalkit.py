@@ -5,7 +5,6 @@ inference, leakage auditing, and the temporal index-swap experiment.
 from __future__ import annotations
 
 import itertools
-import json
 import re
 import string
 from dataclasses import dataclass
@@ -14,6 +13,7 @@ from typing import Callable, Protocol, Sequence
 import numpy as np
 
 from .corpus import Passage, tokenize
+from .formats import FormatError, jsonl_objects
 
 LETTERS = ("A", "B", "C", "D")
 
@@ -256,25 +256,39 @@ def temporal_swap_eval(tasks: Sequence[TemporalQA], index_a: TaggedIndex,
 # Task JSONL.
 
 def read_choice_tasks(path) -> list[ChoiceTask]:
+    """Choice tasks from JSONL: a string question, a list of four string
+    options and an integer gold option index per line."""
     tasks = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                obj = json.loads(line)
-                tasks.append(ChoiceTask(question=obj["question"],
-                                        options=tuple(obj["options"]),
-                                        gold=obj["gold"]))
+    for where, obj in jsonl_objects(path):
+        options, gold = obj.get("options"), obj.get("gold")
+        if not (isinstance(obj.get("question"), str)
+                and isinstance(options, list)
+                and all(isinstance(o, str) for o in options)
+                and type(gold) is int):
+            raise FormatError(f"{where}: expected a string question, a list "
+                              f"of string options and an integer gold")
+        try:
+            tasks.append(ChoiceTask(question=obj["question"],
+                                    options=tuple(options), gold=gold))
+        except ValueError as exc:
+            raise FormatError(f"{where}: {exc}") from exc
     return tasks
 
 
 def read_temporal_tasks(path) -> list[TemporalQA]:
+    """Temporal tasks from JSONL: a string query and an object mapping each
+    year to a string answer per line."""
     tasks = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                obj = json.loads(line)
-                tasks.append(TemporalQA(query=obj["query"],
-                                        answers_by_year=obj["answers_by_year"]))
+    for where, obj in jsonl_objects(path):
+        answers = obj.get("answers_by_year")
+        if not (isinstance(obj.get("query"), str)
+                and isinstance(answers, dict)
+                and all(isinstance(a, str) for a in answers.values())):
+            raise FormatError(f"{where}: expected a string query and an "
+                              f"object of string answers_by_year")
+        try:
+            tasks.append(TemporalQA(query=obj["query"],
+                                    answers_by_year=answers))
+        except ValueError as exc:
+            raise FormatError(f"{where}: {exc}") from exc
     return tasks

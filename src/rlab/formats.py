@@ -1,20 +1,23 @@
 """Pieces shared by rlab's file readers and writers.
 
-Every reader (RIDX, RPQX, RLAB and passage JSONL) raises `FormatError`
-for malformed or truncated input, and the CLI maps it to exit 1. Binary
-reads are checked against the file size before they happen. String
-tables (ids, vocab tokens) are stored newline-joined, so writers refuse
-any string holding a newline before they open the file. Every artifact
-writer goes through `atomic_write`, so a failed write leaves the previous
-file as it was.
+Every reader (RIDX, RPQX, RLAB and JSONL) raises `FormatError` for
+malformed or truncated input, and the CLI maps it to exit 1. Binary
+reads are checked against the file size before they happen. Every JSONL
+reader (raw documents, passages, choice and temporal tasks, mock LM
+scores) takes its lines from `jsonl_objects` and names the file and line
+of a bad record. String tables (ids, vocab tokens) are stored
+newline-joined, so writers refuse any string holding a newline before
+they open the file. Every artifact writer goes through `atomic_write`, so
+a failed write leaves the previous file as it was.
 """
 
 from __future__ import annotations
 
 import contextlib
+import json
 import os
 import secrets
-from typing import Sequence
+from typing import Iterator, Sequence
 
 
 class FormatError(ValueError):
@@ -80,3 +83,29 @@ def read_lines(fh, length: int, n: int, path, what: str) -> list[str]:
     if len(strings) != n:
         raise FormatError(f"{path}: {len(strings)} {what}s for {n} rows")
     return strings
+
+
+def jsonl_objects(path) -> Iterator[tuple[str, dict]]:
+    """(location, object) for each nonblank line of a JSONL file; text that
+    is not UTF-8, invalid JSON or a non-object raises FormatError naming the
+    file and line."""
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            where = f"{path}, line {lineno}"
+            try:
+                obj = json.loads(line.decode("utf-8"))
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"{where}: not UTF-8") from exc
+            except ValueError as exc:
+                raise FormatError(f"{where}: invalid JSON: {exc}") from exc
+            if not isinstance(obj, dict):
+                raise FormatError(f"{where}: expected a JSON object")
+            yield where, obj
+
+
+def is_number(value) -> bool:
+    """Whether a decoded JSON value is a number (an int or float, not a
+    bool)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)

@@ -55,10 +55,11 @@ def sort_by_id(ids: Sequence[str], rows: np.ndarray) -> tuple[Sequence[str], np.
     return ids, np.asarray(rows)[order]
 
 
-@dataclass
+@dataclass(frozen=True)
 class EmbeddingIndex:
     """Row i holds the vector of ids[i]. The constructor puts the rows in
-    ascending id order, so ascending row is ascending id."""
+    ascending id order, so ascending row is ascending id; fields cannot be
+    reassigned afterwards (use `dataclasses.replace`)."""
     version: int
     dim: int
     ids: list[str]
@@ -68,7 +69,9 @@ class EmbeddingIndex:
     dump_date: str | None = None
 
     def __post_init__(self):
-        self.ids, self.vectors = sort_by_id(self.ids, self.vectors)
+        ids, vectors = sort_by_id(self.ids, self.vectors)
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "vectors", vectors)
 
     @property
     def size(self) -> int:

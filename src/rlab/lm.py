@@ -22,11 +22,12 @@ expression over it; nothing is kept between calls.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Protocol, Sequence
 
 import numpy as np
+
+from .formats import FormatError, is_number, jsonl_objects
 
 TokenSeq = Sequence[str]
 
@@ -128,15 +129,16 @@ class MockScorer:
     @classmethod
     def from_jsonl(cls, path) -> "MockScorer":
         logliks, relevances = {}, {}
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                obj = json.loads(line)
-                logliks[obj["doc_id"]] = obj["loglik"]
-                if "relevance" in obj:
-                    relevances[obj["doc_id"]] = obj["relevance"]
+        for where, obj in jsonl_objects(path):
+            if not (isinstance(obj.get("doc_id"), str)
+                    and is_number(obj.get("loglik"))
+                    and is_number(obj.get("relevance", 0.0))):
+                raise FormatError(f"{where}: expected a string doc_id, a "
+                                  f"numeric loglik and an optional numeric "
+                                  f"relevance")
+            logliks[obj["doc_id"]] = obj["loglik"]
+            if "relevance" in obj:
+                relevances[obj["doc_id"]] = obj["relevance"]
         return cls(logliks, relevances)
 
     def bind(self, doc_ids: Sequence[str]) -> "MockScorer":

@@ -5,6 +5,12 @@ Each dim-d vector is split into m subvectors of d/m dimensions; each
 subvector is replaced by the index of its nearest centroid out of k_c
 learned per subspace. Search decodes nothing: per-subspace dot-product
 lookup tables against the query give the approximate scores.
+
+Every squared distance (seeding, k-means assignment, `compress`) comes
+from `_sq_dists`, which sums (x - c)^2 directly. The GEMM expansion
+|x|^2 - 2 x.c + |c|^2 would be faster but rounds differently, so a
+near-tied argmin could flip and change codebooks and codes; it is left to
+a change gated by the loop-based reference in the tests.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ class PQCodec:
         return self.codebooks.size * bytes_per_scalar
 
 
-@dataclass
+@dataclass(frozen=True)
 class PQIndex:
     codec: PQCodec
     ids: list[str]  # ascending; the constructor sorts rows as EmbeddingIndex
@@ -48,7 +54,9 @@ class PQIndex:
     dim: int
 
     def __post_init__(self):
-        self.ids, self.codes = sort_by_id(self.ids, self.codes)
+        ids, codes = sort_by_id(self.ids, self.codes)
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "codes", codes)
 
     @property
     def size(self) -> int:
@@ -70,30 +78,34 @@ def _check_k_c(k_c: int):
         raise ValueError(f"k_c={k_c} exceeds {_MAX_K_C}: RPQX codes are 16-bit")
 
 
+def _sq_dists(data: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """(N, k) squared Euclidean distances from each row of data to each
+    centroid, summed directly over (x - c)^2."""
+    return np.sum((data[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
+
+
 def _kmeans_pp_init(data: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """Farthest-point style seeding: first centroid random, each next one
     is the point with maximal squared distance to its nearest centroid."""
-    centroids = [data[rng.integers(len(data))]]
-    d2 = np.sum((data - centroids[0]) ** 2, axis=1)
+    rows = [int(rng.integers(len(data)))]
+    d2 = np.full(len(data), np.inf)
     for _ in range(1, k):
-        centroids.append(data[int(np.argmax(d2))])
-        d2 = np.minimum(d2, np.sum((data - centroids[-1]) ** 2, axis=1))
-    return np.stack(centroids)
+        d2 = np.minimum(d2, _sq_dists(data, data[rows[-1:]])[:, 0])
+        rows.append(int(np.argmax(d2)))
+    return data[rows]
 
 
 def _kmeans(data: np.ndarray, k: int, iterations: int,
-            rng: np.random.Generator) -> tuple[np.ndarray, float]:
+            rng: np.random.Generator) -> np.ndarray:
     centroids = _kmeans_pp_init(data, k, rng)
-    objective = np.inf
     for _ in range(iterations):
-        d2 = np.sum((data[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
-        assign = np.argmin(d2, axis=1)
-        objective = float(d2[np.arange(len(data)), assign].sum())
-        for c in range(k):
-            members = data[assign == c]
-            if len(members):
-                centroids[c] = members.mean(axis=0)
-    return centroids, objective
+        assign = np.argmin(_sq_dists(data, centroids), axis=1)
+        sums = np.zeros_like(centroids)
+        np.add.at(sums, assign, data)
+        counts = np.bincount(assign, minlength=k)
+        filled = counts > 0  # an empty cluster keeps its centroid
+        centroids[filled] = sums[filled] / counts[filled, None]
+    return centroids
 
 
 def train_pq(index: EmbeddingIndex, m: int, k_c: int,
@@ -111,7 +123,7 @@ def train_pq(index: EmbeddingIndex, m: int, k_c: int,
     rng = np.random.default_rng(seed)
     sub = index.vectors.reshape(index.size, m, index.dim // m)
     codebooks = np.stack([
-        _kmeans(sub[:, j, :], k_c, iterations, rng)[0] for j in range(m)
+        _kmeans(sub[:, j, :], k_c, iterations, rng) for j in range(m)
     ])
     return PQCodec(m=m, k_c=k_c, codebooks=codebooks)
 
@@ -123,19 +135,13 @@ def pq_objective(index: EmbeddingIndex, codec: PQCodec) -> float:
     return float(((index.vectors - decoded) ** 2).sum())
 
 
-def encode_vector(codec: PQCodec, vec: np.ndarray) -> np.ndarray:
-    sub = vec.reshape(codec.m, codec.sub_dim)
-    codes = np.empty(codec.m, dtype=np.int64)
-    for j in range(codec.m):
-        d2 = np.sum((codec.codebooks[j] - sub[j]) ** 2, axis=1)
-        codes[j] = int(np.argmin(d2))
-    return codes
-
-
 def compress(index: EmbeddingIndex, codec: PQCodec) -> PQIndex:
+    """Each vector's nearest centroid per subspace, the first of ties."""
     if codec.dim != index.dim:
         raise ValueError("codec dimension incompatible with index")
-    codes = np.stack([encode_vector(codec, v) for v in index.vectors])
+    sub = index.vectors.reshape(index.size, codec.m, codec.sub_dim)
+    codes = np.stack([np.argmin(_sq_dists(sub[:, j, :], codec.codebooks[j]),
+                                axis=1) for j in range(codec.m)], axis=1)
     return PQIndex(codec=codec, ids=list(index.ids), codes=codes,
                    version=index.version, dim=index.dim)
 

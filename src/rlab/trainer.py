@@ -22,7 +22,6 @@ from __future__ import annotations
 import bisect
 import csv
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Sequence
 
 import numpy as np
@@ -36,12 +35,6 @@ from .pretext import PretextExample
 from .retriever import (DEFAULT_TEMPERATURE, DualEncoder, Gradients,
                         MaintenanceMode, encode_doc, encode_query,
                         encoder_gradient, retrieval_distribution, sum_rows)
-
-
-class RefreshAction(str, Enum):
-    NONE = "none"
-    FULL_REBUILD = "full_rebuild"
-    RERANK_ONLY = "rerank_only"
 
 
 @dataclass(frozen=True)
@@ -69,6 +62,13 @@ class TrainConfig:
             raise ValueError("refresh_interval must be >= 1")
         # k_retrieved == 0 is the closed-book ablation: no retrieval, no
         # training signal; the harness still runs end to end.
+
+    def rebuilds_at(self, step: int) -> bool:
+        """Whether the index is rebuilt before step: every R steps in
+        full_refresh, never in the other modes (rerank re-embeds only its
+        candidates)."""
+        return (self.mode == MaintenanceMode.FULL_REFRESH
+                and step % self.refresh_interval == 0)
 
 
 @dataclass
@@ -103,18 +103,6 @@ class StepMetrics:
     index_version: int
 
 
-def refresh_policy(step: int, cfg: TrainConfig) -> RefreshAction:
-    """full_refresh rebuilds every R steps; rerank re-embeds candidates at
-    every step; query_side and fixed never touch the index."""
-    if cfg.mode == MaintenanceMode.FULL_REFRESH:
-        if step % cfg.refresh_interval == 0:
-            return RefreshAction.FULL_REBUILD
-        return RefreshAction.NONE
-    if cfg.mode == MaintenanceMode.RERANK:
-        return RefreshAction.RERANK_ONLY
-    return RefreshAction.NONE
-
-
 def _learning_rate(cfg: TrainConfig, step: int) -> float:
     """Linear warmup over warmup_steps, then linear decay to zero."""
     if cfg.warmup_steps > 0 and step <= cfg.warmup_steps:
@@ -125,10 +113,11 @@ def _learning_rate(cfg: TrainConfig, step: int) -> float:
 
 
 def _retrieve(state: TrainerState, cfg: TrainConfig, example: TrainExample,
-              q_vec: np.ndarray) -> np.ndarray:
+              q_vec: np.ndarray) -> tuple[np.ndarray, bool]:
     """Index rows of the candidate documents for one example with query
     vector q_vec, best first, honoring the maintenance mode and
-    self-exclusion."""
+    self-exclusion; and whether rerank raised the stale-index signal.
+    State is not changed."""
     origin = example.origin_passage_id
     extra = 1 if origin else 0
     scores = state.index.vectors @ q_vec
@@ -142,21 +131,23 @@ def _retrieve(state: TrainerState, cfg: TrainConfig, example: TrainExample,
         rows = by_row[index_mod._top_k(fresh, len(by_row))]
         # Stale-index signal: a fresh top-K element coming from the tail of
         # the stale pool suggests the true top-K may have escaped it.
-        if np.isin(rows[:cfg.k_retrieved], pool[cfg.l_rerank_pool - 1:]).any():
-            state.stale_rerank_warnings += 1
+        stale = bool(np.isin(rows[:cfg.k_retrieved],
+                             pool[cfg.l_rerank_pool - 1:]).any())
     else:
-        rows = index_mod._top_k(scores, cfg.k_retrieved + extra)
+        rows, stale = index_mod._top_k(scores, cfg.k_retrieved + extra), False
     row = bisect.bisect_left(state.index.ids, origin)
     if origin and row < state.index.size and state.index.ids[row] == origin:
         rows = rows[rows != row]
-    return rows[:cfg.k_retrieved]
+    return rows[:cfg.k_retrieved], stale
 
 
 def _example_gradient(state: TrainerState, cfg: TrainConfig, lm: LMScorer,
                       example: TrainExample) -> tuple[Gradients | None, float, np.ndarray]:
-    """Loss gradient (None when frozen), loss value, retrieved rows."""
+    """Loss gradient (None when frozen), loss value, retrieved rows. A
+    stale-index signal from retrieval counts in state.stale_rerank_warnings."""
     q_vec = encode_query(state.encoder, example.query)
-    rows = _retrieve(state, cfg, example, q_vec)
+    rows, stale = _retrieve(state, cfg, example, q_vec)
+    state.stale_rerank_warnings += stale
     if not len(rows):
         return None, 0.0, rows
     docs = [state.passages[r].text for r in rows.tolist()]
@@ -190,7 +181,7 @@ def train_step(state: TrainerState, batch: Sequence[TrainExample],
     """One optimizer step over a batch. Rebuilds run strictly between
     steps, before the batch is processed."""
     state.step += 1
-    if refresh_policy(state.step, cfg) == RefreshAction.FULL_REBUILD:
+    if cfg.rebuilds_at(state.step):
         state.index = index_mod.build(
             state.passages, state.encoder,
             shards=state.index.shards, precision=state.index.precision,
@@ -263,7 +254,8 @@ def recall_at_1(state: TrainerState, examples: Sequence[TrainExample],
     """Fraction of examples whose top retrieved passage is their gold."""
     hits = 0
     for ex in examples:
-        rows = _retrieve(state, cfg, ex, encode_query(state.encoder, ex.query))
+        rows, _ = _retrieve(state, cfg, ex,
+                            encode_query(state.encoder, ex.query))
         hits += int(len(rows) > 0
                     and state.index.ids[rows[0]] == ex.gold_passage_id)
     return hits / len(examples)

@@ -90,3 +90,42 @@ def central_difference(f, x, step=1e-5):
         lo[i] -= step
         grad[i] = (f(hi) - f(lo)) / (2 * step)
     return grad
+
+
+def _nearest_centroid(centroids, x):
+    """Row of the centroid nearest to x; the first of tied rows."""
+    import numpy as np
+    return int(np.argmin(np.sum((centroids - x) ** 2, axis=1)))
+
+
+def reference_pq(vectors, m, k_c, iterations, seed):
+    """(codebooks, codes) of product quantization written as loops: per
+    subspace, farthest-point seeding from one seeded random first point
+    (the random draws of `rlab.pq.train_pq`), then k-means that assigns one
+    vector at a time and takes one centroid's mean at a time; a centroid
+    with no members keeps its value. Codes take each vector's nearest
+    centroid per subspace."""
+    import numpy as np
+    rng = np.random.default_rng(seed)
+    n, dim = vectors.shape
+    sub_dim = dim // m
+    parts = [vectors[:, j * sub_dim:(j + 1) * sub_dim] for j in range(m)]
+    codebooks = []
+    for data in parts:
+        chosen = [data[rng.integers(n)]]
+        nearest = np.sum((data - chosen[0]) ** 2, axis=1)
+        for _ in range(1, k_c):
+            chosen.append(data[int(np.argmax(nearest))])
+            nearest = np.minimum(nearest, np.sum((data - chosen[-1]) ** 2, axis=1))
+        centroids = np.stack(chosen)
+        for _ in range(iterations):
+            assign = np.array([_nearest_centroid(centroids, x) for x in data])
+            for c in range(k_c):
+                members = data[assign == c]
+                if len(members):
+                    centroids[c] = members.mean(axis=0)
+        codebooks.append(centroids)
+    codes = np.array([[_nearest_centroid(cb, data[i])
+                       for cb, data in zip(codebooks, parts)]
+                      for i in range(n)])
+    return np.stack(codebooks), codes

@@ -81,6 +81,23 @@ class TestIngest:
                      "--out", str(tmp_path / "o.jsonl"),
                      "--filter-config", str(bad)]) == 2
 
+    @pytest.mark.parametrize("config, key", [
+        ('{"min_doc_length": "x"}', "min_doc_length"),
+        ('{"min_alnum_ratio": null}', "min_alnum_ratio"),
+        ('{"max_mean_word_length": true}', "max_mean_word_length"),
+        ('[["min_doc_length", 5]]', "object"),
+        ('5', "object"),
+    ])
+    def test_mistyped_filter_config_exit_2(self, workspace, capsys, config,
+                                           key):
+        tmp_path, raw = workspace
+        bad = tmp_path / "filter.json"
+        bad.write_text(config)
+        assert main(["ingest", "--in", str(raw),
+                     "--out", str(tmp_path / "o.jsonl"),
+                     "--filter-config", str(bad)]) == 2
+        assert key in capsys.readouterr().err
+
 
 class TestBuildAndSearch:
     def test_build_then_search(self, workspace, capsys):
@@ -257,6 +274,20 @@ class TestEvaluate:
                      "--index", str(index_path),
                      "--checkpoint", str(ckpt)] + extra) == 2
         assert "--passages" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad_line", [
+        '{"question": "q", "options": ["a", "b", "c", "d"]}',       # no gold
+        '["q", ["a", "b", "c", "d"], 0]',                          # array
+        '{"question": "q", "options": ["a", "b", "c", "d"], "go',  # cut line
+        '{"question": "q", "options": ["a", "b", "c", "d"], "gold": 9}',
+    ])
+    def test_malformed_task_exit_1(self, tmp_path, capsys, bad_line):
+        task_file = tmp_path / "tasks.jsonl"
+        task_file.write_text(json.dumps({"question": "q",
+                                         "options": ["a", "b", "c", "d"],
+                                         "gold": 0}) + "\n" + bad_line)
+        assert main(["evaluate", "--task", str(task_file)]) == 1
+        assert "tasks.jsonl, line 2" in capsys.readouterr().err
 
 
 class TestSwapIndex:

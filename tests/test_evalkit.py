@@ -10,7 +10,9 @@ from rlab.evalkit import (ChoiceTask, EvalRecord, TaggedIndex, TemporalQA,
                           choice_input_template, debias_infer, exact_match,
                           f1, filtered_rerun, leakage_audit,
                           longest_common_run, normalize_answer,
+                          read_choice_tasks, read_temporal_tasks,
                           temporal_swap_eval)
+from rlab.formats import FormatError
 
 
 def make_passage(pid, tokens):
@@ -212,3 +214,50 @@ class TestTemporalSwap:
     def test_task_needs_distinct_answers(self):
         with pytest.raises(ValueError):
             TemporalQA(query="q", answers_by_year={"2017": "x", "2020": "x"})
+
+
+class TestTaskJSONL:
+    CHOICE = b'{"question": "q", "options": ["a", "b", "c", "d"], "gold": 1}'
+    TEMPORAL = b'{"query": "q", "answers_by_year": {"2017": "x", "2020": "y"}}'
+
+    def write(self, tmp_path, *lines):
+        path = tmp_path / "tasks.jsonl"
+        path.write_bytes(b"\n".join(lines))
+        return path
+
+    def test_choice_tasks_read(self, tmp_path):
+        path = self.write(tmp_path, self.CHOICE, b"", self.CHOICE)
+        assert read_choice_tasks(path) == [
+            ChoiceTask(question="q", options=("a", "b", "c", "d"), gold=1)] * 2
+
+    def test_temporal_tasks_read(self, tmp_path):
+        path = self.write(tmp_path, self.TEMPORAL)
+        assert read_temporal_tasks(path) == [
+            TemporalQA(query="q", answers_by_year={"2017": "x", "2020": "y"})]
+
+    @pytest.mark.parametrize("bad_line", [
+        b'{"question": "q", "options": ["a", "b", "c", "d"]}',       # no gold
+        b'["q", ["a", "b", "c", "d"], 1]',                          # array
+        b'{"question": "q", "options": ["a", "b", "c", "d"], "go',  # cut line
+        b'{"question": "q", "options": ["a", "b", "c", "d"], "gold": 9}',
+        b'{"question": "q", "options": ["a", "b", "c", "d"], "gold": true}',
+        b'{"question": "q", "options": ["a", "b", "c"], "gold": 0}',
+        b'{"question": "q", "options": "abcd", "gold": 0}',
+        b'{"question": 7, "options": ["a", "b", "c", "d"], "gold": 0}',
+    ])
+    def test_bad_choice_task_names_file_and_line(self, tmp_path, bad_line):
+        path = self.write(tmp_path, self.CHOICE, bad_line)
+        with pytest.raises(FormatError, match="tasks.jsonl, line 2"):
+            read_choice_tasks(path)
+
+    @pytest.mark.parametrize("bad_line", [
+        b'{"answers_by_year": {"2017": "x", "2020": "y"}}',          # no query
+        b'{"query": "q", "answers_by_year": ["x", "y"]}',
+        b'{"query": "q", "answers_by_year": {"2017": "x", "2020": 5}}',
+        b'{"query": "q", "answers_by_year": {"2017": "x", "2020": "x"}}',
+        b'{"query": "q", "answers_by_ye',                           # cut line
+    ])
+    def test_bad_temporal_task_names_file_and_line(self, tmp_path, bad_line):
+        path = self.write(tmp_path, self.TEMPORAL, bad_line)
+        with pytest.raises(FormatError, match="tasks.jsonl, line 2"):
+            read_temporal_tasks(path)

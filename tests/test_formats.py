@@ -1,6 +1,7 @@
 """Artifact writers replace their target atomically: a writer that fails
 mid-write leaves the previous file byte for byte and no temporary file."""
 
+import dataclasses
 import os
 
 import pytest
@@ -104,8 +105,7 @@ def test_failed_swap_index_keeps_active_index(tmp_path, monkeypatch, capsys):
     idx = small_artifacts()[2]
     active, replacement = tmp_path / "a.ridx", tmp_path / "b.ridx"
     save_index(idx, active)
-    idx.version += 1
-    save_index(idx, replacement)
+    save_index(dataclasses.replace(idx, version=idx.version + 1), replacement)
     before = active.read_bytes()
     fail_second_writes(monkeypatch)
     assert main(["swap-index", "--from", str(active),

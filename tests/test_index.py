@@ -1,3 +1,4 @@
+import dataclasses
 import struct
 
 import numpy as np
@@ -190,6 +191,27 @@ class TestIdOrder:
                                       build(passages, enc).vectors)
         assert shuffled.ids == [p.id for p in passages]
 
+    @pytest.mark.parametrize("field", [f.name for f in
+                                       dataclasses.fields(EmbeddingIndex)])
+    def test_fields_cannot_be_reassigned(self, field):
+        # Reassigning ids after the constructor sorted them would break
+        # the row order search relies on.
+        idx = EmbeddingIndex(version=1, dim=1, ids=["a", "b"],
+                             vectors=np.array([[1.0], [0.0]]))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(idx, field, getattr(idx, field))
+        assert search(idx, np.ones(1), 1) == [("a", 1.0)]
+
+    @pytest.mark.parametrize("field", [f.name for f in
+                                       dataclasses.fields(PQIndex)])
+    def test_pq_fields_cannot_be_reassigned(self, field):
+        codec = PQCodec(m=1, k_c=2, codebooks=np.array([[[1.0], [0.0]]]))
+        pidx = PQIndex(codec=codec, ids=["a", "b"],
+                       codes=np.array([[0], [1]]), version=1, dim=1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(pidx, field, getattr(pidx, field))
+        assert pq_search(pidx, np.ones(1), 1) == [("a", 1.0)]
+
 
 # Ids drawn from a small alphabet with NUL, so that shared prefixes and
 # NUL-suffixed ids ("a" < "a\0" < "a\0\0") are common; numpy's fixed-width
@@ -293,8 +315,8 @@ class TestIndexFile:
     @pytest.mark.parametrize("dump_date, shards",
                              [("2017-12-20", 3), (None, 1), ("", 2)])
     def test_metadata_round_trip(self, tmp_path, dump_date, shards):
-        idx = random_index(4, 2, shards=shards)
-        idx.dump_date = dump_date
+        idx = dataclasses.replace(random_index(4, 2, shards=shards),
+                                  dump_date=dump_date)
         path = tmp_path / "idx.ridx"
         save_index(idx, path)
         loaded = load_index(path)
@@ -314,8 +336,7 @@ class TestIndexFile:
         np.testing.assert_array_equal(loaded.vectors, vectors)
 
     def test_newline_in_dump_date_rejected_before_write(self, tmp_path):
-        idx = random_index(2, 2)
-        idx.dump_date = "2017\n12"
+        idx = dataclasses.replace(random_index(2, 2), dump_date="2017\n12")
         path = tmp_path / "idx.ridx"
         with pytest.raises(ValueError, match="dump_date"):
             save_index(idx, path)
@@ -339,5 +360,5 @@ class TestIndexFile:
     def test_memory_bytes(self):
         idx = random_index(10, 8)
         assert idx.memory_bytes() == 10 * 8 * 4
-        idx.precision = "float16"
+        idx = dataclasses.replace(idx, precision="float16")
         assert idx.memory_bytes() == 10 * 8 * 2

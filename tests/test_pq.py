@@ -7,7 +7,7 @@ from rlab.pq import (PQCodec, PQIndex, compress, compressed_bytes,
                      load_pq_index, pq_objective, pq_search, recall_at_k,
                      save_pq_index, train_pq, uncompressed_bytes)
 
-from oracles import brute_force_search
+from oracles import brute_force_search, reference_pq
 
 
 def random_index(n, dim, seed=0):
@@ -54,6 +54,39 @@ class TestTrainPQ:
     def test_insufficient_data(self):
         with pytest.raises(ValueError, match="insufficient"):
             train_pq(random_index(4, 8), m=2, k_c=8)
+
+
+class TestReferencePQ:
+    """Codebooks and codes equal, bit for bit, those of the loop-based
+    reference in tests/oracles.py."""
+
+    def check(self, vectors, m, k_c, iterations, seed):
+        idx = EmbeddingIndex(version=1, dim=vectors.shape[1],
+                             ids=[f"p{i:04d}" for i in range(len(vectors))],
+                             vectors=vectors)
+        pidx = compress(idx, train_pq(idx, m=m, k_c=k_c,
+                                      iterations=iterations, seed=seed))
+        codebooks, codes = reference_pq(vectors, m, k_c, iterations, seed)
+        assert np.array_equal(pidx.codec.codebooks, codebooks)
+        assert np.array_equal(pidx.codes, codes)
+        return codebooks
+
+    def test_gaussian(self):
+        vectors = np.random.default_rng(21).normal(size=(300, 8))
+        self.check(vectors, m=2, k_c=16, iterations=5, seed=22)
+
+    def test_duplicates_repeat_seeds_and_empty_clusters(self):
+        # Five distinct subvectors per subspace for eight centroids: once
+        # seeding has taken all five, every distance is zero and it takes
+        # row 0 again, so centroids repeat. Ties in the assignment go to
+        # the first of them, and the repeats are left with no members.
+        rng = np.random.default_rng(23)
+        distinct = rng.normal(size=(5, 4))
+        vectors = np.concatenate([distinct[rng.integers(5, size=60)],
+                                  distinct[rng.integers(5, size=60)]], axis=1)
+        codebooks = self.check(vectors, m=2, k_c=8, iterations=4, seed=24)
+        for cb in codebooks:
+            assert len(np.unique(cb, axis=0)) == 5
 
 
 class TestCompressDecode:

@@ -14,11 +14,10 @@ from rlab.losses import (LossKind, build_target, distill_step,
 from rlab.retriever import (Gradients, Vocab, encode_doc, encode_query,
                             init_encoder, retrieval_distribution,
                             retriever_gradient)
-from rlab.trainer import (MaintenanceMode, RefreshAction, StepMetrics,
-                          TrainConfig, TrainExample, _example_gradient,
-                          _learning_rate, _retrieve, init_state, recall_at_1,
-                          refresh_policy, train, train_step,
-                          write_metrics_csv)
+from rlab.trainer import (MaintenanceMode, StepMetrics, TrainConfig,
+                          TrainExample, _example_gradient, _learning_rate,
+                          _retrieve, init_state, recall_at_1, train,
+                          train_step, write_metrics_csv)
 
 from needle import make_needle_task
 
@@ -55,24 +54,19 @@ class TestConfigValidation:
 class TestRefreshPolicy:
     def test_full_refresh_schedule(self):
         cfg = TrainConfig(mode=MaintenanceMode.FULL_REFRESH, refresh_interval=3)
-        actions = [refresh_policy(s, cfg) for s in range(1, 8)]
-        assert actions == [RefreshAction.NONE, RefreshAction.NONE,
-                           RefreshAction.FULL_REBUILD, RefreshAction.NONE,
-                           RefreshAction.NONE, RefreshAction.FULL_REBUILD,
-                           RefreshAction.NONE]
+        assert [cfg.rebuilds_at(s) for s in range(1, 8)] == \
+            [False, False, True, False, False, True, False]
 
-    def test_rerank_every_step(self):
+    def test_rerank_never_rebuilds(self):
         cfg = TrainConfig(mode=MaintenanceMode.RERANK, k_retrieved=5,
                           l_rerank_pool=10)
-        assert all(refresh_policy(s, cfg) == RefreshAction.RERANK_ONLY
-                   for s in range(1, 5))
+        assert not any(cfg.rebuilds_at(s) for s in range(1, 5))
 
     @pytest.mark.parametrize("mode", [MaintenanceMode.FIXED,
                                       MaintenanceMode.QUERY_SIDE])
     def test_static_modes_never_touch_index(self, mode):
         cfg = TrainConfig(mode=mode)
-        assert all(refresh_policy(s, cfg) == RefreshAction.NONE
-                   for s in range(1, 20))
+        assert not any(cfg.rebuilds_at(s) for s in range(1, 20))
 
 
 class TestLearningRate:
@@ -101,7 +95,7 @@ class TestRetrieve:
         cfg = TrainConfig(k_retrieved=5, steps=1)
         ex = TrainExample(query=passages[0].text[:2], output=("x",),
                           origin_passage_id=passages[0].id)
-        rows = _retrieve(state, cfg, ex, encode_query(encoder, ex.query))
+        rows, _ = _retrieve(state, cfg, ex, encode_query(encoder, ex.query))
         ids = [state.index.ids[r] for r in rows]
         assert len(ids) == 5
         assert passages[0].id not in ids
@@ -113,7 +107,7 @@ class TestRetrieve:
         ex = examples[0]
         q_vec = encode_query(encoder, ex.query)
         expected = [pid for pid, _ in search(state.index, q_vec, 5)]
-        rows = _retrieve(state, cfg, ex, q_vec)
+        rows, _ = _retrieve(state, cfg, ex, q_vec)
         assert [state.index.ids[r] for r in rows] == expected
 
     def test_rerank_agrees_with_fresh_index(self):
@@ -124,8 +118,9 @@ class TestRetrieve:
                             l_rerank_pool=len(passages), steps=1)
         plain = TrainConfig(k_retrieved=5, steps=1)
         ex = examples[0]
-        assert _retrieve(state, fresh, ex, encode_query(encoder, ex.query)).tolist() == \
-            _retrieve(state, plain, ex, encode_query(encoder, ex.query)).tolist()
+        q_vec = encode_query(encoder, ex.query)
+        assert _retrieve(state, fresh, ex, q_vec)[0].tolist() == \
+            _retrieve(state, plain, ex, q_vec)[0].tolist()
 
     def test_rerank_ties_by_id_not_stale_order(self):
         # Every passage has the same text, so their fresh scores all tie,
@@ -143,11 +138,11 @@ class TestRetrieve:
             ["p11", "p10", "p09"]
         cfg = TrainConfig(mode=MaintenanceMode.RERANK, k_retrieved=4,
                           l_rerank_pool=8)
-        rows = _retrieve(state, cfg, ex, q_vec)
+        rows, stale = _retrieve(state, cfg, ex, q_vec)
         assert [state.index.ids[r] for r in rows] == \
             ["p04", "p05", "p06", "p07"]
         # p04 closes the stale pool, and the fresh top-K holds it.
-        assert state.stale_rerank_warnings == 1
+        assert stale
 
     def test_stale_rerank_warning_counter(self):
         passages, examples, encoder = small_task()
@@ -296,7 +291,7 @@ def dense_reference_step(state, batch, cfg, lm):
     `Gradients`: per example np.add.at into zero tables, total += g / B,
     table -= lr * total."""
     state.step += 1
-    if refresh_policy(state.step, cfg) == RefreshAction.FULL_REBUILD:
+    if cfg.rebuilds_at(state.step):
         state.index = build(state.passages, state.encoder,
                             previous_version=state.index.version)
     if cfg.mode == MaintenanceMode.FIXED:
@@ -307,7 +302,7 @@ def dense_reference_step(state, batch, cfg, lm):
     total = [np.zeros_like(t) for t in tables]
     for ex in batch:
         q_vec = encode_query(enc, ex.query)
-        rows = _retrieve(state, cfg, ex, q_vec)
+        rows, _ = _retrieve(state, cfg, ex, q_vec)
         docs = [state.passages[r].text for r in rows]
         if cfg.mode.trains_docs:
             d_vecs = np.stack([encode_doc(enc, d) for d in docs])
@@ -433,6 +428,32 @@ class TestTrainLoop:
         r1 = recall_at_1(state, examples, cfg)
         assert r0 < 0.2
         assert r1 >= 0.7
+
+    @pytest.mark.parametrize("mode", list(MaintenanceMode))
+    def test_recall_at_1_leaves_state_unchanged(self, mode):
+        # In rerank mode a pool of L = K always holds the stale-index
+        # signal (the fresh top K takes the pool's last row), so it fires
+        # on every retrieval; only training steps may count it.
+        passages, examples, encoder = small_task(n_passages=200,
+                                                 n_examples=16)
+        state = init_state(encoder, passages)
+        cfg = TrainConfig(mode=mode, k_retrieved=5, l_rerank_pool=5,
+                          refresh_interval=2, batch_size=4, steps=5,
+                          learning_rate=0.5)
+        train(state, examples, cfg)
+
+        def snapshot():
+            enc = state.encoder
+            return (state.step, state.stale_rerank_warnings, id(state.index),
+                    state.index.version, list(state.passages),
+                    [t.tobytes() for t in (enc.query.embedding,
+                                           enc.query.projection,
+                                           enc.doc.embedding,
+                                           enc.doc.projection)])
+
+        before = snapshot()
+        recall_at_1(state, examples, cfg)
+        assert snapshot() == before
 
 
 class TestMetricsCsv:
