@@ -23,12 +23,12 @@ from . import __version__, corpus, costmodel, evalkit
 from . import index as index_mod
 from . import lm as lm_mod
 from . import pq as pq_mod
-from . import pretext, retriever, trainer
+from . import formats, pretext, retriever, trainer
 from .formats import atomic_write
 
 
-class UsageError(Exception):
-    pass
+class UsageError(ValueError):
+    """A usage or configuration error (exit 2)."""
 
 
 def _sha256(path: Path) -> str:
@@ -139,8 +139,10 @@ def cmd_search(args) -> int:
 
 
 def _parse_train_config(path: Path) -> trainer.TrainConfig:
-    """Flat key=value file mirroring TrainConfig fields."""
-    fields = {f.name: f.type for f in dataclasses.fields(trainer.TrainConfig)}
+    """Flat key=value file mirroring TrainConfig fields, typed as each
+    field's default."""
+    fields = {f.name: type(f.default)
+              for f in dataclasses.fields(trainer.TrainConfig)}
     values: dict = {}
     with open(path, encoding="utf-8") as fh:
         for line in fh:
@@ -153,18 +155,8 @@ def _parse_train_config(path: Path) -> trainer.TrainConfig:
             key, raw = key.strip(), raw.strip()
             if key not in fields:
                 raise UsageError(f"unknown config key: {key}")
-            if key == "loss":
-                values[key] = trainer.LossKind(raw)
-            elif key == "mode":
-                values[key] = trainer.MaintenanceMode(raw)
-            elif key in ("temperature", "temperature_target", "learning_rate"):
-                values[key] = float(raw)
-            else:
-                values[key] = int(raw)
-    try:
-        return trainer.TrainConfig(**values)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+            values[key] = fields[key](raw)
+    return trainer.TrainConfig(**values)
 
 
 def cmd_train(args) -> int:
@@ -251,12 +243,11 @@ def cmd_evaluate(args) -> int:
     correct, flagged = 0, 0
     for task in tasks:
         docs = retrieve(task.question, args.k) if retrieve else []
-        if args.audit_leakage and docs:
-            hit, _ = evalkit.leakage_audit(task.question, docs)
-            if hit:
-                flagged += 1
-                docs = [p for p in docs
-                        if not evalkit.leakage_audit(task.question, [p])[0]]
+        if args.audit_leakage:
+            kept = [p for p in docs
+                    if not evalkit.leakage_audit(task.question, [p])[0]]
+            flagged += len(kept) < len(docs)
+            docs = kept
         prediction, _ = evalkit.debias_infer(task, scorer, mode=args.mode,
                                              docs=docs)
         correct += int(prediction == task.gold)
@@ -281,16 +272,19 @@ def cmd_swap_index(args) -> int:
     return 0
 
 
+def _fraction(text: str) -> Fraction:
+    """An exact rational from a decimal ("0.04") or a fraction ("1/25")."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"zero denominator in {text!r}") from exc
+
+
 def cmd_cost_model(args) -> int:
-    if args.ratio is not None:
-        ratio = Fraction(args.ratio).limit_denominator(10 ** 6)
-        p_retr, p_lm = ratio.numerator, ratio.denominator
-    else:
-        p_retr, p_lm = args.pretr, args.plm
     params = costmodel.CostModelParams(
         n_docs=args.n, batch_size=args.b, k_retrieved=args.k,
         refresh_interval=args.r, l_reranked=args.l or 0,
-        p_retr=p_retr, p_lm=p_lm)
+        p_retr=args.ratio.numerator, p_lm=args.ratio.denominator)
     full = costmodel.overhead_full_refresh(params)
     print(f"full-refresh overhead: {float(full):.3f} "
           f"(~{round(float(full) * 100 / 10) * 10}%)")
@@ -321,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
                                         "encoder is created when omitted")
     p.add_argument("--dim", type=int, default=64)
     p.add_argument("--shards", type=int, default=1)
-    p.add_argument("--precision", choices=["float32", "float16"],
+    p.add_argument("--precision", choices=list(index_mod.PRECISIONS),
                    default="float32")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_build_index)
@@ -353,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="multiple-choice evaluation")
     p.add_argument("--task", required=True)
-    p.add_argument("--mode", choices=["standard", "cyclic4", "all24"],
+    p.add_argument("--mode", choices=list(evalkit.ORDERINGS),
                    default="standard")
     p.add_argument("--passages")
     p.add_argument("--index")
@@ -373,11 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--r", type=int, default=1)
     p.add_argument("--l", type=int)
-    p.add_argument("--pretr", type=int, default=1)
-    p.add_argument("--plm", type=int, default=25)
-    p.add_argument("--ratio", type=float,
-                   help="P_retr / P_lm as a single number (overrides "
-                        "--pretr/--plm)")
+    p.add_argument("--ratio", type=_fraction, default=Fraction(1, 25),
+                   help="P_retr / P_lm, such as 0.04 or 1/25 (default)")
     p.set_defaults(func=cmd_cost_model)
 
     return parser
@@ -391,13 +382,10 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (FileNotFoundError, OSError, index_mod.FormatError) as exc:
+    except (OSError, formats.FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except ValueError as exc:  # UsageError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

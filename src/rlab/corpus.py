@@ -216,9 +216,11 @@ def read_documents(path) -> Iterator[RawDocument]:
         if not (isinstance(obj.get("id"), str)
                 and isinstance(obj.get("title"), str)
                 and isinstance(obj.get("sections"), list)
-                and all(_is_section(s) for s in obj["sections"])):
-            raise FormatError(f"{where}: expected a string id, a string title "
-                              f"and a list of sections with string text")
+                and all(_is_section(s) for s in obj["sections"])
+                and isinstance(obj.get("dump_date"), (str, type(None)))):
+            raise FormatError(f"{where}: expected a string id, a string title, "
+                              f"a list of sections with string text and a "
+                              f"string or null dump_date")
         try:
             doc = document_from_json(obj)
         except ValueError as exc:
@@ -262,9 +264,14 @@ def read_passages(path) -> list[Passage]:
     A malformed line raises FormatError naming the file and line."""
     out = []
     for where, obj in jsonl_objects(path):
-        if not ("id" in obj and isinstance(obj.get("text"), str)):
-            raise FormatError(f"{where}: expected an object with an id "
-                              f"and a string text")
+        if not (isinstance(obj.get("id"), str)
+                and isinstance(obj.get("text"), str)
+                and all(isinstance(obj.get(k, ""), str)
+                        for k in ("doc_id", "source", "section_title"))
+                and isinstance(obj.get("dump_date"), (str, type(None)))):
+            raise FormatError(f"{where}: expected a string id and text, and "
+                              f"string doc_id, source and section_title and "
+                              f"a string or null dump_date where given")
         out.append(passage_from_json(obj))
     return out
 

@@ -86,20 +86,12 @@ def choice_input_template(question: str, ordered_options: Sequence[str]) -> str:
     return f"question: {question}\noptions: {opts}\nanswer: [MASK_0]"
 
 
-def choice_target_template(letter: str) -> str:
-    return f"[MASK_0] {letter}"
-
-
-def qa_input_template(question: str) -> str:
-    return f"question: {question} answer: [MASK_0]"
-
-
-def qa_target_template(answer: str) -> str:
-    return f"[MASK_0] {answer}"
-
-
-_CYCLIC = tuple(tuple((i + s) % 4 for i in range(4)) for s in range(4))
-_ALL24 = tuple(itertools.permutations(range(4)))
+# Inference mode -> its answer orderings (the options shown as A..D).
+ORDERINGS = {
+    "standard": (tuple(range(4)),),
+    "cyclic4": tuple(tuple((i + s) % 4 for i in range(4)) for s in range(4)),
+    "all24": tuple(itertools.permutations(range(4))),
+}
 
 
 def debias_infer(task: ChoiceTask, scorer: ChoiceScorer,
@@ -107,23 +99,17 @@ def debias_infer(task: ChoiceTask, scorer: ChoiceScorer,
                  docs: Sequence[Passage] = ()) -> tuple[int, np.ndarray]:
     """Marginalize letter probabilities over answer orderings.
 
-    standard: one scorer call with the given order. cyclic4: the four
-    cyclic shifts. all24: every permutation. Per call, the probability of
-    each letter is credited to the option occupying it; the posterior is
-    the normalized sum and the prediction its argmax (ties to the lowest
-    option index).
+    The mode names its orderings in `ORDERINGS`: standard is one scorer
+    call with the given order, cyclic4 the four cyclic shifts, all24 every
+    permutation. Per call, the probability of each letter is credited to
+    the option occupying it; the posterior is the normalized sum and the
+    prediction its argmax (ties to the lowest option index).
     """
-    if mode == "standard":
-        orderings = (tuple(range(4)),)
-    elif mode == "cyclic4":
-        orderings = _CYCLIC
-    elif mode == "all24":
-        orderings = _ALL24
-    else:
+    if mode not in ORDERINGS:
         raise ValueError(f"unknown inference mode {mode!r}")
 
     credit = np.zeros(4)
-    for ordering in orderings:
+    for ordering in ORDERINGS[mode]:
         ordered = [task.options[i] for i in ordering]
         letter_probs = np.asarray(scorer(task.question, ordered, docs))
         for pos, opt_idx in enumerate(ordering):

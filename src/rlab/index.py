@@ -5,7 +5,8 @@ id rank. Search is exact: one product scores every row and one global
 selection takes the top k rows, ties by ascending row (hence by id), so
 the output is identical to a brute-force pass. The `shards` field is
 stored metadata and does not change results. Rebuilds produce a new
-immutable index with an incremented version.
+immutable index with an incremented version. `PRECISIONS` maps each
+storage precision to its dtype, and its RIDX code is its position there.
 """
 
 from __future__ import annotations
@@ -22,16 +23,13 @@ from .formats import (FormatError, atomic_write, join_lines, read_end,
                       read_exact, read_lines)
 from .retriever import DualEncoder, encode_doc
 
-_PRECISIONS = {"float32": 0, "float16": 1}
-_PRECISION_NAMES = {v: k for k, v in _PRECISIONS.items()}
+PRECISIONS = {"float32": np.dtype("<f4"), "float16": np.dtype("<f2")}
 
 
-def _store(vectors: np.ndarray, precision: str) -> np.ndarray:
-    """Emulate storage precision: float16 rounds on write, arithmetic
-    stays in full precision."""
-    if precision == "float16":
-        return vectors.astype(np.float16).astype(np.float64)
-    return vectors.astype(np.float32).astype(np.float64)
+def _dtype(precision: str) -> np.dtype:
+    if precision not in PRECISIONS:
+        raise ValueError(f"unknown precision {precision!r}")
+    return PRECISIONS[precision]
 
 
 def _ascending(ids: Sequence[str]) -> bool:
@@ -69,6 +67,10 @@ class EmbeddingIndex:
     dump_date: str | None = None
 
     def __post_init__(self):
+        _dtype(self.precision)  # rejects an unknown precision
+        if np.shape(self.vectors) != (len(self.ids), self.dim):
+            raise ValueError(f"vectors of shape {np.shape(self.vectors)} "
+                             f"for {len(self.ids)} ids of dim {self.dim}")
         ids, vectors = sort_by_id(self.ids, self.vectors)
         object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "vectors", vectors)
@@ -78,8 +80,7 @@ class EmbeddingIndex:
         return len(self.ids)
 
     def memory_bytes(self) -> int:
-        per_scalar = 2 if self.precision == "float16" else 4
-        return self.size * self.dim * per_scalar
+        return self.size * self.dim * PRECISIONS[self.precision].itemsize
 
 
 def build(passages: Sequence[Passage], encoder: DualEncoder,
@@ -92,12 +93,14 @@ def build(passages: Sequence[Passage], encoder: DualEncoder,
     if shards < 1:
         raise ValueError("shards must be >= 1")
     vectors = np.stack([encode_doc(encoder, p.text) for p in passages])
+    # Storage precision rounds on write; arithmetic stays in float64.
+    vectors = vectors.astype(_dtype(precision)).astype(np.float64)
     dates = {p.dump_date for p in passages if p.dump_date}
     return EmbeddingIndex(
         version=previous_version + 1,
         dim=encoder.dim,
         ids=[p.id for p in passages],
-        vectors=_store(vectors, precision),
+        vectors=vectors,
         precision=precision,
         shards=shards,
         dump_date=dates.pop() if len(dates) == 1 else None,
@@ -165,11 +168,11 @@ def save_index(index: EmbeddingIndex, path):
     id_blob = join_lines(index.ids, "id")
     dates = [] if index.dump_date is None else [index.dump_date]
     date_blob = join_lines(dates, "dump_date")
-    dtype = "<f2" if index.precision == "float16" else "<f4"
+    dtype = PRECISIONS[index.precision]
     with atomic_write(path) as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<IIIBIQ", _FORMAT_VERSION, index.version,
-                             index.dim, _PRECISIONS[index.precision],
+                             index.dim, list(PRECISIONS).index(index.precision),
                              index.size, len(id_blob)))
         fh.write(struct.pack("<IBI", index.shards, len(dates), len(date_blob)))
         fh.write(date_blob)
@@ -185,9 +188,9 @@ def load_index(path) -> EmbeddingIndex:
             "<IIIBIQ", read_exact(fh, 25, path))
         if fmt not in (1, _FORMAT_VERSION):
             raise FormatError(f"{path}: unsupported index format {fmt}")
-        if prec not in _PRECISION_NAMES:
+        if prec >= len(PRECISIONS):
             raise FormatError(f"{path}: unknown precision code {prec}")
-        precision = _PRECISION_NAMES[prec]
+        precision = list(PRECISIONS)[prec]
         shards, n_dates, date_len = 1, 0, 0
         if fmt == 2:
             shards, n_dates, date_len = struct.unpack(
@@ -197,7 +200,7 @@ def load_index(path) -> EmbeddingIndex:
                                   f"{n_dates} dump dates")
         dates = read_lines(fh, date_len, n_dates, path, "dump_date")
         ids = read_lines(fh, id_len, n, path, "id")
-        dtype = np.dtype("<f2" if precision == "float16" else "<f4")
+        dtype = PRECISIONS[precision]
         vectors = np.frombuffer(read_exact(fh, n * dim * dtype.itemsize, path),
                                 dtype=dtype).astype(np.float64)
         read_end(fh, path)

@@ -95,11 +95,8 @@ def pdist_target(per_doc_logliks: Sequence[float],
                  temperature_target: float = DEFAULT_TARGET_TEMPERATURE) -> TargetDistribution:
     """Document posterior under a uniform prior: softmax of the per-doc
     output log-likelihoods."""
-    logliks = np.asarray(per_doc_logliks, dtype=np.float64)
-    if not np.all(np.isfinite(logliks)):
-        return _target_softmax(np.full(logliks.size, -np.inf),
-                               temperature_target, LossKind.PDIST)
-    return _target_softmax(logliks, temperature_target, LossKind.PDIST)
+    return _target_softmax(np.asarray(per_doc_logliks, dtype=np.float64),
+                           temperature_target, LossKind.PDIST)
 
 
 def loop_target(loo_logliks: Sequence[float],

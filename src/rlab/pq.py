@@ -54,6 +54,11 @@ class PQIndex:
     dim: int
 
     def __post_init__(self):
+        if np.shape(self.codes) != (len(self.ids), self.codec.m):
+            raise ValueError(f"codes of shape {np.shape(self.codes)} for "
+                             f"{len(self.ids)} ids and m={self.codec.m}")
+        if self.dim != self.codec.dim:
+            raise ValueError(f"dim {self.dim} != codec dim {self.codec.dim}")
         ids, codes = sort_by_id(self.ids, self.codes)
         object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "codes", codes)

@@ -270,8 +270,9 @@ def retriever_gradient(enc: DualEncoder, query: Sequence[str],
 # ---------------------------------------------------------------------------
 # Checkpoint format: magic "RLAB", version, d, vocab size, vocab byte length
 # (from version 2), then row-major float32 tables (query emb, query proj,
-# doc emb, doc proj), then the newline-joined vocab as UTF-8. A version 1
-# file has no vocab length; its vocab runs to the end of the file.
+# doc emb, doc proj), then the newline-joined vocab as UTF-8, which starts
+# with UNK and holds each token once. A version 1 file has no vocab length;
+# its vocab runs to the end of the file.
 
 _MAGIC = b"RLAB"
 _VERSION = 2
@@ -308,6 +309,9 @@ def load_checkpoint(path) -> DualEncoder:
     vocab = Vocab.__new__(Vocab)
     vocab.tokens = tokens
     vocab.index = {t: i for i, t in enumerate(tokens)}
+    if tokens[:1] != [UNK] or len(vocab.index) != len(tokens):
+        raise FormatError(f"{path}: vocab must start with {UNK!r} and hold "
+                          f"each token once")
     return DualEncoder(vocab,
                        EncoderParams(tables[0], tables[1]),
                        EncoderParams(tables[2], tables[3]))

@@ -8,6 +8,9 @@ Index-maintenance strategies (`retriever.MaintenanceMode`):
                 those L documents with the current parameters, keep top-K;
   full_refresh  train everything and rebuild the index every R steps.
 
+An example never retrieves its origin passage: that row's score is masked
+to -inf and k capped at the other rows, so rerank re-embeds exactly L.
+
 A step works in index rows, never passage ids: `TrainerState.passages`
 is in index row order, and the static modes take document vectors from
 the index rows. Score gradients reach the encoder through
@@ -54,6 +57,7 @@ class TrainConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "mode", MaintenanceMode(self.mode))
+        object.__setattr__(self, "loss", LossKind(self.loss))
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.mode == MaintenanceMode.RERANK and self.l_rerank_pool < self.k_retrieved:
@@ -118,26 +122,26 @@ def _retrieve(state: TrainerState, cfg: TrainConfig, example: TrainExample,
     vector q_vec, best first, honoring the maintenance mode and
     self-exclusion; and whether rerank raised the stale-index signal.
     State is not changed."""
-    origin = example.origin_passage_id
-    extra = 1 if origin else 0
     scores = state.index.vectors @ q_vec
-    if cfg.mode == MaintenanceMode.RERANK:
-        pool = index_mod._top_k(scores, cfg.l_rerank_pool + extra)
-        # Rescored in row order, so fresh ties break by ascending id.
-        by_row = np.sort(pool)
-        fresh = np.array([np.dot(q_vec, encode_doc(state.encoder,
-                                                   state.passages[r].text))
-                          for r in by_row.tolist()])
-        rows = by_row[index_mod._top_k(fresh, len(by_row))]
-        # Stale-index signal: a fresh top-K element coming from the tail of
-        # the stale pool suggests the true top-K may have escaped it.
-        stale = bool(np.isin(rows[:cfg.k_retrieved],
-                             pool[cfg.l_rerank_pool - 1:]).any())
-    else:
-        rows, stale = index_mod._top_k(scores, cfg.k_retrieved + extra), False
+    n = state.index.size  # selectable rows: all but the origin's
+    origin = example.origin_passage_id
     row = bisect.bisect_left(state.index.ids, origin)
-    if origin and row < state.index.size and state.index.ids[row] == origin:
-        rows = rows[rows != row]
+    if origin and row < n and state.index.ids[row] == origin:
+        scores[row] = -np.inf
+        n -= 1
+    if cfg.mode != MaintenanceMode.RERANK:
+        return index_mod._top_k(scores, min(cfg.k_retrieved, n)), False
+    pool = index_mod._top_k(scores, min(cfg.l_rerank_pool, n))
+    # Rescored in row order, so fresh ties break by ascending id.
+    by_row = np.sort(pool)
+    fresh = np.array([np.dot(q_vec, encode_doc(state.encoder,
+                                               state.passages[r].text))
+                      for r in by_row.tolist()])
+    rows = by_row[index_mod._top_k(fresh, len(by_row))]
+    # Stale-index signal: a fresh top-K element coming from the tail of the
+    # stale pool suggests the true top-K may have escaped it.
+    stale = bool(np.isin(rows[:cfg.k_retrieved],
+                         pool[cfg.l_rerank_pool - 1:]).any())
     return rows[:cfg.k_retrieved], stale
 
 

@@ -3,9 +3,10 @@ from dataclasses import replace
 
 import pytest
 
-from rlab.cli import main
+from rlab.cli import _parse_train_config, main
 from rlab.corpus import read_passages, write_passages
 from rlab.index import load_index
+from rlab.trainer import LossKind, MaintenanceMode, TrainConfig
 
 
 def make_raw_corpus(path, n_docs=6, words_per_section=120):
@@ -239,7 +240,52 @@ class TestTrain:
                      "--out", str(tmp_path / "run")]) == 2
 
 
+    def test_config_file_sets_every_field(self, tmp_path):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("# every field, off its default\n"
+                       "k_retrieved = 3\nl_rerank_pool = 7\n"
+                       "refresh_interval = 2\nbatch_size = 4\n"
+                       "temperature = 0.5\ntemperature_target = 2\n"
+                       "loss = emdr2\nmode = rerank\nsteps = 9\n"
+                       "learning_rate = 1e-3\nwarmup_steps = 0\nseed = 11\n")
+        assert _parse_train_config(cfg) == TrainConfig(
+            k_retrieved=3, l_rerank_pool=7, refresh_interval=2, batch_size=4,
+            temperature=0.5, temperature_target=2.0, loss=LossKind.EMDR2,
+            mode=MaintenanceMode.RERANK, steps=9, learning_rate=1e-3,
+            warmup_steps=0, seed=11)
+
+    @pytest.mark.parametrize("line", ["steps = 3.5", "temperature = warm",
+                                      "loss = bogus", "mode = bogus"])
+    def test_mistyped_config_value_exit_2(self, workspace, line):
+        tmp_path, raw = workspace
+        passages = run_ingest(tmp_path, raw)
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(line + "\n")
+        assert main(["train", "--config", str(cfg),
+                     "--corpus", str(passages),
+                     "--out", str(tmp_path / "run")]) == 2
+
+
 class TestEvaluate:
+    def test_leakage_audit_counts_flagged_questions(self, workspace, capsys):
+        # Questions copied from a passage are flagged; an unrelated one is
+        # not.
+        tmp_path, raw = workspace
+        passages_path = run_ingest(tmp_path, raw)
+        index_path, ckpt = run_build(tmp_path, passages_path)
+        copied = " ".join(read_passages(passages_path)[2].text[:8])
+        task_file = tmp_path / "tasks.jsonl"
+        task_file.write_text("".join(
+            json.dumps({"question": q, "options": ["a", "b", "c", "d"],
+                        "gold": 0}) + "\n"
+            for q in (copied, "unrelated words", copied)))
+        capsys.readouterr()
+        assert main(["evaluate", "--task", str(task_file),
+                     "--passages", str(passages_path),
+                     "--index", str(index_path), "--checkpoint", str(ckpt),
+                     "--audit-leakage"]) == 0
+        assert "leakage-flagged questions: 2" in capsys.readouterr().out
+
     def test_choice_accuracy(self, tmp_path, capsys):
         task_file = tmp_path / "tasks.jsonl"
         with open(task_file, "w") as fh:
@@ -339,6 +385,21 @@ class TestCostModel:
         out = capsys.readouterr().out
         assert "full-refresh overhead: 0.289 (~30%)" in out
         assert "rerank overhead: 0.100" in out
+
+    @pytest.mark.parametrize("ratio", [[], ["--ratio", "1/25"],
+                                       ["--ratio", "0.04"]])
+    def test_ratio_is_an_exact_fraction(self, capsys, ratio):
+        # P_retr / P_lm = 1/25 by default, in decimal or as a fraction.
+        assert main(["cost-model", "--n", "37000000", "--b", "64",
+                     "--k", "20", "--r", "1000", "--l", "200"] + ratio) == 0
+        assert capsys.readouterr().out == (
+            "full-refresh overhead: 0.289 (~30%)\n"
+            "rerank overhead: 0.100\n")
+
+    @pytest.mark.parametrize("ratio", ["abc", "1/0", "inf", "0", "-0.04"])
+    def test_bad_ratio_exit_2(self, ratio):
+        assert main(["cost-model", "--n", "10", "--b", "1", "--k", "1",
+                     "--ratio", ratio]) == 2
 
 
 class TestUsage:

@@ -163,6 +163,11 @@ class TestIO:
         (b'{"id": "b"}', "text"),
         (b'{"id": "b", "text": 5}', "text"),
         (b'["b", "x y"]', "object"),
+        # Non-string fields would load, then crash index writers.
+        (b'{"id": 5, "text": "x y"}', "id"),
+        (b'{"id": "b", "text": "x y", "doc_id": ["d"]}', "doc_id"),
+        (b'{"id": "b", "text": "x y", "dump_date": 2021}', "dump_date"),
+        (b'{"id": "b", "text": "x y", "section_title": null}', "section_title"),
     ])
     def test_read_passages_format_error_names_line(self, tmp_path, bad_line,
                                                    reason):
@@ -203,6 +208,8 @@ class TestIO:
         (b'{"id": "", "title": "T", "sections": [], "dump_date": "2021"}',
          "nonempty"),
         (b'{"id": "b", "title": "T", "sections": []}', "dump_date"),
+        (b'{"id": "b", "title": "T", "sections": [], "dump_date": 2021}',
+         "dump_date"),
     ])
     def test_read_documents_format_error_names_line(self, tmp_path, bad_line,
                                                     reason):

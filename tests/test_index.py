@@ -177,6 +177,37 @@ class TestIdOrder:
             EmbeddingIndex(version=1, dim=1, ids=ids,
                            vectors=np.ones((len(ids), 1)))
 
+    @pytest.mark.parametrize("ids, dim, shape", [
+        (["a", "b"], 2, (3, 2)),  # a row with no id
+        (["b", "a"], 2, (1, 2)),  # an id with no row, out of order
+        (["a", "b"], 3, (2, 2)),  # rows narrower than dim
+        (["a", "b"], 2, (2,)),
+    ])
+    def test_vectors_must_match_ids_and_dim(self, ids, dim, shape):
+        with pytest.raises(ValueError, match="shape"):
+            EmbeddingIndex(version=1, dim=dim, ids=ids,
+                           vectors=np.ones(shape))
+
+    @pytest.mark.parametrize("codes_shape, dim", [
+        ((3, 1), 1),  # a row with no id
+        ((2, 2), 1),  # two codes per row for a one-subspace codec
+        ((2, 1), 2),  # dim differs from the codec's
+    ])
+    def test_pq_codes_must_match_ids_and_codec(self, codes_shape, dim):
+        codec = PQCodec(m=1, k_c=2, codebooks=np.zeros((1, 2, 1)))
+        with pytest.raises(ValueError, match="shape|dim"):
+            PQIndex(codec=codec, ids=["a", "b"],
+                    codes=np.zeros(codes_shape, dtype=np.int64),
+                    version=1, dim=dim)
+
+    def test_unknown_precision_rejected(self):
+        passages = make_passages(2)
+        with pytest.raises(ValueError, match="'bfloat16'"):
+            build(passages, make_encoder(passages), precision="bfloat16")
+        with pytest.raises(ValueError, match="'bfloat16'"):
+            EmbeddingIndex(version=1, dim=1, ids=["a"], vectors=np.ones((1, 1)),
+                           precision="bfloat16")
+
     def test_build_rejects_duplicate_passage_ids(self):
         passages = make_passages(3)
         passages.append(passages[1])

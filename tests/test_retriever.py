@@ -3,7 +3,8 @@ import struct
 import numpy as np
 import pytest
 
-from rlab.index import FormatError
+from rlab.cli import main
+from rlab.index import EmbeddingIndex, FormatError, save_index
 from rlab.retriever import (DualEncoder, EncoderParams, Gradients,
                             MaintenanceMode, Vocab, encode, encode_doc,
                             encode_query, init_encoder, load_checkpoint,
@@ -289,3 +290,26 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=r"'b\\nc'"):
             save_checkpoint(enc, path)
         assert not path.exists()
+
+    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("tokens", [
+        [],  # no UNK row: any lookup indexes an empty table
+        ["<unk>", "ab", "ab"],  # "ab" answers to row 2, row 1 is orphaned
+        ["ab", "<unk>"],  # unknown tokens would share the row of "ab"
+    ])
+    def test_bad_vocab_table_rejected(self, tmp_path, tokens, version):
+        vocab = Vocab.__new__(Vocab)
+        vocab.tokens = tokens
+        vocab.index = {t: i for i, t in enumerate(tokens)}
+        side = EncoderParams(np.zeros((len(tokens), 4)), np.eye(4))
+        path, blob = self._saved(tmp_path, DualEncoder(vocab, side, side))
+        if version == 1:
+            path.write_bytes(b"RLAB" + struct.pack("<III", 1, 4, len(tokens))
+                             + blob[24:])
+        with pytest.raises(FormatError, match="enc.rlab.*vocab"):
+            load_checkpoint(path)
+        index = tmp_path / "idx.ridx"
+        save_index(EmbeddingIndex(version=1, dim=4, ids=["a"],
+                                  vectors=np.ones((1, 4))), index)
+        assert main(["search", "--index", str(index), "--checkpoint",
+                     str(path), "--query", "ab cd"]) == 1

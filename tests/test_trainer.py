@@ -50,6 +50,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             TrainConfig(mode="bogus")
 
+    def test_loss_given_as_string(self):
+        assert TrainConfig(loss="emdr2").loss is LossKind.EMDR2
+        with pytest.raises(ValueError):
+            TrainConfig(loss="bogus")
+
 
 class TestRefreshPolicy:
     def test_full_refresh_schedule(self):
@@ -143,6 +148,51 @@ class TestRetrieve:
             ["p04", "p05", "p06", "p07"]
         # p04 closes the stale pool, and the fresh top-K holds it.
         assert stale
+
+    @staticmethod
+    def _count_encodes(monkeypatch):
+        """The texts rerank re-embeds, recorded through trainer.encode_doc."""
+        encoded = []
+
+        def counting(enc, text):
+            encoded.append(text)
+            return encode_doc(enc, text)
+        monkeypatch.setattr("rlab.trainer.encode_doc", counting)
+        return encoded
+
+    def test_rerank_reembeds_exactly_l(self, monkeypatch):
+        # The query is the origin's own text, so the origin tops the stale
+        # scores; it is masked out and never re-embedded.
+        passages, _, encoder = small_task()
+        state = init_state(encoder, passages)
+        cfg = TrainConfig(mode=MaintenanceMode.RERANK, k_retrieved=3,
+                          l_rerank_pool=6)
+        origin = passages[4]
+        ex = TrainExample(query=origin.text, output=("x",),
+                          origin_passage_id=origin.id)
+        q_vec = encode_query(encoder, ex.query)
+        assert search(state.index, q_vec, 1)[0][0] == origin.id
+        encoded = self._count_encodes(monkeypatch)
+        rows, _ = _retrieve(state, cfg, ex, q_vec)
+        assert len(encoded) == cfg.l_rerank_pool
+        assert origin.text not in encoded
+        assert len(rows) == 3 and origin.id not in \
+            [state.index.ids[r] for r in rows]
+
+    @pytest.mark.parametrize("mode", list(MaintenanceMode))
+    def test_origin_not_in_index_changes_nothing(self, monkeypatch, mode):
+        passages, examples, encoder = small_task()
+        state = init_state(encoder, passages)
+        cfg = TrainConfig(mode=mode, k_retrieved=3, l_rerank_pool=6)
+        q_vec = encode_query(encoder, examples[0].query)
+        encoded = self._count_encodes(monkeypatch)
+        results = []
+        for origin in ("", "absent"):
+            ex = replace(examples[0], origin_passage_id=origin)
+            rows, stale = _retrieve(state, cfg, ex, q_vec)
+            results.append((rows.tolist(), stale, len(encoded)))
+            encoded.clear()
+        assert results[0] == results[1]
 
     def test_stale_rerank_warning_counter(self):
         passages, examples, encoder = small_task()
