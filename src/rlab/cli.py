@@ -41,7 +41,8 @@ def _sha256(path: Path) -> str:
 
 def _write_manifest(out_dir: Path, command: str, config: dict,
                     inputs: dict[str, Path], timings: dict[str, float],
-                    index_version: int | None = None):
+                    index_version: int | None = None,
+                    metrics: dict[str, float] | None = None):
     manifest = {
         "tool_version": __version__,
         "command": command,
@@ -49,6 +50,7 @@ def _write_manifest(out_dir: Path, command: str, config: dict,
         "input_hashes": {k: _sha256(p) for k, p in inputs.items()},
         "index_version": index_version,
         "timings_s": {k: round(v, 4) for k, v in timings.items()},
+        "metrics": metrics or {},
     }
     out_dir.mkdir(parents=True, exist_ok=True)
     with atomic_write(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
@@ -117,13 +119,24 @@ def cmd_compress_index(args) -> int:
                             iterations=args.iterations, seed=args.seed)
     compressed = pq_mod.compress(idx, codec)
     pq_mod.save_pq_index(compressed, args.out)
+    t1 = time.perf_counter()
+    # Up to 100 index rows, drawn with --seed, query both indexes.
+    queries = idx.vectors[np.random.default_rng(args.seed).choice(
+        idx.size, min(100, idx.size), replace=False)]
+    k = min(10, idx.size)
+    metrics = {
+        "reconstruction_mse": pq_mod.squared_error(idx, compressed) / idx.size,
+        "recall_at_10": pq_mod.recall_at_k(
+            [pq_mod.pq_search(compressed, q, k) for q in queries],
+            index_mod.search_batch(idx, queries, k), k),
+    }
     ratio = idx.memory_bytes() / compressed.memory_bytes()
     _write_manifest(Path(args.out).parent, "compress-index",
                     {"m": args.m, "kc": args.kc,
                      "iterations": args.iterations, "seed": args.seed},
                     {"index": Path(args.index)},
-                    {"compress": time.perf_counter() - t0},
-                    index_version=idx.version)
+                    {"compress": t1 - t0, "metrics": time.perf_counter() - t1},
+                    index_version=idx.version, metrics=metrics)
     print(f"compressed {idx.memory_bytes()} -> {compressed.memory_bytes()} "
           f"bytes ({ratio:.1f}x)")
     return 0

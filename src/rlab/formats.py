@@ -7,17 +7,23 @@ reader (raw documents, passages, choice and temporal tasks, mock LM
 scores) takes its lines from `jsonl_objects` and names the file and line
 of a bad record. String tables (ids, vocab tokens) are stored
 newline-joined, so writers refuse any string holding a newline before
-they open the file. Every artifact writer goes through `atomic_write`, so
-a failed write leaves the previous file as it was.
+they open the file. Float tables go through `float_bytes` and
+`read_floats`: a writer refuses, before it opens the file, a value that
+would be stored as NaN or infinite, and a reader rejects one. Every
+artifact writer goes through `atomic_write`, so a failed write leaves the
+previous file as it was.
 """
 
 from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 import secrets
 from typing import Iterator, Sequence
+
+import numpy as np
 
 
 class FormatError(ValueError):
@@ -62,6 +68,27 @@ def read_end(fh, path):
     if remaining(fh):
         raise FormatError(f"{path}: {remaining(fh)} trailing bytes "
                           f"after byte {fh.tell()}")
+
+
+def float_bytes(values, dtype, what: str) -> bytes:
+    """values stored as dtype; ValueError (`what` names them) if a stored
+    value would be NaN or infinite, an overflow of dtype included."""
+    with np.errstate(over="ignore"):
+        stored = np.ascontiguousarray(values, dtype=dtype)
+    if not np.isfinite(stored).all():
+        raise ValueError(f"non-finite value in the {what}")
+    return stored.tobytes()
+
+
+def read_floats(fh, shape: tuple[int, ...], dtype, path, what: str) -> np.ndarray:
+    """The next float64 array of shape, stored as dtype; a NaN or infinite
+    value raises FormatError naming the file (checked before the upcast)."""
+    dtype = np.dtype(dtype)
+    stored = np.frombuffer(read_exact(fh, math.prod(shape) * dtype.itemsize,
+                                      path), dtype=dtype)
+    if not np.isfinite(stored).all():
+        raise FormatError(f"{path}: non-finite value in the {what}")
+    return stored.astype(np.float64).reshape(shape)
 
 
 def join_lines(strings: Sequence[str], what: str) -> bytes:

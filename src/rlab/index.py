@@ -19,8 +19,8 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import Passage
-from .formats import (FormatError, atomic_write, join_lines, read_end,
-                      read_exact, read_lines)
+from .formats import (FormatError, atomic_write, float_bytes, join_lines,
+                      read_end, read_exact, read_floats, read_lines)
 from .retriever import DualEncoder, encode_doc
 
 PRECISIONS = {"float32": np.dtype("<f4"), "float16": np.dtype("<f2")}
@@ -168,7 +168,8 @@ def save_index(index: EmbeddingIndex, path):
     id_blob = join_lines(index.ids, "id")
     dates = [] if index.dump_date is None else [index.dump_date]
     date_blob = join_lines(dates, "dump_date")
-    dtype = PRECISIONS[index.precision]
+    vector_blob = float_bytes(index.vectors, PRECISIONS[index.precision],
+                              "vectors")
     with atomic_write(path) as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<IIIBIQ", _FORMAT_VERSION, index.version,
@@ -177,7 +178,7 @@ def save_index(index: EmbeddingIndex, path):
         fh.write(struct.pack("<IBI", index.shards, len(dates), len(date_blob)))
         fh.write(date_blob)
         fh.write(id_blob)
-        fh.write(np.ascontiguousarray(index.vectors, dtype=dtype).tobytes())
+        fh.write(vector_blob)
 
 
 def load_index(path) -> EmbeddingIndex:
@@ -200,12 +201,11 @@ def load_index(path) -> EmbeddingIndex:
                                   f"{n_dates} dump dates")
         dates = read_lines(fh, date_len, n_dates, path, "dump_date")
         ids = read_lines(fh, id_len, n, path, "id")
-        dtype = PRECISIONS[precision]
-        vectors = np.frombuffer(read_exact(fh, n * dim * dtype.itemsize, path),
-                                dtype=dtype).astype(np.float64)
+        vectors = read_floats(fh, (n, dim), PRECISIONS[precision], path,
+                              "vectors")
         read_end(fh, path)
     return _from_file(EmbeddingIndex, path, version=version, dim=dim,
-                      ids=ids, vectors=vectors.reshape(n, dim),
+                      ids=ids, vectors=vectors,
                       precision=precision, shards=shards,
                       dump_date=dates[0] if dates else None)
 

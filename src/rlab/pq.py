@@ -6,11 +6,10 @@ subvector is replaced by the index of its nearest centroid out of k_c
 learned per subspace. Search decodes nothing: per-subspace dot-product
 lookup tables against the query give the approximate scores.
 
-Every squared distance (seeding, k-means assignment, `compress`) comes
-from `_sq_dists`, which sums (x - c)^2 directly. The GEMM expansion
-|x|^2 - 2 x.c + |c|^2 would be faster but rounds differently, so a
-near-tied argmin could flip and change codebooks and codes; it is left to
-a change gated by the loop-based reference in the tests.
+`_nearest` gives the k-means assignment and the codes: one GEMM per
+subspace screens, and the direct sum of (x - c)^2 settles near ties, so
+they equal a direct argmin's, the first of ties. k-means++ seeding adds
+one centroid at a time by the direct sum.
 """
 
 from __future__ import annotations
@@ -22,8 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .formats import (FormatError, atomic_write, join_lines, read_end,
-                      read_exact, read_lines)
+from .formats import (FormatError, atomic_write, float_bytes, join_lines,
+                      read_end, read_exact, read_floats, read_lines)
 from .index import EmbeddingIndex, _from_file, _results, sort_by_id
 
 
@@ -83,10 +82,40 @@ def _check_k_c(k_c: int):
         raise ValueError(f"k_c={k_c} exceeds {_MAX_K_C}: RPQX codes are 16-bit")
 
 
-def _sq_dists(data: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """(N, k) squared Euclidean distances from each row of data to each
-    centroid, summed directly over (x - c)^2."""
-    return np.sum((data[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
+def _nearest(data: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Row of each data row's nearest centroid under the direct sum of
+    (x - c)^2 over n = data.shape[1] terms, the first of tied centroids.
+
+    Screen. h_c = |c|^2 - 2 x.c (one GEMM) is D_c - |x|^2, where D_c is
+    the exact squared distance; |x|^2 is the same for every centroid of
+    a row, so it is left out, and b = argmin h.
+
+    Refine. With u = eps/2, gamma_j = j u / (1 - j u) and
+    E = |x|^2 + max_c |c|^2 (so D_c <= 2E and |c|^2 + 2|x.c| <= 2E), the
+    rounding error of the direct sum Dd_c (3u per squared difference, then
+    n - 1 additions of nonnegative terms) is e' <= gamma_(n+2) D_c
+    <= 2 gamma_(n+2) E, and that of the computed h_c (|c|^2 and x.c in any
+    summation order, then one addition) is e <= 2 gamma_(n+2) E. Any
+    centroid c with Dd_c <= Dd_b, so the direct winner and its ties, has
+    h_c <= D_c - |x|^2 + e <= Dd_c + e' - |x|^2 + e <= Dd_b + e' - |x|^2 + e
+    <= D_b + 2e' - |x|^2 + e <= h_b + 2(e + e') <= h_b + 8 gamma_(n+2) E.
+    So every centroid within tol = 16 (n + 2) eps E of h_b (four times the
+    bound, which covers the rounding of tol itself) is a candidate; rows
+    with more than one take the direct argmin over their candidates.
+    """
+    c2 = np.einsum("kd,kd->k", centroids, centroids)
+    h = data @ (-2 * centroids).T  # scaling by -2 is exact
+    h += c2
+    best = np.argmin(h, axis=1)
+    tol = (16 * (data.shape[1] + 2) * np.finfo(np.float64).eps
+           * (np.einsum("nd,nd->n", data, data) + c2.max()))
+    close = h <= (h[np.arange(len(data)), best] + tol)[:, None]
+    ties = np.flatnonzero(np.count_nonzero(close, axis=1) > 1)
+    rows, cols = np.nonzero(close[ties])
+    direct = np.full((len(ties), len(centroids)), np.inf)
+    direct[rows, cols] = np.sum((data[ties[rows]] - centroids[cols]) ** 2, axis=1)
+    best[ties] = np.argmin(direct, axis=1)
+    return best
 
 
 def _kmeans_pp_init(data: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -95,7 +124,7 @@ def _kmeans_pp_init(data: np.ndarray, k: int, rng: np.random.Generator) -> np.nd
     rows = [int(rng.integers(len(data)))]
     d2 = np.full(len(data), np.inf)
     for _ in range(1, k):
-        d2 = np.minimum(d2, _sq_dists(data, data[rows[-1:]])[:, 0])
+        d2 = np.minimum(d2, np.sum((data - data[rows[-1]]) ** 2, axis=1))
         rows.append(int(np.argmax(d2)))
     return data[rows]
 
@@ -104,7 +133,7 @@ def _kmeans(data: np.ndarray, k: int, iterations: int,
             rng: np.random.Generator) -> np.ndarray:
     centroids = _kmeans_pp_init(data, k, rng)
     for _ in range(iterations):
-        assign = np.argmin(_sq_dists(data, centroids), axis=1)
+        assign = _nearest(data, centroids)
         sums = np.zeros_like(centroids)
         np.add.at(sums, assign, data)
         counts = np.bincount(assign, minlength=k)
@@ -126,27 +155,28 @@ def train_pq(index: EmbeddingIndex, m: int, k_c: int,
     if k_c > index.size:
         raise ValueError("insufficient data: k_c exceeds index size")
     rng = np.random.default_rng(seed)
-    sub = index.vectors.reshape(index.size, m, index.dim // m)
-    codebooks = np.stack([
-        _kmeans(sub[:, j, :], k_c, iterations, rng) for j in range(m)
-    ])
+    sub = index.vectors.reshape(index.size, m, -1).transpose(1, 0, 2).copy()
+    codebooks = np.stack([_kmeans(part, k_c, iterations, rng) for part in sub])
     return PQCodec(m=m, k_c=k_c, codebooks=codebooks)
 
 
 def pq_objective(index: EmbeddingIndex, codec: PQCodec) -> float:
     """Total squared quantization error of the index under the codec."""
-    compressed = compress(index, codec)
-    decoded = decode(compressed)
-    return float(((index.vectors - decoded) ** 2).sum())
+    return squared_error(index, compress(index, codec))
+
+
+def squared_error(index: EmbeddingIndex, pqindex: PQIndex) -> float:
+    """Total squared error of pqindex's decoded vectors against index's."""
+    return float(((index.vectors - decode(pqindex)) ** 2).sum())
 
 
 def compress(index: EmbeddingIndex, codec: PQCodec) -> PQIndex:
     """Each vector's nearest centroid per subspace, the first of ties."""
     if codec.dim != index.dim:
         raise ValueError("codec dimension incompatible with index")
-    sub = index.vectors.reshape(index.size, codec.m, codec.sub_dim)
-    codes = np.stack([np.argmin(_sq_dists(sub[:, j, :], codec.codebooks[j]),
-                                axis=1) for j in range(codec.m)], axis=1)
+    sub = index.vectors.reshape(index.size, codec.m, -1).transpose(1, 0, 2).copy()
+    codes = np.stack([_nearest(part, cb)
+                      for part, cb in zip(sub, codec.codebooks)], axis=1)
     return PQIndex(codec=codec, ids=list(index.ids), codes=codes,
                    version=index.version, dim=index.dim)
 
@@ -228,13 +258,14 @@ def save_pq_index(pqindex: PQIndex, path):
     _check_k_c(pqindex.codec.k_c)
     id_blob = join_lines(pqindex.ids, "id")
     codec = pqindex.codec
+    cb_blob = float_bytes(codec.codebooks, "<f4", "codebooks")
     with atomic_write(path) as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<IIIIIIQ", _FORMAT_VERSION, pqindex.version,
                              pqindex.dim, codec.m, codec.k_c, pqindex.size,
                              len(id_blob)))
         fh.write(id_blob)
-        fh.write(np.ascontiguousarray(codec.codebooks, dtype="<f4").tobytes())
+        fh.write(cb_blob)
         fh.write(np.ascontiguousarray(pqindex.codes, dtype="<u2").tobytes())
 
 
@@ -249,15 +280,12 @@ def load_pq_index(path) -> PQIndex:
         if m == 0 or dim % m:
             raise FormatError(f"{path}: m={m} does not divide dim={dim}")
         ids = read_lines(fh, id_len, n, path, "id")
-        sub_dim = dim // m
-        cb = np.frombuffer(read_exact(fh, 4 * m * k_c * sub_dim, path),
-                           dtype="<f4")
+        cb = read_floats(fh, (m, k_c, dim // m), "<f4", path, "codebooks")
         codes = np.frombuffer(read_exact(fh, 2 * n * m, path), dtype="<u2")
         read_end(fh, path)
     if codes.size and int(codes.max()) >= k_c:
         raise FormatError(f"{path}: code {int(codes.max())} >= k_c={k_c}")
-    codec = PQCodec(m=m, k_c=k_c,
-                    codebooks=cb.astype(np.float64).reshape(m, k_c, sub_dim))
-    return _from_file(PQIndex, path, codec=codec, ids=ids,
+    return _from_file(PQIndex, path, codec=PQCodec(m=m, k_c=k_c, codebooks=cb),
+                      ids=ids,
                       codes=codes.astype(np.int64).reshape(n, m),
                       version=version, dim=dim)

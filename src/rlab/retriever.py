@@ -29,8 +29,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .formats import (FormatError, atomic_write, join_lines, read_end,
-                      read_exact, read_lines, remaining)
+from .formats import (FormatError, atomic_write, float_bytes, join_lines,
+                      read_end, read_exact, read_floats, read_lines,
+                      remaining)
 
 UNK = "<unk>"
 DEFAULT_TEMPERATURE = 0.1  # tuned retrieval temperature
@@ -280,13 +281,14 @@ _VERSION = 2
 
 def save_checkpoint(enc: DualEncoder, path):
     vocab_blob = join_lines(enc.vocab.tokens, "vocab token")
+    tables = [float_bytes(table, "<f4", "encoder tables")
+              for table in (enc.query.embedding, enc.query.projection,
+                            enc.doc.embedding, enc.doc.projection)]
     with atomic_write(path) as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<IIIQ", _VERSION, enc.dim, len(enc.vocab),
                              len(vocab_blob)))
-        for table in (enc.query.embedding, enc.query.projection,
-                      enc.doc.embedding, enc.doc.projection):
-            fh.write(np.ascontiguousarray(table, dtype="<f4").tobytes())
+        fh.writelines(tables)
         fh.write(vocab_blob)
 
 
@@ -299,8 +301,7 @@ def load_checkpoint(path) -> DualEncoder:
             raise FormatError(f"{path}: unsupported checkpoint version {version}")
         vocab_len = (struct.unpack("<Q", read_exact(fh, 8, path))[0]
                      if version == _VERSION else None)
-        tables = [np.frombuffer(read_exact(fh, 4 * rows * dim, path), dtype="<f4")
-                  .astype(np.float64).reshape(rows, dim)
+        tables = [read_floats(fh, (rows, dim), "<f4", path, "encoder tables")
                   for rows in (vsize, dim, vsize, dim)]
         if vocab_len is None:
             vocab_len = remaining(fh)

@@ -6,6 +6,7 @@ import pytest
 from rlab.cli import _parse_train_config, main
 from rlab.corpus import read_passages, write_passages
 from rlab.index import load_index
+from rlab.pq import pq_objective, train_pq
 from rlab.trainer import LossKind, MaintenanceMode, TrainConfig
 
 
@@ -140,6 +141,19 @@ class TestBuildAndSearch:
                      "--checkpoint", str(ckpt), "--query", "doc0tok0"]) == 1
         assert "index.rlab" in capsys.readouterr().err
 
+    def test_nan_in_checkpoint_exit_1(self, workspace, capsys):
+        # A NaN in the <unk> row (the first query embedding value) made
+        # every score NaN: search printed nothing and exited 0.
+        tmp_path, raw = workspace
+        passages = run_ingest(tmp_path, raw)
+        index_path, ckpt = run_build(tmp_path, passages)
+        blob = ckpt.read_bytes()
+        ckpt.write_bytes(blob[:24] + b"\x00\x00\xc0\x7f" + blob[28:])
+        capsys.readouterr()
+        assert main(["search", "--index", str(index_path), "--checkpoint",
+                     str(ckpt), "--query", "doc0tok0 zzz", "--k", "2"]) == 1
+        assert "index.rlab" in capsys.readouterr().err
+
     @pytest.mark.parametrize("bad_line", [
         b'{"id": "b", "text": "x y',        # truncated last line
         b'{"text": "x y"}',                # no id
@@ -199,6 +213,34 @@ class TestCompress:
                      "--iterations", "5"]) == 0
         assert out.exists()
         assert "x)" in capsys.readouterr().out
+
+    def compress(self, tmp_path, index_path, kc, m=4, iterations=5):
+        assert main(["compress-index", "--index", str(index_path),
+                     "--out", str(tmp_path / "index.rpqx"), "--m", str(m),
+                     "--kc", str(kc), "--iterations", str(iterations),
+                     "--seed", "3"]) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["command"] == "compress-index"
+        return manifest["metrics"]
+
+    def test_manifest_error_equals_objective_per_vector(self, workspace):
+        tmp_path, raw = workspace
+        index_path, _ = run_build(tmp_path, run_ingest(tmp_path, raw))
+        metrics = self.compress(tmp_path, index_path, kc=4)
+        idx = load_index(index_path)
+        codec = train_pq(idx, m=4, k_c=4, iterations=5, seed=3)
+        assert metrics["reconstruction_mse"] == pq_objective(idx, codec) / idx.size
+        assert metrics["reconstruction_mse"] > 0
+        assert 0 <= metrics["recall_at_10"] <= 1
+
+    def test_manifest_codebook_per_vector_is_exact(self, workspace):
+        # k_c = N on distinct vectors: every vector is its own centroid.
+        tmp_path, raw = workspace
+        index_path, _ = run_build(tmp_path, run_ingest(tmp_path, raw))
+        n = load_index(index_path).size
+        assert n >= 10
+        metrics = self.compress(tmp_path, index_path, kc=n)
+        assert metrics == {"reconstruction_mse": 0.0, "recall_at_10": 1.0}
 
 
 class TestTrain:

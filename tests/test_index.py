@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rlab.corpus import Passage
-from rlab.index import (EmbeddingIndex, FormatError, build, load_index,
-                        save_index, search, search_batch)
+from rlab.index import (PRECISIONS, EmbeddingIndex, FormatError, build,
+                        load_index, save_index, search, search_batch)
 from rlab.pq import PQCodec, PQIndex, pq_search
 from rlab.retriever import Vocab, encode_doc, init_encoder
 
@@ -379,6 +379,47 @@ class TestIndexFile:
                              vectors=np.ones((2, 2)))
         path = tmp_path / "idx.ridx"
         with pytest.raises(ValueError, match=r"'a\\nb'"):
+            save_index(idx, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("precision", ["float32", "float16"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_vector_is_format_error(self, tmp_path, precision,
+                                               value):
+        # A NaN row would score NaN and drop out of every search.
+        path = tmp_path / "idx.ridx"
+        save_index(dataclasses.replace(random_index(3, 2),
+                                       precision=precision), path)
+        bad = np.array([value], dtype=PRECISIONS[precision]).tobytes()
+        data = path.read_bytes()
+        at = len(data) - 3 * len(bad)  # the second row's last value
+        path.write_bytes(data[:at] + bad + data[at + len(bad):])
+        with pytest.raises(FormatError, match="idx.ridx.*non-finite"):
+            load_index(path)
+
+    @pytest.mark.parametrize("precision, value", [
+        ("float32", np.nan), ("float32", -np.inf), ("float32", 1e39),
+        ("float16", np.nan), ("float16", 7e4)])  # 1e39, 7e4 overflow
+    def test_non_finite_vector_rejected_before_write(self, tmp_path,
+                                                     precision, value):
+        vectors = np.ones((2, 2))
+        vectors[1, 0] = value
+        idx = EmbeddingIndex(version=1, dim=2, ids=["a", "b"],
+                             vectors=vectors, precision=precision)
+        path = tmp_path / "idx.ridx"
+        with pytest.raises(ValueError, match="non-finite"):
+            save_index(idx, path)
+        assert not path.exists()
+
+    def test_float16_overflow_in_build_not_saved(self, tmp_path):
+        passages = make_passages(3)
+        enc = make_encoder(passages)
+        enc.doc.projection *= 1e6
+        with np.errstate(over="ignore"):
+            idx = build(passages, enc, precision="float16")
+        assert np.isinf(idx.vectors).any()
+        path = tmp_path / "idx.ridx"
+        with pytest.raises(ValueError, match="non-finite"):
             save_index(idx, path)
         assert not path.exists()
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -87,6 +89,50 @@ class TestReferencePQ:
         codebooks = self.check(vectors, m=2, k_c=8, iterations=4, seed=24)
         for cb in codebooks:
             assert len(np.unique(cb, axis=0)) == 5
+
+    @pytest.mark.parametrize("sub_dim", [8, 16])
+    @pytest.mark.parametrize("seed", range(100, 108))
+    def test_duplicates_at_wide_subspaces(self, sub_dim, seed):
+        # As above at the CLI's sub_dim 8 and at 16: every distance from a
+        # point to its repeated seed is an exact zero, tied with the other
+        # copies, so the assignment's tie order shows in the codebooks.
+        rng = np.random.default_rng(seed)
+        distinct = rng.normal(size=(5, sub_dim))
+        vectors = np.concatenate([distinct[rng.integers(5, size=60)],
+                                  distinct[rng.integers(5, size=60)]], axis=1)
+        self.check(vectors, m=2, k_c=8, iterations=4, seed=seed)
+
+    @pytest.mark.parametrize("sub_dim", [2, 8])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_integer_grid_ties_at_nonzero_distance(self, sub_dim, seed):
+        # Small integer coordinates: squared distances are exact integers,
+        # so a point is often equally far from two distinct centroids.
+        rng = np.random.default_rng(seed)
+        vectors = rng.integers(-2, 3, size=(200, 2 * sub_dim)).astype(float)
+        self.check(vectors, m=2, k_c=16, iterations=3, seed=seed)
+
+
+class TestPeakMemory:
+    """`train_pq` and `compress` allocate at most a few (N, k_c) float64
+    tables beyond one copy of the vectors, never an (N, k_c, dim / m)
+    array of differences."""
+
+    @pytest.mark.parametrize("step", ["train_pq", "compress"])
+    def test_peak_below_three_distance_tables(self, step):
+        n, dim, m, k_c = 4000, 64, 8, 64
+        idx = random_index(n, dim, seed=18)
+        codec = train_pq(idx, m=m, k_c=k_c, iterations=2, seed=19)
+        run = {"train_pq": lambda: train_pq(idx, m=m, k_c=k_c, iterations=2,
+                                            seed=19),
+               "compress": lambda: compress(idx, codec)}[step]
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # About 1.3 tables measured; the (N, k_c, 8) differences are 8.
+        assert peak < 3 * n * k_c * 8 + idx.vectors.nbytes
 
 
 class TestCompressDecode:
@@ -266,6 +312,30 @@ class TestPQFile:
         with pytest.raises(ValueError, match="duplicate id 'a'"):
             PQIndex(codec=codec, ids=["a", "b", "a"],
                     codes=np.zeros((3, 1), dtype=np.int64), version=1, dim=1)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_codebook_is_format_error(self, tmp_path, value):
+        idx = random_index(5, 4, seed=16)
+        path = tmp_path / "idx.rpqx"
+        save_pq_index(compress(idx, train_pq(idx, m=2, k_c=3, seed=17)), path)
+        data = path.read_bytes()
+        at = len(data) - 5 * 2 * 2 - 4  # the last codebook value
+        path.write_bytes(data[:at] + np.array([value], "<f4").tobytes()
+                         + data[at + 4:])
+        with pytest.raises(FormatError, match="idx.rpqx.*non-finite"):
+            load_pq_index(path)
+
+    @pytest.mark.parametrize("value", [np.nan, -np.inf, 1e39])
+    def test_non_finite_codebook_rejected_before_write(self, tmp_path, value):
+        codebooks = np.zeros((1, 2, 1))
+        codebooks[0, 1, 0] = value
+        pidx = PQIndex(codec=PQCodec(m=1, k_c=2, codebooks=codebooks),
+                       ids=["a"], codes=np.zeros((1, 1), dtype=np.int64),
+                       version=1, dim=1)
+        path = tmp_path / "idx.rpqx"
+        with pytest.raises(ValueError, match="non-finite"):
+            save_pq_index(pidx, path)
+        assert not path.exists()
 
     @pytest.mark.parametrize("mangle", [
         lambda b: b"XXXX" + b[4:],  # magic

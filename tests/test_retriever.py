@@ -284,6 +284,34 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="tokens"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("table", range(4))
+    def test_non_finite_table_is_format_error(self, tmp_path, small_encoder,
+                                              table, version):
+        path, blob = self._saved(tmp_path, small_encoder)
+        vsize, dim = len(small_encoder.vocab), small_encoder.dim
+        sizes = [vsize * dim, dim * dim, vsize * dim, dim * dim]
+        at = 24 + 4 * sum(sizes[:table])  # the table's first value
+        blob = blob[:at] + np.array([np.nan], "<f4").tobytes() + blob[at + 4:]
+        if version == 1:
+            blob = b"RLAB" + struct.pack("<III", 1, dim, vsize) + blob[24:]
+        path.write_bytes(blob)
+        with pytest.raises(FormatError, match="enc.rlab.*non-finite"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("table", ["query.embedding", "query.projection",
+                                       "doc.embedding", "doc.projection"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 1e39])
+    def test_non_finite_table_rejected_before_write(self, tmp_path,
+                                                    small_encoder, table,
+                                                    value):
+        side, name = table.split(".")
+        getattr(getattr(small_encoder, side), name)[0, 0] = value
+        path = tmp_path / "enc.rlab"
+        with pytest.raises(ValueError, match="non-finite"):
+            save_checkpoint(small_encoder, path)
+        assert not path.exists()
+
     def test_newline_in_vocab_token_rejected_before_write(self, tmp_path):
         enc = init_encoder(Vocab(["a", "b\nc"]), dim=2)
         path = tmp_path / "enc.rlab"
