@@ -123,12 +123,11 @@ def cmd_compress_index(args) -> int:
     # Up to 100 index rows, drawn with --seed, query both indexes.
     queries = idx.vectors[np.random.default_rng(args.seed).choice(
         idx.size, min(100, idx.size), replace=False)]
-    k = min(10, idx.size)
     metrics = {
         "reconstruction_mse": pq_mod.squared_error(idx, compressed) / idx.size,
         "recall_at_10": pq_mod.recall_at_k(
-            [pq_mod.pq_search(compressed, q, k) for q in queries],
-            index_mod.search_batch(idx, queries, k), k),
+            [pq_mod.pq_search(compressed, q, 10) for q in queries],
+            index_mod.search_batch(idx, queries, 10), 10),
     }
     ratio = idx.memory_bytes() / compressed.memory_bytes()
     _write_manifest(Path(args.out).parent, "compress-index",
@@ -233,10 +232,13 @@ def _overlap_choice_scorer(scorer_lm: lm_mod.OverlapLM) -> evalkit.ChoiceScorer:
 
 
 def cmd_evaluate(args) -> int:
+    if bool(args.index) != bool(args.checkpoint):
+        raise UsageError("--index needs --checkpoint" if args.index
+                         else "--checkpoint needs --index")
     tasks = evalkit.read_choice_tasks(args.task)
     passages = corpus.read_passages(args.passages) if args.passages else []
     retrieve = None
-    if args.index and args.checkpoint:
+    if args.index:
         idx = index_mod.load_index(args.index)
         enc = retriever.load_checkpoint(args.checkpoint)
         by_id = {p.id: p for p in passages}

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .retriever import softmax
+from .retriever import check_distribution, softmax
 
 DEFAULT_TARGET_TEMPERATURE = 1.0
 
@@ -47,19 +47,14 @@ class LossValue:
     grad_wrt_scores: np.ndarray
 
 
-def _check_distribution(p: np.ndarray, name: str):
-    if np.any(p < -1e-12) or abs(p.sum() - 1.0) > 1e-6:
-        raise ValueError(f"{name} is not a valid distribution")
-
-
 def kl_divergence(p: Sequence[float], q: Sequence[float]) -> float:
     """Sum of p_k ln(p_k / q_k) with the 0 * ln 0 = 0 convention."""
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
     if p.shape != q.shape:
         raise ValueError("distributions must have equal length")
-    _check_distribution(p, "p")
-    _check_distribution(q, "q")
+    check_distribution(p, "p")
+    check_distribution(q, "q")
     support = p > 0
     if np.any(q[support] <= 0):
         raise ValueError("absolute continuity violated: q=0 where p>0")
@@ -122,7 +117,7 @@ def emdr2_objective(per_doc_logliks: Sequence[float],
     """
     logliks = np.asarray(per_doc_logliks, dtype=np.float64)
     p = np.asarray(retr_probs, dtype=np.float64)
-    _check_distribution(p, "retr_probs")
+    check_distribution(p, "retr_probs")
     with np.errstate(divide="ignore"):
         joint = logliks + np.log(p)
     m = np.max(joint)
@@ -141,7 +136,7 @@ def emdr2_objective_token_level(per_token_logliks: Sequence[Sequence[float]],
     the per-token mixture ln sum_k p_lm(t|q,d_k) p_retr(d_k|q)."""
     logliks = np.asarray(per_token_logliks, dtype=np.float64)  # (K, T)
     p = np.asarray(retr_probs, dtype=np.float64)
-    _check_distribution(p, "retr_probs")
+    check_distribution(p, "retr_probs")
     value = 0.0
     grad = np.zeros_like(p)
     for t in range(logliks.shape[1]):

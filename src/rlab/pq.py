@@ -208,14 +208,15 @@ def pq_search(pqindex: PQIndex, q_vec: np.ndarray, k: int) -> list[tuple[str, fl
 def recall_at_k(approx_results: Sequence[Sequence[tuple[str, float]]],
                 exact_results: Sequence[Sequence[tuple[str, float]]],
                 k: int) -> float:
-    """Mean over queries of |approx top-k intersect exact top-k| / k."""
+    """Mean over queries of |approx top-k intersect exact top-k| over the
+    size of the exact top-k, which an index of under k rows keeps below k."""
     if len(approx_results) != len(exact_results):
         raise ValueError("result lists must cover the same query set")
     total = 0.0
     for approx, exact in zip(approx_results, exact_results):
         a = {pid for pid, _ in approx[:k]}
         e = {pid for pid, _ in exact[:k]}
-        total += len(a & e) / k
+        total += len(a & e) / len(e)
     return total / len(approx_results)
 
 

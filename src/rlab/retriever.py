@@ -59,11 +59,8 @@ class Vocab:
     def __len__(self) -> int:
         return len(self.tokens)
 
-    def row(self, token: str) -> int:
-        return self.index.get(token, 0)
-
     def rows(self, text: Sequence[str]) -> np.ndarray:
-        return np.array([self.row(t) for t in text], dtype=np.int64)
+        return np.array([self.index.get(t, 0) for t in text], dtype=np.int64)
 
 
 @dataclass
@@ -132,6 +129,12 @@ def softmax(x: np.ndarray) -> np.ndarray:
     z = x - np.max(x)
     e = np.exp(z)
     return e / e.sum()
+
+
+def check_distribution(p: np.ndarray, name: str):
+    """Raise ValueError unless p is a distribution up to rounding."""
+    if np.any(p < -1e-12) or abs(p.sum() - 1.0) > 1e-6:
+        raise ValueError(f"{name} is not a valid distribution")
 
 
 def retrieval_distribution(scores: Sequence[float], temperature: float) -> np.ndarray:
@@ -258,8 +261,7 @@ def retriever_gradient(enc: DualEncoder, query: Sequence[str],
     if mode == MaintenanceMode.FIXED:
         raise ValueError("retriever frozen")
     target = np.asarray(target_probs, dtype=np.float64)
-    if abs(target.sum() - 1.0) > 1e-6 or np.any(target < -1e-12):
-        raise ValueError("target_probs must be a distribution")
+    check_distribution(target, "target_probs")
 
     q_vec = encode_query(enc, query)
     d_vecs = np.stack([encode_doc(enc, d) for d in docs])

@@ -5,11 +5,13 @@ Index-maintenance strategies (`retriever.MaintenanceMode`):
   fixed         no retriever updates (baseline);
   query_side    only the query encoder trains, the index never goes stale;
   rerank        retrieve top-L from the (possibly stale) index, re-embed
-                those L documents with the current parameters, keep top-K;
+                those L documents with the current parameters, keep top-K
+                and their fresh vectors for the loss and the backprop;
   full_refresh  train everything and rebuild the index every R steps.
 
 An example never retrieves its origin passage: that row's score is masked
-to -inf and k capped at the other rows, so rerank re-embeds exactly L.
+to -inf and k capped at the other rows, so rerank embeds exactly L
+documents per example, as `costmodel.overhead_rerank` charges.
 
 A step works in index rows, never passage ids: `TrainerState.passages`
 is in index row order, and the static modes take document vectors from
@@ -117,11 +119,11 @@ def _learning_rate(cfg: TrainConfig, step: int) -> float:
 
 
 def _retrieve(state: TrainerState, cfg: TrainConfig, example: TrainExample,
-              q_vec: np.ndarray) -> tuple[np.ndarray, bool]:
+              q_vec: np.ndarray) -> tuple[np.ndarray, np.ndarray | None, bool]:
     """Index rows of the candidate documents for one example with query
     vector q_vec, best first, honoring the maintenance mode and
-    self-exclusion; and whether rerank raised the stale-index signal.
-    State is not changed."""
+    self-exclusion; their fresh vectors in rerank, else None; and whether
+    rerank raised the stale-index signal. State is not changed."""
     scores = state.index.vectors @ q_vec
     n = state.index.size  # selectable rows: all but the origin's
     origin = example.origin_passage_id
@@ -130,19 +132,18 @@ def _retrieve(state: TrainerState, cfg: TrainConfig, example: TrainExample,
         scores[row] = -np.inf
         n -= 1
     if cfg.mode != MaintenanceMode.RERANK:
-        return index_mod._top_k(scores, min(cfg.k_retrieved, n)), False
+        return index_mod._top_k(scores, min(cfg.k_retrieved, n)), None, False
     pool = index_mod._top_k(scores, min(cfg.l_rerank_pool, n))
     # Rescored in row order, so fresh ties break by ascending id.
     by_row = np.sort(pool)
-    fresh = np.array([np.dot(q_vec, encode_doc(state.encoder,
-                                               state.passages[r].text))
-                      for r in by_row.tolist()])
-    rows = by_row[index_mod._top_k(fresh, len(by_row))]
+    vecs = np.array([encode_doc(state.encoder, state.passages[r].text)
+                     for r in by_row.tolist()]).reshape(-1, state.encoder.dim)
+    fresh = np.array([np.dot(q_vec, v) for v in vecs])
+    kept = index_mod._top_k(fresh, len(by_row))[:cfg.k_retrieved]
     # Stale-index signal: a fresh top-K element coming from the tail of the
     # stale pool suggests the true top-K may have escaped it.
-    stale = bool(np.isin(rows[:cfg.k_retrieved],
-                         pool[cfg.l_rerank_pool - 1:]).any())
-    return rows[:cfg.k_retrieved], stale
+    stale = bool(np.isin(by_row[kept], pool[cfg.l_rerank_pool - 1:]).any())
+    return by_row[kept], vecs[kept], stale
 
 
 def _example_gradient(state: TrainerState, cfg: TrainConfig, lm: LMScorer,
@@ -150,17 +151,17 @@ def _example_gradient(state: TrainerState, cfg: TrainConfig, lm: LMScorer,
     """Loss gradient (None when frozen), loss value, retrieved rows. A
     stale-index signal from retrieval counts in state.stale_rerank_warnings."""
     q_vec = encode_query(state.encoder, example.query)
-    rows, stale = _retrieve(state, cfg, example, q_vec)
+    rows, d_vecs, stale = _retrieve(state, cfg, example, q_vec)
     state.stale_rerank_warnings += stale
     if not len(rows):
         return None, 0.0, rows
     docs = [state.passages[r].text for r in rows.tolist()]
-    if not cfg.mode.trains_docs:
+    if cfg.mode == MaintenanceMode.FULL_REFRESH:
+        d_vecs = np.stack([encode_doc(state.encoder, d) for d in docs])
+    elif not cfg.mode.trains_docs:
         # The index is never stale in these modes; its vectors are the
         # document embeddings.
         d_vecs = state.index.vectors[rows]
-    else:
-        d_vecs = np.stack([encode_doc(state.encoder, d) for d in docs])
     probs = retrieval_distribution(d_vecs @ q_vec, cfg.temperature)
 
     if cfg.loss == LossKind.EMDR2:
@@ -258,8 +259,8 @@ def recall_at_1(state: TrainerState, examples: Sequence[TrainExample],
     """Fraction of examples whose top retrieved passage is their gold."""
     hits = 0
     for ex in examples:
-        rows, _ = _retrieve(state, cfg, ex,
-                            encode_query(state.encoder, ex.query))
+        rows, _, _ = _retrieve(state, cfg, ex,
+                               encode_query(state.encoder, ex.query))
         hits += int(len(rows) > 0
                     and state.index.ids[rows[0]] == ex.gold_passage_id)
     return hits / len(examples)

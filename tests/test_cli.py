@@ -363,6 +363,28 @@ class TestEvaluate:
                      "--checkpoint", str(ckpt)] + extra) == 2
         assert "--passages" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("given,missing", [("--index", "--checkpoint"),
+                                               ("--checkpoint", "--index")])
+    def test_half_a_retriever_exit_2(self, workspace, capsys, given,
+                                     missing):
+        # An index without its checkpoint, or the reverse, is a usage
+        # error, not a closed-book run.
+        tmp_path, raw = workspace
+        passages_path = run_ingest(tmp_path, raw)
+        index_path, ckpt = run_build(tmp_path, passages_path)
+        task_file = tmp_path / "tasks.jsonl"
+        task_file.write_text(json.dumps({"question": "doc4tok1",
+                                         "options": ["a", "b", "c", "d"],
+                                         "gold": 0}) + "\n")
+        path = index_path if given == "--index" else ckpt
+        capsys.readouterr()
+        assert main(["evaluate", "--task", str(task_file),
+                     "--passages", str(passages_path),
+                     given, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert f"{given} needs {missing}" in captured.err
+        assert "accuracy" not in captured.out
+
     @pytest.mark.parametrize("bad_line", [
         '{"question": "q", "options": ["a", "b", "c", "d"]}',       # no gold
         '["q", ["a", "b", "c", "d"], 0]',                          # array

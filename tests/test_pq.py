@@ -239,6 +239,13 @@ class TestRecallAtK:
         exact = [self.r([f"x{i}" for i in range(5)] + [f"z{i}" for i in range(5)])]
         assert recall_at_k(approx, exact, 10) == 0.5
 
+    def test_short_exact_list_counts_the_results_that_exist(self):
+        # An index of fewer than k rows returns fewer than k results; the
+        # overlap is a fraction of those, not of k.
+        assert recall_at_k([self.r(["a"])], [self.r(["a"])], 2) == 1.0
+        assert recall_at_k([self.r(["a", "c"])], [self.r(["a", "b"])],
+                           5) == 0.5
+
 
 class TestPQFile:
     def test_round_trip(self, tmp_path):

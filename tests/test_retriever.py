@@ -23,15 +23,15 @@ def small_encoder():
 class TestEncode:
     def test_mean_pooling(self, small_encoder):
         enc = small_encoder
-        a = enc.query.embedding[enc.vocab.row("t1")]
-        b = enc.query.embedding[enc.vocab.row("t2")]
+        a = enc.query.embedding[enc.vocab.index["t1"]]
+        b = enc.query.embedding[enc.vocab.index["t2"]]
         np.testing.assert_allclose(encode_query(enc, ["t1", "t2"]), (a + b) / 2)
 
     def test_single_token(self, small_encoder):
         enc = small_encoder
         np.testing.assert_allclose(
             encode_query(enc, ["t3"]),
-            enc.query.embedding[enc.vocab.row("t3")])
+            enc.query.embedding[enc.vocab.index["t3"]])
 
     def test_duplicate_tokens_mean(self, small_encoder):
         enc = small_encoder
@@ -51,7 +51,7 @@ class TestEncode:
         enc = small_encoder
         enc.query.projection = np.diag([2.0, 1.0, 1.0, 1.0])
         vec = encode_query(enc, ["t1"])
-        base = enc.query.embedding[enc.vocab.row("t1")]
+        base = enc.query.embedding[enc.vocab.index["t1"]]
         assert vec[0] == pytest.approx(2 * base[0])
 
 

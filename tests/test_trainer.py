@@ -100,7 +100,7 @@ class TestRetrieve:
         cfg = TrainConfig(k_retrieved=5, steps=1)
         ex = TrainExample(query=passages[0].text[:2], output=("x",),
                           origin_passage_id=passages[0].id)
-        rows, _ = _retrieve(state, cfg, ex, encode_query(encoder, ex.query))
+        rows, _, _ = _retrieve(state, cfg, ex, encode_query(encoder, ex.query))
         ids = [state.index.ids[r] for r in rows]
         assert len(ids) == 5
         assert passages[0].id not in ids
@@ -112,7 +112,7 @@ class TestRetrieve:
         ex = examples[0]
         q_vec = encode_query(encoder, ex.query)
         expected = [pid for pid, _ in search(state.index, q_vec, 5)]
-        rows, _ = _retrieve(state, cfg, ex, q_vec)
+        rows, _, _ = _retrieve(state, cfg, ex, q_vec)
         assert [state.index.ids[r] for r in rows] == expected
 
     def test_rerank_agrees_with_fresh_index(self):
@@ -143,7 +143,7 @@ class TestRetrieve:
             ["p11", "p10", "p09"]
         cfg = TrainConfig(mode=MaintenanceMode.RERANK, k_retrieved=4,
                           l_rerank_pool=8)
-        rows, stale = _retrieve(state, cfg, ex, q_vec)
+        rows, _, stale = _retrieve(state, cfg, ex, q_vec)
         assert [state.index.ids[r] for r in rows] == \
             ["p04", "p05", "p06", "p07"]
         # p04 closes the stale pool, and the fresh top-K holds it.
@@ -173,7 +173,7 @@ class TestRetrieve:
         q_vec = encode_query(encoder, ex.query)
         assert search(state.index, q_vec, 1)[0][0] == origin.id
         encoded = self._count_encodes(monkeypatch)
-        rows, _ = _retrieve(state, cfg, ex, q_vec)
+        rows, _, _ = _retrieve(state, cfg, ex, q_vec)
         assert len(encoded) == cfg.l_rerank_pool
         assert origin.text not in encoded
         assert len(rows) == 3 and origin.id not in \
@@ -189,7 +189,7 @@ class TestRetrieve:
         results = []
         for origin in ("", "absent"):
             ex = replace(examples[0], origin_passage_id=origin)
-            rows, stale = _retrieve(state, cfg, ex, q_vec)
+            rows, _, stale = _retrieve(state, cfg, ex, q_vec)
             results.append((rows.tolist(), stale, len(encoded)))
             encoded.clear()
         assert results[0] == results[1]
@@ -311,6 +311,71 @@ class TestTrainStep:
                                    state_b.encoder.query.embedding)
 
 
+class TestEmbedCount:
+    """A step embeds the documents the cost model charges its mode for:
+    none in the static modes, the L candidates of each example in rerank,
+    and in full_refresh the K retrieved per example plus the N of a
+    rebuild."""
+
+    @staticmethod
+    def _count_embeds(monkeypatch):
+        """Every document embed, seen through the trainer's and the index
+        builder's bindings of encode_doc."""
+        calls = []
+
+        def counting(enc, text):
+            calls.append(text)
+            return encode_doc(enc, text)
+        monkeypatch.setattr("rlab.trainer.encode_doc", counting)
+        monkeypatch.setattr("rlab.index.encode_doc", counting)
+        return calls
+
+    @staticmethod
+    def _batch(passages, examples):
+        # Every other example names an origin passage, which leaves one
+        # row fewer to select.
+        return [replace(ex, origin_passage_id=passages[i].id) if i % 2
+                else ex for i, ex in enumerate(examples[:4])]
+
+    @pytest.mark.parametrize("l_pool", [6, 30])
+    @pytest.mark.parametrize("mode", list(MaintenanceMode))
+    def test_train_step(self, monkeypatch, mode, l_pool):
+        passages, examples, encoder = small_task()
+        state = init_state(encoder, passages)
+        batch = self._batch(passages, examples)
+        cfg = TrainConfig(mode=mode, k_retrieved=3, l_rerank_pool=l_pool,
+                          refresh_interval=2, batch_size=len(batch),
+                          steps=2)
+        selectable = [len(passages) - bool(ex.origin_passage_id)
+                      for ex in batch]
+        per_step = {
+            MaintenanceMode.FIXED: 0,
+            MaintenanceMode.QUERY_SIDE: 0,
+            MaintenanceMode.RERANK: sum(min(l_pool, n) for n in selectable),
+            MaintenanceMode.FULL_REFRESH: len(batch) * cfg.k_retrieved,
+        }[mode]
+        rebuild = len(passages) if cfg.rebuilds_at(2) else 0
+        calls = self._count_embeds(monkeypatch)
+        lm = OverlapLM(vocab_size=5000)
+        counts = []
+        for _ in range(2):
+            train_step(state, batch, cfg, lm)
+            counts.append(len(calls))
+            calls.clear()
+        assert counts == [per_step, per_step + rebuild]
+
+    @pytest.mark.parametrize("mode", list(MaintenanceMode))
+    def test_recall_at_1(self, monkeypatch, mode):
+        passages, examples, encoder = small_task()
+        state = init_state(encoder, passages)
+        batch = self._batch(passages, examples)
+        cfg = TrainConfig(mode=mode, k_retrieved=3, l_rerank_pool=6)
+        calls = self._count_embeds(monkeypatch)
+        recall_at_1(state, batch, cfg)
+        assert len(calls) == (len(batch) * cfg.l_rerank_pool
+                              if mode == MaintenanceMode.RERANK else 0)
+
+
 def repeated_token_task(extra_vocab=0):
     """Passages and queries whose tokens recur 3 to 5 times, interleaved,
     and are shared across passages, queries and examples (each batch of 3
@@ -352,7 +417,7 @@ def dense_reference_step(state, batch, cfg, lm):
     total = [np.zeros_like(t) for t in tables]
     for ex in batch:
         q_vec = encode_query(enc, ex.query)
-        rows, _ = _retrieve(state, cfg, ex, q_vec)
+        rows, _, _ = _retrieve(state, cfg, ex, q_vec)
         docs = [state.passages[r].text for r in rows]
         if cfg.mode.trains_docs:
             d_vecs = np.stack([encode_doc(enc, d) for d in docs])
