@@ -89,14 +89,14 @@ def cmd_ingest(args) -> int:
 def cmd_build_index(args) -> int:
     t0 = time.perf_counter()
     passages = corpus.read_passages(args.passages)
+    tokens = corpus.TokenTable([p.text for p in passages])
     if args.checkpoint:
         enc = retriever.load_checkpoint(args.checkpoint)
     else:
-        tokens = [t for p in passages for t in p.text]
-        enc = retriever.init_encoder(retriever.Vocab(tokens), args.dim,
-                                     seed=args.seed)
+        enc = retriever.init_encoder(retriever.Vocab(tokens.term_strings),
+                                     args.dim, seed=args.seed)
     idx = index_mod.build(passages, enc, shards=args.shards,
-                          precision=args.precision)
+                          precision=args.precision, tokens=tokens)
     # The index is written first: an id it rejects leaves no files behind.
     index_mod.save_index(idx, args.out)
     if not args.checkpoint:
@@ -175,10 +175,10 @@ def cmd_train(args) -> int:
     cfg = _parse_train_config(Path(args.config))
     t0 = time.perf_counter()
     passages = corpus.read_passages(args.corpus)
-    tokens = [t for p in passages for t in p.text]
-    tokens.append(pretext.RETRIEVER_MASK_TOKEN)
-    enc = retriever.init_encoder(retriever.Vocab(tokens), args.dim,
-                                 seed=cfg.seed)
+    terms = {t for p in passages for t in p.text}
+    enc = retriever.init_encoder(
+        retriever.Vocab(terms | {pretext.RETRIEVER_MASK_TOKEN}), args.dim,
+        seed=cfg.seed)
     state = trainer.init_state(enc, passages)
     build_time = time.perf_counter() - t0
 
@@ -221,7 +221,7 @@ def _overlap_choice_scorer(scorer_lm: lm_mod.OverlapLM) -> evalkit.ChoiceScorer:
     """Default scorer: letter probabilities from each option's likelihood
     under the pooled retrieved passages."""
     def score(question, ordered_options, docs):
-        doc_tokens = [list(p.text) for p in docs] or [[]]
+        doc_tokens = corpus.TokenTable([p.text for p in docs] or [()])
         logliks = [scorer_lm.joint_loglik(corpus.tokenize(question),
                                           doc_tokens,
                                           corpus.tokenize(opt) or ["?"])

@@ -9,10 +9,15 @@ directly so all downstream counting is deterministic.
 
 from __future__ import annotations
 
+import copy
+import itertools
 import json
 import math
+from collections import abc, defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .formats import FormatError, atomic_write, is_number, jsonl_objects
 
@@ -78,6 +83,45 @@ class FilterConfig:
 def tokenize(text: str) -> list[str]:
     """Split on whitespace; a word is a maximal non-whitespace run."""
     return text.split()
+
+
+class TokenTable(abc.Sequence):
+    """Texts interned once, in CSR form: text i is the term ids
+    terms[offsets[i]:offsets[i + 1]] and term t is term_strings[t], which
+    term_ids inverts. Terms are interned by string, not by a vocabulary,
+    so distinct tokens keep distinct ids. As a sequence, a table is its
+    texts `rows` (all of them, unless it is a view) as token tuples.
+    """
+
+    def __init__(self, texts: Sequence[Sequence[str]]):
+        ids = defaultdict(itertools.count().__next__)
+        self.terms = np.fromiter(
+            map(ids.__getitem__, itertools.chain.from_iterable(texts)),
+            dtype=np.int32)
+        self.offsets = np.cumsum([0] + [len(text) for text in texts])
+        ids.default_factory = None  # a lookup never adds a term
+        self.term_ids, self.term_strings = ids, list(ids)
+        self.rows = np.arange(len(texts))
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, i: int) -> tuple[str, ...]:
+        return tuple(map(self.term_strings.__getitem__,
+                         self.text_terms(self.rows[i]).tolist()))
+
+    def text_terms(self, i: int) -> np.ndarray:
+        return self.terms[self.offsets[i]:self.offsets[i + 1]]
+
+    def vocab_rows(self, vocab) -> np.ndarray:
+        """Each term's row in vocab: one lookup per distinct term."""
+        return vocab.rows(self.term_strings)
+
+    def view(self, rows: np.ndarray) -> "TokenTable":
+        """The same table, as the sequence of its texts rows."""
+        view = copy.copy(self)
+        view.rows = rows
+        return view
 
 
 def linearize_structured(entries: Sequence[str]) -> str:
@@ -184,11 +228,6 @@ def quality_filter(doc: RawDocument, cfg: FilterConfig = FilterConfig()) -> bool
     return True
 
 
-def exclude_self(results: Sequence[Passage], origin: Passage) -> list[Passage]:
-    """Drop every passage sharing the origin's id, preserving order."""
-    return [p for p in results if p.id != origin.id]
-
-
 # ---------------------------------------------------------------------------
 # JSONL interchange
 
@@ -261,7 +300,8 @@ def write_passages(passages: Iterable[Passage], path) -> int:
 
 def read_passages(path) -> list[Passage]:
     """Passages from JSONL, one object per line; blank lines are skipped.
-    A malformed line raises FormatError naming the file and line."""
+    A malformed line, or one whose text has no word, raises FormatError
+    naming the file and line."""
     out = []
     for where, obj in jsonl_objects(path):
         if not (isinstance(obj.get("id"), str)
@@ -272,7 +312,10 @@ def read_passages(path) -> list[Passage]:
             raise FormatError(f"{where}: expected a string id and text, and "
                               f"string doc_id, source and section_title and "
                               f"a string or null dump_date where given")
-        out.append(passage_from_json(obj))
+        passage = passage_from_json(obj)
+        if not passage.text:
+            raise FormatError(f"{where}: empty text")
+        out.append(passage)
     return out
 
 

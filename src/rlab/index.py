@@ -18,10 +18,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Passage
+from .corpus import Passage, TokenTable
 from .formats import (FormatError, atomic_write, float_bytes, join_lines,
                       read_end, read_exact, read_floats, read_lines)
-from .retriever import DualEncoder, encode_doc
+from .retriever import DualEncoder, encode
 
 PRECISIONS = {"float32": np.dtype("<f4"), "float16": np.dtype("<f2")}
 
@@ -85,14 +85,20 @@ class EmbeddingIndex:
 
 def build(passages: Sequence[Passage], encoder: DualEncoder,
           shards: int = 1, precision: str = "float32",
-          previous_version: int = 0) -> EmbeddingIndex:
+          previous_version: int = 0,
+          tokens: TokenTable | None = None) -> EmbeddingIndex:
     """Embed every passage with the document encoder; the index sorts them
-    by id if needed. version = previous + 1."""
+    by id if needed. version = previous + 1. tokens, the passages' texts
+    in passage order, are interned here when not given."""
     if not passages:
         raise ValueError("cannot build an index from zero passages")
     if shards < 1:
         raise ValueError("shards must be >= 1")
-    vectors = np.stack([encode_doc(encoder, p.text) for p in passages])
+    if tokens is None:
+        tokens = TokenTable([p.text for p in passages])
+    rows = tokens.vocab_rows(encoder.vocab)
+    vectors = np.stack([encode(encoder.doc, rows[tokens.text_terms(i)])
+                        for i in range(len(passages))])
     # Storage precision rounds on write; arithmetic stays in float64.
     vectors = vectors.astype(_dtype(precision)).astype(np.float64)
     dates = {p.dump_date for p in passages if p.dump_date}

@@ -16,8 +16,10 @@ matching the composition semantics where every document contributes to a
 single fused context. The query does not enter the counts.
 
 Each call counts the output tokens in every document into one
-(|output|, K) matrix, by string equality, and every score is a numpy
-expression over it; nothing is kept between calls.
+(|output|, K) matrix and every score is a numpy expression over it;
+nothing is kept between calls. It counts term ids with one `np.bincount`
+over a `corpus.TokenTable` (a view of the trainer's, or the documents
+interned on the fly); a table indexes to token tuples for other scorers.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
+from .corpus import TokenTable
 from .formats import FormatError, is_number, jsonl_objects
 
 TokenSeq = Sequence[str]
@@ -49,16 +52,23 @@ class LMScorer(Protocol):
 def _count_matrix(docs: Sequence[TokenSeq],
                   output: TokenSeq) -> tuple[np.ndarray, np.ndarray]:
     """(|output|, K) counts of each output token in each document, and the
-    K document lengths."""
+    K document lengths, counted over term ids: documents that are not a
+    token table are interned into one first."""
     if not output:
         raise ValueError("empty output")
-    n_docs = len(docs)
+    table = docs if isinstance(docs, TokenTable) else TokenTable(docs)
+    starts = table.offsets[table.rows]
+    lengths = table.offsets[table.rows + 1] - starts
     row = {t: i for i, t in enumerate(dict.fromkeys(output))}
-    cells = [row[t] * n_docs + k for k, doc in enumerate(docs)
-             for t in doc if t in row]
-    counts = np.bincount(cells, minlength=len(row) * n_docs)
-    return (counts.reshape(len(row), n_docs)[[row[t] for t in output]],
-            np.array([len(doc) for doc in docs]))
+    # slot[term]: its output row, else -1. Output tokens that are not
+    # terms of the table write the spare last slot, which no term reads.
+    slot = np.full(len(table.term_strings) + 1, -1)
+    slot[[table.term_ids.get(t, -1) for t in row]] = np.arange(len(row))
+    hits = slot[table.terms[np.arange(lengths.sum()) + np.repeat(
+        starts - np.cumsum(lengths) + lengths, lengths)]]
+    cells = hits * len(table) + np.repeat(np.arange(len(table)), lengths)
+    counts = np.bincount(cells[hits >= 0], minlength=len(row) * len(table))
+    return counts.reshape(len(row), -1)[[row[t] for t in output]], lengths
 
 
 @dataclass
@@ -101,10 +111,6 @@ class OverlapLM:
         counts, lengths = _count_matrix(docs, output)
         return self._logliks(counts.sum(axis=1, keepdims=True) - counts,
                              lengths.sum() - lengths).tolist()
-
-    def per_token_logliks(self, query, docs, output):
-        """(K, |output|) per-token log factors, for token-level objectives."""
-        return self._token_logs(*_count_matrix(docs, output)).T.tolist()
 
     def attention_relevance(self, query, docs, output):
         """Overlap proxy for aggregated attention mass: the mean over

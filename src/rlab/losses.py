@@ -129,23 +129,6 @@ def emdr2_objective(per_doc_logliks: Sequence[float],
     return LossValue(value=value, grad_wrt_scores=(p - posterior) / temperature)
 
 
-def emdr2_objective_token_level(per_token_logliks: Sequence[Sequence[float]],
-                                retr_probs: Sequence[float],
-                                temperature: float = 1.0) -> LossValue:
-    """Token-level variant: the objective is summed per output token over
-    the per-token mixture ln sum_k p_lm(t|q,d_k) p_retr(d_k|q)."""
-    logliks = np.asarray(per_token_logliks, dtype=np.float64)  # (K, T)
-    p = np.asarray(retr_probs, dtype=np.float64)
-    check_distribution(p, "retr_probs")
-    value = 0.0
-    grad = np.zeros_like(p)
-    for t in range(logliks.shape[1]):
-        step = emdr2_objective(logliks[:, t], p, temperature)
-        value += step.value
-        grad += step.grad_wrt_scores
-    return LossValue(value=value, grad_wrt_scores=grad)
-
-
 def distill_step(target: TargetDistribution, retr_probs: Sequence[float],
                  temperature: float) -> LossValue:
     """KL(target || p_retr) and its gradient with respect to the retrieval

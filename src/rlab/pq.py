@@ -82,6 +82,9 @@ def _check_k_c(k_c: int):
         raise ValueError(f"k_c={k_c} exceeds {_MAX_K_C}: RPQX codes are 16-bit")
 
 
+_BLOCK = 256  # data rows per screen in `_nearest`
+
+
 def _nearest(data: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """Row of each data row's nearest centroid under the direct sum of
     (x - c)^2 over n = data.shape[1] terms, the first of tied centroids.
@@ -102,7 +105,14 @@ def _nearest(data: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     So every centroid within tol = 16 (n + 2) eps E of h_b (four times the
     bound, which covers the rounding of tol itself) is a candidate; rows
     with more than one take the direct argmin over their candidates.
+
+    Rows go in blocks of _BLOCK, so the (rows, k_c) tables stay in cache;
+    a row's answer is its own, as tol needs only its |x|^2 and max |c|^2
+    and the bound holds for any summation order of the GEMM.
     """
+    if len(data) > _BLOCK:
+        return np.concatenate([_nearest(data[lo:lo + _BLOCK], centroids)
+                               for lo in range(0, len(data), _BLOCK)])
     c2 = np.einsum("kd,kd->k", centroids, centroids)
     h = data @ (-2 * centroids).T  # scaling by -2 is exact
     h += c2

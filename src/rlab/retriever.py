@@ -7,8 +7,10 @@ over a retrieved top-K set is a temperature softmax of the scores.
 
 The query and document sides hold separate parameter sets (tied copies at
 initialization) so that query-side-only training can freeze the document
-encoder and keep a prebuilt index valid. Training and the finite-difference
-check (`retriever_gradient`) share one backprop, `encoder_gradient`.
+encoder and keep a prebuilt index valid. `encode` and the backprop take a
+text's embedding rows (`Vocab.rows`, or `corpus.TokenTable.vocab_rows`
+for interned passages). Training and the finite-difference check
+(`retriever_gradient`) share one backprop, `encoder_gradient`.
 
 An example touches only the embedding rows of its own tokens, so
 `Gradients` keeps each embedding gradient as sparse rows: the touched row
@@ -103,20 +105,19 @@ def init_encoder(vocab: Vocab, dim: int, seed: int = 0) -> DualEncoder:
     return DualEncoder(vocab, side.copy(), side.copy())
 
 
-def encode(params: EncoderParams, vocab: Vocab, text: Sequence[str]) -> np.ndarray:
-    """Projection applied to the mean of the token embeddings."""
-    if len(text) == 0:
+def encode(params: EncoderParams, rows: np.ndarray) -> np.ndarray:
+    """Projection applied to the mean of a text's embedding rows."""
+    if len(rows) == 0:
         raise ValueError("empty input")
-    pooled = params.embedding[vocab.rows(text)].mean(axis=0)
-    return params.projection @ pooled
+    return params.projection @ params.embedding[rows].mean(axis=0)
 
 
 def encode_query(enc: DualEncoder, text: Sequence[str]) -> np.ndarray:
-    return encode(enc.query, enc.vocab, text)
+    return encode(enc.query, enc.vocab.rows(text))
 
 
 def encode_doc(enc: DualEncoder, text: Sequence[str]) -> np.ndarray:
-    return encode(enc.doc, enc.vocab, text)
+    return encode(enc.doc, enc.vocab.rows(text))
 
 
 def score(q_vec: np.ndarray, d_vec: np.ndarray) -> float:
@@ -210,39 +211,36 @@ def sum_rows(rows: np.ndarray,
     return distinct, summed
 
 
-def _backprop_side(params: EncoderParams, vocab: Vocab, text: Sequence[str],
-                   grad_vec: np.ndarray,
-                   grad_proj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _backprop_side(params: EncoderParams, rows: np.ndarray,
+                   grad_vec: np.ndarray, grad_proj: np.ndarray) -> np.ndarray:
     """Accumulate d(loss)/d(projection) into grad_proj given d(loss)/d(encoded
-    vector); return the embedding rows of text and, one per row, the
-    gradient that token occurrence receives."""
-    rows = vocab.rows(text)
+    vector) of the text with embedding rows `rows`; return, one per row,
+    the gradient that token occurrence receives."""
     pooled = params.embedding[rows].mean(axis=0)
     grad_proj += np.outer(grad_vec, pooled)
     grad_pooled = params.projection.T @ grad_vec
-    return rows, np.broadcast_to(grad_pooled / len(rows),
-                                 (len(rows), len(grad_pooled)))
+    return np.broadcast_to(grad_pooled / len(rows),
+                           (len(rows), len(grad_pooled)))
 
 
-def encoder_gradient(enc: DualEncoder, query: Sequence[str],
-                     docs: Sequence[Sequence[str]], q_vec: np.ndarray,
+def encoder_gradient(enc: DualEncoder, query_rows: np.ndarray,
+                     doc_rows: Sequence[np.ndarray], q_vec: np.ndarray,
                      d_vecs: np.ndarray, g_scores: np.ndarray,
                      mode: MaintenanceMode) -> Gradients:
-    """Backprop d(loss)/d(scores), scores = d_vecs @ q_vec, into the encoder;
-    document gradients stay zero unless the mode trains the document side.
-    Each side's embedding rows are summed in token order (over all K
-    documents on the document side)."""
+    """Backprop d(loss)/d(scores), scores = d_vecs @ q_vec, into the encoder
+    from the embedding rows of the query and of each document; document
+    gradients stay zero unless the mode trains the document side. Each
+    side's rows are summed in token order (over all K documents)."""
     grads = Gradients.zeros_like(enc)
-    grads.query_rows, grads.query_values = sum_rows(*_backprop_side(
-        enc.query, enc.vocab, query, g_scores @ d_vecs,
-        grads.query_projection))
+    grads.query_rows, grads.query_values = sum_rows(
+        query_rows, _backprop_side(enc.query, query_rows, g_scores @ d_vecs,
+                                   grads.query_projection))
     if mode.trains_docs:
-        sides = [_backprop_side(enc.doc, enc.vocab, doc, g_k * q_vec,
-                                grads.doc_projection)
-                 for g_k, doc in zip(g_scores, docs)]
+        values = [_backprop_side(enc.doc, rows, g_k * q_vec,
+                                 grads.doc_projection)
+                  for g_k, rows in zip(g_scores, doc_rows)]
         grads.doc_rows, grads.doc_values = sum_rows(
-            np.concatenate([rows for rows, _ in sides]),
-            np.concatenate([values for _, values in sides]))
+            np.concatenate(doc_rows), np.concatenate(values))
     return grads
 
 
@@ -263,10 +261,12 @@ def retriever_gradient(enc: DualEncoder, query: Sequence[str],
     target = np.asarray(target_probs, dtype=np.float64)
     check_distribution(target, "target_probs")
 
-    q_vec = encode_query(enc, query)
-    d_vecs = np.stack([encode_doc(enc, d) for d in docs])
+    query_rows = enc.vocab.rows(query)
+    doc_rows = [enc.vocab.rows(d) for d in docs]
+    q_vec = encode(enc.query, query_rows)
+    d_vecs = np.stack([encode(enc.doc, rows) for rows in doc_rows])
     probs = retrieval_distribution(d_vecs @ q_vec, temperature)
-    return encoder_gradient(enc, query, docs, q_vec, d_vecs,
+    return encoder_gradient(enc, query_rows, doc_rows, q_vec, d_vecs,
                             (probs - target) / temperature, mode)
 
 

@@ -15,9 +15,11 @@ documents per example, as `costmodel.overhead_rerank` charges.
 
 A step works in index rows, never passage ids: `TrainerState.passages`
 is in index row order, and the static modes take document vectors from
-the index rows. Score gradients reach the encoder through
-`retriever.encoder_gradient`, the backprop that the gradient check
-covers. The optimizer is plain SGD with linear warmup and linear decay.
+the index rows. Their texts are interned once, in `TrainerState.tokens`:
+the LM scores a view of it, and the document encoder and backprop read
+embedding rows through `vocab_rows`. Score gradients reach the encoder
+through `retriever.encoder_gradient`, the backprop that the gradient
+check covers. The optimizer is plain SGD with linear warmup and decay.
 With a fixed seed, configuration and corpus, the parameter trajectory and
 the emitted metrics are bit-identical across runs.
 """
@@ -32,13 +34,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import index as index_mod
-from .corpus import Passage
+from .corpus import Passage, TokenTable
 from .formats import atomic_write
 from .lm import LMScorer, OverlapLM
 from .losses import (LossKind, build_target, distill_step, emdr2_objective)
 from .pretext import PretextExample
 from .retriever import (DEFAULT_TEMPERATURE, DualEncoder, Gradients,
-                        MaintenanceMode, encode_doc, encode_query,
+                        MaintenanceMode, encode, encode_query,
                         encoder_gradient, retrieval_distribution, sum_rows)
 
 
@@ -97,6 +99,8 @@ class TrainerState:
     encoder: DualEncoder
     index: index_mod.EmbeddingIndex
     passages: list[Passage]  # passages[r] is the passage of index row r
+    tokens: TokenTable  # text r is the text of passages[r]
+    vocab_rows: np.ndarray  # term id of tokens -> encoder vocab row
     step: int = 0
     stale_rerank_warnings: int = 0
 
@@ -118,6 +122,12 @@ def _learning_rate(cfg: TrainConfig, step: int) -> float:
     return cfg.learning_rate * remaining / span
 
 
+def _doc_rows(state: TrainerState, rows: np.ndarray) -> list[np.ndarray]:
+    """The encoder vocab rows of the texts of index rows."""
+    return [state.vocab_rows[state.tokens.text_terms(r)]
+            for r in rows.tolist()]
+
+
 def _retrieve(state: TrainerState, cfg: TrainConfig, example: TrainExample,
               q_vec: np.ndarray) -> tuple[np.ndarray, np.ndarray | None, bool]:
     """Index rows of the candidate documents for one example with query
@@ -136,8 +146,9 @@ def _retrieve(state: TrainerState, cfg: TrainConfig, example: TrainExample,
     pool = index_mod._top_k(scores, min(cfg.l_rerank_pool, n))
     # Rescored in row order, so fresh ties break by ascending id.
     by_row = np.sort(pool)
-    vecs = np.array([encode_doc(state.encoder, state.passages[r].text)
-                     for r in by_row.tolist()]).reshape(-1, state.encoder.dim)
+    vecs = np.array([encode(state.encoder.doc, rows)
+                     for rows in _doc_rows(state, by_row)]
+                    ).reshape(-1, state.encoder.dim)
     fresh = np.array([np.dot(q_vec, v) for v in vecs])
     kept = index_mod._top_k(fresh, len(by_row))[:cfg.k_retrieved]
     # Stale-index signal: a fresh top-K element coming from the tail of the
@@ -150,14 +161,17 @@ def _example_gradient(state: TrainerState, cfg: TrainConfig, lm: LMScorer,
                       example: TrainExample) -> tuple[Gradients | None, float, np.ndarray]:
     """Loss gradient (None when frozen), loss value, retrieved rows. A
     stale-index signal from retrieval counts in state.stale_rerank_warnings."""
-    q_vec = encode_query(state.encoder, example.query)
+    enc = state.encoder
+    query_rows = enc.vocab.rows(example.query)
+    q_vec = encode(enc.query, query_rows)
     rows, d_vecs, stale = _retrieve(state, cfg, example, q_vec)
     state.stale_rerank_warnings += stale
     if not len(rows):
         return None, 0.0, rows
-    docs = [state.passages[r].text for r in rows.tolist()]
+    docs = state.tokens.view(rows)
+    doc_rows = _doc_rows(state, rows) if cfg.mode.trains_docs else []
     if cfg.mode == MaintenanceMode.FULL_REFRESH:
-        d_vecs = np.stack([encode_doc(state.encoder, d) for d in docs])
+        d_vecs = np.stack([encode(enc.doc, r) for r in doc_rows])
     elif not cfg.mode.trains_docs:
         # The index is never stale in these modes; its vectors are the
         # document embeddings.
@@ -176,8 +190,8 @@ def _example_gradient(state: TrainerState, cfg: TrainConfig, lm: LMScorer,
 
     if cfg.mode == MaintenanceMode.FIXED:
         return None, loss_value, rows
-    grads = encoder_gradient(state.encoder, example.query, docs, q_vec,
-                             d_vecs, step.grad_wrt_scores, cfg.mode)
+    grads = encoder_gradient(enc, query_rows, doc_rows, q_vec, d_vecs,
+                             step.grad_wrt_scores, cfg.mode)
     return grads, loss_value, rows
 
 
@@ -190,7 +204,7 @@ def train_step(state: TrainerState, batch: Sequence[TrainExample],
         state.index = index_mod.build(
             state.passages, state.encoder,
             shards=state.index.shards, precision=state.index.precision,
-            previous_version=state.index.version)
+            previous_version=state.index.version, tokens=state.tokens)
 
     total = Gradients.zeros_like(state.encoder)
     losses, hits, with_gold = [], 0, 0
@@ -227,8 +241,11 @@ def train_step(state: TrainerState, batch: Sequence[TrainExample],
 def init_state(encoder: DualEncoder, passages: Sequence[Passage],
                shards: int = 1) -> TrainerState:
     ordered = sorted(passages, key=lambda p: p.id)
-    idx = index_mod.build(ordered, encoder, shards=shards)
-    return TrainerState(encoder=encoder, index=idx, passages=ordered)
+    tokens = TokenTable([p.text for p in ordered])
+    idx = index_mod.build(ordered, encoder, shards=shards, tokens=tokens)
+    return TrainerState(encoder=encoder, index=idx, passages=ordered,
+                        tokens=tokens,
+                        vocab_rows=tokens.vocab_rows(encoder.vocab))
 
 
 def train(state: TrainerState, examples: Sequence[TrainExample],

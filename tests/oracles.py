@@ -36,8 +36,8 @@ def mp_overlap_lm(docs, output, vocab_size, smoothing):
     """The smoothed unigram-overlap LM by its formula,
     p(t|d) = lam * count_d(t)/|d| + (1 - lam)/|V|, one token at a time.
 
-    Returns per-document, joint (documents concatenated), leave-one-out
-    and per-token log-likelihoods, and the attention relevance (mean
+    Returns per-document, joint (documents concatenated) and
+    leave-one-out log-likelihoods, and the attention relevance (mean
     in-document frequency of the output tokens; 0 for an empty document).
     """
     lam = mpmath.mpf(smoothing)
@@ -66,9 +66,41 @@ def mp_overlap_lm(docs, output, vocab_size, smoothing):
         "joint": float(loglik(concat(docs))),
         "loo": [float(loglik(concat(docs[:k] + docs[k + 1:])))
                 for k in range(len(docs))],
-        "per_token": [[float(mpmath.log(prob(d, t))) for t in output]
-                      for d in docs],
         "relevance": rel,
+    }
+
+
+def counter_overlap_lm(docs, output, vocab_size, smoothing):
+    """The smoothed unigram-overlap LM from token counts that
+    collections.Counter takes of each document, in plain Python floats.
+
+    Returns the (|output|, K) counts and the K lengths, then per-document,
+    joint and leave-one-out log-likelihoods (a sum over the output tokens
+    in order) and the attention relevance.
+    """
+    import math
+    from collections import Counter
+
+    counters = [Counter(d) for d in docs]
+    lengths = [len(d) for d in docs]
+    pooled = sum(counters, Counter())
+
+    def loglik(counter, length):
+        total = 0.0
+        for t in output:
+            freq = counter[t] / length if length else 0.0
+            total += math.log(smoothing * freq + (1 - smoothing) / vocab_size)
+        return total
+
+    return {
+        "counts": [[c[t] for c in counters] for t in output],
+        "lengths": lengths,
+        "per_doc": [loglik(c, n) for c, n in zip(counters, lengths)],
+        "joint": loglik(pooled, sum(lengths)),
+        "loo": [loglik(pooled - c, sum(lengths) - n)
+                for c, n in zip(counters, lengths)],
+        "relevance": [sum(c[t] for t in output) / (n * len(output)) if n
+                      else 0.0 for c, n in zip(counters, lengths)],
     }
 
 

@@ -167,6 +167,20 @@ class TestBuildAndSearch:
                      "--out", str(tmp_path / "index.ridx")]) == 1
         assert "passages.jsonl, line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["build-index", "train"])
+    def test_empty_passage_text_exit_1(self, tmp_path, capsys, command):
+        passages = tmp_path / "passages.jsonl"
+        passages.write_text('{"id": "a", "text": "x y"}\n'
+                            '{"id": "b", "text": "  "}\n')
+        config = tmp_path / "train.cfg"
+        config.write_text("steps=1\n")
+        args = {"build-index": ["--passages", str(passages),
+                                "--out", str(tmp_path / "index.ridx")],
+                "train": ["--config", str(config), "--corpus", str(passages),
+                          "--out", str(tmp_path / "run")]}[command]
+        assert main([command, *args]) == 1
+        assert "passages.jsonl, line 2: empty text" in capsys.readouterr().err
+
     def test_newline_in_id_exit_2_and_nothing_written(self, tmp_path, capsys):
         passages = tmp_path / "passages.jsonl"
         passages.write_text('{"id": "a\\nb", "text": "x y"}\n'

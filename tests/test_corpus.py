@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rlab.corpus import (FilterConfig, Passage, RawDocument, Section,
-                         chunk, chunk_tokens, exclude_self, ingest,
+                         chunk, chunk_tokens, ingest,
                          linearize_document, linearize_structured,
                          passage_from_json, passage_to_json, quality_filter,
                          read_documents, read_passages, repeated_token_ratio,
@@ -121,27 +121,6 @@ class TestQualityFilter:
             assert not quality_filter(doc, tight)
 
 
-class TestExcludeSelf:
-    def p(self, pid):
-        return Passage(id=pid, doc_id="d", text=("x",))
-
-    def test_removes_origin(self):
-        res = exclude_self([self.p("p1"), self.p("p2"), self.p("p3")], self.p("p2"))
-        assert [r.id for r in res] == ["p1", "p3"]
-
-    def test_no_match(self):
-        res = exclude_self([self.p("p1"), self.p("p2")], self.p("p9"))
-        assert [r.id for r in res] == ["p1", "p2"]
-
-    def test_removes_all_sharing_id(self):
-        assert exclude_self([self.p("p1"), self.p("p1")], self.p("p1")) == []
-
-    def test_idempotent(self):
-        results = [self.p("p1"), self.p("p2"), self.p("p2")]
-        once = exclude_self(results, self.p("p2"))
-        assert exclude_self(once, self.p("p2")) == once
-
-
 class TestIO:
     def test_passage_json_round_trip(self):
         p = Passage(id="d1:s0:p0", doc_id="d1", text=("a", "b"),
@@ -168,6 +147,9 @@ class TestIO:
         (b'{"id": "b", "text": "x y", "doc_id": ["d"]}', "doc_id"),
         (b'{"id": "b", "text": "x y", "dump_date": 2021}', "dump_date"),
         (b'{"id": "b", "text": "x y", "section_title": null}', "section_title"),
+        # A passage with no words has no embedding.
+        (b'{"id": "b", "text": ""}', "empty text"),
+        (b'{"id": "b", "text": " \\t "}', "empty text"),
     ])
     def test_read_passages_format_error_names_line(self, tmp_path, bad_line,
                                                    reason):

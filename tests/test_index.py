@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rlab.corpus import Passage
+from rlab.corpus import Passage, TokenTable
 from rlab.index import (PRECISIONS, EmbeddingIndex, FormatError, build,
                         load_index, save_index, search, search_batch)
 from rlab.pq import PQCodec, PQIndex, pq_search
@@ -74,6 +74,27 @@ class TestBuild:
             p = next(p for p in passages if p.id == pid)
             np.testing.assert_allclose(vec, encode_doc(enc, p.text),
                                        atol=1e-6)
+
+    @pytest.mark.parametrize("interned", [False, True])
+    @pytest.mark.parametrize("precision", list(PRECISIONS))
+    def test_vectors_bit_equal_encode_doc(self, precision, interned):
+        # Repeated and shared tokens, tokens outside the vocab (the UNK
+        # row) and ids out of order; build encodes from the interned rows.
+        rng = np.random.default_rng(7)
+        words = [f"w{i}" for i in range(12)]
+        passages = [Passage(id=f"p{(7 * i) % 30:02d}", doc_id=f"d{i}",
+                            text=tuple(words[j] for j in rng.integers(
+                                0, 12, rng.integers(1, 9))))
+                    for i in range(30)]
+        enc = init_encoder(Vocab(words[:9]), 8, seed=3)
+        tokens = TokenTable([p.text for p in passages]) if interned else None
+        idx = build(passages, enc, precision=precision, tokens=tokens)
+        ordered = sorted(passages, key=lambda p: p.id)
+        want = np.stack([encode_doc(enc, p.text) for p in ordered])
+        assert idx.ids == [p.id for p in ordered]
+        assert np.array_equal(
+            idx.vectors,
+            want.astype(PRECISIONS[precision]).astype(np.float64))
 
 
 class TestSearch:

@@ -1,12 +1,14 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from rlab.corpus import TokenTable
 from rlab.formats import FormatError
-from rlab.lm import MockScorer, OverlapLM
+from rlab.lm import MockScorer, OverlapLM, _count_matrix
 
-from oracles import mp_overlap_lm
+from oracles import counter_overlap_lm, mp_overlap_lm
 
 
 @pytest.fixture
@@ -154,9 +156,6 @@ class TestOracle:
             pytest.approx(want["per_doc"], **close)
         assert lm.joint_loglik([], docs, output) == \
             pytest.approx(want["joint"], **close)
-        for got, row in zip(lm.per_token_logliks([], docs, output),
-                            want["per_token"], strict=True):
-            assert got == pytest.approx(row, **close)
         assert lm.attention_relevance([], docs, output) == \
             pytest.approx(want["relevance"], **close)
         if len(docs) == 1:
@@ -172,9 +171,54 @@ class TestOracle:
         docs, output = [("a", "b"), ("b", "c", "c")], ("c", "a")
         for _ in range(2):
             for fn in (lm.per_doc_loglik, lm.joint_loglik, lm.loo_logliks,
-                       lm.per_token_logliks, lm.attention_relevance):
+                       lm.attention_relevance):
                 fn((), docs, output)
         assert vars(lm) == before == {"vocab_size": 9, "smoothing": 0.5}
+
+
+class TestCounterOracle:
+    """Every output, for a row view of a token table and for the same
+    documents as a list of tuples, against collections.Counter counts."""
+
+    @given(corpus=st.lists(st.lists(st.sampled_from("abcde"), max_size=6),
+                           min_size=1, max_size=6),
+           picks=st.lists(st.integers(0, 5), min_size=1, max_size=5),
+           output=st.lists(st.sampled_from("abcdefg"), min_size=1,
+                           max_size=8),
+           vocab_size=st.integers(2, 50),
+           smoothing=st.floats(0.05, 0.95))
+    @example(corpus=[["a", "b", "a"]], picks=[0], output=["a", "z", "a"],
+             vocab_size=9, smoothing=0.5)  # K = 1, repeated and absent
+    @example(corpus=[["a", "b"], ["c"], ["d", "e"]], picks=[2, 0, 2, 0],
+             output=["c", "e", "f", "e"], vocab_size=9,  # duplicate docs;
+             smoothing=0.3)  # "c" is a table term in no picked doc
+    @example(corpus=[[], ["a"]], picks=[0, 0], output=["a"], vocab_size=3,
+             smoothing=0.5)  # only empty docs
+    def test_matches_counter(self, corpus, picks, output, vocab_size,
+                             smoothing):
+        rows = np.array([i % len(corpus) for i in picks])
+        view = TokenTable([tuple(t) for t in corpus]).view(rows)
+        docs = [tuple(corpus[r]) for r in rows]
+        assert list(view) == docs
+        want = counter_overlap_lm(docs, output, vocab_size, smoothing)
+        lm = OverlapLM(vocab_size=vocab_size, smoothing=smoothing)
+        close = dict(rel=1e-12, abs=1e-300)
+        for given_docs in (view, docs):
+            counts, lengths = _count_matrix(given_docs, output)
+            assert counts.tolist() == want["counts"]
+            assert lengths.tolist() == want["lengths"]
+            assert lm.per_doc_loglik([], given_docs, output) == \
+                pytest.approx(want["per_doc"], **close)
+            assert lm.joint_loglik([], given_docs, output) == \
+                pytest.approx(want["joint"], **close)
+            assert lm.attention_relevance([], given_docs, output) == \
+                want["relevance"]
+            if len(docs) == 1:
+                with pytest.raises(ValueError, match="leave-one-out"):
+                    lm.loo_logliks([], given_docs, output)
+            else:
+                assert lm.loo_logliks([], given_docs, output) == \
+                    pytest.approx(want["loo"], **close)
 
 
 class TestMockScorer:

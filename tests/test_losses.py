@@ -6,8 +6,7 @@ import pytest
 from rlab.lm import MockScorer
 from rlab.losses import (LossKind, TargetDistribution, adist_target,
                          build_target, distill_step, emdr2_objective,
-                         emdr2_objective_token_level, kl_divergence,
-                         loop_target, pdist_target)
+                         kl_divergence, loop_target, pdist_target)
 
 from oracles import central_difference, mp_emdr2, mp_kl, mp_softmax
 
@@ -163,14 +162,6 @@ class TestEMDR2:
             want = central_difference(negated_objective, scores)
             np.testing.assert_allclose(got, want, rtol=1e-4, atol=1e-8)
             assert abs(got.sum()) < 1e-10
-
-    def test_token_level_sums_tokens(self):
-        per_token = [[-1.0, -2.0], [-0.5, -3.0]]
-        probs = [0.4, 0.6]
-        got = emdr2_objective_token_level(per_token, probs)
-        want = sum(emdr2_objective([row[t] for row in per_token], probs).value
-                   for t in range(2))
-        assert got.value == pytest.approx(want)
 
 
 class TestDistillStep:

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from rlab.index import EmbeddingIndex, FormatError, search
-from rlab.pq import (PQCodec, PQIndex, compress, compressed_bytes,
+from rlab.pq import (PQCodec, PQIndex, _nearest, compress, compressed_bytes,
                      compression_ratio, compressed_size_from_reported, decode,
                      load_pq_index, pq_objective, pq_search, recall_at_k,
                      save_pq_index, train_pq, uncompressed_bytes)
 
-from oracles import brute_force_search, reference_pq
+from oracles import _nearest_centroid, brute_force_search, reference_pq
 
 
 def random_index(n, dim, seed=0):
@@ -110,6 +110,29 @@ class TestReferencePQ:
         rng = np.random.default_rng(seed)
         vectors = rng.integers(-2, 3, size=(200, 2 * sub_dim)).astype(float)
         self.check(vectors, m=2, k_c=16, iterations=3, seed=seed)
+
+
+class TestNearest:
+    """`_nearest` screens in blocks of 256 rows; each row's answer is the
+    direct argmin's, whatever block it falls in."""
+
+    @pytest.mark.parametrize("sub_dim", [8, 16])
+    def test_rows_across_block_edges_match_direct_argmin(self, sub_dim):
+        # 700 rows: two whole blocks and a partial one. Each of 8 points
+        # has a centroid one ulp off it, listed first, and an exact copy
+        # at distance zero, which only the direct sum tells apart. Copies
+        # of one point straddle the block edges at rows 256 and 512, and
+        # every third row is a random point.
+        rng = np.random.default_rng(31)
+        points = rng.normal(size=(8, sub_dim))
+        centroids = np.concatenate([np.nextafter(points, np.inf), points])
+        data = points[rng.integers(8, size=700)]
+        data[::3] = rng.normal(size=(234, sub_dim))
+        data[250:262] = points[2]
+        data[508:516] = points[5]
+        got = _nearest(data, centroids)
+        assert got.tolist() == [_nearest_centroid(centroids, x) for x in data]
+        assert _nearest(data[:0], centroids).shape == (0,)
 
 
 class TestPeakMemory:

@@ -11,9 +11,9 @@ from rlab.index import EmbeddingIndex, build, search
 from rlab.lm import OverlapLM
 from rlab.losses import (LossKind, build_target, distill_step,
                          emdr2_objective, pdist_target)
-from rlab.retriever import (Gradients, Vocab, encode_doc, encode_query,
-                            init_encoder, retrieval_distribution,
-                            retriever_gradient)
+from rlab.retriever import (Gradients, Vocab, encode, encode_doc,
+                            encode_query, init_encoder,
+                            retrieval_distribution, retriever_gradient)
 from rlab.trainer import (MaintenanceMode, StepMetrics, TrainConfig,
                           TrainExample, _example_gradient, _learning_rate,
                           _retrieve, init_state, recall_at_1, train,
@@ -150,14 +150,16 @@ class TestRetrieve:
         assert stale
 
     @staticmethod
-    def _count_encodes(monkeypatch):
-        """The texts rerank re-embeds, recorded through trainer.encode_doc."""
+    def _count_encodes(monkeypatch, encoder):
+        """The vocab rows of the texts rerank re-embeds, recorded through
+        the trainer's binding of encode on the document side."""
         encoded = []
 
-        def counting(enc, text):
-            encoded.append(text)
-            return encode_doc(enc, text)
-        monkeypatch.setattr("rlab.trainer.encode_doc", counting)
+        def counting(params, rows):
+            if params is encoder.doc:
+                encoded.append(rows.tolist())
+            return encode(params, rows)
+        monkeypatch.setattr("rlab.trainer.encode", counting)
         return encoded
 
     def test_rerank_reembeds_exactly_l(self, monkeypatch):
@@ -172,10 +174,10 @@ class TestRetrieve:
                           origin_passage_id=origin.id)
         q_vec = encode_query(encoder, ex.query)
         assert search(state.index, q_vec, 1)[0][0] == origin.id
-        encoded = self._count_encodes(monkeypatch)
+        encoded = self._count_encodes(monkeypatch, encoder)
         rows, _, _ = _retrieve(state, cfg, ex, q_vec)
         assert len(encoded) == cfg.l_rerank_pool
-        assert origin.text not in encoded
+        assert encoder.vocab.rows(origin.text).tolist() not in encoded
         assert len(rows) == 3 and origin.id not in \
             [state.index.ids[r] for r in rows]
 
@@ -185,7 +187,7 @@ class TestRetrieve:
         state = init_state(encoder, passages)
         cfg = TrainConfig(mode=mode, k_retrieved=3, l_rerank_pool=6)
         q_vec = encode_query(encoder, examples[0].query)
-        encoded = self._count_encodes(monkeypatch)
+        encoded = self._count_encodes(monkeypatch, encoder)
         results = []
         for origin in ("", "absent"):
             ex = replace(examples[0], origin_passage_id=origin)
@@ -318,16 +320,17 @@ class TestEmbedCount:
     rebuild."""
 
     @staticmethod
-    def _count_embeds(monkeypatch):
+    def _count_embeds(monkeypatch, encoder):
         """Every document embed, seen through the trainer's and the index
-        builder's bindings of encode_doc."""
+        builder's bindings of encode on the document side."""
         calls = []
 
-        def counting(enc, text):
-            calls.append(text)
-            return encode_doc(enc, text)
-        monkeypatch.setattr("rlab.trainer.encode_doc", counting)
-        monkeypatch.setattr("rlab.index.encode_doc", counting)
+        def counting(params, rows):
+            if params is encoder.doc:
+                calls.append(rows)
+            return encode(params, rows)
+        monkeypatch.setattr("rlab.trainer.encode", counting)
+        monkeypatch.setattr("rlab.index.encode", counting)
         return calls
 
     @staticmethod
@@ -355,7 +358,7 @@ class TestEmbedCount:
             MaintenanceMode.FULL_REFRESH: len(batch) * cfg.k_retrieved,
         }[mode]
         rebuild = len(passages) if cfg.rebuilds_at(2) else 0
-        calls = self._count_embeds(monkeypatch)
+        calls = self._count_embeds(monkeypatch, encoder)
         lm = OverlapLM(vocab_size=5000)
         counts = []
         for _ in range(2):
@@ -370,7 +373,7 @@ class TestEmbedCount:
         state = init_state(encoder, passages)
         batch = self._batch(passages, examples)
         cfg = TrainConfig(mode=mode, k_retrieved=3, l_rerank_pool=6)
-        calls = self._count_embeds(monkeypatch)
+        calls = self._count_embeds(monkeypatch, encoder)
         recall_at_1(state, batch, cfg)
         assert len(calls) == (len(batch) * cfg.l_rerank_pool
                               if mode == MaintenanceMode.RERANK else 0)
@@ -500,6 +503,71 @@ class TestSparseGradients:
         small, large = array_sizes(0), array_sizes(20000)
         assert small == large
         assert max(max(s) for s in large) < 20000
+
+
+class TupleScorer:
+    """An LMScorer as an outside scorer sees the documents: it records the
+    documents it receives and hands OverlapLM a list of token tuples."""
+
+    def __init__(self, lm):
+        self.lm = lm
+        self.seen = []
+
+    def _tuples(self, docs):
+        self.seen.append(list(docs))
+        return [tuple(d) for d in docs]
+
+    def per_doc_loglik(self, query, docs, output):
+        return self.lm.per_doc_loglik(query, self._tuples(docs), output)
+
+    def joint_loglik(self, query, docs, output):
+        return self.lm.joint_loglik(query, self._tuples(docs), output)
+
+    def loo_logliks(self, query, docs, output):
+        return self.lm.loo_logliks(query, self._tuples(docs), output)
+
+    def attention_relevance(self, query, docs, output):
+        return self.lm.attention_relevance(query, self._tuples(docs), output)
+
+
+class TestTokenTableDifferential:
+    """Training with the LM reading the token table's row views equals
+    training with the same LM given the documents as tuples."""
+
+    @staticmethod
+    def run(mode, loss, wrap):
+        passages, examples, encoder = small_task(n_passages=40,
+                                                 n_examples=12, dim=8)
+        examples = [replace(ex, origin_passage_id=passages[i + 5].id)
+                    if i % 2 else ex for i, ex in enumerate(examples)]
+        state = init_state(encoder, passages)
+        cfg = TrainConfig(mode=mode, loss=loss, k_retrieved=5,
+                          l_rerank_pool=10, refresh_interval=3, batch_size=4,
+                          steps=7, learning_rate=0.5, warmup_steps=2)
+        lm = OverlapLM(vocab_size=500)
+        history = train(state, examples, cfg, wrap(lm))
+        enc = state.encoder
+        return (history, [t.tobytes() for t in (
+            enc.query.embedding, enc.query.projection, enc.doc.embedding,
+            enc.doc.projection, state.index.vectors)],
+            state.stale_rerank_warnings)
+
+    @pytest.mark.parametrize("loss", list(LossKind))
+    @pytest.mark.parametrize("mode", list(MaintenanceMode))
+    def test_row_views_train_as_tuples(self, mode, loss):
+        assert self.run(mode, loss, lambda lm: lm) == \
+            self.run(mode, loss, TupleScorer)
+
+    @pytest.mark.parametrize("mode", list(MaintenanceMode))
+    def test_scorer_receives_passage_texts(self, mode):
+        passages, examples, encoder = small_task()
+        state = init_state(encoder, passages)
+        cfg = TrainConfig(mode=mode, k_retrieved=4, l_rerank_pool=8,
+                          loss=LossKind.LOOP)
+        scorer = TupleScorer(OverlapLM(vocab_size=500))
+        _, _, rows = _example_gradient(state, cfg, scorer, examples[0])
+        assert scorer.seen == [[state.passages[r].text for r in rows]]
+        assert all(type(doc) is tuple for doc in scorer.seen[0])
 
 
 class TestTrainLoop:
