@@ -19,6 +19,7 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import mmap
 import os
 import secrets
 from typing import Iterator, Sequence
@@ -54,14 +55,24 @@ def remaining(fh) -> int:
     return os.fstat(fh.fileno()).st_size - fh.tell()
 
 
-def read_exact(fh, n: int, path) -> bytes:
+def read_exact(fh, n: int, path, mapped: bool = False) -> bytes | memoryview:
     """Read exactly n bytes or raise FormatError naming the file. The size
-    is checked first, so a corrupt length never allocates a huge buffer."""
+    is checked first, so a corrupt length never allocates a huge buffer.
+    `mapped` gives instead a read-only view of the file mapped read-only,
+    with no copy. The view owns the mapping (unmapped with its last view)
+    and outlives a replace of path, not a truncation in place."""
     left = remaining(fh)
     if n > left:
         raise FormatError(f"{path}: truncated at byte {fh.tell()}: needs "
                           f"{n} more bytes, has {left}")
-    return fh.read(n)
+    if not mapped:
+        return fh.read(n)
+    try:
+        data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+    except OSError as exc:
+        raise FormatError(f"{path}: cannot map: {exc}") from exc
+    start = fh.seek(n, os.SEEK_CUR) - n
+    return memoryview(data)[start:start + n]
 
 
 def read_end(fh, path):
@@ -80,15 +91,17 @@ def float_bytes(values, dtype, what: str) -> bytes:
     return stored.tobytes()
 
 
-def read_floats(fh, shape: tuple[int, ...], dtype, path, what: str) -> np.ndarray:
-    """The next float64 array of shape, stored as dtype; a NaN or infinite
-    value raises FormatError naming the file (checked before the upcast)."""
+def read_floats(fh, shape: tuple[int, ...], dtype, path, what: str,
+                mapped: bool = False) -> np.ndarray:
+    """The next array of shape, stored as dtype: float64, or the stored
+    values if `mapped` (see `read_exact`); a NaN or infinite value raises
+    FormatError naming the file (checked before the upcast)."""
     dtype = np.dtype(dtype)
     stored = np.frombuffer(read_exact(fh, math.prod(shape) * dtype.itemsize,
-                                      path), dtype=dtype)
+                                      path, mapped), dtype=dtype)
     if not np.isfinite(stored).all():
         raise FormatError(f"{path}: non-finite value in the {what}")
-    return stored.astype(np.float64).reshape(shape)
+    return (stored if mapped else stored.astype(np.float64)).reshape(shape)
 
 
 def join_lines(strings: Sequence[str], what: str) -> bytes:

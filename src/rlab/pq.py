@@ -40,9 +40,6 @@ class PQCodec:
     def dim(self) -> int:
         return self.m * self.sub_dim
 
-    def codebook_bytes(self, bytes_per_scalar: int = 4) -> int:
-        return self.codebooks.size * bytes_per_scalar
-
 
 @dataclass(frozen=True)
 class PQIndex:
@@ -66,11 +63,10 @@ class PQIndex:
     def size(self) -> int:
         return len(self.ids)
 
-    def code_bytes(self) -> int:
-        return math.ceil(self.size * self.codec.m * _code_bits(self.codec.k_c) / 8)
-
     def memory_bytes(self) -> int:
-        return self.code_bytes() + self.codec.codebook_bytes()
+        """Packed codes plus float32 codebooks."""
+        return (math.ceil(self.size * self.codec.m * _code_bits(self.codec.k_c) / 8)
+                + 4 * self.codec.codebooks.size)
 
 
 # RPQX stores each code as an unsigned 16-bit integer.
@@ -235,14 +231,6 @@ def recall_at_k(approx_results: Sequence[Sequence[tuple[str, float]]],
 
 def _code_bits(k_c: int) -> int:
     return math.ceil(math.log2(k_c)) if k_c > 1 else 1
-
-
-def uncompressed_bytes(n: int, dim: int, bytes_per_scalar: int = 2) -> int:
-    return n * dim * bytes_per_scalar
-
-
-def compressed_bytes(n: int, m: int, k_c: int, codebook_bytes: int = 0) -> float:
-    return n * m * _code_bits(k_c) / 8 + codebook_bytes
 
 
 def compression_ratio(dim: int, bytes_per_scalar: int, m: int, k_c: int) -> float:

@@ -12,6 +12,10 @@ text's embedding rows (`Vocab.rows`, or `corpus.TokenTable.vocab_rows`
 for interned passages). Training and the finite-difference check
 (`retriever_gradient`) share one backprop, `encoder_gradient`.
 
+A loaded encoder's embedding tables are read-only float32 views of the
+mapped checkpoint; `_pooled` upcasts only the rows it gathers, so vectors
+match the tables upcast whole. `copy()` gives a float64 one to train.
+
 An example touches only the embedding rows of its own tokens, so
 `Gradients` keeps each embedding gradient as sparse rows: the touched row
 ids and their values in accumulation order. `sum_rows` adds a row's values
@@ -69,15 +73,16 @@ class Vocab:
 class EncoderParams:
     """One side of the dual encoder: embedding table plus projection."""
 
-    embedding: np.ndarray  # (|V|, d) float64
-    projection: np.ndarray  # (d, d)
+    embedding: np.ndarray  # (|V|, d) float64, or read-only float32 if loaded
+    projection: np.ndarray  # (d, d) float64
 
     @property
     def dim(self) -> int:
         return self.embedding.shape[1]
 
     def copy(self) -> "EncoderParams":
-        return EncoderParams(self.embedding.copy(), self.projection.copy())
+        return EncoderParams(self.embedding.astype(np.float64),
+                             self.projection.copy())
 
 
 @dataclass
@@ -105,11 +110,16 @@ def init_encoder(vocab: Vocab, dim: int, seed: int = 0) -> DualEncoder:
     return DualEncoder(vocab, side.copy(), side.copy())
 
 
+def _pooled(params: EncoderParams, rows: np.ndarray) -> np.ndarray:
+    """Float64 mean of the embedding rows; only those rows are upcast."""
+    return np.asarray(params.embedding[rows], dtype=np.float64).mean(axis=0)
+
+
 def encode(params: EncoderParams, rows: np.ndarray) -> np.ndarray:
     """Projection applied to the mean of a text's embedding rows."""
     if len(rows) == 0:
         raise ValueError("empty input")
-    return params.projection @ params.embedding[rows].mean(axis=0)
+    return params.projection @ _pooled(params, rows)
 
 
 def encode_query(enc: DualEncoder, text: Sequence[str]) -> np.ndarray:
@@ -216,8 +226,7 @@ def _backprop_side(params: EncoderParams, rows: np.ndarray,
     """Accumulate d(loss)/d(projection) into grad_proj given d(loss)/d(encoded
     vector) of the text with embedding rows `rows`; return, one per row,
     the gradient that token occurrence receives."""
-    pooled = params.embedding[rows].mean(axis=0)
-    grad_proj += np.outer(grad_vec, pooled)
+    grad_proj += np.outer(grad_vec, _pooled(params, rows))
     grad_pooled = params.projection.T @ grad_vec
     return np.broadcast_to(grad_pooled / len(rows),
                            (len(rows), len(grad_pooled)))
@@ -303,8 +312,9 @@ def load_checkpoint(path) -> DualEncoder:
             raise FormatError(f"{path}: unsupported checkpoint version {version}")
         vocab_len = (struct.unpack("<Q", read_exact(fh, 8, path))[0]
                      if version == _VERSION else None)
-        tables = [read_floats(fh, (rows, dim), "<f4", path, "encoder tables")
-                  for rows in (vsize, dim, vsize, dim)]
+        tables = [read_floats(fh, (rows, dim), "<f4", path, "encoder tables",
+                              mapped)
+                  for rows, mapped in [(vsize, True), (dim, False)] * 2]
         if vocab_len is None:
             vocab_len = remaining(fh)
         tokens = read_lines(fh, vocab_len, vsize, path, "vocab token")

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from rlab.index import EmbeddingIndex, FormatError, search
-from rlab.pq import (PQCodec, PQIndex, _nearest, compress, compressed_bytes,
-                     compression_ratio, compressed_size_from_reported, decode,
-                     load_pq_index, pq_objective, pq_search, recall_at_k,
-                     save_pq_index, train_pq, uncompressed_bytes)
+from rlab.pq import (PQCodec, PQIndex, _nearest, compress, compression_ratio,
+                     compressed_size_from_reported, decode, load_pq_index,
+                     pq_objective, pq_search, recall_at_k, save_pq_index,
+                     train_pq)
 
 from oracles import _nearest_centroid, brute_force_search, reference_pq
 
@@ -171,10 +171,18 @@ class TestCompressDecode:
         # dim=64 at float16 vs m=8 one-byte codes: (64*2)/(8*1) = 16x.
         assert compression_ratio(dim=64, bytes_per_scalar=2, m=8, k_c=256) == 16.0
 
-    def test_memory_accounting(self):
-        n, m, k_c = 1000, 8, 256
-        assert uncompressed_bytes(n, 64, 2) == 1000 * 64 * 2
-        assert compressed_bytes(n, m, k_c) == 1000 * 8 * 8 / 8
+    def test_memory_bytes_counts_packed_codes_and_float32_codebooks(self):
+        codec = PQCodec(m=8, k_c=256, codebooks=np.zeros((8, 256, 8)))
+        pidx = PQIndex(codec=codec, ids=[f"p{i:04d}" for i in range(1000)],
+                       codes=np.zeros((1000, 8), dtype=np.int64), version=1,
+                       dim=64)
+        # 1000 vectors x 8 one-byte codes, plus 8 x 256 x 8 float32 values.
+        assert pidx.memory_bytes() == 1000 * 8 + 8 * 256 * 8 * 4
+        # k_c = 5 needs 3 bits a code: 1000 x 8 x 3 bits is 3000 bytes.
+        small = PQIndex(codec=PQCodec(m=8, k_c=5,
+                                      codebooks=np.zeros((8, 5, 8))),
+                        ids=pidx.ids, codes=pidx.codes, version=1, dim=64)
+        assert small.memory_bytes() == 3000 + 8 * 5 * 8 * 4
 
     def test_paper_scale_accounting(self):
         # Reported sizes scaled by the per-vector PQ ratio: a 768-dim fp16

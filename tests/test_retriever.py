@@ -1,16 +1,26 @@
+import errno
+import mmap
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rlab import formats
 from rlab.cli import main
-from rlab.index import EmbeddingIndex, FormatError, save_index
+from rlab.corpus import read_passages, write_passages
+from rlab.index import EmbeddingIndex, FormatError, build, save_index
+from rlab.lm import OverlapLM
 from rlab.retriever import (DualEncoder, EncoderParams, Gradients,
                             MaintenanceMode, Vocab, encode, encode_doc,
                             encode_query, init_encoder, load_checkpoint,
                             retrieval_distribution, retriever_gradient,
                             save_checkpoint, score)
+from rlab.trainer import TrainConfig, init_state, train_step
 
+from needle import make_needle_task
 from oracles import mp_softmax
 
 
@@ -341,3 +351,160 @@ class TestCheckpoint:
                                   vectors=np.ones((1, 4))), index)
         assert main(["search", "--index", str(index), "--checkpoint",
                      str(path), "--query", "ab cd"]) == 1
+
+
+def _upcast_whole(blob: bytes, side: str, text) -> np.ndarray:
+    """Oracle for one side's vector of text, straight from version 2 RLAB
+    bytes: both tables of the side upcast to float64 whole, then the
+    projection of the mean of the text's rows (unknown tokens: row 0)."""
+    dim, vsize = struct.unpack_from("<II", blob, 8)
+    sizes = [vsize * dim, dim * dim, vsize * dim, dim * dim]
+    tables, at = [], 24
+    for n in sizes:
+        tables.append(np.frombuffer(blob, "<f4", n, at).astype(np.float64))
+        at += 4 * n
+    tokens = blob[at:].decode("utf-8").split("\n")
+    first = 0 if side == "query" else 2
+    emb = tables[first].reshape(vsize, dim)
+    proj = tables[first + 1].reshape(dim, dim)
+    rows = [tokens.index(t) if t in tokens else 0 for t in text]
+    return proj @ emb[rows].mean(axis=0)
+
+
+class TestMappedCheckpoint:
+    """A loaded encoder maps its embedding tables from the file."""
+
+    @staticmethod
+    def _encoder(n_tokens=20, dim=4, seed=7):
+        enc = init_encoder(Vocab([f"t{i}" for i in range(n_tokens)]), dim,
+                           seed=seed)
+        rng = np.random.default_rng(seed)
+        for side in (enc.query, enc.doc):  # untied sides, real projections
+            side.embedding += rng.normal(scale=0.1, size=side.embedding.shape)
+            side.projection[:] = rng.normal(size=(dim, dim))
+        return enc
+
+    def test_vectors_equal_the_tables_upcast_whole(self, tmp_path):
+        path = tmp_path / "enc.rlab"
+
+        @settings(max_examples=40, deadline=None)
+        @given(st.integers(1, 30), st.integers(1, 8), st.integers(0, 2 ** 32),
+               st.lists(st.integers(-1, 40), min_size=1, max_size=12))
+        def check(n_tokens, dim, seed, picks):
+            save_checkpoint(self._encoder(n_tokens, dim, seed), path)
+            blob = path.read_bytes()
+            loaded = load_checkpoint(path)
+            text = [f"t{i}" if i >= 0 else "<unseen>" for i in picks]
+            for side, got in (("query", encode_query(loaded, text)),
+                              ("doc", encode_doc(loaded, text))):
+                want = _upcast_whole(blob, side, text)
+                assert got.dtype == np.float64
+                assert got.tobytes() == want.tobytes(), side
+        check()
+
+    def test_embedding_tables_are_read_only_float32(self, tmp_path):
+        path = tmp_path / "enc.rlab"
+        save_checkpoint(self._encoder(), path)
+        loaded = load_checkpoint(path)
+        for side in (loaded.query, loaded.doc):
+            assert side.embedding.dtype == np.float32
+            assert not side.embedding.flags.writeable
+            assert side.projection.dtype == np.float64
+            with pytest.raises(ValueError, match="read-only"):
+                side.embedding[0, 0] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                side.embedding[np.array([1, 1])] -= 0.5
+
+    def test_training_a_loaded_encoder_raises_and_its_copy_trains(
+            self, tmp_path):
+        passages, examples, encoder = make_needle_task(
+            n_passages=30, n_examples=8, dim=16, seed=0)
+        path = tmp_path / "enc.rlab"
+        save_checkpoint(encoder, path)
+        cfg = TrainConfig(mode=MaintenanceMode.QUERY_SIDE, steps=1)
+        loaded = load_checkpoint(path)
+        with pytest.raises(ValueError, match="read-only"):
+            train_step(init_state(loaded, passages), examples[:4], cfg,
+                       OverlapLM(vocab_size=5000))
+        copied = loaded.copy()
+        train_step(init_state(copied, passages), examples[:4], cfg,
+                   OverlapLM(vocab_size=5000))
+        assert not np.array_equal(copied.query.embedding,
+                                  loaded.query.embedding)
+
+    def test_copy_is_writeable_float64(self, tmp_path):
+        path = tmp_path / "enc.rlab"
+        save_checkpoint(self._encoder(), path)
+        loaded = load_checkpoint(path)
+        copied = loaded.copy()
+        for got, stored in ((copied.query, loaded.query),
+                            (copied.doc, loaded.doc)):
+            for table, original in ((got.embedding, stored.embedding),
+                                    (got.projection, stored.projection)):
+                assert table.dtype == np.float64 and table.flags.writeable
+                assert table.tobytes() == original.astype(np.float64).tobytes()
+                assert not np.shares_memory(table, original)
+
+    def test_index_from_checkpoint_equals_index_from_copy(self, tmp_path):
+        passages, _, encoder = make_needle_task(n_passages=30, n_examples=8,
+                                                dim=16, seed=0)
+        ckpt, jsonl = tmp_path / "enc.rlab", tmp_path / "passages.jsonl"
+        save_checkpoint(encoder, ckpt)
+        write_passages(passages, jsonl)
+        assert main(["build-index", "--passages", str(jsonl), "--out",
+                     str(tmp_path / "cli.ridx"), "--checkpoint",
+                     str(ckpt)]) == 0
+        save_index(build(read_passages(jsonl), load_checkpoint(ckpt).copy()),
+                   tmp_path / "copy.ridx")
+        assert ((tmp_path / "cli.ridx").read_bytes()
+                == (tmp_path / "copy.ridx").read_bytes())
+
+    def test_replacing_the_file_leaves_a_loaded_encoder_unchanged(
+            self, tmp_path):
+        path = tmp_path / "enc.rlab"
+        save_checkpoint(self._encoder(seed=1), path)
+        loaded = load_checkpoint(path)
+        before = loaded.copy()
+        vec = encode_query(loaded, ["t1", "t2"])
+        replacement = self._encoder(seed=2)
+        save_checkpoint(replacement, path)
+        for got, want in ((loaded.query, before.query),
+                          (loaded.doc, before.doc)):
+            np.testing.assert_array_equal(got.embedding, want.embedding)
+        assert encode_query(loaded, ["t1", "t2"]).tobytes() == vec.tobytes()
+        np.testing.assert_array_equal(
+            load_checkpoint(path).query.embedding,
+            replacement.query.embedding.astype(np.float32))
+
+    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("table", range(4))
+    def test_cut_inside_each_table_exits_1(self, tmp_path, table, version):
+        enc = self._encoder()
+        path = tmp_path / "enc.rlab"
+        save_checkpoint(enc, path)
+        blob = path.read_bytes()
+        vsize, dim = len(enc.vocab), enc.dim
+        sizes = [vsize * dim, dim * dim, vsize * dim, dim * dim]
+        cut = 24 + 4 * sum(sizes[:table]) + 4 * sizes[table] // 2
+        if version == 1:
+            blob = b"RLAB" + struct.pack("<III", 1, dim, vsize) + blob[24:]
+            cut -= 8
+        path.write_bytes(blob[:cut])
+        with pytest.raises(FormatError, match="enc.rlab.*truncated"):
+            load_checkpoint(path)
+        index = tmp_path / "idx.ridx"
+        save_index(EmbeddingIndex(version=1, dim=dim, ids=["a"],
+                                  vectors=np.ones((1, dim))), index)
+        assert main(["search", "--index", str(index), "--checkpoint",
+                     str(path), "--query", "t1"]) == 1
+
+    def test_failed_mapping_is_a_format_error(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise OSError(errno.ENODEV, "No such device")
+
+        path = tmp_path / "enc.rlab"
+        save_checkpoint(self._encoder(), path)
+        monkeypatch.setattr(formats, "mmap", SimpleNamespace(
+            mmap=refuse, ACCESS_READ=mmap.ACCESS_READ))
+        with pytest.raises(FormatError, match="enc.rlab.*cannot map"):
+            load_checkpoint(path)
