@@ -56,10 +56,6 @@ class Passage:
     dump_date: str | None = None
     section_title: str = ""
 
-    @property
-    def word_count(self) -> int:
-        return len(self.text)
-
 
 @dataclass(frozen=True)
 class FilterConfig:

@@ -15,7 +15,8 @@ import numpy as np
 from .corpus import Passage, tokenize
 from .formats import FormatError, jsonl_objects
 
-LETTERS = ("A", "B", "C", "D")
+LEAKAGE_THRESHOLD = 0.75  # flagged run length, as a share of the question
+SWAP_TOP_K = 5  # passages retrieved per query in the temporal swap
 
 # ---------------------------------------------------------------------------
 # Answer metrics (standard open-domain QA normalization: lowercase, strip
@@ -33,28 +34,6 @@ def normalize_answer(text: str) -> str:
 
 def exact_match(prediction: str, gold: str) -> int:
     return int(normalize_answer(prediction) == normalize_answer(gold))
-
-
-def f1(prediction: str, gold: str) -> float:
-    pred_tokens = normalize_answer(prediction).split()
-    gold_tokens = normalize_answer(gold).split()
-    if not pred_tokens and not gold_tokens:
-        return 1.0
-    if not pred_tokens or not gold_tokens:
-        return 0.0
-    common = 0
-    gold_counts: dict[str, int] = {}
-    for t in gold_tokens:
-        gold_counts[t] = gold_counts.get(t, 0) + 1
-    for t in pred_tokens:
-        if gold_counts.get(t, 0) > 0:
-            gold_counts[t] -= 1
-            common += 1
-    if common == 0:
-        return 0.0
-    precision = common / len(pred_tokens)
-    recall = common / len(gold_tokens)
-    return 2 * precision * recall / (precision + recall)
 
 
 # ---------------------------------------------------------------------------
@@ -78,12 +57,6 @@ class ChoiceScorer(Protocol):
                  docs: Sequence[Passage]) -> np.ndarray:
         """Distribution over the four answer letters for this ordering."""
         ...
-
-
-def choice_input_template(question: str, ordered_options: Sequence[str]) -> str:
-    opts = " ".join(f"({letter}) {opt}"
-                    for letter, opt in zip(LETTERS, ordered_options))
-    return f"question: {question}\noptions: {opts}\nanswer: [MASK_0]"
 
 
 # Inference mode -> its answer orderings (the options shown as A..D).
@@ -138,17 +111,16 @@ def longest_common_run(a: Sequence[str], b: Sequence[str]) -> int:
     return best
 
 
-def leakage_audit(question: str, passages: Sequence[Passage],
-                  threshold: float = 0.75) -> tuple[bool, int]:
+def leakage_audit(question: str, passages: Sequence[Passage]) -> tuple[bool, int]:
     """Flag when some passage shares a contiguous token run of at least
-    threshold * question length with the question."""
+    LEAKAGE_THRESHOLD * question length with the question."""
     q_tokens = tokenize(question)
     if not q_tokens:
         raise ValueError("question must be nonempty")
     best = 0
     for p in passages:
         best = max(best, longest_common_run(q_tokens, list(p.text)))
-    return best >= threshold * len(q_tokens), best
+    return best >= LEAKAGE_THRESHOLD * len(q_tokens), best
 
 
 @dataclass
@@ -169,19 +141,19 @@ class RerunReport:
 
 
 def filtered_rerun(records: Sequence[EvalRecord],
-                   answer_fn: Callable[[str, Sequence[Passage]], str],
-                   metric: Callable[[str, str], float] = exact_match,
-                   threshold: float = 0.75) -> RerunReport:
-    """Re-evaluate with leakage-flagged passages removed from every
-    retrieval set and report (original, filtered, delta)."""
+                   answer_fn: Callable[[str, Sequence[Passage]], str]
+                   ) -> RerunReport:
+    """Re-evaluate exact match with leakage-flagged passages removed from
+    every retrieval set and report (original, filtered, delta)."""
     def run(filtering: bool) -> float:
         scores = []
         for rec in records:
             passages = rec.retrieved
             if filtering:
                 passages = [p for p in passages
-                            if not leakage_audit(rec.question, [p], threshold)[0]]
-            scores.append(metric(answer_fn(rec.question, passages), rec.gold))
+                            if not leakage_audit(rec.question, [p])[0]]
+            scores.append(exact_match(answer_fn(rec.question, passages),
+                                      rec.gold))
         return float(np.mean(scores)) if scores else 0.0
 
     return RerunReport(original=run(False), filtered=run(True))
@@ -214,9 +186,10 @@ class TaggedIndex:
 
 def temporal_swap_eval(tasks: Sequence[TemporalQA], index_a: TaggedIndex,
                        index_b: TaggedIndex,
-                       answer_fn: Callable[[str, Sequence[Passage]], str],
-                       k: int = 5) -> dict[tuple[str, str], float]:
-    """Accuracy matrix keyed by (answer year, index year).
+                       answer_fn: Callable[[str, Sequence[Passage]], str]
+                       ) -> dict[tuple[str, str], float]:
+    """Accuracy matrix keyed by (answer year, index year), each prediction
+    made from SWAP_TOP_K passages.
 
     Each cell evaluates the year-a gold answers against predictions made
     from the year-b index; matched cells should dominate mismatched ones
@@ -232,14 +205,15 @@ def temporal_swap_eval(tasks: Sequence[TemporalQA], index_a: TaggedIndex,
                 gold = task.answers_by_year.get(answer_year)
                 if gold is None:
                     continue
-                prediction = answer_fn(task.query, idx.retrieve(task.query, k))
+                prediction = answer_fn(task.query,
+                                       idx.retrieve(task.query, SWAP_TOP_K))
                 scores.append(exact_match(prediction, gold))
             matrix[(answer_year, idx.year)] = float(np.mean(scores)) if scores else 0.0
     return matrix
 
 
 # ---------------------------------------------------------------------------
-# Task JSONL.
+# Choice-task JSONL.
 
 def read_choice_tasks(path) -> list[ChoiceTask]:
     """Choice tasks from JSONL: a string question, a list of four string
@@ -256,25 +230,6 @@ def read_choice_tasks(path) -> list[ChoiceTask]:
         try:
             tasks.append(ChoiceTask(question=obj["question"],
                                     options=tuple(options), gold=gold))
-        except ValueError as exc:
-            raise FormatError(f"{where}: {exc}") from exc
-    return tasks
-
-
-def read_temporal_tasks(path) -> list[TemporalQA]:
-    """Temporal tasks from JSONL: a string query and an object mapping each
-    year to a string answer per line."""
-    tasks = []
-    for where, obj in jsonl_objects(path):
-        answers = obj.get("answers_by_year")
-        if not (isinstance(obj.get("query"), str)
-                and isinstance(answers, dict)
-                and all(isinstance(a, str) for a in answers.values())):
-            raise FormatError(f"{where}: expected a string query and an "
-                              f"object of string answers_by_year")
-        try:
-            tasks.append(TemporalQA(query=obj["query"],
-                                    answers_by_year=answers))
         except ValueError as exc:
             raise FormatError(f"{where}: {exc}") from exc
     return tasks

@@ -3,15 +3,14 @@
 Every reader (RIDX, RPQX, RLAB and JSONL) raises `FormatError` for
 malformed or truncated input, and the CLI maps it to exit 1. Binary
 reads are checked against the file size before they happen. Every JSONL
-reader (raw documents, passages, choice and temporal tasks, mock LM
-scores) takes its lines from `jsonl_objects` and names the file and line
-of a bad record. String tables (ids, vocab tokens) are stored
-newline-joined, so writers refuse any string holding a newline before
-they open the file. Float tables go through `float_bytes` and
-`read_floats`: a writer refuses, before it opens the file, a value that
-would be stored as NaN or infinite, and a reader rejects one. Every
-artifact writer goes through `atomic_write`, so a failed write leaves the
-previous file as it was.
+reader (raw documents, passages, choice tasks) takes its lines from
+`jsonl_objects` and names the file and line of a bad record. String
+tables (ids, vocab tokens) are stored newline-joined, so writers refuse
+any string holding a newline before they open the file. Float tables go
+through `float_bytes` and `read_floats`: a writer refuses, before it
+opens the file, a value that would be stored as NaN or infinite, and a
+reader rejects one. Every artifact writer goes through `atomic_write`,
+so a failed write leaves the previous file as it was.
 """
 
 from __future__ import annotations

@@ -159,12 +159,10 @@ def search_batch(index: EmbeddingIndex, q_vecs: np.ndarray, k: int) -> list[list
 
 
 # ---------------------------------------------------------------------------
-# Index file: magic "RIDX"; format, version, dim, precision, N, id table
-# bytes; then (format 2) shards, dump_date count (0 or 1) and bytes; the
-# dump_date; the id table, strictly ascending; the vector block.
-# Little-endian throughout, bit-exact round trip. Format 1 files, which
-# stop the header after the id table bytes, load with shards = 1 and no
-# dump_date.
+# Index file: magic "RIDX"; format (2), version, dim, precision, N, id
+# table bytes, shards, dump_date count (0 or 1) and bytes; the dump_date;
+# the id table, strictly ascending; the vector block. Little-endian
+# throughout, bit-exact round trip. Any other format is a format error.
 
 _MAGIC = b"RIDX"
 _FORMAT_VERSION = 2
@@ -178,10 +176,10 @@ def save_index(index: EmbeddingIndex, path):
                               "vectors")
     with atomic_write(path) as fh:
         fh.write(_MAGIC)
-        fh.write(struct.pack("<IIIBIQ", _FORMAT_VERSION, index.version,
+        fh.write(struct.pack("<IIIBIQIBI", _FORMAT_VERSION, index.version,
                              index.dim, list(PRECISIONS).index(index.precision),
-                             index.size, len(id_blob)))
-        fh.write(struct.pack("<IBI", index.shards, len(dates), len(date_blob)))
+                             index.size, len(id_blob), index.shards,
+                             len(dates), len(date_blob)))
         fh.write(date_blob)
         fh.write(id_blob)
         fh.write(vector_blob)
@@ -191,20 +189,17 @@ def load_index(path) -> EmbeddingIndex:
     with open(path, "rb") as fh:
         if read_exact(fh, 4, path) != _MAGIC:
             raise FormatError(f"{path}: bad index magic")
-        fmt, version, dim, prec, n, id_len = struct.unpack(
-            "<IIIBIQ", read_exact(fh, 25, path))
-        if fmt not in (1, _FORMAT_VERSION):
+        fmt, = struct.unpack("<I", read_exact(fh, 4, path))
+        if fmt != _FORMAT_VERSION:
             raise FormatError(f"{path}: unsupported index format {fmt}")
+        version, dim, prec, n, id_len, shards, n_dates, date_len = (
+            struct.unpack("<IIBIQIBI", read_exact(fh, 30, path)))
         if prec >= len(PRECISIONS):
             raise FormatError(f"{path}: unknown precision code {prec}")
         precision = list(PRECISIONS)[prec]
-        shards, n_dates, date_len = 1, 0, 0
-        if fmt == 2:
-            shards, n_dates, date_len = struct.unpack(
-                "<IBI", read_exact(fh, 9, path))
-            if shards < 1 or n_dates > 1:
-                raise FormatError(f"{path}: bad header: shards={shards}, "
-                                  f"{n_dates} dump dates")
+        if shards < 1 or n_dates > 1:
+            raise FormatError(f"{path}: bad header: shards={shards}, "
+                              f"{n_dates} dump dates")
         dates = read_lines(fh, date_len, n_dates, path, "dump_date")
         ids = read_lines(fh, id_len, n, path, "id")
         vectors = read_floats(fh, (n, dim), PRECISIONS[precision], path,

@@ -30,7 +30,6 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from .corpus import TokenTable
-from .formats import FormatError, is_number, jsonl_objects
 
 TokenSeq = Sequence[str]
 
@@ -121,8 +120,7 @@ class OverlapLM:
 
 
 class MockScorer:
-    """Fixed-value scorer for loss tests; loadable from a JSONL fixture of
-    {"doc_id": ..., "loglik": ..., "relevance": ...} records."""
+    """Fixed-value scorer for loss tests, keyed by document id."""
 
     def __init__(self, logliks: dict[str, float],
                  relevances: dict[str, float] | None = None,
@@ -131,21 +129,6 @@ class MockScorer:
         self.relevances = relevances or {}
         self.joint = joint
         self.doc_ids: Sequence[str] = []
-
-    @classmethod
-    def from_jsonl(cls, path) -> "MockScorer":
-        logliks, relevances = {}, {}
-        for where, obj in jsonl_objects(path):
-            if not (isinstance(obj.get("doc_id"), str)
-                    and is_number(obj.get("loglik"))
-                    and is_number(obj.get("relevance", 0.0))):
-                raise FormatError(f"{where}: expected a string doc_id, a "
-                                  f"numeric loglik and an optional numeric "
-                                  f"relevance")
-            logliks[obj["doc_id"]] = obj["loglik"]
-            if "relevance" in obj:
-                relevances[obj["doc_id"]] = obj["relevance"]
-        return cls(logliks, relevances)
 
     def bind(self, doc_ids: Sequence[str]) -> "MockScorer":
         self.doc_ids = list(doc_ids)

@@ -74,8 +74,9 @@ _MAX_K_C = 1 << 16
 
 
 def _check_k_c(k_c: int):
-    if k_c > _MAX_K_C:
-        raise ValueError(f"k_c={k_c} exceeds {_MAX_K_C}: RPQX codes are 16-bit")
+    if not 1 <= k_c <= _MAX_K_C:
+        raise ValueError(f"k_c={k_c} is outside 1..{_MAX_K_C}: RPQX codes "
+                         f"are 16-bit")
 
 
 _BLOCK = 256  # data rows per screen in `_nearest`
@@ -155,8 +156,8 @@ def train_pq(index: EmbeddingIndex, m: int, k_c: int,
     The sum of squared quantization errors is non-increasing across
     iterations (standard k-means monotonicity).
     """
-    if index.dim % m != 0:
-        raise ValueError(f"m={m} does not divide dim={index.dim}")
+    if m < 1 or index.dim % m:
+        raise ValueError(f"m={m} is not a positive divisor of dim={index.dim}")
     _check_k_c(k_c)
     if k_c > index.size:
         raise ValueError("insufficient data: k_c exceeds index size")
@@ -164,11 +165,6 @@ def train_pq(index: EmbeddingIndex, m: int, k_c: int,
     sub = index.vectors.reshape(index.size, m, -1).transpose(1, 0, 2).copy()
     codebooks = np.stack([_kmeans(part, k_c, iterations, rng) for part in sub])
     return PQCodec(m=m, k_c=k_c, codebooks=codebooks)
-
-
-def pq_objective(index: EmbeddingIndex, codec: PQCodec) -> float:
-    """Total squared quantization error of the index under the codec."""
-    return squared_error(index, compress(index, codec))
 
 
 def squared_error(index: EmbeddingIndex, pqindex: PQIndex) -> float:

@@ -1,10 +1,9 @@
 """Self-supervised (query, output) pair generators.
 
-Three pretext tasks: prefix language modeling (first half of a chunk
-predicts the second), masked span corruption (spans replaced by sentinel
-tokens, generated back in order), and title-to-section generation. Every
-example records the passage it was built from so retrieval can exclude
-it.
+Two pretext tasks: prefix language modeling (first half of a chunk
+predicts the second) and masked span corruption (spans replaced by
+sentinel tokens, generated back in order). Every example records the
+passage it was built from so retrieval can exclude it.
 """
 
 from __future__ import annotations
@@ -15,18 +14,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import RawDocument, tokenize
-
-EXCLUDED_SECTION_TITLES = frozenset(
-    {"See also", "References", "Further reading", "External links"})
-
 RETRIEVER_MASK_TOKEN = "<mask>"
 
 
 class PretextTask(str, Enum):
     PREFIX_LM = "prefix_lm"
     MLM = "mlm"
-    TITLE_TO_SECTION = "title_to_section"
 
 
 @dataclass(frozen=True)
@@ -59,7 +52,9 @@ def prefix_lm_example(chunk: Sequence[str], origin_id: str = "") -> PretextExamp
 
 
 # Poisson span lengths truncated to [1, 10]; the truncated mean is ~3.15,
-# used to pick the span count that lands the masked fraction on target.
+# used to pick the span count that lands the masked fraction on
+# MASK_RATIO.
+MASK_RATIO = 0.15
 _SPAN_MEAN = 3.0
 _SPAN_MAX = 10
 _TRUNCATED_SPAN_MEAN = 3.15
@@ -72,8 +67,8 @@ def _sample_span_length(rng: np.random.Generator) -> int:
             return length
 
 
-def mlm_example(chunk: Sequence[str], mask_ratio: float = 0.15,
-                seed: int = 0, origin_id: str = "") -> PretextExample:
+def mlm_example(chunk: Sequence[str], seed: int = 0,
+                origin_id: str = "") -> PretextExample:
     """Masked span corruption.
 
     Non-overlapping, non-adjacent spans are replaced in the query by
@@ -85,7 +80,7 @@ def mlm_example(chunk: Sequence[str], mask_ratio: float = 0.15,
     if n < 10:
         raise ValueError("chunk too short for span masking")
     rng = np.random.default_rng(seed)
-    n_spans = max(1, round(mask_ratio * n / _TRUNCATED_SPAN_MEAN))
+    n_spans = max(1, round(MASK_RATIO * n / _TRUNCATED_SPAN_MEAN))
     lengths = [_sample_span_length(rng) for _ in range(n_spans)]
 
     # occupied[i] blocks starts; pad one token around each span so
@@ -132,18 +127,3 @@ def reconstruct_mlm(example: PretextExample) -> tuple[str, ...]:
         else:
             chunk.append(t)
     return tuple(chunk)
-
-
-def title_to_section_example(doc: RawDocument, section_index: int,
-                             origin_id: str = "") -> PretextExample:
-    """Query = article title '; ' section title; output = section body."""
-    section = doc.sections[section_index]
-    if section.title in EXCLUDED_SECTION_TITLES:
-        raise ValueError(f"excluded section {section.title!r}")
-    body = tokenize(section.text)
-    if not body:
-        raise ValueError("empty section body")
-    query = tokenize(doc.title) + [";"] + tokenize(section.title)
-    return PretextExample(query=tuple(query), output=tuple(body),
-                          origin_passage_id=origin_id,
-                          task=PretextTask.TITLE_TO_SECTION)

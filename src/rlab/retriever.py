@@ -36,8 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from .formats import (FormatError, atomic_write, float_bytes, join_lines,
-                      read_end, read_exact, read_floats, read_lines,
-                      remaining)
+                      read_end, read_exact, read_floats, read_lines)
 
 UNK = "<unk>"
 DEFAULT_TEMPERATURE = 0.1  # tuned retrieval temperature
@@ -103,6 +102,8 @@ def init_encoder(vocab: Vocab, dim: int, seed: int = 0) -> DualEncoder:
     """Embeddings uniform in [-1/sqrt(d), 1/sqrt(d)], identity projection;
     query and document sides start as tied copies.
     """
+    if dim < 1:
+        raise ValueError("dim must be >= 1")
     rng = np.random.default_rng(seed)
     bound = 1.0 / np.sqrt(dim)
     emb = rng.uniform(-bound, bound, size=(len(vocab), dim))
@@ -128,12 +129,6 @@ def encode_query(enc: DualEncoder, text: Sequence[str]) -> np.ndarray:
 
 def encode_doc(enc: DualEncoder, text: Sequence[str]) -> np.ndarray:
     return encode(enc.doc, enc.vocab.rows(text))
-
-
-def score(q_vec: np.ndarray, d_vec: np.ndarray) -> float:
-    if q_vec.shape != d_vec.shape:
-        raise ValueError(f"dimension mismatch: {q_vec.shape} vs {d_vec.shape}")
-    return float(np.dot(q_vec, d_vec))
 
 
 def softmax(x: np.ndarray) -> np.ndarray:
@@ -280,11 +275,10 @@ def retriever_gradient(enc: DualEncoder, query: Sequence[str],
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint format: magic "RLAB", version, d, vocab size, vocab byte length
-# (from version 2), then row-major float32 tables (query emb, query proj,
-# doc emb, doc proj), then the newline-joined vocab as UTF-8, which starts
-# with UNK and holds each token once. A version 1 file has no vocab length;
-# its vocab runs to the end of the file.
+# Checkpoint format: magic "RLAB", version (2), d, vocab size, vocab byte
+# length, then row-major float32 tables (query emb, query proj, doc emb,
+# doc proj), then the newline-joined vocab as UTF-8, which starts with UNK
+# and holds each token once. Any other version is a format error.
 
 _MAGIC = b"RLAB"
 _VERSION = 2
@@ -308,15 +302,12 @@ def load_checkpoint(path) -> DualEncoder:
         if read_exact(fh, 4, path) != _MAGIC:
             raise FormatError(f"{path}: bad checkpoint magic")
         version, dim, vsize = struct.unpack("<III", read_exact(fh, 12, path))
-        if version not in (1, _VERSION):
+        if version != _VERSION:
             raise FormatError(f"{path}: unsupported checkpoint version {version}")
-        vocab_len = (struct.unpack("<Q", read_exact(fh, 8, path))[0]
-                     if version == _VERSION else None)
+        vocab_len, = struct.unpack("<Q", read_exact(fh, 8, path))
         tables = [read_floats(fh, (rows, dim), "<f4", path, "encoder tables",
                               mapped)
                   for rows, mapped in [(vsize, True), (dim, False)] * 2]
-        if vocab_len is None:
-            vocab_len = remaining(fh)
         tokens = read_lines(fh, vocab_len, vsize, path, "vocab token")
         read_end(fh, path)
     vocab = Vocab.__new__(Vocab)

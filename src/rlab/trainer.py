@@ -62,14 +62,17 @@ class TrainConfig:
     def __post_init__(self):
         object.__setattr__(self, "mode", MaintenanceMode(self.mode))
         object.__setattr__(self, "loss", LossKind(self.loss))
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        for name in ("batch_size", "steps"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        # k_retrieved == 0 is the closed-book ablation: no retrieval, no
+        # training signal; the harness still runs end to end.
+        if self.k_retrieved < 0:
+            raise ValueError("k_retrieved must be >= 0")
         if self.mode == MaintenanceMode.RERANK and self.l_rerank_pool < self.k_retrieved:
             raise ValueError("rerank pool L must be >= K")
         if self.mode == MaintenanceMode.FULL_REFRESH and self.refresh_interval < 1:
             raise ValueError("refresh_interval must be >= 1")
-        # k_retrieved == 0 is the closed-book ablation: no retrieval, no
-        # training signal; the harness still runs end to end.
 
     def rebuilds_at(self, step: int) -> bool:
         """Whether the index is rebuilt before step: every R steps in
@@ -238,11 +241,11 @@ def train_step(state: TrainerState, batch: Sequence[TrainExample],
     )
 
 
-def init_state(encoder: DualEncoder, passages: Sequence[Passage],
-               shards: int = 1) -> TrainerState:
+def init_state(encoder: DualEncoder,
+               passages: Sequence[Passage]) -> TrainerState:
     ordered = sorted(passages, key=lambda p: p.id)
     tokens = TokenTable([p.text for p in ordered])
-    idx = index_mod.build(ordered, encoder, shards=shards, tokens=tokens)
+    idx = index_mod.build(ordered, encoder, tokens=tokens)
     return TrainerState(encoder=encoder, index=idx, passages=ordered,
                         tokens=tokens,
                         vocab_rows=tokens.vocab_rows(encoder.vocab))

@@ -1,12 +1,13 @@
+import argparse
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
-from rlab.cli import _parse_train_config, main
+from rlab.cli import _parse_train_config, build_parser, main
 from rlab.corpus import read_passages, write_passages
 from rlab.index import load_index
-from rlab.pq import pq_objective, train_pq
+from rlab.pq import compress, squared_error, train_pq
 from rlab.trainer import LossKind, MaintenanceMode, TrainConfig
 
 
@@ -49,7 +50,7 @@ class TestIngest:
         out = run_ingest(tmp_path, raw)
         passages = read_passages(out)
         assert passages
-        assert all(p.word_count <= 40 for p in passages)
+        assert all(len(p.text) <= 40 for p in passages)
         assert "wrote" in capsys.readouterr().out
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["command"] == "ingest"
@@ -237,13 +238,26 @@ class TestCompress:
         assert manifest["command"] == "compress-index"
         return manifest["metrics"]
 
+    @pytest.mark.parametrize("m, kc", [(0, 4), (4, 0), (4, -1)])
+    def test_bad_m_or_kc_exit_2_and_nothing_written(self, workspace, capsys,
+                                                    m, kc):
+        tmp_path, raw = workspace
+        index_path, _ = run_build(tmp_path, run_ingest(tmp_path, raw))
+        out = tmp_path / "index.rpqx"
+        capsys.readouterr()
+        assert main(["compress-index", "--index", str(index_path),
+                     "--out", str(out), "--m", str(m), "--kc", str(kc)]) == 2
+        assert ("m=" if m < 1 else "k_c=") in capsys.readouterr().err
+        assert not out.exists()
+
     def test_manifest_error_equals_objective_per_vector(self, workspace):
         tmp_path, raw = workspace
         index_path, _ = run_build(tmp_path, run_ingest(tmp_path, raw))
         metrics = self.compress(tmp_path, index_path, kc=4)
         idx = load_index(index_path)
         codec = train_pq(idx, m=4, k_c=4, iterations=5, seed=3)
-        assert metrics["reconstruction_mse"] == pq_objective(idx, codec) / idx.size
+        assert (metrics["reconstruction_mse"]
+                == squared_error(idx, compress(idx, codec)) / idx.size)
         assert metrics["reconstruction_mse"] > 0
         assert 0 <= metrics["recall_at_10"] <= 1
 
@@ -285,6 +299,20 @@ class TestTrain:
                      "--corpus", str(passages),
                      "--out", str(tmp_path / "run")]) == 2
         assert "stepz" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["steps = 0", "k_retrieved = -3"])
+    def test_no_steps_or_negative_k_exit_2_and_nothing_written(
+            self, workspace, capsys, line):
+        # steps = 0 wrote the artifacts, then failed on an empty history.
+        tmp_path, raw = workspace
+        passages = run_ingest(tmp_path, raw)
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(line + "\n")
+        out_dir = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--corpus",
+                     str(passages), "--out", str(out_dir)]) == 2
+        assert line.split()[0] in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_invalid_combination_exit_2(self, workspace, capsys):
         tmp_path, raw = workspace
@@ -486,3 +514,80 @@ class TestUsage:
 
     def test_version_exit_0(self):
         assert main(["--version"]) == 0
+
+
+def _integer_flags():
+    """(subcommand, option) for every integer option of the parser."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return [(name, action.option_strings[0])
+            for name, parser in sub.choices.items()
+            for action in parser._actions if action.type is int]
+
+
+INT_CONFIG_KEYS = [f.name for f in fields(TrainConfig)
+                   if type(f.default) is int]
+
+
+class TestIntegerEdges:
+    """Every integer option and integer train-config key at 0 and -1 is
+    either accepted or a usage error: exit 0 or 2, never a traceback."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("inputs")
+        raw = root / "raw.jsonl"
+        make_raw_corpus(raw, n_docs=3, words_per_section=60)
+        passages = run_ingest(root, raw)
+        index, checkpoint = run_build(root, passages)
+        tasks = root / "tasks.jsonl"
+        tasks.write_text(json.dumps({"question": "doc0tok1 doc0tok2",
+                                     "options": ["a", "b", "c", "d"],
+                                     "gold": 0}) + "\n")
+        return {"raw": raw, "passages": passages, "index": index,
+                "checkpoint": checkpoint, "tasks": tasks}
+
+    @staticmethod
+    def base_args(command, inputs, out):
+        return [str(a) for a in {
+            "ingest": ["--in", inputs["raw"], "--out", out / "p.jsonl"],
+            "build-index": ["--passages", inputs["passages"],
+                            "--out", out / "i.ridx", "--dim", "4"],
+            "compress-index": ["--index", inputs["index"], "--out",
+                               out / "i.rpqx", "--m", "4", "--kc", "2",
+                               "--iterations", "2"],
+            "search": ["--index", inputs["index"], "--checkpoint",
+                       inputs["checkpoint"], "--query", "doc0tok0"],
+            "train": ["--config", out / "train.cfg", "--corpus",
+                      inputs["passages"], "--out", out / "run",
+                      "--dim", "4"],
+            "evaluate": ["--task", inputs["tasks"], "--passages",
+                         inputs["passages"], "--index", inputs["index"],
+                         "--checkpoint", inputs["checkpoint"]],
+            "cost-model": ["--n", 100, "--b", 2, "--k", 3, "--l", 4],
+        }[command]]
+
+    @pytest.mark.parametrize("value", [0, -1])
+    @pytest.mark.parametrize("command, option, mode", [
+        (command, option, None) for command, option in _integer_flags()] + [
+        ("train", key, mode.value)
+        for key in INT_CONFIG_KEYS for mode in MaintenanceMode])
+    def test_exit_0_or_2(self, inputs, tmp_path, capsys, command, option,
+                         mode, value):
+        config = "steps = 2\nbatch_size = 2\nk_retrieved = 2\n"
+        args = self.base_args(command, inputs, tmp_path)
+        if mode is None:
+            args += [option, str(value)]
+        else:  # a train-config key, under one maintenance mode
+            config += f"mode = {mode}\n{option} = {value}\n"
+        (tmp_path / "train.cfg").write_text(config)
+        assert main([command, *args]) in (0, 2)
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("command", ["build-index", "train"])
+    def test_dim_0_exit_2(self, inputs, tmp_path, capsys, command):
+        (tmp_path / "train.cfg").write_text("steps = 1\n")
+        args = self.base_args(command, inputs, tmp_path)
+        capsys.readouterr()
+        assert main([command, *args, "--dim", "0"]) == 2
+        assert "dim must be >= 1" in capsys.readouterr().err

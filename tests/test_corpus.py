@@ -63,7 +63,7 @@ class TestChunk:
     def test_section_titles_not_counted(self):
         doc = make_doc([("History", " ".join(f"w{i}" for i in range(10)))])
         (p,) = chunk(doc)
-        assert p.word_count == 10
+        assert len(p.text) == 10
         assert p.section_title == "History"
 
     @given(st.integers(1, 500), st.integers(1, 200))

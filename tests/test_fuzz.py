@@ -8,10 +8,7 @@ result and uses it (search, PQ search, query encoding, ingest, index
 build, evaluation).
 """
 
-import dataclasses
 import json
-import struct
-import warnings
 
 import numpy as np
 import pytest
@@ -21,8 +18,6 @@ from hypothesis import strategies as st
 from rlab import corpus, evalkit
 from rlab.cli import main
 from rlab.index import build, load_index, save_index, search, search_batch
-from rlab.lm import MockScorer
-from rlab.losses import LossKind, build_target
 from rlab.pq import compress, load_pq_index, pq_search, save_pq_index, train_pq
 from rlab.retriever import (Vocab, encode_doc, encode_query, init_encoder,
                             load_checkpoint, save_checkpoint)
@@ -72,23 +67,14 @@ def _saved(tmp_path_factory, writer, value) -> bytes:
 
 @pytest.fixture(scope="module")
 def binaries(tmp_path_factory):
-    """Valid RIDX (formats 1 and 2, both precisions), RPQX and RLAB
-    (versions 1 and 2) files."""
+    """Valid RIDX (both precisions), RPQX and RLAB files."""
     idx = build(PASSAGES, ENCODER)
     files = {f"ridx2-{p}": _saved(tmp_path_factory, save_index,
                                   build(PASSAGES, ENCODER, precision=p))
              for p in ("float32", "float16")}
-    # Format 1 stops the header after the id table length: with no
-    # dump_date, format 2 adds 9 bytes (shards, date count, date length).
-    v2 = _saved(tmp_path_factory, save_index,
-                dataclasses.replace(idx, dump_date=None))
-    files["ridx1"] = b"RIDX" + struct.pack("<I", 1) + v2[8:29] + v2[38:]
     files["rpqx"] = _saved(tmp_path_factory, save_pq_index, compress(
         idx, train_pq(idx, m=2, k_c=3, iterations=2, seed=0)))
-    rlab = _saved(tmp_path_factory, save_checkpoint, ENCODER)
-    files["rlab2"] = rlab
-    files["rlab1"] = (b"RLAB" + struct.pack("<III", 1, ENCODER.dim,
-                                            len(ENCODER.vocab)) + rlab[24:])
+    files["rlab2"] = _saved(tmp_path_factory, save_checkpoint, ENCODER)
     return files
 
 
@@ -109,9 +95,8 @@ def use_checkpoint(path):
     encode_doc(enc, QUERY)
 
 
-USES = {"ridx1": use_index, "ridx2-float32": use_index,
-        "ridx2-float16": use_index, "rpqx": use_pq_index,
-        "rlab1": use_checkpoint, "rlab2": use_checkpoint}
+USES = {"ridx2-float32": use_index, "ridx2-float16": use_index,
+        "rpqx": use_pq_index, "rlab2": use_checkpoint}
 
 
 @pytest.mark.parametrize("kind", sorted(USES))
@@ -161,11 +146,6 @@ PASSAGE_LINES = _lines(corpus.passage_to_json(p) for p in PASSAGES)
 CHOICE_TASKS = _lines({"question": f"t{i}w0 t{i}w1",
                        "options": ["a", "b", "c", "d"], "gold": i % 4}
                       for i in range(3))
-TEMPORAL_TASKS = _lines({"query": f"q{i}",
-                         "answers_by_year": {"2017": "a", "2020": "b"}}
-                        for i in range(3))
-SCORES = _lines({"doc_id": f"p{i}", "loglik": -1.5 * i, "relevance": 0.5 * i}
-                for i in range(3))
 
 
 def use_documents(path, root):
@@ -186,27 +166,9 @@ def use_choice_tasks(path, root):
     return main(["evaluate", "--task", str(path), "--mode", "cyclic4"])
 
 
-def use_temporal_tasks(path, root):
-    tasks = evalkit.read_temporal_tasks(path)
-    indices = [evalkit.TaggedIndex(date, lambda q, k: [])
-               for date in ("2017-01-01", "2020-01-01")]
-    evalkit.temporal_swap_eval(tasks, *indices, lambda q, docs: "a")
-
-
-def use_scores(path, root):
-    scorer = MockScorer.from_jsonl(path)
-    scorer.bind(sorted(scorer.logliks))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # degenerate targets warn
-        for kind in (LossKind.PDIST, LossKind.ADIST, LossKind.LOOP):
-            build_target(kind, scorer, (), (), ())
-
-
 JSONL = {"documents": (DOCUMENTS, use_documents),
          "passages": (PASSAGE_LINES, use_passages),
-         "choice_tasks": (CHOICE_TASKS, use_choice_tasks),
-         "temporal_tasks": (TEMPORAL_TASKS, use_temporal_tasks),
-         "scores": (SCORES, use_scores)}
+         "choice_tasks": (CHOICE_TASKS, use_choice_tasks)}
 
 
 @pytest.mark.parametrize("kind", sorted(JSONL))

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rlab.cli import main
 from rlab.corpus import Passage, TokenTable
 from rlab.index import (PRECISIONS, EmbeddingIndex, FormatError, build,
                         load_index, save_index, search, search_batch)
 from rlab.pq import PQCodec, PQIndex, pq_search
-from rlab.retriever import Vocab, encode_doc, init_encoder
+from rlab.retriever import Vocab, encode_doc, init_encoder, save_checkpoint
 
 from oracles import brute_force_search
 
@@ -376,16 +377,20 @@ class TestIndexFile:
         save_index(loaded, tmp_path / "idx2.ridx")
         assert path.read_bytes() == (tmp_path / "idx2.ridx").read_bytes()
 
-    def test_version_1_file_loads(self, tmp_path):
-        # Version 1 has no shards or dump_date fields.
+    def test_format_1_file_exits_1(self, tmp_path, capsys):
+        # Format 1 had no shards or dump_date fields.
         vectors = np.array([[1.0, 2.0], [3.0, 4.0]])
         path = tmp_path / "v1.ridx"
         path.write_bytes(b"RIDX" + struct.pack("<IIIBIQ", 1, 5, 2, 0, 2, 3)
                          + b"a\nb" + vectors.astype("<f4").tobytes())
-        loaded = load_index(path)
-        assert (loaded.version, loaded.ids) == (5, ["a", "b"])
-        assert (loaded.dump_date, loaded.shards) == (None, 1)
-        np.testing.assert_array_equal(loaded.vectors, vectors)
+        with pytest.raises(FormatError, match="v1.ridx.*format 1"):
+            load_index(path)
+        checkpoint = tmp_path / "enc.rlab"
+        save_checkpoint(init_encoder(Vocab(["a"]), 2), checkpoint)
+        capsys.readouterr()
+        assert main(["search", "--index", str(path), "--checkpoint",
+                     str(checkpoint), "--query", "a"]) == 1
+        assert "unsupported index format 1" in capsys.readouterr().err
 
     def test_newline_in_dump_date_rejected_before_write(self, tmp_path):
         idx = dataclasses.replace(random_index(2, 2), dump_date="2017\n12")

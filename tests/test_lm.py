@@ -5,8 +5,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from rlab.corpus import TokenTable
-from rlab.formats import FormatError
-from rlab.lm import MockScorer, OverlapLM, _count_matrix
+from rlab.lm import OverlapLM, _count_matrix
 
 from oracles import counter_overlap_lm, mp_overlap_lm
 
@@ -219,26 +218,3 @@ class TestCounterOracle:
             else:
                 assert lm.loo_logliks([], given_docs, output) == \
                     pytest.approx(want["loo"], **close)
-
-
-class TestMockScorer:
-    def test_fixture_round_trip(self, tmp_path):
-        path = tmp_path / "scores.jsonl"
-        path.write_text('{"doc_id": "p1", "loglik": -1.5, "relevance": 0.3}\n'
-                        '{"doc_id": "p2", "loglik": -0.5}\n')
-        mock = MockScorer.from_jsonl(path).bind(["p1", "p2"])
-        assert mock.per_doc_loglik([], [], []) == [-1.5, -0.5]
-        assert mock.attention_relevance([], [], []) == [0.3, 0.0]
-
-    @pytest.mark.parametrize("bad_line", [
-        '{"loglik": -1.0}',                            # no doc_id
-        '{"doc_id": "p2", "loglik": "high"}',
-        '{"doc_id": "p2", "loglik": -1.0, "relevance": null}',
-        '[["p2", -1.0]]',                              # not an object
-        '{"doc_id": "p2", "lo',                        # cut line
-    ])
-    def test_bad_line_names_file_and_line(self, tmp_path, bad_line):
-        path = tmp_path / "scores.jsonl"
-        path.write_text('{"doc_id": "p1", "loglik": -1.5}\n' + bad_line)
-        with pytest.raises(FormatError, match="scores.jsonl, line 2"):
-            MockScorer.from_jsonl(path)

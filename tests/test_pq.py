@@ -6,7 +6,7 @@ import pytest
 from rlab.index import EmbeddingIndex, FormatError, search
 from rlab.pq import (PQCodec, PQIndex, _nearest, compress, compression_ratio,
                      compressed_size_from_reported, decode, load_pq_index,
-                     pq_objective, pq_search, recall_at_k, save_pq_index,
+                     pq_search, recall_at_k, save_pq_index, squared_error,
                      train_pq)
 
 from oracles import _nearest_centroid, brute_force_search, reference_pq
@@ -26,7 +26,8 @@ class TestTrainPQ:
         codec = train_pq(idx, m=2, k_c=1, seed=0)
         np.testing.assert_allclose(codec.codebooks[0][0], [1.0, 2.0])
         np.testing.assert_allclose(codec.codebooks[1][0], [3.0, 4.0])
-        assert pq_objective(idx, codec) == pytest.approx(0.0, abs=1e-20)
+        assert squared_error(idx, compress(idx, codec)) == pytest.approx(
+            0.0, abs=1e-20)
 
     def test_saturated_codebooks_zero_error(self):
         # 4 distinct subvectors per subspace, k_c=4: perfect reconstruction.
@@ -37,17 +38,26 @@ class TestTrainPQ:
         idx = EmbeddingIndex(version=1, dim=4,
                              ids=[f"p{i}" for i in range(32)], vectors=rows)
         codec = train_pq(idx, m=2, k_c=4, iterations=30, seed=2)
-        assert pq_objective(idx, codec) == pytest.approx(0.0, abs=1e-12)
+        assert squared_error(idx, compress(idx, codec)) == pytest.approx(
+            0.0, abs=1e-12)
 
     def test_objective_monotone_in_iterations(self):
         idx = random_index(256, 8, seed=3)
-        after_1 = pq_objective(idx, train_pq(idx, m=2, k_c=4, iterations=1, seed=4))
-        after_10 = pq_objective(idx, train_pq(idx, m=2, k_c=4, iterations=10, seed=4))
+        errors = [squared_error(idx, compress(idx, train_pq(
+            idx, m=2, k_c=4, iterations=n, seed=4))) for n in (1, 10)]
+        after_1, after_10 = errors
         assert after_10 <= after_1 + 1e-12
 
     def test_dim_divisibility(self):
         with pytest.raises(ValueError):
             train_pq(random_index(10, 8), m=3, k_c=2)
+
+    @pytest.mark.parametrize("m, k_c", [(0, 2), (-1, 2), (2, 0), (2, -1)])
+    def test_m_and_k_c_positive(self, m, k_c):
+        # m = 0 divided by zero; k_c = 0 made one centroid for a codec of
+        # none, and k_c = -1 reached np.bincount.
+        with pytest.raises(ValueError, match="m=" if m < 1 else "k_c="):
+            train_pq(random_index(10, 8), m=m, k_c=k_c)
 
     def test_k_c_beyond_16_bit_codes(self):
         with pytest.raises(ValueError, match="65536"):
@@ -207,7 +217,8 @@ class TestPQSearch:
                              ids=[f"p{i:03d}" for i in range(64)],
                              vectors=rows)
         codec = train_pq(idx, m=2, k_c=4, iterations=30, seed=6)
-        assert pq_objective(idx, codec) == pytest.approx(0.0, abs=1e-12)
+        assert squared_error(idx, compress(idx, codec)) == pytest.approx(
+            0.0, abs=1e-12)
         pidx = compress(idx, codec)
         q = rng.normal(size=8)
         exact = search(idx, q, 5)

@@ -1,10 +1,8 @@
 import numpy as np
 import pytest
 
-from rlab.corpus import RawDocument, Section
-from rlab.pretext import (PretextTask, RETRIEVER_MASK_TOKEN, mlm_example,
-                          prefix_lm_example, reconstruct_mlm,
-                          title_to_section_example, _sample_span_length)
+from rlab.pretext import (RETRIEVER_MASK_TOKEN, mlm_example, prefix_lm_example,
+                          reconstruct_mlm, _sample_span_length)
 
 
 class TestPrefixLM:
@@ -69,28 +67,3 @@ class TestMLM:
     def test_deterministic(self):
         chunk = tuple(f"w{i}" for i in range(150))
         assert mlm_example(chunk, seed=9) == mlm_example(chunk, seed=9)
-
-
-class TestTitleToSection:
-    def make_doc(self, sections):
-        return RawDocument(id="d", title="France", sections=tuple(
-            Section(t, b) for t, b in sections), dump_date="2021-12-20")
-
-    def test_template(self):
-        doc = self.make_doc([("History", "it began long ago")])
-        ex = title_to_section_example(doc, 0)
-        assert ex.query == ("France", ";", "History")
-        assert ex.output == ("it", "began", "long", "ago")
-        assert ex.task == PretextTask.TITLE_TO_SECTION
-
-    @pytest.mark.parametrize("title", ["See also", "References",
-                                       "Further reading", "External links"])
-    def test_excluded_sections(self, title):
-        doc = self.make_doc([(title, "some text")])
-        with pytest.raises(ValueError, match="excluded"):
-            title_to_section_example(doc, 0)
-
-    def test_empty_body(self):
-        doc = self.make_doc([("History", "")])
-        with pytest.raises(ValueError):
-            title_to_section_example(doc, 0)

@@ -17,7 +17,7 @@ from rlab.retriever import (DualEncoder, EncoderParams, Gradients,
                             MaintenanceMode, Vocab, encode, encode_doc,
                             encode_query, init_encoder, load_checkpoint,
                             retrieval_distribution, retriever_gradient,
-                            save_checkpoint, score)
+                            save_checkpoint)
 from rlab.trainer import TrainConfig, init_state, train_step
 
 from needle import make_needle_task
@@ -65,19 +65,12 @@ class TestEncode:
         assert vec[0] == pytest.approx(2 * base[0])
 
 
-class TestScore:
-    def test_unit_basis(self):
-        e1 = np.array([1.0, 0.0])
-        e2 = np.array([0.0, 1.0])
-        assert score(e1, e1) == 1.0
-        assert score(e1, e2) == 0.0
-
-    def test_arithmetic(self):
-        assert score(np.array([1.0, 2.0]), np.array([3.0, -1.0])) == 1.0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            score(np.zeros(2), np.zeros(3))
+class TestInitEncoder:
+    @pytest.mark.parametrize("dim", [0, -1])
+    def test_dim_must_be_positive(self, dim):
+        # dim 0 drew from uniform(-inf, inf) and raised OverflowError.
+        with pytest.raises(ValueError, match="dim"):
+            init_encoder(Vocab(["a"]), dim)
 
 
 class TestRetrievalDistribution:
@@ -279,32 +272,31 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="enc.rlab.*truncated"):
             load_checkpoint(path)
 
-    def test_version_1_still_loads(self, tmp_path, small_encoder):
+    def test_version_1_exits_1(self, tmp_path, small_encoder, capsys):
+        # Version 1 had no vocab length; a file of it cut inside its last
+        # token loaded with that token shortened.
         path, blob = self._saved(tmp_path, small_encoder)
         vsize, dim = len(small_encoder.vocab), small_encoder.dim
-        v1 = b"RLAB" + struct.pack("<III", 1, dim, vsize) + blob[24:]
-        path.write_bytes(v1)
-        loaded = load_checkpoint(path)
-        assert loaded.vocab.tokens == small_encoder.vocab.tokens
-        np.testing.assert_array_equal(
-            loaded.doc.projection,
-            small_encoder.doc.projection.astype(np.float32))
-        # Version 1 stores no vocab length: the vocab runs to end of file.
-        path.write_bytes(v1 + b"\nextra")
-        with pytest.raises(FormatError, match="tokens"):
+        path.write_bytes(b"RLAB" + struct.pack("<III", 1, dim, vsize)
+                         + blob[24:-1])
+        with pytest.raises(FormatError, match="enc.rlab.*version 1"):
             load_checkpoint(path)
+        index = tmp_path / "idx.ridx"
+        save_index(EmbeddingIndex(version=1, dim=dim, ids=["a"],
+                                  vectors=np.ones((1, dim))), index)
+        capsys.readouterr()
+        assert main(["search", "--index", str(index), "--checkpoint",
+                     str(path), "--query", "t1"]) == 1
+        assert "unsupported checkpoint version 1" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("version", [1, 2])
     @pytest.mark.parametrize("table", range(4))
     def test_non_finite_table_is_format_error(self, tmp_path, small_encoder,
-                                              table, version):
+                                              table):
         path, blob = self._saved(tmp_path, small_encoder)
         vsize, dim = len(small_encoder.vocab), small_encoder.dim
         sizes = [vsize * dim, dim * dim, vsize * dim, dim * dim]
         at = 24 + 4 * sum(sizes[:table])  # the table's first value
         blob = blob[:at] + np.array([np.nan], "<f4").tobytes() + blob[at + 4:]
-        if version == 1:
-            blob = b"RLAB" + struct.pack("<III", 1, dim, vsize) + blob[24:]
         path.write_bytes(blob)
         with pytest.raises(FormatError, match="enc.rlab.*non-finite"):
             load_checkpoint(path)
@@ -329,21 +321,17 @@ class TestCheckpoint:
             save_checkpoint(enc, path)
         assert not path.exists()
 
-    @pytest.mark.parametrize("version", [1, 2])
     @pytest.mark.parametrize("tokens", [
         [],  # no UNK row: any lookup indexes an empty table
         ["<unk>", "ab", "ab"],  # "ab" answers to row 2, row 1 is orphaned
         ["ab", "<unk>"],  # unknown tokens would share the row of "ab"
     ])
-    def test_bad_vocab_table_rejected(self, tmp_path, tokens, version):
+    def test_bad_vocab_table_rejected(self, tmp_path, tokens):
         vocab = Vocab.__new__(Vocab)
         vocab.tokens = tokens
         vocab.index = {t: i for i, t in enumerate(tokens)}
         side = EncoderParams(np.zeros((len(tokens), 4)), np.eye(4))
-        path, blob = self._saved(tmp_path, DualEncoder(vocab, side, side))
-        if version == 1:
-            path.write_bytes(b"RLAB" + struct.pack("<III", 1, 4, len(tokens))
-                             + blob[24:])
+        path, _ = self._saved(tmp_path, DualEncoder(vocab, side, side))
         with pytest.raises(FormatError, match="enc.rlab.*vocab"):
             load_checkpoint(path)
         index = tmp_path / "idx.ridx"
@@ -476,9 +464,8 @@ class TestMappedCheckpoint:
             load_checkpoint(path).query.embedding,
             replacement.query.embedding.astype(np.float32))
 
-    @pytest.mark.parametrize("version", [1, 2])
     @pytest.mark.parametrize("table", range(4))
-    def test_cut_inside_each_table_exits_1(self, tmp_path, table, version):
+    def test_cut_inside_each_table_exits_1(self, tmp_path, table):
         enc = self._encoder()
         path = tmp_path / "enc.rlab"
         save_checkpoint(enc, path)
@@ -486,9 +473,6 @@ class TestMappedCheckpoint:
         vsize, dim = len(enc.vocab), enc.dim
         sizes = [vsize * dim, dim * dim, vsize * dim, dim * dim]
         cut = 24 + 4 * sum(sizes[:table]) + 4 * sizes[table] // 2
-        if version == 1:
-            blob = b"RLAB" + struct.pack("<III", 1, dim, vsize) + blob[24:]
-            cut -= 8
         path.write_bytes(blob[:cut])
         with pytest.raises(FormatError, match="enc.rlab.*truncated"):
             load_checkpoint(path)

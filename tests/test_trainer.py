@@ -41,6 +41,15 @@ class TestConfigValidation:
     def test_closed_book_allowed(self):
         TrainConfig(k_retrieved=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("steps", 0), ("steps", -1),
+        # On 6 rows, a negative k kept no rows (-3) or 4 of them (-1).
+        ("k_retrieved", -3), ("k_retrieved", -1),
+    ])
+    def test_no_steps_or_negative_k_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
+
     def test_mode_given_as_string(self):
         cfg = TrainConfig(mode="rerank", k_retrieved=5, l_rerank_pool=10)
         assert cfg.mode is MaintenanceMode.RERANK
