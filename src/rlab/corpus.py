@@ -110,8 +110,14 @@ class TokenTable(abc.Sequence):
         return self.terms[self.offsets[i]:self.offsets[i + 1]]
 
     def vocab_rows(self, vocab) -> np.ndarray:
-        """Each term's row in vocab: one lookup per distinct term."""
-        return vocab.rows(self.term_strings)
+        """Each term's row in vocab, 0 if it has none: one term_ids lookup
+        per vocab token. A vocab token that is not a term writes the spare
+        last slot, which is cut off."""
+        slots = np.fromiter(map(self.term_ids.get, vocab.tokens,
+                                itertools.repeat(-1)), np.int64, len(vocab))
+        rows = np.zeros(len(self.term_strings) + 1, dtype=np.int64)
+        rows[slots] = np.arange(len(vocab))
+        return rows[:-1]
 
     def view(self, rows: np.ndarray) -> "TokenTable":
         """The same table, as the sequence of its texts rows."""

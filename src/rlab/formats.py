@@ -19,6 +19,7 @@ import contextlib
 import json
 import math
 import mmap
+import operator
 import os
 import secrets
 from typing import Iterator, Sequence
@@ -122,6 +123,14 @@ def read_lines(fh, length: int, n: int, path, what: str) -> list[str]:
     if len(strings) != n:
         raise FormatError(f"{path}: {len(strings)} {what}s for {n} rows")
     return strings
+
+
+def ascending(strings: Sequence[str]) -> bool:
+    """Whether strings are strictly ascending, the order of RIDX and RPQX
+    ids and of the RLAB vocab after UNK: one linear pass, no copy."""
+    rest = iter(strings)
+    next(rest, None)
+    return all(map(operator.lt, strings, rest))
 
 
 def jsonl_objects(path) -> Iterator[tuple[str, dict]]:

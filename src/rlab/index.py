@@ -11,7 +11,6 @@ storage precision to its dtype, and its RIDX code is its position there.
 
 from __future__ import annotations
 
-import operator
 import struct
 from dataclasses import dataclass
 from typing import Sequence
@@ -19,8 +18,9 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import Passage, TokenTable
-from .formats import (FormatError, atomic_write, float_bytes, join_lines,
-                      read_end, read_exact, read_floats, read_lines)
+from .formats import (FormatError, ascending, atomic_write, float_bytes,
+                      join_lines, read_end, read_exact, read_floats,
+                      read_lines)
 from .retriever import DualEncoder, encode
 
 PRECISIONS = {"float32": np.dtype("<f4"), "float16": np.dtype("<f2")}
@@ -32,22 +32,15 @@ def _dtype(precision: str) -> np.dtype:
     return PRECISIONS[precision]
 
 
-def _ascending(ids: Sequence[str]) -> bool:
-    """Whether ids are strictly ascending: one linear pass, no copy."""
-    rest = iter(ids)
-    next(rest, None)
-    return all(map(operator.lt, ids, rest))
-
-
 def sort_by_id(ids: Sequence[str], rows: np.ndarray) -> tuple[Sequence[str], np.ndarray]:
     """ids in ascending order, with rows (one per id) permuted alongside.
     Ascending ids are returned as given, with no copy. Duplicate ids raise
     ValueError."""
-    if _ascending(ids):
+    if ascending(ids):
         return ids, rows
     order = sorted(range(len(ids)), key=ids.__getitem__)
     ids = [ids[i] for i in order]
-    if not _ascending(ids):
+    if not ascending(ids):
         dup = next(a for a, b in zip(ids, ids[1:]) if a == b)
         raise ValueError(f"duplicate id {dup!r}")
     return ids, np.asarray(rows)[order]

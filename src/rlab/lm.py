@@ -4,6 +4,8 @@ Every distillation loss consumes four quantities from the reader: the
 per-document conditional log-likelihood of the output, the joint
 log-likelihood given the whole retrieved set, the leave-one-out joint
 log-likelihoods, and a nonnegative per-document attention relevance.
+`LMScorer` spells that contract; `OverlapLM` is its one implementation
+here (the loss tests bring a fixed-value scorer of their own).
 
 The built-in stand-in is a smoothed unigram-overlap model: the
 probability of an output token given a document mixes the token's
@@ -117,31 +119,3 @@ class OverlapLM:
         counts, lengths = _count_matrix(docs, output)
         return np.divide(counts.sum(axis=0), lengths * len(output),
                          out=np.zeros(len(docs)), where=lengths > 0).tolist()
-
-
-class MockScorer:
-    """Fixed-value scorer for loss tests, keyed by document id."""
-
-    def __init__(self, logliks: dict[str, float],
-                 relevances: dict[str, float] | None = None,
-                 joint: float = -1.0):
-        self.logliks = logliks
-        self.relevances = relevances or {}
-        self.joint = joint
-        self.doc_ids: Sequence[str] = []
-
-    def bind(self, doc_ids: Sequence[str]) -> "MockScorer":
-        self.doc_ids = list(doc_ids)
-        return self
-
-    def per_doc_loglik(self, query, docs, output):
-        return [self.logliks[i] for i in self.doc_ids]
-
-    def joint_loglik(self, query, docs, output):
-        return self.joint
-
-    def loo_logliks(self, query, docs, output):
-        return [self.joint - self.logliks[i] for i in self.doc_ids]
-
-    def attention_relevance(self, query, docs, output):
-        return [self.relevances.get(i, 0.0) for i in self.doc_ids]

@@ -154,11 +154,13 @@ def train_pq(index: EmbeddingIndex, m: int, k_c: int,
     """Learn per-subspace k-means codebooks on the index vectors.
 
     The sum of squared quantization errors is non-increasing across
-    iterations (standard k-means monotonicity).
+    iterations (standard k-means monotonicity); 0 keeps the k-means++ seeds.
     """
     if m < 1 or index.dim % m:
         raise ValueError(f"m={m} is not a positive divisor of dim={index.dim}")
     _check_k_c(k_c)
+    if iterations < 0:
+        raise ValueError("iterations must be >= 0")
     if k_c > index.size:
         raise ValueError("insufficient data: k_c exceeds index size")
     rng = np.random.default_rng(seed)

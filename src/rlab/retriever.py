@@ -8,9 +8,9 @@ over a retrieved top-K set is a temperature softmax of the scores.
 The query and document sides hold separate parameter sets (tied copies at
 initialization) so that query-side-only training can freeze the document
 encoder and keep a prebuilt index valid. `encode` and the backprop take a
-text's embedding rows (`Vocab.rows`, or `corpus.TokenTable.vocab_rows`
-for interned passages). Training and the finite-difference check
-(`retriever_gradient`) share one backprop, `encoder_gradient`.
+text's embedding rows (`Vocab.rows` bisects the sorted vocab; interned
+passages join it once in `corpus.TokenTable.vocab_rows`). Training and
+the finite-difference check share one backprop, `encoder_gradient`.
 
 A loaded encoder's embedding tables are read-only float32 views of the
 mapped checkpoint; `_pooled` upcasts only the rows it gathers, so vectors
@@ -28,6 +28,7 @@ check and tests.
 
 from __future__ import annotations
 
+import bisect
 import struct
 from dataclasses import dataclass
 from enum import Enum
@@ -35,8 +36,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .formats import (FormatError, atomic_write, float_bytes, join_lines,
-                      read_end, read_exact, read_floats, read_lines)
+from .formats import (FormatError, ascending, atomic_write, float_bytes,
+                      join_lines, read_end, read_exact, read_floats,
+                      read_lines)
 
 UNK = "<unk>"
 DEFAULT_TEMPERATURE = 0.1  # tuned retrieval temperature
@@ -55,17 +57,22 @@ class MaintenanceMode(str, Enum):
 
 
 class Vocab:
-    """Token -> row mapping with a reserved UNK row at index 0."""
+    """Embedding rows of tokens: row 0 is UNK, then the other tokens
+    strictly ascending (as a checkpoint stores them), so a token is found
+    by bisection and no token -> row dict is built."""
 
     def __init__(self, tokens: Sequence[str]):
         self.tokens = [UNK] + sorted(set(tokens) - {UNK})
-        self.index = {t: i for i, t in enumerate(self.tokens)}
 
     def __len__(self) -> int:
         return len(self.tokens)
 
     def rows(self, text: Sequence[str]) -> np.ndarray:
-        return np.array([self.index.get(t, 0) for t in text], dtype=np.int64)
+        """Each token's row; UNK and tokens not in the vocab get row 0."""
+        tokens, n = self.tokens, len(self.tokens)
+        found = [bisect.bisect_left(tokens, t, 1) for t in text]
+        return np.array([i if i < n and tokens[i] == t else 0
+                         for i, t in zip(found, text)], dtype=np.int64)
 
 
 @dataclass
@@ -277,8 +284,8 @@ def retriever_gradient(enc: DualEncoder, query: Sequence[str],
 # ---------------------------------------------------------------------------
 # Checkpoint format: magic "RLAB", version (2), d, vocab size, vocab byte
 # length, then row-major float32 tables (query emb, query proj, doc emb,
-# doc proj), then the newline-joined vocab as UTF-8, which starts with UNK
-# and holds each token once. Any other version is a format error.
+# doc proj), then the newline-joined vocab as UTF-8: UNK, then the other
+# tokens strictly ascending. Any other version is a format error.
 
 _MAGIC = b"RLAB"
 _VERSION = 2
@@ -312,10 +319,12 @@ def load_checkpoint(path) -> DualEncoder:
         read_end(fh, path)
     vocab = Vocab.__new__(Vocab)
     vocab.tokens = tokens
-    vocab.index = {t: i for i, t in enumerate(tokens)}
-    if tokens[:1] != [UNK] or len(vocab.index) != len(tokens):
-        raise FormatError(f"{path}: vocab must start with {UNK!r} and hold "
-                          f"each token once")
+    # With the rest ascending, the only possible repeat is a second UNK,
+    # which `rows` would then find in place of row 0.
+    if (tokens[:1] != [UNK] or not ascending(tokens[1:])
+            or vocab.rows([UNK])[0]):
+        raise FormatError(f"{path}: vocab must be {UNK!r} and then strictly "
+                          f"ascending tokens")
     return DualEncoder(vocab,
                        EncoderParams(tables[0], tables[1]),
                        EncoderParams(tables[2], tables[3]))

@@ -62,17 +62,16 @@ class TrainConfig:
     def __post_init__(self):
         object.__setattr__(self, "mode", MaintenanceMode(self.mode))
         object.__setattr__(self, "loss", LossKind(self.loss))
-        for name in ("batch_size", "steps"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        # k_retrieved == 0 is the closed-book ablation: no retrieval, no
-        # training signal; the harness still runs end to end.
-        if self.k_retrieved < 0:
-            raise ValueError("k_retrieved must be >= 0")
+        # Counts are checked in every mode, also where the mode ignores
+        # them. k_retrieved == 0 is the closed-book ablation: no retrieval,
+        # no training signal; the harness still runs end to end.
+        for name, least in [("batch_size", 1), ("steps", 1),
+                            ("l_rerank_pool", 1), ("refresh_interval", 1),
+                            ("k_retrieved", 0), ("warmup_steps", 0)]:
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}")
         if self.mode == MaintenanceMode.RERANK and self.l_rerank_pool < self.k_retrieved:
             raise ValueError("rerank pool L must be >= K")
-        if self.mode == MaintenanceMode.FULL_REFRESH and self.refresh_interval < 1:
-            raise ValueError("refresh_interval must be >= 1")
 
     def rebuilds_at(self, step: int) -> bool:
         """Whether the index is rebuilt before step: every R steps in

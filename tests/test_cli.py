@@ -584,6 +584,30 @@ class TestIntegerEdges:
         assert main([command, *args]) in (0, 2)
         capsys.readouterr()
 
+    @pytest.mark.parametrize("command, option, mode, value", [
+        ("compress-index", "--iterations", None, -1)] + [
+        ("train", key, mode.value, value)
+        for key, values in [("warmup_steps", [-1]),
+                            ("refresh_interval", [0, -1]),
+                            ("l_rerank_pool", [0, -1])]
+        for value in values for mode in MaintenanceMode])
+    def test_bad_count_exit_2_and_nothing_written(self, inputs, tmp_path,
+                                                  capsys, command, option,
+                                                  mode, value):
+        # Each exited 0: -1 iterations or warmup steps ran as none, and
+        # the train keys were not checked where the mode ignores them.
+        config = "steps = 2\nbatch_size = 2\nk_retrieved = 2\n"
+        args = self.base_args(command, inputs, tmp_path)
+        if mode is None:
+            args += [option, str(value)]
+        else:
+            config += f"mode = {mode}\n{option} = {value}\n"
+        (tmp_path / "train.cfg").write_text(config)
+        capsys.readouterr()
+        assert main([command, *args]) == 2
+        assert option.lstrip("-") in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["train.cfg"]
+
     @pytest.mark.parametrize("command", ["build-index", "train"])
     def test_dim_0_exit_2(self, inputs, tmp_path, capsys, command):
         (tmp_path / "train.cfg").write_text("steps = 1\n")

@@ -1,14 +1,42 @@
 import math
+from typing import Sequence
 
 import numpy as np
 import pytest
 
-from rlab.lm import MockScorer
 from rlab.losses import (LossKind, TargetDistribution, adist_target,
                          build_target, distill_step, emdr2_objective,
                          kl_divergence, loop_target, pdist_target)
 
 from oracles import central_difference, mp_emdr2, mp_kl, mp_softmax
+
+
+class MockScorer:
+    """Fixed-value `LMScorer` for loss tests, keyed by document id."""
+
+    def __init__(self, logliks: dict[str, float],
+                 relevances: dict[str, float] | None = None,
+                 joint: float = -1.0):
+        self.logliks = logliks
+        self.relevances = relevances or {}
+        self.joint = joint
+        self.doc_ids: Sequence[str] = []
+
+    def bind(self, doc_ids: Sequence[str]) -> "MockScorer":
+        self.doc_ids = list(doc_ids)
+        return self
+
+    def per_doc_loglik(self, query, docs, output):
+        return [self.logliks[i] for i in self.doc_ids]
+
+    def joint_loglik(self, query, docs, output):
+        return self.joint
+
+    def loo_logliks(self, query, docs, output):
+        return [self.joint - self.logliks[i] for i in self.doc_ids]
+
+    def attention_relevance(self, query, docs, output):
+        return [self.relevances.get(i, 0.0) for i in self.doc_ids]
 
 
 class TestKLDivergence:

@@ -59,6 +59,11 @@ class TestTrainPQ:
         with pytest.raises(ValueError, match="m=" if m < 1 else "k_c="):
             train_pq(random_index(10, 8), m=m, k_c=k_c)
 
+    def test_iterations_not_negative(self):
+        # -1 ran no k-means step, as 0 does, and kept the seeds.
+        with pytest.raises(ValueError, match="iterations"):
+            train_pq(random_index(10, 8), m=2, k_c=2, iterations=-1)
+
     def test_k_c_beyond_16_bit_codes(self):
         with pytest.raises(ValueError, match="65536"):
             train_pq(random_index(4, 8), m=2, k_c=70_000)
@@ -86,6 +91,10 @@ class TestReferencePQ:
     def test_gaussian(self):
         vectors = np.random.default_rng(21).normal(size=(300, 8))
         self.check(vectors, m=2, k_c=16, iterations=5, seed=22)
+
+    def test_zero_iterations_keep_the_seeds(self):
+        vectors = np.random.default_rng(25).normal(size=(100, 8))
+        self.check(vectors, m=2, k_c=16, iterations=0, seed=26)
 
     def test_duplicates_repeat_seeds_and_empty_clusters(self):
         # Five distinct subvectors per subspace for eight centroids: once

@@ -5,12 +5,12 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rlab import formats
 from rlab.cli import main
-from rlab.corpus import read_passages, write_passages
+from rlab.corpus import TokenTable, read_passages, write_passages
 from rlab.index import EmbeddingIndex, FormatError, build, save_index
 from rlab.lm import OverlapLM
 from rlab.retriever import (DualEncoder, EncoderParams, Gradients,
@@ -33,15 +33,15 @@ def small_encoder():
 class TestEncode:
     def test_mean_pooling(self, small_encoder):
         enc = small_encoder
-        a = enc.query.embedding[enc.vocab.index["t1"]]
-        b = enc.query.embedding[enc.vocab.index["t2"]]
+        a = enc.query.embedding[enc.vocab.rows(["t1"])[0]]
+        b = enc.query.embedding[enc.vocab.rows(["t2"])[0]]
         np.testing.assert_allclose(encode_query(enc, ["t1", "t2"]), (a + b) / 2)
 
     def test_single_token(self, small_encoder):
         enc = small_encoder
         np.testing.assert_allclose(
             encode_query(enc, ["t3"]),
-            enc.query.embedding[enc.vocab.index["t3"]])
+            enc.query.embedding[enc.vocab.rows(["t3"])[0]])
 
     def test_duplicate_tokens_mean(self, small_encoder):
         enc = small_encoder
@@ -61,8 +61,46 @@ class TestEncode:
         enc = small_encoder
         enc.query.projection = np.diag([2.0, 1.0, 1.0, 1.0])
         vec = encode_query(enc, ["t1"])
-        base = enc.query.embedding[enc.vocab.index["t1"]]
+        base = enc.query.embedding[enc.vocab.rows(["t1"])[0]]
         assert vec[0] == pytest.approx(2 * base[0])
+
+
+# Short tokens over a few characters share prefixes; UNK, NUL and
+# non-ASCII characters are among them.
+TOKENS = st.one_of(st.sampled_from(["<unk>", "<unk>\0", "<un", "\0", "é"]),
+                   st.text(alphabet="<unk>\0é中", max_size=6))
+
+
+class TestVocab:
+    """Rows against a dict built from the vocab's tokens: UNK and tokens
+    not in the vocab get row 0."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(TOKENS, max_size=12), st.lists(TOKENS, max_size=12))
+    @example([], ["<unk>", "a", ""])  # a one-token vocab
+    @example(["<unk>", "<unk>"], ["<unk>"])
+    def test_rows_equal_a_dict_reference(self, vocab_tokens, others):
+        vocab = Vocab(vocab_tokens)
+        reference = {t: i for i, t in enumerate(vocab.tokens)}
+        assert vocab.tokens[0] == "<unk>"
+        assert vocab.tokens[1:] == sorted(set(vocab_tokens) - {"<unk>"})
+        text = others + vocab_tokens
+        rows = vocab.rows(text)
+        assert rows.dtype == np.int64
+        assert rows.tolist() == [reference.get(t, 0) for t in text]
+        table = TokenTable([others, vocab_tokens[::-1], []])
+        rows = table.vocab_rows(vocab)
+        assert rows.dtype == np.int64
+        assert rows.tolist() == [reference.get(t, 0)
+                                 for t in table.term_strings]
+
+    def test_table_rows_equal_text_rows(self):
+        passages, _, encoder = make_needle_task(n_passages=300, n_examples=2,
+                                                dim=4, seed=5)
+        table = TokenTable([p.text for p in passages]
+                           + [("<unk>", "absent", "\0")])
+        assert np.array_equal(table.vocab_rows(encoder.vocab),
+                              encoder.vocab.rows(table.term_strings))
 
 
 class TestInitEncoder:
@@ -325,6 +363,8 @@ class TestCheckpoint:
         [],  # no UNK row: any lookup indexes an empty table
         ["<unk>", "ab", "ab"],  # "ab" answers to row 2, row 1 is orphaned
         ["ab", "<unk>"],  # unknown tokens would share the row of "ab"
+        ["<unk>", "b", "a"],  # each token once, but a bisection misses "a"
+        ["<unk>", "<unk>", "ab"],  # ascending after row 0, UNK at row 1
     ])
     def test_bad_vocab_table_rejected(self, tmp_path, tokens):
         vocab = Vocab.__new__(Vocab)

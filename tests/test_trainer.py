@@ -50,6 +50,18 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=field):
             TrainConfig(**{field: value})
 
+    @pytest.mark.parametrize("mode", list(MaintenanceMode))
+    @pytest.mark.parametrize("field, value", [
+        ("warmup_steps", -1), ("refresh_interval", 0),
+        ("refresh_interval", -1), ("l_rerank_pool", 0), ("l_rerank_pool", -1),
+    ])
+    def test_bad_counts_rejected_in_every_mode(self, mode, field, value):
+        # Each was accepted: a negative warmup as none, and the other two
+        # wherever the mode does not read them (k_retrieved = 0 keeps
+        # rerank's L >= K rule out of the way).
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(mode=mode, k_retrieved=0, **{field: value})
+
     def test_mode_given_as_string(self):
         cfg = TrainConfig(mode="rerank", k_retrieved=5, l_rerank_pool=10)
         assert cfg.mode is MaintenanceMode.RERANK
