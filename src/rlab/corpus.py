@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .formats import FormatError, atomic_write, is_number, jsonl_objects
+from .formats import FormatError, atomic_write, jsonl_objects
 
 VALID_SOURCES = ("wiki", "cc", "infobox")
 
@@ -66,14 +66,14 @@ class FilterConfig:
 
     def __post_init__(self):
         for name, value in vars(self).items():
-            if not is_number(value):
-                raise ValueError(f"{name} must be a number, not {value!r}")
+            # A JSON number: an int or a float, not a bool, and finite.
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not -np.inf < value < np.inf):
+                raise ValueError(f"{name} must be a finite number, not {value!r}")
         if not (0.0 <= self.min_alnum_ratio <= 1.0):
             raise ValueError("min_alnum_ratio must be in [0,1]")
         if not (0.0 <= self.max_repeated_token_ratio <= 1.0):
             raise ValueError("max_repeated_token_ratio must be in [0,1]")
-        if not math.isfinite(self.max_mean_word_length):
-            raise ValueError("max_mean_word_length must be finite")
 
 
 def tokenize(text: str) -> list[str]:

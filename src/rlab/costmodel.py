@@ -28,6 +28,8 @@ class CostModelParams:
                      "refresh_interval", "p_retr", "p_lm"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if self.l_reranked < 0:
+            raise ValueError("l_reranked must be >= 0")
 
 
 def overhead_full_refresh(p: CostModelParams) -> Fraction:

@@ -1,13 +1,14 @@
 """Pieces shared by rlab's file readers and writers.
 
 Every reader (RIDX, RPQX, RLAB and JSONL) raises `FormatError` for
-malformed or truncated input, and the CLI maps it to exit 1. Binary
-reads are checked against the file size before they happen. Every JSONL
-reader (raw documents, passages, choice tasks) takes its lines from
+malformed or truncated input, and the CLI maps it to exit 1. A binary
+artifact (magic, version word, header, tables) is written by
+`write_artifact` and read front to back by a `Reader` from one read-only
+mapping of the file. Every JSONL reader takes its lines from
 `jsonl_objects` and names the file and line of a bad record. String
 tables (ids, vocab tokens) are stored newline-joined, so writers refuse
 any string holding a newline before they open the file. Float tables go
-through `float_bytes` and `read_floats`: a writer refuses, before it
+through `float_bytes` and `Reader.floats`: a writer refuses, before it
 opens the file, a value that would be stored as NaN or infinite, and a
 reader rejects one. Every artifact writer goes through `atomic_write`,
 so a failed write leaves the previous file as it was.
@@ -22,6 +23,7 @@ import mmap
 import operator
 import os
 import secrets
+import struct
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -51,36 +53,6 @@ def atomic_write(path, mode: str = "wb", **open_kwargs):
         raise
 
 
-def remaining(fh) -> int:
-    return os.fstat(fh.fileno()).st_size - fh.tell()
-
-
-def read_exact(fh, n: int, path, mapped: bool = False) -> bytes | memoryview:
-    """Read exactly n bytes or raise FormatError naming the file. The size
-    is checked first, so a corrupt length never allocates a huge buffer.
-    `mapped` gives instead a read-only view of the file mapped read-only,
-    with no copy. The view owns the mapping (unmapped with its last view)
-    and outlives a replace of path, not a truncation in place."""
-    left = remaining(fh)
-    if n > left:
-        raise FormatError(f"{path}: truncated at byte {fh.tell()}: needs "
-                          f"{n} more bytes, has {left}")
-    if not mapped:
-        return fh.read(n)
-    try:
-        data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-    except OSError as exc:
-        raise FormatError(f"{path}: cannot map: {exc}") from exc
-    start = fh.seek(n, os.SEEK_CUR) - n
-    return memoryview(data)[start:start + n]
-
-
-def read_end(fh, path):
-    if remaining(fh):
-        raise FormatError(f"{path}: {remaining(fh)} trailing bytes "
-                          f"after byte {fh.tell()}")
-
-
 def float_bytes(values, dtype, what: str) -> bytes:
     """values stored as dtype; ValueError (`what` names them) if a stored
     value would be NaN or infinite, an overflow of dtype included."""
@@ -91,19 +63,6 @@ def float_bytes(values, dtype, what: str) -> bytes:
     return stored.tobytes()
 
 
-def read_floats(fh, shape: tuple[int, ...], dtype, path, what: str,
-                mapped: bool = False) -> np.ndarray:
-    """The next array of shape, stored as dtype: float64, or the stored
-    values if `mapped` (see `read_exact`); a NaN or infinite value raises
-    FormatError naming the file (checked before the upcast)."""
-    dtype = np.dtype(dtype)
-    stored = np.frombuffer(read_exact(fh, math.prod(shape) * dtype.itemsize,
-                                      path, mapped), dtype=dtype)
-    if not np.isfinite(stored).all():
-        raise FormatError(f"{path}: non-finite value in the {what}")
-    return (stored if mapped else stored.astype(np.float64)).reshape(shape)
-
-
 def join_lines(strings: Sequence[str], what: str) -> bytes:
     """The newline-joined UTF-8 table of `strings` (`what` names them)."""
     for s in strings:
@@ -112,17 +71,80 @@ def join_lines(strings: Sequence[str], what: str) -> bytes:
     return "\n".join(strings).encode("utf-8")
 
 
-def read_lines(fh, length: int, n: int, path, what: str) -> list[str]:
-    """The newline-joined table of n strings written by `join_lines`."""
-    try:
-        text = read_exact(fh, length, path).decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: {what} table is not UTF-8") from exc
-    # An empty table is one empty string when n == 1 and none when n == 0.
-    strings = text.split("\n") if n or text else []
-    if len(strings) != n:
-        raise FormatError(f"{path}: {len(strings)} {what}s for {n} rows")
-    return strings
+def write_artifact(path, magic: bytes, version: int, layout: str,
+                   fields: Sequence[int], *tables: bytes):
+    """Write magic, the version word, the header fields packed by layout
+    and then each table, one write apiece, through `atomic_write`."""
+    with atomic_write(path) as fh:
+        fh.write(magic + struct.pack("<I", version) + struct.pack(layout, *fields))
+        for table in tables:
+            fh.write(table)
+
+
+class Reader:
+    """An artifact read front to back from one read-only mapping of path,
+    each read checked against the bytes left. `take` and `floats` give
+    read-only views; the mapping lives while one does, and it outlives a
+    replace of path, not a truncation in place."""
+
+    def __init__(self, path):
+        self.path, self.pos = path, 0
+        with open(path, "rb") as fh:
+            try:
+                # mmap refuses an empty file, which reads as empty instead.
+                self.data = memoryview(
+                    mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+                    if os.fstat(fh.fileno()).st_size else b"")
+            except OSError as exc:
+                raise FormatError(f"{path}: cannot map: {exc}") from exc
+
+    def take(self, n: int) -> memoryview:
+        """The next n bytes."""
+        left = len(self.data) - self.pos
+        if n > left:
+            raise FormatError(f"{self.path}: truncated at byte {self.pos}: "
+                              f"needs {n} more bytes, has {left}")
+        self.pos += n
+        return self.data[self.pos - n:self.pos]
+
+    def header(self, magic: bytes, version: int, layout: str, what: str,
+               versioned: str) -> tuple:
+        """The fields packed by layout after magic and the version word;
+        FormatError "bad <what> magic" or "unsupported <versioned> N"."""
+        if self.take(4) != magic:
+            raise FormatError(f"{self.path}: bad {what} magic")
+        found, = struct.unpack("<I", self.take(4))
+        if found != version:
+            raise FormatError(f"{self.path}: unsupported {versioned} {found}")
+        return struct.unpack(layout, self.take(struct.calcsize(layout)))
+
+    def floats(self, shape: tuple[int, ...], dtype, what: str) -> np.ndarray:
+        """The next array of shape, as stored in dtype; a NaN or infinite
+        value raises FormatError (`what` names the table)."""
+        dtype = np.dtype(dtype)
+        stored = np.frombuffer(self.take(math.prod(shape) * dtype.itemsize),
+                               dtype=dtype)
+        if not np.isfinite(stored).all():
+            raise FormatError(f"{self.path}: non-finite value in the {what}")
+        return stored.reshape(shape)
+
+    def lines(self, length: int, n: int, what: str) -> list[str]:
+        """The newline-joined table of n strings written by `join_lines`."""
+        try:
+            text = str(self.take(length), "utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{self.path}: {what} table is not UTF-8") from exc
+        # An empty table is one empty string when n == 1 and none when n == 0.
+        strings = text.split("\n") if n or text else []
+        if len(strings) != n:
+            raise FormatError(f"{self.path}: {len(strings)} {what}s for {n} rows")
+        return strings
+
+    def end(self):
+        """FormatError unless every byte has been read."""
+        if len(self.data) > self.pos:
+            raise FormatError(f"{self.path}: {len(self.data) - self.pos} "
+                              f"trailing bytes after byte {self.pos}")
 
 
 def ascending(strings: Sequence[str]) -> bool:
@@ -151,9 +173,3 @@ def jsonl_objects(path) -> Iterator[tuple[str, dict]]:
             if not isinstance(obj, dict):
                 raise FormatError(f"{where}: expected a JSON object")
             yield where, obj
-
-
-def is_number(value) -> bool:
-    """Whether a decoded JSON value is a number (an int or float, not a
-    bool)."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)

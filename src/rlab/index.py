@@ -11,16 +11,14 @@ storage precision to its dtype, and its RIDX code is its position there.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .corpus import Passage, TokenTable
-from .formats import (FormatError, ascending, atomic_write, float_bytes,
-                      join_lines, read_end, read_exact, read_floats,
-                      read_lines)
+from .formats import (FormatError, Reader, ascending, float_bytes,
+                      join_lines, write_artifact)
 from .retriever import DualEncoder, encode
 
 PRECISIONS = {"float32": np.dtype("<f4"), "float16": np.dtype("<f2")}
@@ -159,6 +157,7 @@ def search_batch(index: EmbeddingIndex, q_vecs: np.ndarray, k: int) -> list[list
 
 _MAGIC = b"RIDX"
 _FORMAT_VERSION = 2
+_HEADER = "<IIBIQIBI"
 
 
 def save_index(index: EmbeddingIndex, path):
@@ -167,39 +166,29 @@ def save_index(index: EmbeddingIndex, path):
     date_blob = join_lines(dates, "dump_date")
     vector_blob = float_bytes(index.vectors, PRECISIONS[index.precision],
                               "vectors")
-    with atomic_write(path) as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<IIIBIQIBI", _FORMAT_VERSION, index.version,
-                             index.dim, list(PRECISIONS).index(index.precision),
-                             index.size, len(id_blob), index.shards,
-                             len(dates), len(date_blob)))
-        fh.write(date_blob)
-        fh.write(id_blob)
-        fh.write(vector_blob)
+    write_artifact(path, _MAGIC, _FORMAT_VERSION, _HEADER,
+                   (index.version, index.dim,
+                    list(PRECISIONS).index(index.precision), index.size,
+                    len(id_blob), index.shards, len(dates), len(date_blob)),
+                   date_blob, id_blob, vector_blob)
 
 
 def load_index(path) -> EmbeddingIndex:
-    with open(path, "rb") as fh:
-        if read_exact(fh, 4, path) != _MAGIC:
-            raise FormatError(f"{path}: bad index magic")
-        fmt, = struct.unpack("<I", read_exact(fh, 4, path))
-        if fmt != _FORMAT_VERSION:
-            raise FormatError(f"{path}: unsupported index format {fmt}")
-        version, dim, prec, n, id_len, shards, n_dates, date_len = (
-            struct.unpack("<IIBIQIBI", read_exact(fh, 30, path)))
-        if prec >= len(PRECISIONS):
-            raise FormatError(f"{path}: unknown precision code {prec}")
-        precision = list(PRECISIONS)[prec]
-        if shards < 1 or n_dates > 1:
-            raise FormatError(f"{path}: bad header: shards={shards}, "
-                              f"{n_dates} dump dates")
-        dates = read_lines(fh, date_len, n_dates, path, "dump_date")
-        ids = read_lines(fh, id_len, n, path, "id")
-        vectors = read_floats(fh, (n, dim), PRECISIONS[precision], path,
-                              "vectors")
-        read_end(fh, path)
+    r = Reader(path)
+    version, dim, prec, n, id_len, shards, n_dates, date_len = r.header(
+        _MAGIC, _FORMAT_VERSION, _HEADER, "index", "index format")
+    if prec >= len(PRECISIONS):
+        raise FormatError(f"{path}: unknown precision code {prec}")
+    precision = list(PRECISIONS)[prec]
+    if shards < 1 or n_dates > 1:
+        raise FormatError(f"{path}: bad header: shards={shards}, "
+                          f"{n_dates} dump dates")
+    dates = r.lines(date_len, n_dates, "dump_date")
+    ids = r.lines(id_len, n, "id")
+    vectors = r.floats((n, dim), PRECISIONS[precision], "vectors")
+    r.end()
     return _from_file(EmbeddingIndex, path, version=version, dim=dim,
-                      ids=ids, vectors=vectors,
+                      ids=ids, vectors=vectors.astype(np.float64),
                       precision=precision, shards=shards,
                       dump_date=dates[0] if dates else None)
 

@@ -63,8 +63,8 @@ def kl_divergence(p: Sequence[float], q: Sequence[float]) -> float:
 
 def _target_softmax(scores: np.ndarray, temperature_target: float,
                     kind: LossKind) -> TargetDistribution:
-    if temperature_target <= 0:
-        raise ValueError("target temperature must be > 0")
+    if not 0 < temperature_target < np.inf:
+        raise ValueError("target temperature must be finite and > 0")
     scores = np.asarray(scores, dtype=np.float64)
     if scores.size < 1:
         raise ValueError("need at least one document")

@@ -15,14 +15,12 @@ one centroid at a time by the direct sum.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .formats import (FormatError, atomic_write, float_bytes, join_lines,
-                      read_end, read_exact, read_floats, read_lines)
+from .formats import FormatError, Reader, float_bytes, join_lines, write_artifact
 from .index import EmbeddingIndex, _from_file, _results, sort_by_id
 
 
@@ -249,40 +247,32 @@ def compressed_size_from_reported(uncompressed: float, dim: int,
 
 _MAGIC = b"RPQX"
 _FORMAT_VERSION = 1
+_HEADER = "<IIIIIQ"
 
 
 def save_pq_index(pqindex: PQIndex, path):
     _check_k_c(pqindex.codec.k_c)
     id_blob = join_lines(pqindex.ids, "id")
     codec = pqindex.codec
-    cb_blob = float_bytes(codec.codebooks, "<f4", "codebooks")
-    with atomic_write(path) as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<IIIIIIQ", _FORMAT_VERSION, pqindex.version,
-                             pqindex.dim, codec.m, codec.k_c, pqindex.size,
-                             len(id_blob)))
-        fh.write(id_blob)
-        fh.write(cb_blob)
-        fh.write(np.ascontiguousarray(pqindex.codes, dtype="<u2").tobytes())
+    write_artifact(path, _MAGIC, _FORMAT_VERSION, _HEADER,
+                   (pqindex.version, pqindex.dim, codec.m, codec.k_c,
+                    pqindex.size, len(id_blob)),
+                   id_blob, float_bytes(codec.codebooks, "<f4", "codebooks"),
+                   np.ascontiguousarray(pqindex.codes, dtype="<u2").tobytes())
 
 
 def load_pq_index(path) -> PQIndex:
-    with open(path, "rb") as fh:
-        if read_exact(fh, 4, path) != _MAGIC:
-            raise FormatError(f"{path}: bad PQ index magic")
-        fmt, version, dim, m, k_c, n, id_len = struct.unpack(
-            "<IIIIIIQ", read_exact(fh, 32, path))
-        if fmt != _FORMAT_VERSION:
-            raise FormatError(f"{path}: unsupported PQ format {fmt}")
-        if m == 0 or dim % m:
-            raise FormatError(f"{path}: m={m} does not divide dim={dim}")
-        ids = read_lines(fh, id_len, n, path, "id")
-        cb = read_floats(fh, (m, k_c, dim // m), "<f4", path, "codebooks")
-        codes = np.frombuffer(read_exact(fh, 2 * n * m, path), dtype="<u2")
-        read_end(fh, path)
+    r = Reader(path)
+    version, dim, m, k_c, n, id_len = r.header(
+        _MAGIC, _FORMAT_VERSION, _HEADER, "PQ index", "PQ format")
+    if m == 0 or dim % m:
+        raise FormatError(f"{path}: m={m} does not divide dim={dim}")
+    ids = r.lines(id_len, n, "id")
+    cb = r.floats((m, k_c, dim // m), "<f4", "codebooks").astype(np.float64)
+    codes = np.frombuffer(r.take(2 * n * m), dtype="<u2").reshape(n, m)
+    r.end()
     if codes.size and int(codes.max()) >= k_c:
         raise FormatError(f"{path}: code {int(codes.max())} >= k_c={k_c}")
     return _from_file(PQIndex, path, codec=PQCodec(m=m, k_c=k_c, codebooks=cb),
-                      ids=ids,
-                      codes=codes.astype(np.int64).reshape(n, m),
+                      ids=ids, codes=codes.astype(np.int64),
                       version=version, dim=dim)

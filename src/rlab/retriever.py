@@ -13,8 +13,9 @@ passages join it once in `corpus.TokenTable.vocab_rows`). Training and
 the finite-difference check share one backprop, `encoder_gradient`.
 
 A loaded encoder's embedding tables are read-only float32 views of the
-mapped checkpoint; `_pooled` upcasts only the rows it gathers, so vectors
-match the tables upcast whole. `copy()` gives a float64 one to train.
+checkpoint's one mapping (`formats.Reader`), its projections float64
+copies; `_pooled` upcasts only the rows it gathers, so vectors match the
+tables upcast whole. `copy()` gives a float64 one to train.
 
 An example touches only the embedding rows of its own tokens, so
 `Gradients` keeps each embedding gradient as sparse rows: the touched row
@@ -29,16 +30,14 @@ check and tests.
 from __future__ import annotations
 
 import bisect
-import struct
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
 import numpy as np
 
-from .formats import (FormatError, ascending, atomic_write, float_bytes,
-                      join_lines, read_end, read_exact, read_floats,
-                      read_lines)
+from .formats import (FormatError, Reader, ascending, float_bytes,
+                      join_lines, write_artifact)
 
 UNK = "<unk>"
 DEFAULT_TEMPERATURE = 0.1  # tuned retrieval temperature
@@ -145,15 +144,15 @@ def softmax(x: np.ndarray) -> np.ndarray:
 
 
 def check_distribution(p: np.ndarray, name: str):
-    """Raise ValueError unless p is a distribution up to rounding."""
-    if np.any(p < -1e-12) or abs(p.sum() - 1.0) > 1e-6:
+    """Raise ValueError unless p is a finite distribution up to rounding."""
+    if not (np.all(p >= -1e-12) and abs(p.sum() - 1.0) <= 1e-6):
         raise ValueError(f"{name} is not a valid distribution")
 
 
 def retrieval_distribution(scores: Sequence[float], temperature: float) -> np.ndarray:
     """Temperature softmax over retrieval scores, max-stabilized."""
-    if temperature <= 0:
-        raise ValueError("temperature must be > 0")
+    if not 0 < temperature < np.inf:
+        raise ValueError("temperature must be finite and > 0")
     s = np.asarray(scores, dtype=np.float64)
     if s.ndim != 1 or s.size < 1:
         raise ValueError("scores must be a nonempty vector")
@@ -289,6 +288,7 @@ def retriever_gradient(enc: DualEncoder, query: Sequence[str],
 
 _MAGIC = b"RLAB"
 _VERSION = 2
+_HEADER = "<IIQ"  # d, vocab size, vocab byte length
 
 
 def save_checkpoint(enc: DualEncoder, path):
@@ -296,27 +296,19 @@ def save_checkpoint(enc: DualEncoder, path):
     tables = [float_bytes(table, "<f4", "encoder tables")
               for table in (enc.query.embedding, enc.query.projection,
                             enc.doc.embedding, enc.doc.projection)]
-    with atomic_write(path) as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<IIIQ", _VERSION, enc.dim, len(enc.vocab),
-                             len(vocab_blob)))
-        fh.writelines(tables)
-        fh.write(vocab_blob)
+    write_artifact(path, _MAGIC, _VERSION, _HEADER,
+                   (enc.dim, len(enc.vocab), len(vocab_blob)),
+                   *tables, vocab_blob)
 
 
 def load_checkpoint(path) -> DualEncoder:
-    with open(path, "rb") as fh:
-        if read_exact(fh, 4, path) != _MAGIC:
-            raise FormatError(f"{path}: bad checkpoint magic")
-        version, dim, vsize = struct.unpack("<III", read_exact(fh, 12, path))
-        if version != _VERSION:
-            raise FormatError(f"{path}: unsupported checkpoint version {version}")
-        vocab_len, = struct.unpack("<Q", read_exact(fh, 8, path))
-        tables = [read_floats(fh, (rows, dim), "<f4", path, "encoder tables",
-                              mapped)
-                  for rows, mapped in [(vsize, True), (dim, False)] * 2]
-        tokens = read_lines(fh, vocab_len, vsize, path, "vocab token")
-        read_end(fh, path)
+    r = Reader(path)
+    dim, vsize, vocab_len = r.header(_MAGIC, _VERSION, _HEADER, "checkpoint",
+                                     "checkpoint version")
+    tables = [r.floats((rows, dim), "<f4", "encoder tables")
+              for rows in (vsize, dim, vsize, dim)]
+    tokens = r.lines(vocab_len, vsize, "vocab token")
+    r.end()
     vocab = Vocab.__new__(Vocab)
     vocab.tokens = tokens
     # With the rest ascending, the only possible repeat is a second UNK,
@@ -326,5 +318,5 @@ def load_checkpoint(path) -> DualEncoder:
         raise FormatError(f"{path}: vocab must be {UNK!r} and then strictly "
                           f"ascending tokens")
     return DualEncoder(vocab,
-                       EncoderParams(tables[0], tables[1]),
-                       EncoderParams(tables[2], tables[3]))
+                       EncoderParams(tables[0], tables[1].astype(np.float64)),
+                       EncoderParams(tables[2], tables[3].astype(np.float64)))

@@ -70,6 +70,11 @@ class TrainConfig:
                             ("k_retrieved", 0), ("warmup_steps", 0)]:
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be >= {least}")
+        for name in ("temperature", "temperature_target"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and > 0")
+        if not np.isfinite(self.learning_rate):
+            raise ValueError("learning_rate must be finite")
         if self.mode == MaintenanceMode.RERANK and self.l_rerank_pool < self.k_retrieved:
             raise ValueError("rerank pool L must be >= K")
 

@@ -101,6 +101,25 @@ class TestIngest:
                      "--filter-config", str(bad)]) == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("key", [
+        "min_doc_length", "max_mean_word_length", "min_alnum_ratio",
+        "max_repeated_token_ratio"])
+    def test_non_finite_filter_config_exit_2_and_nothing_written(
+            self, workspace, capsys, key, value):
+        # Python's json reads NaN and Infinity: a NaN minimum length
+        # turned the length filter off and an infinite one dropped every
+        # document, both with exit 0.
+        tmp_path, raw = workspace
+        bad = tmp_path / "filter.json"
+        bad.write_text(f'{{"{key}": {value}}}')
+        assert main(["ingest", "--in", str(raw),
+                     "--out", str(tmp_path / "o.jsonl"),
+                     "--filter-config", str(bad)]) == 2
+        assert f"{key} must be a finite number" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "filter.json", "raw.jsonl"]
+
 
 class TestBuildAndSearch:
     def test_build_then_search(self, workspace, capsys):
@@ -507,6 +526,18 @@ class TestCostModel:
         assert main(["cost-model", "--n", "10", "--b", "1", "--k", "1",
                      "--ratio", ratio]) == 2
 
+    @pytest.mark.parametrize("l, out", [
+        ("-1", ""), ("0", "full-refresh overhead: 0.100 (~10%)\n")],
+        ids=["-1", "0"])
+    def test_l_below_1(self, capsys, l, out):
+        # --l -1 printed the full-refresh line, then failed on the rerank
+        # overhead; --l 0 means no rerank line.
+        assert main(["cost-model", "--n", "10", "--b", "1", "--k", "1",
+                     "--l", l]) == (2 if out == "" else 0)
+        got = capsys.readouterr()
+        assert got.out == out
+        assert ("l_reranked must be >= 0" in got.err) == (out == "")
+
 
 class TestUsage:
     def test_no_command_exit_2(self):
@@ -527,10 +558,12 @@ def _integer_flags():
 
 INT_CONFIG_KEYS = [f.name for f in fields(TrainConfig)
                    if type(f.default) is int]
+FLOAT_CONFIG_KEYS = [f.name for f in fields(TrainConfig)
+                     if type(f.default) is float]
 
 
 class TestIntegerEdges:
-    """Every integer option and integer train-config key at 0 and -1 is
+    """Every integer option and numeric train-config key at 0 and -1 is
     either accepted or a usage error: exit 0 or 2, never a traceback."""
 
     @pytest.fixture(scope="class")
@@ -571,7 +604,8 @@ class TestIntegerEdges:
     @pytest.mark.parametrize("command, option, mode", [
         (command, option, None) for command, option in _integer_flags()] + [
         ("train", key, mode.value)
-        for key in INT_CONFIG_KEYS for mode in MaintenanceMode])
+        for key in INT_CONFIG_KEYS + FLOAT_CONFIG_KEYS
+        for mode in MaintenanceMode])
     def test_exit_0_or_2(self, inputs, tmp_path, capsys, command, option,
                          mode, value):
         config = "steps = 2\nbatch_size = 2\nk_retrieved = 2\n"
@@ -589,13 +623,18 @@ class TestIntegerEdges:
         ("train", key, mode.value, value)
         for key, values in [("warmup_steps", [-1]),
                             ("refresh_interval", [0, -1]),
-                            ("l_rerank_pool", [0, -1])]
+                            ("l_rerank_pool", [0, -1]),
+                            ("temperature", ["nan", "inf", 0, -1]),
+                            ("temperature_target", ["nan", "inf", 0, -1]),
+                            ("learning_rate", ["nan", "inf"])]
         for value in values for mode in MaintenanceMode])
     def test_bad_count_exit_2_and_nothing_written(self, inputs, tmp_path,
                                                   capsys, command, option,
                                                   mode, value):
-        # Each exited 0: -1 iterations or warmup steps ran as none, and
-        # the train keys were not checked where the mode ignores them.
+        # Each count exited 0: -1 iterations or warmup steps ran as none,
+        # and the train keys were not checked where the mode ignores them.
+        # A NaN or infinite float trained on NaN, wrote metrics.csv, then
+        # exited 2 at save_checkpoint.
         config = "steps = 2\nbatch_size = 2\nk_retrieved = 2\n"
         args = self.base_args(command, inputs, tmp_path)
         if mode is None:

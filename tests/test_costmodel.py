@@ -57,3 +57,7 @@ class TestRerank:
     def test_requires_positive_l(self):
         with pytest.raises(ValueError):
             overhead_rerank(replace(PAPER, l_reranked=0))
+
+    def test_negative_l_rejected(self):
+        with pytest.raises(ValueError, match="l_reranked"):
+            replace(PAPER, l_reranked=-1)

@@ -1,17 +1,22 @@
 """Artifact writers replace their target atomically: a writer that fails
-mid-write leaves the previous file byte for byte and no temporary file."""
+mid-write leaves the previous file byte for byte and no temporary file.
+Artifact readers map their file once, read-only."""
 
 import dataclasses
+import errno
+import mmap
 import os
+from types import SimpleNamespace
 
 import pytest
 
 from rlab import formats
 from rlab.cli import _write_manifest, main
 from rlab.corpus import Passage, write_passages
-from rlab.index import build, save_index
-from rlab.pq import compress, save_pq_index, train_pq
-from rlab.retriever import Vocab, init_encoder, save_checkpoint
+from rlab.index import build, load_index, save_index
+from rlab.pq import compress, load_pq_index, save_pq_index, train_pq
+from rlab.retriever import (Vocab, init_encoder, load_checkpoint,
+                            save_checkpoint)
 from rlab.trainer import StepMetrics, write_metrics_csv
 
 
@@ -113,3 +118,70 @@ def test_failed_swap_index_keeps_active_index(tmp_path, monkeypatch, capsys):
     assert "no space" in capsys.readouterr().err
     assert active.read_bytes() == before
     assert sorted(os.listdir(tmp_path)) == ["a.ridx", "b.ridx"]
+
+
+ARTIFACTS = {"idx.ridx": ("save_index", load_index),
+             "idx.rpqx": ("save_pq_index", load_pq_index),
+             "enc.rlab": ("save_checkpoint", load_checkpoint)}
+
+
+@pytest.fixture(params=sorted(ARTIFACTS))
+def artifact(request, tmp_path):
+    """(path, loader) of a saved RIDX, RPQX or RLAB file."""
+    path = tmp_path / request.param
+    writer, load = ARTIFACTS[request.param]
+    WRITERS[writer](small_artifacts(), path)
+    return path, load
+
+
+def patch_mmap(monkeypatch, mapper):
+    monkeypatch.setattr(formats, "mmap", SimpleNamespace(
+        mmap=mapper, ACCESS_READ=mmap.ACCESS_READ))
+
+
+class TestReader:
+    def test_one_mapping_per_load(self, artifact, monkeypatch):
+        # A checkpoint was mapped once per embedding table.
+        path, load = artifact
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return mmap.mmap(*args, **kwargs)
+
+        patch_mmap(monkeypatch, counting)
+        load(path)
+        assert len(calls) == 1
+
+    # RLAB's case is TestMappedCheckpoint's in test_retriever.py.
+    @pytest.mark.parametrize("artifact", ["idx.ridx", "idx.rpqx"],
+                             indirect=True)
+    def test_failed_mapping_is_a_format_error(self, artifact, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise OSError(errno.ENODEV, "No such device")
+
+        path, load = artifact
+        patch_mmap(monkeypatch, refuse)
+        with pytest.raises(formats.FormatError,
+                           match=f"{path.name}: cannot map: .*No such device"):
+            load(path)
+
+    def test_empty_file_is_truncated_at_byte_0(self, artifact):
+        path, load = artifact
+        path.write_bytes(b"")
+        with pytest.raises(formats.FormatError) as info:
+            load(path)
+        assert str(info.value) == (f"{path}: truncated at byte 0: needs 4 "
+                                   f"more bytes, has 0")
+
+    def test_loaded_indexes_own_their_arrays(self, tmp_path):
+        # No array of a loaded RIDX or RPQX is a view, of the mapping or
+        # of another array.
+        _, _, idx, pq_index, _ = small_artifacts()
+        save_index(idx, tmp_path / "idx.ridx")
+        save_pq_index(pq_index, tmp_path / "idx.rpqx")
+        loaded = load_index(tmp_path / "idx.ridx")
+        pq_loaded = load_pq_index(tmp_path / "idx.rpqx")
+        for array in (loaded.vectors, pq_loaded.codes,
+                      pq_loaded.codec.codebooks):
+            assert array.flags.owndata and array.flags.writeable

@@ -60,6 +60,14 @@ class TestKLDivergence:
         with pytest.raises(ValueError):
             kl_divergence([0.5, 0.6], [0.5, 0.5])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_is_invalid(self, bad):
+        # Every comparison with NaN is false, so [nan, 0.5] passed as a
+        # distribution and the divergence came out nan.
+        for p, q in (([0.5, 0.5], [bad, 0.5]), ([bad, 0.5], [0.5, 0.5])):
+            with pytest.raises(ValueError, match="not a valid distribution"):
+                kl_divergence(p, q)
+
 
 class TestTargets:
     def test_adist_equal_relevances_uniform(self):
@@ -76,6 +84,14 @@ class TestTargets:
     def test_adist_invalid_temperature(self):
         with pytest.raises(ValueError):
             adist_target([0.1], temperature_target=0.0)
+
+    @pytest.mark.parametrize("temperature", [np.nan, np.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("ctor", [adist_target, pdist_target, loop_target])
+    def test_temperature_must_be_finite_and_positive(self, ctor, temperature):
+        # A NaN temperature passed `<= 0` and gave a NaN target; an
+        # infinite one gave a uniform target.
+        with pytest.raises(ValueError, match="target temperature"):
+            ctor([-1.0, -2.0], temperature)
 
     def test_pdist_normalizes_likelihoods(self):
         probs = pdist_target([math.log(0.9), math.log(0.1)], 1.0).probs

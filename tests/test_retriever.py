@@ -14,7 +14,8 @@ from rlab.corpus import TokenTable, read_passages, write_passages
 from rlab.index import EmbeddingIndex, FormatError, build, save_index
 from rlab.lm import OverlapLM
 from rlab.retriever import (DualEncoder, EncoderParams, Gradients,
-                            MaintenanceMode, Vocab, encode, encode_doc,
+                            MaintenanceMode, Vocab, check_distribution,
+                            encode, encode_doc,
                             encode_query, init_encoder, load_checkpoint,
                             retrieval_distribution, retriever_gradient,
                             save_checkpoint)
@@ -150,6 +151,19 @@ class TestRetrievalDistribution:
             retrieval_distribution([1.0], 0.0)
         with pytest.raises(ValueError):
             retrieval_distribution([np.inf, 0.0], 1.0)
+
+    @pytest.mark.parametrize("temperature",
+                             [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    def test_temperature_must_be_finite_and_positive(self, temperature):
+        with pytest.raises(ValueError, match="temperature must be finite"):
+            retrieval_distribution([1.0, 0.0], temperature)
+
+    @pytest.mark.parametrize("p", [[np.nan, 0.5], [0.5, np.nan, 0.5],
+                                   [np.inf, 0.5], [-np.inf, np.inf],
+                                   [np.nan, np.nan]])
+    def test_check_distribution_rejects_non_finite(self, p):
+        with pytest.raises(ValueError, match="not a valid distribution"):
+            check_distribution(np.array(p), "p")
 
     def test_always_a_distribution(self):
         rng = np.random.default_rng(1)

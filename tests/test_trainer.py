@@ -62,6 +62,16 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=field):
             TrainConfig(mode=mode, k_retrieved=0, **{field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        (field, value) for field in ("temperature", "temperature_target")
+        for value in (float("nan"), float("inf"), 0.0, -1.0)] + [
+        ("learning_rate", float("nan")), ("learning_rate", float("inf")),
+        ("learning_rate", float("-inf"))])
+    def test_non_finite_or_non_positive_floats_rejected(self, field, value):
+        # A NaN temperature or learning rate trained every step on NaN.
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
+
     def test_mode_given_as_string(self):
         cfg = TrainConfig(mode="rerank", k_retrieved=5, l_rerank_pool=10)
         assert cfg.mode is MaintenanceMode.RERANK
