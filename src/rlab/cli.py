@@ -14,6 +14,7 @@ import hashlib
 import json
 import sys
 import time
+from collections import abc
 from fractions import Fraction
 from pathlib import Path
 
@@ -171,6 +172,27 @@ def _parse_train_config(path: Path) -> trainer.TrainConfig:
     return trainer.TrainConfig(**values)
 
 
+class _TrainExamples(abc.Sequence):
+    """The example of each passage long enough for the task, built when
+    `trainer.train` draws it; the MLM seeds are drawn up front, in order."""
+
+    def __init__(self, passages, task: str, seed: int):
+        self.mlm, rng = task == "mlm", np.random.default_rng(seed)
+        self.passages = [p for p in passages
+                         if len(p.text) >= (10 if self.mlm else 2)]
+        self.seeds = [int(rng.integers(2 ** 31)) if self.mlm else 0
+                      for _ in self.passages]
+
+    def __len__(self) -> int:
+        return len(self.passages)
+
+    def __getitem__(self, i: int) -> trainer.TrainExample:
+        p = self.passages[i]
+        ex = (pretext.mlm_example(p.text, self.seeds[i], p.id) if self.mlm
+              else pretext.prefix_lm_example(p.text, p.id))
+        return trainer.TrainExample(ex.retrieval_query(), ex.output, p.id)
+
+
 def cmd_train(args) -> int:
     cfg = _parse_train_config(Path(args.config))
     t0 = time.perf_counter()
@@ -182,19 +204,7 @@ def cmd_train(args) -> int:
     state = trainer.init_state(enc, passages)
     build_time = time.perf_counter() - t0
 
-    rng = np.random.default_rng(cfg.seed)
-    examples = []
-    for p in passages:
-        if len(p.text) < 2:
-            continue
-        if args.task == "prefix_lm":
-            ex = pretext.prefix_lm_example(p.text, origin_id=p.id)
-        else:
-            if len(p.text) < 10:
-                continue
-            ex = pretext.mlm_example(p.text, seed=int(rng.integers(2 ** 31)),
-                                     origin_id=p.id)
-        examples.append(trainer.TrainExample.from_pretext(ex))
+    examples = _TrainExamples(passages, args.task, cfg.seed)
     if not examples:
         raise UsageError("corpus produced no training examples")
 

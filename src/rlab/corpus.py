@@ -13,8 +13,9 @@ import copy
 import itertools
 import json
 import math
+import re
 from collections import abc, defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -103,11 +104,17 @@ class TokenTable(abc.Sequence):
         return len(self.rows)
 
     def __getitem__(self, i: int) -> tuple[str, ...]:
-        return tuple(map(self.term_strings.__getitem__,
-                         self.text_terms(self.rows[i]).tolist()))
+        text = self.rows[i]
+        return tuple(map(self.term_strings.__getitem__, self.terms[
+            self.offsets[text]:self.offsets[text + 1]].tolist()))
 
-    def text_terms(self, i: int) -> np.ndarray:
-        return self.terms[self.offsets[i]:self.offsets[i + 1]]
+    def gather(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """values (one per token position, as `terms`) of the texts `rows`,
+        one text after another, and each text's length: their CSR form."""
+        starts = self.offsets[self.rows]
+        lengths = self.offsets[self.rows + 1] - starts
+        return values[np.arange(lengths.sum()) + np.repeat(
+            starts - np.cumsum(lengths) + lengths, lengths)], lengths
 
     def vocab_rows(self, vocab) -> np.ndarray:
         """Each term's row in vocab, 0 if it has none: one term_ids lookup
@@ -141,13 +148,7 @@ def linearize_document(doc: RawDocument) -> RawDocument:
     before chunking.
     """
     flat = linearize_structured([s.text for s in doc.sections])
-    return RawDocument(
-        id=doc.id,
-        title=doc.title,
-        sections=(Section("", flat),),
-        source=doc.source,
-        dump_date=doc.dump_date,
-    )
+    return replace(doc, sections=(Section("", flat),))
 
 
 def chunk_tokens(tokens: Sequence[str], max_words: int) -> list[list[str]]:
@@ -162,14 +163,9 @@ def chunk_tokens(tokens: Sequence[str], max_words: int) -> list[list[str]]:
     if n == 0:
         return []
     pieces = math.ceil(n / max_words)
-    base, extra = divmod(n, pieces)
-    out = []
-    pos = 0
-    for i in range(pieces):
-        size = base + (1 if i < extra else 0)
-        out.append(list(tokens[pos:pos + size]))
-        pos += size
-    return out
+    base, extra = divmod(n, pieces)  # the first `extra` pieces get one more
+    starts = [i * base + min(i, extra) for i in range(pieces + 1)]
+    return [list(tokens[a:b]) for a, b in zip(starts, starts[1:])]
 
 
 def chunk(doc: RawDocument, max_words: int = 200) -> list[Passage]:
@@ -193,13 +189,6 @@ def chunk(doc: RawDocument, max_words: int = 200) -> list[Passage]:
     return passages
 
 
-def _doc_tokens(doc: RawDocument) -> list[str]:
-    tokens = []
-    for section in doc.sections:
-        tokens.extend(tokenize(section.text))
-    return tokens
-
-
 def repeated_token_ratio(tokens: Sequence[str]) -> float:
     if not tokens:
         return 0.0
@@ -207,27 +196,26 @@ def repeated_token_ratio(tokens: Sequence[str]) -> float:
 
 
 def alnum_ratio(text: str) -> float:
-    stripped = [c for c in text if not c.isspace()]
+    r"""The share of alphanumeric (`str.isalnum`) characters among the
+    non-whitespace ones. `str.split` drops exactly the `str.isspace`
+    characters, and `[\W_]` matches exactly the non-alphanumeric rest."""
+    stripped = "".join(text.split())
     if not stripped:
         return 0.0
-    return sum(c.isalnum() for c in stripped) / len(stripped)
+    return len(re.sub(r"[\W_]+", "", stripped)) / len(stripped)
 
 
 def quality_filter(doc: RawDocument, cfg: FilterConfig = FilterConfig()) -> bool:
     """True iff the document passes all four quality tests:
     length, mean word length, alphanumeric ratio, repeated-token ratio.
     """
-    tokens = _doc_tokens(doc)
+    tokens = [t for section in doc.sections for t in tokenize(section.text)]
     if len(tokens) < cfg.min_doc_length:
         return False
-    mean_word_len = sum(len(t) for t in tokens) / len(tokens)
-    if mean_word_len > cfg.max_mean_word_length:
-        return False
-    if alnum_ratio(" ".join(tokens)) < cfg.min_alnum_ratio:
-        return False
-    if repeated_token_ratio(tokens) > cfg.max_repeated_token_ratio:
-        return False
-    return True
+    joined = "".join(tokens)  # tokens hold no whitespace
+    return (len(joined) / len(tokens) <= cfg.max_mean_word_length
+            and alnum_ratio(joined) >= cfg.min_alnum_ratio
+            and repeated_token_ratio(tokens) <= cfg.max_repeated_token_ratio)
 
 
 # ---------------------------------------------------------------------------

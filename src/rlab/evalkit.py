@@ -95,19 +95,12 @@ def debias_infer(task: ChoiceTask, scorer: ChoiceScorer,
 # Leakage audit.
 
 def longest_common_run(a: Sequence[str], b: Sequence[str]) -> int:
-    """Length of the longest common contiguous token run (exact DP)."""
-    if not a or not b:
-        return 0
-    prev = [0] * (len(b) + 1)
-    best = 0
-    for i in range(1, len(a) + 1):
-        cur = [0] * (len(b) + 1)
-        for j in range(1, len(b) + 1):
-            if a[i - 1] == b[j - 1]:
-                cur[j] = prev[j - 1] + 1
-                if cur[j] > best:
-                    best = cur[j]
-        prev = cur
+    """Length of the longest common contiguous token run, by exact DP over
+    the length of the run that ends at each pair of positions."""
+    best, prev = 0, [0] * (len(b) + 1)
+    for x in a:
+        prev = [0] + [prev[j] + 1 if x == y else 0 for j, y in enumerate(b)]
+        best = max(best, *prev)
     return best
 
 
@@ -117,9 +110,8 @@ def leakage_audit(question: str, passages: Sequence[Passage]) -> tuple[bool, int
     q_tokens = tokenize(question)
     if not q_tokens:
         raise ValueError("question must be nonempty")
-    best = 0
-    for p in passages:
-        best = max(best, longest_common_run(q_tokens, list(p.text)))
+    best = max((longest_common_run(q_tokens, list(p.text))
+                for p in passages), default=0)
     return best >= LEAKAGE_THRESHOLD * len(q_tokens), best
 
 

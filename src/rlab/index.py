@@ -5,7 +5,8 @@ id rank. Search is exact: one product scores every row and one global
 selection takes the top k rows, ties by ascending row (hence by id), so
 the output is identical to a brute-force pass. The `shards` field is
 stored metadata and does not change results. Rebuilds produce a new
-immutable index with an incremented version. `PRECISIONS` maps each
+immutable index with an incremented version; `build` encodes every
+passage in one `retriever.encode_texts` call. `PRECISIONS` maps each
 storage precision to its dtype, and its RIDX code is its position there.
 """
 
@@ -19,7 +20,7 @@ import numpy as np
 from .corpus import Passage, TokenTable
 from .formats import (FormatError, Reader, ascending, float_bytes,
                       join_lines, write_artifact)
-from .retriever import DualEncoder, encode
+from .retriever import DualEncoder, encode_texts
 
 PRECISIONS = {"float32": np.dtype("<f4"), "float16": np.dtype("<f2")}
 
@@ -76,22 +77,23 @@ class EmbeddingIndex:
 
 def build(passages: Sequence[Passage], encoder: DualEncoder,
           shards: int = 1, precision: str = "float32",
-          previous_version: int = 0,
-          tokens: TokenTable | None = None) -> EmbeddingIndex:
+          previous_version: int = 0, tokens: TokenTable | None = None,
+          rows: np.ndarray | None = None) -> EmbeddingIndex:
     """Embed every passage with the document encoder; the index sorts them
     by id if needed. version = previous + 1. tokens, the passages' texts
-    in passage order, are interned here when not given."""
+    in passage order, and rows, the encoder vocab row of each of their
+    token positions, are found here when not given."""
     if not passages:
         raise ValueError("cannot build an index from zero passages")
     if shards < 1:
         raise ValueError("shards must be >= 1")
     if tokens is None:
         tokens = TokenTable([p.text for p in passages])
-    rows = tokens.vocab_rows(encoder.vocab)
-    vectors = np.stack([encode(encoder.doc, rows[tokens.text_terms(i)])
-                        for i in range(len(passages))])
+    if rows is None:
+        rows = tokens.vocab_rows(encoder.vocab).astype(np.int32)[tokens.terms]
+    _, vectors = encode_texts(encoder.doc, rows, np.diff(tokens.offsets))
     # Storage precision rounds on write; arithmetic stays in float64.
-    vectors = vectors.astype(_dtype(precision)).astype(np.float64)
+    vectors[...] = vectors.astype(_dtype(precision))
     dates = {p.dump_date for p in passages if p.dump_date}
     return EmbeddingIndex(
         version=previous_version + 1,

@@ -58,15 +58,13 @@ def _count_matrix(docs: Sequence[TokenSeq],
     if not output:
         raise ValueError("empty output")
     table = docs if isinstance(docs, TokenTable) else TokenTable(docs)
-    starts = table.offsets[table.rows]
-    lengths = table.offsets[table.rows + 1] - starts
+    terms, lengths = table.gather(table.terms)
     row = {t: i for i, t in enumerate(dict.fromkeys(output))}
     # slot[term]: its output row, else -1. Output tokens that are not
     # terms of the table write the spare last slot, which no term reads.
     slot = np.full(len(table.term_strings) + 1, -1)
     slot[[table.term_ids.get(t, -1) for t in row]] = np.arange(len(row))
-    hits = slot[table.terms[np.arange(lengths.sum()) + np.repeat(
-        starts - np.cumsum(lengths) + lengths, lengths)]]
+    hits = slot[terms]
     cells = hits * len(table) + np.repeat(np.arange(len(table)), lengths)
     counts = np.bincount(cells[hits >= 0], minlength=len(row) * len(table))
     return counts.reshape(len(row), -1)[[row[t] for t in output]], lengths

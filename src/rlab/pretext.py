@@ -9,7 +9,6 @@ passage it was built from so retrieval can exclude it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Sequence
 
 import numpy as np
@@ -17,17 +16,11 @@ import numpy as np
 RETRIEVER_MASK_TOKEN = "<mask>"
 
 
-class PretextTask(str, Enum):
-    PREFIX_LM = "prefix_lm"
-    MLM = "mlm"
-
-
 @dataclass(frozen=True)
 class PretextExample:
     query: tuple[str, ...]
     output: tuple[str, ...]
     origin_passage_id: str
-    task: PretextTask
 
     def __post_init__(self):
         if not self.query or not self.output:
@@ -48,7 +41,7 @@ def prefix_lm_example(chunk: Sequence[str], origin_id: str = "") -> PretextExamp
         raise ValueError("chunk must hold at least two tokens")
     half = (n + 1) // 2
     return PretextExample(query=tuple(chunk[:half]), output=tuple(chunk[half:]),
-                          origin_passage_id=origin_id, task=PretextTask.PREFIX_LM)
+                          origin_passage_id=origin_id)
 
 
 # Poisson span lengths truncated to [1, 10]; the truncated mean is ~3.15,
@@ -108,7 +101,7 @@ def mlm_example(chunk: Sequence[str], seed: int = 0,
         pos = start + length
     query.extend(chunk[pos:])
     return PretextExample(query=tuple(query), output=tuple(output),
-                          origin_passage_id=origin_id, task=PretextTask.MLM)
+                          origin_passage_id=origin_id)
 
 
 def reconstruct_mlm(example: PretextExample) -> tuple[str, ...]:

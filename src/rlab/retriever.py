@@ -7,24 +7,21 @@ over a retrieved top-K set is a temperature softmax of the scores.
 
 The query and document sides hold separate parameter sets (tied copies at
 initialization) so that query-side-only training can freeze the document
-encoder and keep a prebuilt index valid. `encode` and the backprop take a
-text's embedding rows (`Vocab.rows` bisects the sorted vocab; interned
-passages join it once in `corpus.TokenTable.vocab_rows`). Training and
-the finite-difference check share one backprop, `encoder_gradient`.
+encoder and keep a prebuilt index valid. `encode_texts` encodes texts,
+many at once, from their embedding rows in CSR form (`Vocab.rows` bisects
+the sorted vocab). Training and the finite-difference check share one
+backprop, `encoder_gradient`, which takes the pooled means of the forward
+pass instead of pooling again.
 
 A loaded encoder's embedding tables are read-only float32 views of the
 checkpoint's one mapping (`formats.Reader`), its projections float64
-copies; `_pooled` upcasts only the rows it gathers, so vectors match the
-tables upcast whole. `copy()` gives a float64 one to train.
+copies; `encode_texts` upcasts only the rows it gathers, so vectors match
+the tables upcast whole. `copy()` gives a float64 one to train.
 
 An example touches only the embedding rows of its own tokens, so
-`Gradients` keeps each embedding gradient as sparse rows: the touched row
-ids and their values in accumulation order. `sum_rows` adds a row's values
-in that order, which is the order dense `np.add.at` accumulation would add
-them, so the SGD update `embedding[rows] -= lr * summed` is bit-identical
-to a dense one without ever filling a |V| x d table. The dense views
-`Gradients.query_embedding` and `doc_embedding` exist for the gradient
-check and tests.
+`Gradients` keeps each embedding gradient as sparse rows, which `sum_rows`
+adds in the order of a dense `np.add.at`: the SGD update is bit-identical
+to a dense one without ever filling a |V| x d table.
 """
 
 from __future__ import annotations
@@ -117,24 +114,40 @@ def init_encoder(vocab: Vocab, dim: int, seed: int = 0) -> DualEncoder:
     return DualEncoder(vocab, side.copy(), side.copy())
 
 
-def _pooled(params: EncoderParams, rows: np.ndarray) -> np.ndarray:
-    """Float64 mean of the embedding rows; only those rows are upcast."""
-    return np.asarray(params.embedding[rows], dtype=np.float64).mean(axis=0)
+_BLOCK_ROWS = 4096  # embedding rows gathered at a time
 
 
-def encode(params: EncoderParams, rows: np.ndarray) -> np.ndarray:
-    """Projection applied to the mean of a text's embedding rows."""
-    if len(rows) == 0:
+def encode_texts(params: EncoderParams, rows: np.ndarray,
+                 lengths: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Float64 mean embedding and encoded vector of each text, the texts
+    in CSR form: text i is the next lengths[i] of the embedding rows. Texts
+    of one length L are pooled in blocks of at most _BLOCK_ROWS rows, each
+    (n, L, d) gather summed along axis 1 in float64: the additions, so the
+    bits, of `mean(axis=0)` on one text. The projection is one matvec per
+    text, as a GEMM's bits would differ."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if (lengths < 1).any():
         raise ValueError("empty input")
-    return params.projection @ _pooled(params, rows)
+    rows, starts = np.asarray(rows), np.cumsum(lengths) - lengths
+    pooled = np.empty((len(lengths), params.dim))
+    for n in np.unique(lengths).tolist():
+        group = np.flatnonzero(lengths == n)
+        step = max(_BLOCK_ROWS // n, 1)
+        for texts in np.split(group, range(step, len(group), step)):
+            block = params.embedding[rows[starts[texts, None] + np.arange(n)]]
+            pooled[texts] = block.sum(axis=1, dtype=np.float64) / n
+    vectors = np.empty_like(pooled)
+    for p, v in zip(pooled, vectors):
+        np.matmul(params.projection, p, out=v)
+    return pooled, vectors
 
 
 def encode_query(enc: DualEncoder, text: Sequence[str]) -> np.ndarray:
-    return encode(enc.query, enc.vocab.rows(text))
+    return encode_texts(enc.query, enc.vocab.rows(text), [len(text)])[1][0]
 
 
 def encode_doc(enc: DualEncoder, text: Sequence[str]) -> np.ndarray:
-    return encode(enc.doc, enc.vocab.rows(text))
+    return encode_texts(enc.doc, enc.vocab.rows(text), [len(text)])[1][0]
 
 
 def softmax(x: np.ndarray) -> np.ndarray:
@@ -222,35 +235,36 @@ def sum_rows(rows: np.ndarray,
     return distinct, summed
 
 
-def _backprop_side(params: EncoderParams, rows: np.ndarray,
+def _backprop_side(params: EncoderParams, pooled: np.ndarray, length: int,
                    grad_vec: np.ndarray, grad_proj: np.ndarray) -> np.ndarray:
     """Accumulate d(loss)/d(projection) into grad_proj given d(loss)/d(encoded
-    vector) of the text with embedding rows `rows`; return, one per row,
-    the gradient that token occurrence receives."""
-    grad_proj += np.outer(grad_vec, _pooled(params, rows))
+    vector) of a text of `length` tokens whose pooled mean is `pooled`;
+    return, one per token, the gradient that token occurrence receives."""
+    grad_proj += np.outer(grad_vec, pooled)
     grad_pooled = params.projection.T @ grad_vec
-    return np.broadcast_to(grad_pooled / len(rows),
-                           (len(rows), len(grad_pooled)))
+    return np.broadcast_to(grad_pooled / length, (length, len(grad_pooled)))
 
 
 def encoder_gradient(enc: DualEncoder, query_rows: np.ndarray,
-                     doc_rows: Sequence[np.ndarray], q_vec: np.ndarray,
-                     d_vecs: np.ndarray, g_scores: np.ndarray,
-                     mode: MaintenanceMode) -> Gradients:
+                     q_pooled: np.ndarray, q_vec: np.ndarray,
+                     doc_rows: np.ndarray, doc_lengths: Sequence[int],
+                     d_pooled: np.ndarray, d_vecs: np.ndarray,
+                     g_scores: np.ndarray, mode: MaintenanceMode) -> Gradients:
     """Backprop d(loss)/d(scores), scores = d_vecs @ q_vec, into the encoder
-    from the embedding rows of the query and of each document; document
-    gradients stay zero unless the mode trains the document side. Each
-    side's rows are summed in token order (over all K documents)."""
+    from the embedding rows and pooled means (`encode_texts`) of the query
+    and of the documents, theirs in CSR form. Document gradients stay zero,
+    and the document rows and means unread, unless the mode trains the
+    document side. Each side's rows are summed in token order."""
     grads = Gradients.zeros_like(enc)
     grads.query_rows, grads.query_values = sum_rows(
-        query_rows, _backprop_side(enc.query, query_rows, g_scores @ d_vecs,
-                                   grads.query_projection))
+        query_rows, _backprop_side(enc.query, q_pooled, len(query_rows),
+                                   g_scores @ d_vecs, grads.query_projection))
     if mode.trains_docs:
-        values = [_backprop_side(enc.doc, rows, g_k * q_vec,
+        values = [_backprop_side(enc.doc, pooled, n, g_k * q_vec,
                                  grads.doc_projection)
-                  for g_k, rows in zip(g_scores, doc_rows)]
-        grads.doc_rows, grads.doc_values = sum_rows(
-            np.concatenate(doc_rows), np.concatenate(values))
+                  for g_k, pooled, n in zip(g_scores, d_pooled, doc_lengths)]
+        grads.doc_rows, grads.doc_values = sum_rows(doc_rows,
+                                                    np.concatenate(values))
     return grads
 
 
@@ -272,11 +286,13 @@ def retriever_gradient(enc: DualEncoder, query: Sequence[str],
     check_distribution(target, "target_probs")
 
     query_rows = enc.vocab.rows(query)
-    doc_rows = [enc.vocab.rows(d) for d in docs]
-    q_vec = encode(enc.query, query_rows)
-    d_vecs = np.stack([encode(enc.doc, rows) for rows in doc_rows])
+    doc_rows = enc.vocab.rows([t for doc in docs for t in doc])
+    doc_lengths = [len(doc) for doc in docs]
+    (q_pooled,), (q_vec,) = encode_texts(enc.query, query_rows, [len(query)])
+    d_pooled, d_vecs = encode_texts(enc.doc, doc_rows, doc_lengths)
     probs = retrieval_distribution(d_vecs @ q_vec, temperature)
-    return encoder_gradient(enc, query_rows, doc_rows, q_vec, d_vecs,
+    return encoder_gradient(enc, query_rows, q_pooled, q_vec, doc_rows,
+                            doc_lengths, d_pooled, d_vecs,
                             (probs - target) / temperature, mode)
 
 

@@ -15,13 +15,14 @@ documents per example, as `costmodel.overhead_rerank` charges.
 
 A step works in index rows, never passage ids: `TrainerState.passages`
 is in index row order, and the static modes take document vectors from
-the index rows. Their texts are interned once, in `TrainerState.tokens`:
-the LM scores a view of it, and the document encoder and backprop read
-embedding rows through `vocab_rows`. Score gradients reach the encoder
-through `retriever.encoder_gradient`, the backprop that the gradient
-check covers. The optimizer is plain SGD with linear warmup and decay.
-With a fixed seed, configuration and corpus, the parameter trajectory and
-the emitted metrics are bit-identical across runs.
+the index rows. Their texts are interned once, in `TrainerState.tokens`,
+whose view the LM scores, and `TrainerState.rows` holds the encoder vocab
+row of each of their tokens. A step's queries, a rebuild, the rerank pool
+and full_refresh's K documents are each one `retriever.encode_texts` call;
+its pooled means go on to `retriever.encoder_gradient`, the backprop that
+the gradient check covers. The optimizer is plain SGD with linear warmup
+and decay. With a fixed seed, configuration and corpus, the parameter
+trajectory and the emitted metrics are bit-identical across runs.
 """
 
 from __future__ import annotations
@@ -38,9 +39,8 @@ from .corpus import Passage, TokenTable
 from .formats import atomic_write
 from .lm import LMScorer, OverlapLM
 from .losses import (LossKind, build_target, distill_step, emdr2_objective)
-from .pretext import PretextExample
 from .retriever import (DEFAULT_TEMPERATURE, DualEncoder, Gradients,
-                        MaintenanceMode, encode, encode_query,
+                        MaintenanceMode, encode_texts,
                         encoder_gradient, retrieval_distribution, sum_rows)
 
 
@@ -95,11 +95,6 @@ class TrainExample:
     origin_passage_id: str = ""
     gold_passage_id: str = ""
 
-    @classmethod
-    def from_pretext(cls, ex: PretextExample) -> "TrainExample":
-        return cls(query=ex.retrieval_query(), output=ex.output,
-                   origin_passage_id=ex.origin_passage_id)
-
 
 @dataclass
 class TrainerState:
@@ -107,7 +102,7 @@ class TrainerState:
     index: index_mod.EmbeddingIndex
     passages: list[Passage]  # passages[r] is the passage of index row r
     tokens: TokenTable  # text r is the text of passages[r]
-    vocab_rows: np.ndarray  # term id of tokens -> encoder vocab row
+    rows: np.ndarray  # encoder vocab row of each token position of tokens
     step: int = 0
     stale_rerank_warnings: int = 0
 
@@ -129,18 +124,13 @@ def _learning_rate(cfg: TrainConfig, step: int) -> float:
     return cfg.learning_rate * remaining / span
 
 
-def _doc_rows(state: TrainerState, rows: np.ndarray) -> list[np.ndarray]:
-    """The encoder vocab rows of the texts of index rows."""
-    return [state.vocab_rows[state.tokens.text_terms(r)]
-            for r in rows.tolist()]
-
-
 def _retrieve(state: TrainerState, cfg: TrainConfig, example: TrainExample,
-              q_vec: np.ndarray) -> tuple[np.ndarray, np.ndarray | None, bool]:
+              q_vec: np.ndarray) -> tuple[np.ndarray, tuple | None, bool]:
     """Index rows of the candidate documents for one example with query
     vector q_vec, best first, honoring the maintenance mode and
-    self-exclusion; their fresh vectors in rerank, else None; and whether
-    rerank raised the stale-index signal. State is not changed."""
+    self-exclusion; in rerank their fresh pooled means and vectors
+    (`encode_texts`), else None; and whether rerank raised the stale-index
+    signal. State is not changed."""
     scores = state.index.vectors @ q_vec
     n = state.index.size  # selectable rows: all but the origin's
     origin = example.origin_passage_id
@@ -153,35 +143,35 @@ def _retrieve(state: TrainerState, cfg: TrainConfig, example: TrainExample,
     pool = index_mod._top_k(scores, min(cfg.l_rerank_pool, n))
     # Rescored in row order, so fresh ties break by ascending id.
     by_row = np.sort(pool)
-    vecs = np.array([encode(state.encoder.doc, rows)
-                     for rows in _doc_rows(state, by_row)]
-                    ).reshape(-1, state.encoder.dim)
+    pooled, vecs = encode_texts(state.encoder.doc,
+                                *state.tokens.view(by_row).gather(state.rows))
     fresh = np.array([np.dot(q_vec, v) for v in vecs])
     kept = index_mod._top_k(fresh, len(by_row))[:cfg.k_retrieved]
     # Stale-index signal: a fresh top-K element coming from the tail of the
     # stale pool suggests the true top-K may have escaped it.
     stale = bool(np.isin(by_row[kept], pool[cfg.l_rerank_pool - 1:]).any())
-    return by_row[kept], vecs[kept], stale
+    return by_row[kept], (pooled[kept], vecs[kept]), stale
 
 
 def _example_gradient(state: TrainerState, cfg: TrainConfig, lm: LMScorer,
-                      example: TrainExample) -> tuple[Gradients | None, float, np.ndarray]:
-    """Loss gradient (None when frozen), loss value, retrieved rows. A
-    stale-index signal from retrieval counts in state.stale_rerank_warnings."""
+                      example: TrainExample, query: tuple) -> tuple[Gradients | None, float, np.ndarray]:
+    """Loss gradient (None when frozen), loss value, retrieved rows, given
+    the query as `_queries` gives it. A stale-index signal from retrieval
+    counts in state.stale_rerank_warnings."""
     enc = state.encoder
-    query_rows = enc.vocab.rows(example.query)
-    q_vec = encode(enc.query, query_rows)
-    rows, d_vecs, stale = _retrieve(state, cfg, example, q_vec)
+    query_rows, q_pooled, q_vec = query
+    rows, fresh, stale = _retrieve(state, cfg, example, q_vec)
     state.stale_rerank_warnings += stale
     if not len(rows):
         return None, 0.0, rows
     docs = state.tokens.view(rows)
-    doc_rows = _doc_rows(state, rows) if cfg.mode.trains_docs else []
-    if cfg.mode == MaintenanceMode.FULL_REFRESH:
-        d_vecs = np.stack([encode(enc.doc, r) for r in doc_rows])
-    elif not cfg.mode.trains_docs:
+    if cfg.mode.trains_docs:
+        doc_rows, lengths = docs.gather(state.rows)
+        d_pooled, d_vecs = fresh or encode_texts(enc.doc, doc_rows, lengths)
+    else:
         # The index is never stale in these modes; its vectors are the
-        # document embeddings.
+        # document embeddings, and the backprop reads no document rows.
+        doc_rows = lengths = d_pooled = None
         d_vecs = state.index.vectors[rows]
     probs = retrieval_distribution(d_vecs @ q_vec, cfg.temperature)
 
@@ -197,9 +187,18 @@ def _example_gradient(state: TrainerState, cfg: TrainConfig, lm: LMScorer,
 
     if cfg.mode == MaintenanceMode.FIXED:
         return None, loss_value, rows
-    grads = encoder_gradient(enc, query_rows, doc_rows, q_vec, d_vecs,
-                             step.grad_wrt_scores, cfg.mode)
-    return grads, loss_value, rows
+    return encoder_gradient(enc, query_rows, q_pooled, q_vec, doc_rows,
+                            lengths, d_pooled, d_vecs, step.grad_wrt_scores,
+                            cfg.mode), loss_value, rows
+
+
+def _queries(state: TrainerState, examples: Sequence[TrainExample]):
+    """Each example's query vocab rows, pooled mean and vector, all encoded
+    in one `encode_texts` call: the parameters hold still within a step."""
+    lengths = [len(ex.query) for ex in examples]
+    rows = state.encoder.vocab.rows([t for ex in examples for t in ex.query])
+    return zip(np.split(rows, np.cumsum(lengths)[:-1]),
+               *encode_texts(state.encoder.query, rows, lengths))
 
 
 def train_step(state: TrainerState, batch: Sequence[TrainExample],
@@ -211,19 +210,20 @@ def train_step(state: TrainerState, batch: Sequence[TrainExample],
         state.index = index_mod.build(
             state.passages, state.encoder,
             shards=state.index.shards, precision=state.index.precision,
-            previous_version=state.index.version, tokens=state.tokens)
+            previous_version=state.index.version, tokens=state.tokens,
+            rows=state.rows)
 
     total = Gradients.zeros_like(state.encoder)
     losses, hits, with_gold = [], 0, 0
-    for example in batch:
-        if cfg.k_retrieved == 0:
-            continue  # closed-book ablation: nothing to retrieve or train
-        grads, loss_value, rows = _example_gradient(state, cfg, lm, example)
+    # The closed-book ablation (k_retrieved == 0) retrieves and trains nothing.
+    examples = batch if cfg.k_retrieved else []
+    for ex, query in zip(examples, _queries(state, examples)):
+        grads, loss_value, rows = _example_gradient(state, cfg, lm, ex, query)
         losses.append(loss_value)
-        if example.gold_passage_id:
+        if ex.gold_passage_id:
             with_gold += 1
             hits += int(len(rows) > 0 and state.index.ids[rows[0]]
-                        == example.gold_passage_id)
+                        == ex.gold_passage_id)
         if grads is not None:
             total.add_scaled(grads, 1.0 / len(batch))
 
@@ -249,10 +249,10 @@ def init_state(encoder: DualEncoder,
                passages: Sequence[Passage]) -> TrainerState:
     ordered = sorted(passages, key=lambda p: p.id)
     tokens = TokenTable([p.text for p in ordered])
-    idx = index_mod.build(ordered, encoder, tokens=tokens)
+    rows = tokens.vocab_rows(encoder.vocab).astype(np.int32)[tokens.terms]
+    idx = index_mod.build(ordered, encoder, tokens=tokens, rows=rows)
     return TrainerState(encoder=encoder, index=idx, passages=ordered,
-                        tokens=tokens,
-                        vocab_rows=tokens.vocab_rows(encoder.vocab))
+                        tokens=tokens, rows=rows)
 
 
 def train(state: TrainerState, examples: Sequence[TrainExample],
@@ -265,12 +265,9 @@ def train(state: TrainerState, examples: Sequence[TrainExample],
     rng = np.random.default_rng(cfg.seed)
     order = rng.permutation(len(examples))
     history = []
-    cursor = 0
-    for _ in range(cfg.steps):
-        batch = []
-        for _ in range(cfg.batch_size):
-            batch.append(examples[order[cursor % len(examples)]])
-            cursor += 1
+    for step in range(cfg.steps):
+        draws = range(step * cfg.batch_size, (step + 1) * cfg.batch_size)
+        batch = [examples[order[i % len(examples)]] for i in draws]
         metrics = train_step(state, batch, cfg, lm)
         history.append(metrics)
         if on_step:
@@ -282,9 +279,8 @@ def recall_at_1(state: TrainerState, examples: Sequence[TrainExample],
                 cfg: TrainConfig) -> float:
     """Fraction of examples whose top retrieved passage is their gold."""
     hits = 0
-    for ex in examples:
-        rows, _, _ = _retrieve(state, cfg, ex,
-                               encode_query(state.encoder, ex.query))
+    for ex, (_, _, q_vec) in zip(examples, _queries(state, examples)):
+        rows, _, _ = _retrieve(state, cfg, ex, q_vec)
         hits += int(len(rows) > 0
                     and state.index.ids[rows[0]] == ex.gold_passage_id)
     return hits / len(examples)

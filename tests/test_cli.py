@@ -2,13 +2,16 @@ import argparse
 import json
 from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 
-from rlab.cli import _parse_train_config, build_parser, main
-from rlab.corpus import read_passages, write_passages
+from rlab.cli import (_parse_train_config, _TrainExamples, build_parser,
+                      main)
+from rlab.corpus import Passage, read_passages, write_passages
+from rlab.pretext import mlm_example, prefix_lm_example
 from rlab.index import load_index
 from rlab.pq import compress, squared_error, train_pq
-from rlab.trainer import LossKind, MaintenanceMode, TrainConfig
+from rlab.trainer import LossKind, MaintenanceMode, TrainConfig, TrainExample
 
 
 def make_raw_corpus(path, n_docs=6, words_per_section=120):
@@ -308,6 +311,36 @@ class TestTrain:
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert manifest["config"]["steps"] == 3
         assert manifest["config"]["loss"] == "pdist"
+
+    @pytest.mark.parametrize("task", ["prefix_lm", "mlm"])
+    def test_lazy_examples_equal_eager_ones(self, task):
+        # Passages of 1 to 13 tokens, so some are too short for either
+        # task. The eager reference is the loop that built every example up
+        # front, drawing an MLM seed per passage of at least 10 tokens.
+        passages = [Passage(id=f"p{i:02d}", doc_id="d",
+                            text=tuple(f"w{j}" for j in range(1 + i % 13)))
+                    for i in range(40)]
+        rng = np.random.default_rng(5)
+        eager = []
+        for p in passages:
+            if len(p.text) < 2:
+                continue
+            if task == "prefix_lm":
+                ex = prefix_lm_example(p.text, origin_id=p.id)
+            else:
+                if len(p.text) < 10:
+                    continue
+                ex = mlm_example(p.text, seed=int(rng.integers(2 ** 31)),
+                                 origin_id=p.id)
+            eager.append(TrainExample(query=ex.retrieval_query(),
+                                      output=ex.output,
+                                      origin_passage_id=p.id))
+        lazy = _TrainExamples(passages, task, seed=5)
+        assert len(lazy) == len(eager)
+        # Read out of order and twice: an example does not depend on which
+        # were read before it.
+        for i in [*range(len(eager) - 1, -1, -1), *range(len(eager))]:
+            assert lazy[i] == eager[i]
 
     def test_bad_config_key_names_offender(self, workspace, capsys):
         tmp_path, raw = workspace

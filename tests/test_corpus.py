@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rlab.corpus import (FilterConfig, Passage, RawDocument, Section,
-                         chunk, chunk_tokens, ingest,
+                         alnum_ratio, chunk, chunk_tokens, ingest,
                          linearize_document, linearize_structured,
                          passage_from_json, passage_to_json, quality_filter,
                          read_documents, read_passages, repeated_token_ratio,
@@ -99,6 +99,18 @@ class TestQualityFilter:
         words = ["x" * 30 for _ in range(60)]
         doc = make_doc([("", " ".join(f"{w}{i}" for i, w in enumerate(words)))])
         assert not quality_filter(doc, FilterConfig())
+
+    def test_alnum_ratio_equals_a_per_character_oracle(self):
+        # Every code point but the surrogates, alone and in one text with
+        # whitespace between them: whitespace is not counted, and a counted
+        # character is alphanumeric iff str.isalnum says so.
+        chars = [chr(i) for i in range(0x110000) if not 0xD800 <= i < 0xE000]
+        assert list(map(alnum_ratio, chars)) == \
+            [float(c.isalnum()) for c in chars]
+        counted = [c for c in chars if not c.isspace()]
+        assert alnum_ratio(" ".join(chars)) == \
+            sum(c.isalnum() for c in counted) / len(counted)
+        assert alnum_ratio(" \t\n") == alnum_ratio("") == 0.0
 
     def test_non_alnum_rejected(self):
         words = [f"@#$%^&{i}!" for i in range(60)]

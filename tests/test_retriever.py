@@ -8,15 +8,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rlab import formats
+from rlab import formats, retriever
 from rlab.cli import main
 from rlab.corpus import TokenTable, read_passages, write_passages
 from rlab.index import EmbeddingIndex, FormatError, build, save_index
 from rlab.lm import OverlapLM
 from rlab.retriever import (DualEncoder, EncoderParams, Gradients,
                             MaintenanceMode, Vocab, check_distribution,
-                            encode, encode_doc,
-                            encode_query, init_encoder, load_checkpoint,
+                            encode_doc, encode_query, encode_texts,
+                            encoder_gradient, init_encoder, load_checkpoint,
                             retrieval_distribution, retriever_gradient,
                             save_checkpoint)
 from rlab.trainer import TrainConfig, init_state, train_step
@@ -70,6 +70,87 @@ class TestEncode:
 # non-ASCII characters are among them.
 TOKENS = st.one_of(st.sampled_from(["<unk>", "<unk>\0", "<un", "\0", "é"]),
                    st.text(alphabet="<unk>\0é中", max_size=6))
+
+
+def per_text(params, rows, lengths):
+    """Each text's float64 mean of its embedding rows, upcast before the
+    mean, and the projection of that mean: the per-text reference."""
+    pooled, vectors, end = [], [], 0
+    for n in lengths:
+        mean = np.asarray(params.embedding[rows[end:end + n]],
+                          dtype=np.float64).mean(axis=0)
+        pooled.append(mean)
+        vectors.append(params.projection @ mean)
+        end += n
+    return np.array(pooled), np.array(vectors)
+
+
+class TestEncodeTexts:
+    """encode_texts pools many texts at once, bit-equal to pooling each
+    text alone."""
+
+    @staticmethod
+    def params(dim, seed, vocab=50):
+        rng = np.random.default_rng(seed)
+        return EncoderParams(rng.normal(size=(vocab, dim)),
+                             rng.normal(size=(dim, dim)))
+
+    @staticmethod
+    def check(params, lengths, seed=0):
+        rows = np.random.default_rng(seed).integers(
+            0, len(params.embedding), int(np.sum(lengths)))
+        pooled, vectors = encode_texts(params, rows, lengths)
+        want_pooled, want_vectors = per_text(params, rows, lengths)
+        assert pooled.tobytes() == want_pooled.tobytes()
+        assert vectors.tobytes() == want_vectors.tobytes()
+        ends = np.cumsum(lengths)
+        assert vectors.tobytes() == np.concatenate(
+            [encode_texts(params, rows[end - n:end], [n])[1]
+             for n, end in zip(lengths, ends)]).tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 3, 16])
+    def test_mixed_lengths_and_projection(self, dim):
+        # Lengths in no order, with repeats; a random (non-identity)
+        # projection.
+        lengths = np.random.default_rng(dim).integers(1, 40, 300)
+        self.check(self.params(dim, seed=dim), lengths)
+
+    def test_identity_projection(self):
+        params = self.params(8, seed=1)
+        params.projection = np.eye(8)
+        self.check(params, [3, 1, 3, 7, 1])
+
+    def test_groups_larger_than_a_block(self):
+        # One group of many short texts spanning several blocks, and texts
+        # longer than a block on their own.
+        block = retriever._BLOCK_ROWS
+        lengths = [3] * (block // 3 * 2 + 5) + [block + 7, 2, block + 7]
+        self.check(self.params(4, seed=2), lengths)
+
+    def test_loaded_float32_checkpoint(self, tmp_path):
+        # The table is float32 and read-only; only gathered rows are
+        # upcast, and the means equal those of the table upcast whole.
+        enc = init_encoder(Vocab([f"t{i}" for i in range(60)]), 8, seed=4)
+        enc.doc.projection[:] = np.random.default_rng(4).normal(size=(8, 8))
+        save_checkpoint(enc, tmp_path / "enc.rlab")
+        doc = load_checkpoint(tmp_path / "enc.rlab").doc
+        assert doc.embedding.dtype == np.float32
+        lengths = np.random.default_rng(5).integers(1, 20, 100)
+        self.check(doc, lengths, seed=6)
+        whole = EncoderParams(doc.embedding.astype(np.float64), doc.projection)
+        rows = np.arange(int(lengths.sum())) % len(doc.embedding)
+        for got, want in zip(encode_texts(doc, rows, lengths),
+                             encode_texts(whole, rows, lengths)):
+            assert got.tobytes() == want.tobytes()
+
+    def test_no_texts(self):
+        pooled, vectors = encode_texts(self.params(5, seed=0),
+                                       np.zeros(0, dtype=np.int64), [])
+        assert pooled.shape == vectors.shape == (0, 5)
+
+    def test_an_empty_text_raises(self):
+        with pytest.raises(ValueError, match="empty input"):
+            encode_texts(self.params(3, seed=0), np.array([1, 2]), [2, 0])
 
 
 class TestVocab:
@@ -213,6 +294,35 @@ class TestRetrieverGradient:
         assert np.all(grads.doc_embedding == 0.0)
         assert np.all(grads.doc_projection == 0.0)
         assert np.abs(grads.query_embedding).max() > 0
+
+    @pytest.mark.parametrize("mode", [MaintenanceMode.QUERY_SIDE,
+                                      MaintenanceMode.RERANK,
+                                      MaintenanceMode.FULL_REFRESH])
+    def test_encoder_gradient_from_given_means(self, mode):
+        # The backprop takes the pooled means of the forward pass instead
+        # of pooling again; given means from the per-text reference, it
+        # equals retriever_gradient bit for bit.
+        enc = self.make(seed=3, dim=5)
+        enc.doc.projection[:] = np.random.default_rng(3).normal(size=(5, 5))
+        query = ["t0", "t1", "t0", "t9"]
+        docs = [["t2", "t3"], ["t4"], ["t2", "t5", "t6", "t2"], ["t7", "t1"]]
+        target, theta = np.array([0.1, 0.2, 0.3, 0.4]), 0.7
+        query_rows = enc.vocab.rows(query)
+        doc_rows = enc.vocab.rows([t for d in docs for t in d])
+        lengths = [len(d) for d in docs]
+        (q_pooled,), (q_vec,) = per_text(enc.query, query_rows,
+                                         [len(query)])
+        d_pooled, d_vecs = per_text(enc.doc, doc_rows, lengths)
+        g_scores = (retrieval_distribution(d_vecs @ q_vec, theta)
+                    - target) / theta
+        got = encoder_gradient(enc, query_rows, q_pooled, q_vec, doc_rows,
+                               lengths, d_pooled, d_vecs, g_scores, mode)
+        want = retriever_gradient(enc, query, docs, target, theta, mode)
+        for field in ("query_rows", "query_values", "query_projection",
+                      "doc_rows", "doc_values", "doc_projection"):
+            assert (getattr(got, field).tobytes()
+                    == getattr(want, field).tobytes()), field
+        assert mode.trains_docs == bool(np.any(got.doc_projection))
 
     @pytest.mark.parametrize("mode", [MaintenanceMode.QUERY_SIDE,
                                       MaintenanceMode.RERANK,

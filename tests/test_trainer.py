@@ -11,15 +11,21 @@ from rlab.index import EmbeddingIndex, build, search
 from rlab.lm import OverlapLM
 from rlab.losses import (LossKind, build_target, distill_step,
                          emdr2_objective, pdist_target)
-from rlab.retriever import (Gradients, Vocab, encode, encode_doc,
-                            encode_query, init_encoder,
+from rlab.retriever import (Gradients, Vocab, encode_doc, encode_query,
+                            encode_texts, init_encoder,
                             retrieval_distribution, retriever_gradient)
 from rlab.trainer import (MaintenanceMode, StepMetrics, TrainConfig,
                           TrainExample, _example_gradient, _learning_rate,
-                          _retrieve, init_state, recall_at_1, train,
-                          train_step, write_metrics_csv)
+                          _queries, _retrieve, init_state, recall_at_1,
+                          train, train_step, write_metrics_csv)
 
 from needle import make_needle_task
+
+
+def text_rows(rows, lengths):
+    """The vocab rows of each text of an encode_texts call, as lists."""
+    ends = np.cumsum(lengths)
+    return [rows[end - n:end].tolist() for n, end in zip(lengths, ends)]
 
 
 def small_task(**kwargs):
@@ -183,14 +189,14 @@ class TestRetrieve:
     @staticmethod
     def _count_encodes(monkeypatch, encoder):
         """The vocab rows of the texts rerank re-embeds, recorded through
-        the trainer's binding of encode on the document side."""
+        the trainer's binding of encode_texts on the document side."""
         encoded = []
 
-        def counting(params, rows):
+        def counting(params, rows, lengths):
             if params is encoder.doc:
-                encoded.append(rows.tolist())
-            return encode(params, rows)
-        monkeypatch.setattr("rlab.trainer.encode", counting)
+                encoded.extend(text_rows(rows, lengths))
+            return encode_texts(params, rows, lengths)
+        monkeypatch.setattr("rlab.trainer.encode_texts", counting)
         return encoded
 
     def test_rerank_reembeds_exactly_l(self, monkeypatch):
@@ -252,7 +258,8 @@ class TestTrainStep:
                           temperature=0.1, temperature_target=1.0)
         lm = OverlapLM(vocab_size=5000)
         ex = examples[0]
-        grads, _, rows = _example_gradient(state, cfg, lm, ex)
+        grads, _, rows = _example_gradient(state, cfg, lm, ex,
+                                           *_queries(state, [ex]))
         docs = [tuple(state.passages[r].text) for r in rows]
         target = pdist_target(lm.per_doc_loglik(ex.query, docs, ex.output),
                               cfg.temperature_target)
@@ -352,16 +359,17 @@ class TestEmbedCount:
 
     @staticmethod
     def _count_embeds(monkeypatch, encoder):
-        """Every document embed, seen through the trainer's and the index
-        builder's bindings of encode on the document side."""
+        """Every document embed, one entry per text, seen through the
+        trainer's and the index builder's bindings of encode_texts on the
+        document side."""
         calls = []
 
-        def counting(params, rows):
+        def counting(params, rows, lengths):
             if params is encoder.doc:
-                calls.append(rows)
-            return encode(params, rows)
-        monkeypatch.setattr("rlab.trainer.encode", counting)
-        monkeypatch.setattr("rlab.index.encode", counting)
+                calls.extend(text_rows(rows, lengths))
+            return encode_texts(params, rows, lengths)
+        monkeypatch.setattr("rlab.trainer.encode_texts", counting)
+        monkeypatch.setattr("rlab.index.encode_texts", counting)
         return calls
 
     @staticmethod
@@ -523,7 +531,8 @@ class TestSparseGradients:
             sizes = [sorted(a.size for a in vars(total).values()
                             if isinstance(a, np.ndarray))]
             for ex in examples[:4]:
-                grads, _, _ = _example_gradient(state, cfg, lm, ex)
+                grads, _, _ = _example_gradient(state, cfg, lm, ex,
+                                                *_queries(state, [ex]))
                 total.add_scaled(grads, 1.0 / 4)
                 sizes.append(sorted(a.size for a in vars(grads).values()
                                     if isinstance(a, np.ndarray)))
@@ -596,7 +605,8 @@ class TestTokenTableDifferential:
         cfg = TrainConfig(mode=mode, k_retrieved=4, l_rerank_pool=8,
                           loss=LossKind.LOOP)
         scorer = TupleScorer(OverlapLM(vocab_size=500))
-        _, _, rows = _example_gradient(state, cfg, scorer, examples[0])
+        _, _, rows = _example_gradient(state, cfg, scorer, examples[0],
+                                       *_queries(state, examples[:1]))
         assert scorer.seen == [[state.passages[r].text for r in rows]]
         assert all(type(doc) is tuple for doc in scorer.seen[0])
 
