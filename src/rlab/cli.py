@@ -1,8 +1,9 @@
 """Command-line entry point wiring corpus -> index -> trainer -> evalkit.
 
-One binary, subcommand style. Every run writes a manifest (config
-snapshot, seed, input hashes, index version, per-phase timings) next to
-its artifacts so the run can be reproduced from the manifest alone.
+One binary, subcommand style; `train` draws its examples from
+`pretext.TaskExamples`. Every run writes a manifest (config snapshot,
+seed, input hashes, index version, per-phase timings) next to its
+artifacts so the run can be reproduced from the manifest alone.
 Exit codes: 0 ok, 1 I/O or format error, 2 usage/config error.
 """
 
@@ -14,7 +15,6 @@ import hashlib
 import json
 import sys
 import time
-from collections import abc
 from fractions import Fraction
 from pathlib import Path
 
@@ -53,7 +53,6 @@ def _write_manifest(out_dir: Path, command: str, config: dict,
         "timings_s": {k: round(v, 4) for k, v in timings.items()},
         "metrics": metrics or {},
     }
-    out_dir.mkdir(parents=True, exist_ok=True)
     with atomic_write(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
 
@@ -172,27 +171,6 @@ def _parse_train_config(path: Path) -> trainer.TrainConfig:
     return trainer.TrainConfig(**values)
 
 
-class _TrainExamples(abc.Sequence):
-    """The example of each passage long enough for the task, built when
-    `trainer.train` draws it; the MLM seeds are drawn up front, in order."""
-
-    def __init__(self, passages, task: str, seed: int):
-        self.mlm, rng = task == "mlm", np.random.default_rng(seed)
-        self.passages = [p for p in passages
-                         if len(p.text) >= (10 if self.mlm else 2)]
-        self.seeds = [int(rng.integers(2 ** 31)) if self.mlm else 0
-                      for _ in self.passages]
-
-    def __len__(self) -> int:
-        return len(self.passages)
-
-    def __getitem__(self, i: int) -> trainer.TrainExample:
-        p = self.passages[i]
-        ex = (pretext.mlm_example(p.text, self.seeds[i], p.id) if self.mlm
-              else pretext.prefix_lm_example(p.text, p.id))
-        return trainer.TrainExample(ex.retrieval_query(), ex.output, p.id)
-
-
 def cmd_train(args) -> int:
     cfg = _parse_train_config(Path(args.config))
     t0 = time.perf_counter()
@@ -204,7 +182,7 @@ def cmd_train(args) -> int:
     state = trainer.init_state(enc, passages)
     build_time = time.perf_counter() - t0
 
-    examples = _TrainExamples(passages, args.task, cfg.seed)
+    examples = pretext.TaskExamples(passages, args.task, cfg.seed)
     if not examples:
         raise UsageError("corpus produced no training examples")
 

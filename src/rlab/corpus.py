@@ -290,8 +290,8 @@ def write_passages(passages: Iterable[Passage], path) -> int:
 
 def read_passages(path) -> list[Passage]:
     """Passages from JSONL, one object per line; blank lines are skipped.
-    A malformed line, or one whose text has no word, raises FormatError
-    naming the file and line."""
+    A malformed line, an empty id or a text with no word raises
+    FormatError naming the file and line."""
     out = []
     for where, obj in jsonl_objects(path):
         if not (isinstance(obj.get("id"), str)
@@ -303,6 +303,8 @@ def read_passages(path) -> list[Passage]:
                               f"string doc_id, source and section_title and "
                               f"a string or null dump_date where given")
         passage = passage_from_json(obj)
+        if not passage.id:
+            raise FormatError(f"{where}: empty id")
         if not passage.text:
             raise FormatError(f"{where}: empty text")
         out.append(passage)

@@ -39,10 +39,14 @@ def atomic_write(path, mode: str = "wb", **open_kwargs):
     when the block ends without error, `os.replace` moves it onto path. On
     any error the temporary file is removed and path is left untouched.
     (This guards against a failing or interrupted writer; it does not
-    fsync, so it makes no promise across a power loss.)"""
+    fsync, so it makes no promise across a power loss.) An error opening
+    the temporary file is raised naming path, with its errno."""
     path = os.fspath(path)
     tmp = f"{path}.{secrets.token_hex(4)}.tmp"
-    fh = open(tmp, mode.replace("w", "x"), **open_kwargs)
+    try:
+        fh = open(tmp, mode.replace("w", "x"), **open_kwargs)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with fh:
             yield fh

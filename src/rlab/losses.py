@@ -37,8 +37,6 @@ class LossKind(str, Enum):
 @dataclass(frozen=True)
 class TargetDistribution:
     probs: np.ndarray
-    source: LossKind
-    temperature_target: float
 
 
 @dataclass(frozen=True)
@@ -75,8 +73,7 @@ def _target_softmax(scores: np.ndarray, temperature_target: float,
         probs = np.full(scores.size, 1.0 / scores.size)
     else:
         probs = softmax(scores / temperature_target)
-    return TargetDistribution(probs=probs, source=kind,
-                              temperature_target=temperature_target)
+    return TargetDistribution(probs=probs)
 
 
 def adist_target(relevance: Sequence[float],

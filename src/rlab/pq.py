@@ -22,6 +22,7 @@ import numpy as np
 
 from .formats import FormatError, Reader, float_bytes, join_lines, write_artifact
 from .index import EmbeddingIndex, _from_file, _results, sort_by_id
+from .retriever import sum_rows
 
 
 @dataclass
@@ -139,11 +140,9 @@ def _kmeans(data: np.ndarray, k: int, iterations: int,
     centroids = _kmeans_pp_init(data, k, rng)
     for _ in range(iterations):
         assign = _nearest(data, centroids)
-        sums = np.zeros_like(centroids)
-        np.add.at(sums, assign, data)
-        counts = np.bincount(assign, minlength=k)
-        filled = counts > 0  # an empty cluster keeps its centroid
-        centroids[filled] = sums[filled] / counts[filled, None]
+        # Only filled clusters are summed; an empty one keeps its centroid.
+        filled, sums = sum_rows(assign, data)
+        centroids[filled] = sums / np.bincount(assign)[filled, None]
     return centroids
 
 

@@ -2,46 +2,38 @@
 
 Two pretext tasks: prefix language modeling (first half of a chunk
 predicts the second) and masked span corruption (spans replaced by
-sentinel tokens, generated back in order). Every example records the
-passage it was built from so retrieval can exclude it.
+sentinel tokens, generated back in order). Each `trainer.TrainExample`
+records the passage it was built from so retrieval can exclude it;
+`TaskExamples` is one task's training sequence over a corpus.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import abc
 from typing import Sequence
 
 import numpy as np
 
+from .trainer import TrainExample
+
 RETRIEVER_MASK_TOKEN = "<mask>"
 
 
-@dataclass(frozen=True)
-class PretextExample:
-    query: tuple[str, ...]
-    output: tuple[str, ...]
-    origin_passage_id: str
-
-    def __post_init__(self):
-        if not self.query or not self.output:
-            raise ValueError("query and output must be nonempty")
-
-    def retrieval_query(self) -> tuple[str, ...]:
-        """Query as seen by the retriever: sentinel tokens collapse to the
-        retriever's single mask token."""
-        return tuple(RETRIEVER_MASK_TOKEN if t.startswith("[MASK_") else t
-                     for t in self.query)
+def retrieval_query(query: Sequence[str]) -> tuple[str, ...]:
+    """Query as seen by the retriever: sentinel tokens collapse to the
+    retriever's single mask token."""
+    return tuple(RETRIEVER_MASK_TOKEN if t.startswith("[MASK_") else t
+                 for t in query)
 
 
-def prefix_lm_example(chunk: Sequence[str], origin_id: str = "") -> PretextExample:
+def prefix_lm_example(chunk: Sequence[str], origin_id: str = "") -> TrainExample:
     """Split a chunk in two: the first ceil(N/2) tokens are the query, the
     remainder the output."""
     n = len(chunk)
     if n < 2:
         raise ValueError("chunk must hold at least two tokens")
     half = (n + 1) // 2
-    return PretextExample(query=tuple(chunk[:half]), output=tuple(chunk[half:]),
-                          origin_passage_id=origin_id)
+    return TrainExample(tuple(chunk[:half]), tuple(chunk[half:]), origin_id)
 
 
 # Poisson span lengths truncated to [1, 10]; the truncated mean is ~3.15,
@@ -61,7 +53,7 @@ def _sample_span_length(rng: np.random.Generator) -> int:
 
 
 def mlm_example(chunk: Sequence[str], seed: int = 0,
-                origin_id: str = "") -> PretextExample:
+                origin_id: str = "") -> TrainExample:
     """Masked span corruption.
 
     Non-overlapping, non-adjacent spans are replaced in the query by
@@ -100,11 +92,10 @@ def mlm_example(chunk: Sequence[str], seed: int = 0,
         output.extend(chunk[start:start + length])
         pos = start + length
     query.extend(chunk[pos:])
-    return PretextExample(query=tuple(query), output=tuple(output),
-                          origin_passage_id=origin_id)
+    return TrainExample(tuple(query), tuple(output), origin_id)
 
 
-def reconstruct_mlm(example: PretextExample) -> tuple[str, ...]:
+def reconstruct_mlm(example: TrainExample) -> tuple[str, ...]:
     """Splice the output spans back into the query's sentinel slots."""
     spans: dict[str, list[str]] = {}
     current = None
@@ -120,3 +111,27 @@ def reconstruct_mlm(example: PretextExample) -> tuple[str, ...]:
         else:
             chunk.append(t)
     return tuple(chunk)
+
+
+class TaskExamples(abc.Sequence):
+    """The example of each passage long enough for the task, built when
+    `trainer.train` draws it, with the query in its retriever form; the
+    MLM seeds are drawn up front, in passage order."""
+
+    def __init__(self, passages, task: str, seed: int):
+        self.mlm, rng = task == "mlm", np.random.default_rng(seed)
+        self.passages = [p for p in passages
+                         if len(p.text) >= (10 if self.mlm else 2)]
+        self.seeds = [int(rng.integers(2 ** 31)) if self.mlm else 0
+                      for _ in self.passages]
+
+    def __len__(self) -> int:
+        return len(self.passages)
+
+    def __getitem__(self, i: int) -> TrainExample:
+        p = self.passages[i]
+        # Global lookups, so a generator wrapped by tracing is called.
+        ex = (mlm_example(p.text, self.seeds[i], p.id) if self.mlm
+              else prefix_lm_example(p.text, p.id))
+        ex.query = retrieval_query(ex.query)
+        return ex

@@ -5,10 +5,9 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from rlab.cli import (_parse_train_config, _TrainExamples, build_parser,
-                      main)
+from rlab.cli import _parse_train_config, build_parser, main
 from rlab.corpus import Passage, read_passages, write_passages
-from rlab.pretext import mlm_example, prefix_lm_example
+from rlab.pretext import TaskExamples, mlm_example, prefix_lm_example
 from rlab.index import load_index
 from rlab.pq import compress, squared_error, train_pq
 from rlab.trainer import LossKind, MaintenanceMode, TrainConfig, TrainExample
@@ -191,18 +190,44 @@ class TestBuildAndSearch:
         assert "passages.jsonl, line 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["build-index", "train"])
-    def test_empty_passage_text_exit_1(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize("field", ["id", "text"])
+    def test_empty_passage_id_or_text_exit_1_and_nothing_written(
+            self, tmp_path, capsys, command, field):
+        # An empty id read as "no origin" in the trainer, so that passage's
+        # example retrieved the passage itself.
+        line = {"id": '{"id": "", "text": "y z"}',
+                "text": '{"id": "b", "text": "  "}'}[field]
         passages = tmp_path / "passages.jsonl"
-        passages.write_text('{"id": "a", "text": "x y"}\n'
-                            '{"id": "b", "text": "  "}\n')
+        passages.write_text('{"id": "a", "text": "x y"}\n' + line + "\n")
         config = tmp_path / "train.cfg"
-        config.write_text("steps=1\n")
+        config.write_text("steps=1\nk_retrieved=1\n")
         args = {"build-index": ["--passages", str(passages),
                                 "--out", str(tmp_path / "index.ridx")],
                 "train": ["--config", str(config), "--corpus", str(passages),
                           "--out", str(tmp_path / "run")]}[command]
         assert main([command, *args]) == 1
-        assert "passages.jsonl, line 2: empty text" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"passages.jsonl, line 2: empty {field}" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "passages.jsonl", "train.cfg"]
+
+    @pytest.mark.parametrize("command", ["ingest", "build-index",
+                                         "compress-index"])
+    def test_write_into_missing_directory_names_target(self, workspace, capsys,
+                                                       command):
+        tmp_path, raw = workspace
+        passages = run_ingest(tmp_path, raw)
+        index_path, _ = run_build(tmp_path, passages)
+        out = tmp_path / "nodir" / "x.out"
+        args = {"ingest": ["--in", str(raw)],
+                "build-index": ["--passages", str(passages)],
+                "compress-index": ["--index", str(index_path),
+                                   "--m", "2", "--kc", "2"]}[command]
+        capsys.readouterr()
+        assert main([command, *args, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: [Errno 2] No such file or directory: '{out}'\n"
+        assert not (tmp_path / "nodir").exists()
 
     def test_newline_in_id_exit_2_and_nothing_written(self, tmp_path, capsys):
         passages = tmp_path / "passages.jsonl"
@@ -316,7 +341,8 @@ class TestTrain:
     def test_lazy_examples_equal_eager_ones(self, task):
         # Passages of 1 to 13 tokens, so some are too short for either
         # task. The eager reference is the loop that built every example up
-        # front, drawing an MLM seed per passage of at least 10 tokens.
+        # front, drawing an MLM seed per passage of at least 10 tokens and
+        # collapsing each sentinel to the retriever's mask token.
         passages = [Passage(id=f"p{i:02d}", doc_id="d",
                             text=tuple(f"w{j}" for j in range(1 + i % 13)))
                     for i in range(40)]
@@ -332,10 +358,11 @@ class TestTrain:
                     continue
                 ex = mlm_example(p.text, seed=int(rng.integers(2 ** 31)),
                                  origin_id=p.id)
-            eager.append(TrainExample(query=ex.retrieval_query(),
-                                      output=ex.output,
+            query = tuple("<mask>" if t.startswith("[MASK_") else t
+                          for t in ex.query)
+            eager.append(TrainExample(query=query, output=ex.output,
                                       origin_passage_id=p.id))
-        lazy = _TrainExamples(passages, task, seed=5)
+        lazy = TaskExamples(passages, task, seed=5)
         assert len(lazy) == len(eager)
         # Read out of order and twice: an example does not depend on which
         # were read before it.

@@ -4,9 +4,9 @@ from typing import Sequence
 import numpy as np
 import pytest
 
-from rlab.losses import (LossKind, TargetDistribution, adist_target,
-                         build_target, distill_step, emdr2_objective,
-                         kl_divergence, loop_target, pdist_target)
+from rlab.losses import (TargetDistribution, adist_target, build_target,
+                         distill_step, emdr2_objective, kl_divergence,
+                         loop_target, pdist_target)
 
 from oracles import central_difference, mp_emdr2, mp_kl, mp_softmax
 
@@ -127,12 +127,13 @@ class TestTargets:
         for _ in range(50):
             k = int(rng.integers(2, 6))
             scores = rng.normal(size=k)
-            t = ctor(scores, float(rng.uniform(0.1, 3.0)))
+            temperature = float(rng.uniform(0.1, 3.0))
+            t = ctor(scores, temperature)
             assert np.all(t.probs >= 0)
             assert abs(t.probs.sum() - 1.0) < 1e-9
             perm = rng.permutation(k)
             np.testing.assert_allclose(
-                ctor(scores[perm], t.temperature_target).probs,
+                ctor(scores[perm], temperature).probs,
                 t.probs[perm], atol=1e-12)
 
 
@@ -216,7 +217,7 @@ class TestDistillStep:
         np.testing.assert_allclose(got.grad_wrt_scores, [0.0, 0.0], atol=1e-15)
 
     def test_closed_form(self):
-        target = TargetDistribution(np.array([1.0, 0.0]), LossKind.PDIST, 1.0)
+        target = TargetDistribution(np.array([1.0, 0.0]))
         got = distill_step(target, [0.5, 0.5], 1.0)
         assert got.value == pytest.approx(math.log(2))
         np.testing.assert_allclose(got.grad_wrt_scores, [-0.5, 0.5])
@@ -226,8 +227,7 @@ class TestDistillStep:
         from rlab.retriever import retrieval_distribution
         for _ in range(50):
             k = int(rng.integers(2, 6))
-            target = TargetDistribution(rng.dirichlet(np.ones(k)),
-                                        LossKind.PDIST, 1.0)
+            target = TargetDistribution(rng.dirichlet(np.ones(k)))
             scores = rng.normal(size=k)
             theta = float(rng.uniform(0.2, 2.0))
 
@@ -277,11 +277,21 @@ class TestIdentities:
                                    pdist_target([b, a], 0.7).probs)
 
     def test_build_target_dispatch(self):
+        # Each kind's probabilities are those of its own constructor on the
+        # scores it reads. MockScorer's leave-one-out scores, joint minus
+        # per-document, give the PDist target, so the mock's loo_logliks
+        # are replaced with unrelated ones: a LOOP/PDist mix-up then shows.
         mock = MockScorer({"p1": -1.0, "p2": -2.0},
                           {"p1": 0.6, "p2": 0.1}, joint=-3.0).bind(["p1", "p2"])
-        for kind in ("adist", "pdist", "loop"):
-            t = build_target(kind, mock, [], [[], []], ["x"])
-            assert t.source == LossKind(kind)
-            assert abs(t.probs.sum() - 1.0) < 1e-9
+        mock.loo_logliks = lambda query, docs, output: [-1.5, -3.5]
+        readers = {"adist": (adist_target, mock.attention_relevance),
+                   "pdist": (pdist_target, mock.per_doc_loglik),
+                   "loop": (loop_target, mock.loo_logliks)}
+        probs = {}
+        for kind, (ctor, read) in readers.items():
+            probs[kind] = build_target(kind, mock, [], [[], []], ["x"]).probs
+            np.testing.assert_array_equal(
+                probs[kind], ctor(read([], [[], []], ["x"])).probs)
+        assert len({tuple(p) for p in probs.values()}) == 3
         with pytest.raises(ValueError):
             build_target("emdr2", mock, [], [[], []], ["x"])

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from rlab.pretext import (RETRIEVER_MASK_TOKEN, mlm_example, prefix_lm_example,
-                          reconstruct_mlm, _sample_span_length)
+from rlab.corpus import Passage
+from rlab.pretext import (RETRIEVER_MASK_TOKEN, TaskExamples, mlm_example,
+                          prefix_lm_example, reconstruct_mlm, retrieval_query,
+                          _sample_span_length)
 
 
 class TestPrefixLM:
@@ -56,7 +58,7 @@ class TestMLM:
 
     def test_retrieval_query_uses_single_mask_token(self):
         ex = mlm_example(tuple(f"w{i}" for i in range(100)), seed=1)
-        rq = ex.retrieval_query()
+        rq = retrieval_query(ex.query)
         assert not any(t.startswith("[MASK_") for t in rq)
         assert RETRIEVER_MASK_TOKEN in rq
 
@@ -67,3 +69,24 @@ class TestMLM:
     def test_deterministic(self):
         chunk = tuple(f"w{i}" for i in range(150))
         assert mlm_example(chunk, seed=9) == mlm_example(chunk, seed=9)
+
+
+class TestExamples:
+    def test_nonempty_and_carry_origin(self):
+        # Every chunk long enough for its task gives a nonempty query and
+        # output, at every length and seed.
+        for n in range(2, 41):
+            ex = prefix_lm_example(tuple(f"w{i}" for i in range(n)), "o")
+            assert ex.query and ex.output and ex.origin_passage_id == "o"
+        for n in range(10, 61):
+            for seed in range(20):
+                ex = mlm_example(tuple(f"w{i}" for i in range(n)), seed, "o")
+                assert ex.query and ex.output and ex.origin_passage_id == "o"
+
+    def test_prefix_lm_training_query_collapses_literal_sentinel(self):
+        text = ("a", "[MASK_3]", "b", "c")
+        examples = TaskExamples([Passage(id="p", doc_id="d", text=text)],
+                                "prefix_lm", seed=0)
+        assert examples[0].query == ("a", RETRIEVER_MASK_TOKEN)
+        assert examples[0].output == ("b", "c")
+        assert examples[0].origin_passage_id == "p"
