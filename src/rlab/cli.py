@@ -2,8 +2,9 @@
 
 One binary, subcommand style; `train` draws its examples from
 `pretext.TaskExamples`. Every run writes a manifest (config snapshot,
-seed, input hashes, index version, per-phase timings) next to its
-artifacts so the run can be reproduced from the manifest alone.
+seed, input hashes, index version, per-phase timings) so the run can be
+reproduced from it alone: `<artifact>.manifest.json` next to the file a
+command writes, or `manifest.json` in the directory `train` writes.
 Exit codes: 0 ok, 1 I/O or format error, 2 usage/config error.
 """
 
@@ -40,7 +41,7 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(out_dir: Path, command: str, config: dict,
+def _write_manifest(path: Path, command: str, config: dict,
                     inputs: dict[str, Path], timings: dict[str, float],
                     index_version: int | None = None,
                     metrics: dict[str, float] | None = None):
@@ -53,7 +54,7 @@ def _write_manifest(out_dir: Path, command: str, config: dict,
         "timings_s": {k: round(v, 4) for k, v in timings.items()},
         "metrics": metrics or {},
     }
-    with atomic_write(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
+    with atomic_write(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
 
 
@@ -76,8 +77,7 @@ def cmd_ingest(args) -> int:
     passages = corpus.ingest(corpus.read_documents(args.infile),
                              max_words=args.max_words, cfg=cfg)
     n = corpus.write_passages(passages, args.out)
-    out_dir = Path(args.out).parent
-    _write_manifest(out_dir, "ingest",
+    _write_manifest(Path(f"{args.out}.manifest.json"), "ingest",
                     {"max_words": args.max_words,
                      "filter": dataclasses.asdict(cfg)},
                     {"in": Path(args.infile)},
@@ -101,7 +101,7 @@ def cmd_build_index(args) -> int:
     index_mod.save_index(idx, args.out)
     if not args.checkpoint:
         retriever.save_checkpoint(enc, Path(args.out).with_suffix(".rlab"))
-    _write_manifest(Path(args.out).parent, "build-index",
+    _write_manifest(Path(f"{args.out}.manifest.json"), "build-index",
                     {"shards": args.shards, "precision": args.precision,
                      "dim": enc.dim, "seed": args.seed},
                     {"passages": Path(args.passages)},
@@ -130,7 +130,7 @@ def cmd_compress_index(args) -> int:
             index_mod.search_batch(idx, queries, 10), 10),
     }
     ratio = idx.memory_bytes() / compressed.memory_bytes()
-    _write_manifest(Path(args.out).parent, "compress-index",
+    _write_manifest(Path(f"{args.out}.manifest.json"), "compress-index",
                     {"m": args.m, "kc": args.kc,
                      "iterations": args.iterations, "seed": args.seed},
                     {"index": Path(args.index)},
@@ -175,7 +175,7 @@ def cmd_train(args) -> int:
     cfg = _parse_train_config(Path(args.config))
     t0 = time.perf_counter()
     passages = corpus.read_passages(args.corpus)
-    terms = {t for p in passages for t in p.text}
+    terms = set().union(*(p.text for p in passages))
     enc = retriever.init_encoder(
         retriever.Vocab(terms | {pretext.RETRIEVER_MASK_TOKEN}), args.dim,
         seed=cfg.seed)
@@ -193,7 +193,7 @@ def cmd_train(args) -> int:
     trainer.write_metrics_csv(history, out_dir / "metrics.csv")
     retriever.save_checkpoint(state.encoder, out_dir / "encoder.rlab")
     index_mod.save_index(state.index, out_dir / "index.ridx")
-    _write_manifest(out_dir, "train",
+    _write_manifest(out_dir / "manifest.json", "train",
                     {k: (v.value if hasattr(v, "value") else v)
                      for k, v in dataclasses.asdict(cfg).items()},
                     {"corpus": Path(args.corpus), "config": Path(args.config)},
@@ -240,7 +240,7 @@ def cmd_evaluate(args) -> int:
             return [by_id[pid] for pid, _ in index_mod.search(idx, q_vec, k)]
 
     scorer_lm = lm_mod.OverlapLM(vocab_size=max(
-        len({t for p in passages for t in p.text}), 1000))
+        len(set().union(*(p.text for p in passages))), 1000))
     scorer = _overlap_choice_scorer(scorer_lm)
 
     correct, flagged = 0, 0

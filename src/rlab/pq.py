@@ -9,7 +9,8 @@ lookup tables against the query give the approximate scores.
 `_nearest` gives the k-means assignment and the codes: one GEMM per
 subspace screens, and the direct sum of (x - c)^2 settles near ties, so
 they equal a direct argmin's, the first of ties. k-means++ seeding adds
-one centroid at a time by the direct sum.
+one centroid at a time: a matvec screens the rows it may bring closer,
+and the direct sum settles them, so the seeds are the direct sum's.
 """
 
 from __future__ import annotations
@@ -81,6 +82,11 @@ def _check_k_c(k_c: int):
 _BLOCK = 256  # data rows per screen in `_nearest`
 
 
+def _tol(n: int, e: np.ndarray) -> np.ndarray:
+    """Both screens' tol (see `_nearest`); eps = 2^-52, tiny = 2^-1022."""
+    return 16 * (n + 2) * (2.0 ** -52 * e + 2.0 ** -1022)
+
+
 def _nearest(data: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """Row of each data row's nearest centroid under the direct sum of
     (x - c)^2 over n = data.shape[1] terms, the first of tied centroids.
@@ -98,8 +104,9 @@ def _nearest(data: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     centroid c with Dd_c <= Dd_b, so the direct winner and its ties, has
     h_c <= D_c - |x|^2 + e <= Dd_c + e' - |x|^2 + e <= Dd_b + e' - |x|^2 + e
     <= D_b + 2e' - |x|^2 + e <= h_b + 2(e + e') <= h_b + 8 gamma_(n+2) E.
-    So every centroid within tol = 16 (n + 2) eps E of h_b (four times the
-    bound, which covers the rounding of tol itself) is a candidate; rows
+    So every centroid within tol = 16 (n + 2) (eps E + tiny) of h_b (four
+    times the bound, which covers the rounding of tol itself; subnormal
+    squares add at most eps tiny / 2 per operation) is a candidate; rows
     with more than one take the direct argmin over their candidates.
 
     Rows go in blocks of _BLOCK, so the (rows, k_c) tables stay in cache;
@@ -113,8 +120,7 @@ def _nearest(data: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     h = data @ (-2 * centroids).T  # scaling by -2 is exact
     h += c2
     best = np.argmin(h, axis=1)
-    tol = (16 * (data.shape[1] + 2) * np.finfo(np.float64).eps
-           * (np.einsum("nd,nd->n", data, data) + c2.max()))
+    tol = _tol(data.shape[1], np.einsum("nd,nd->n", data, data) + c2.max())
     close = h <= (h[np.arange(len(data)), best] + tol)[:, None]
     ties = np.flatnonzero(np.count_nonzero(close, axis=1) > 1)
     rows, cols = np.nonzero(close[ties])
@@ -126,11 +132,20 @@ def _nearest(data: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 
 def _kmeans_pp_init(data: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """Farthest-point style seeding: first centroid random, each next one
-    is the point with maximal squared distance to its nearest centroid."""
+    is the point with maximal squared distance d2 (the direct sum) to its
+    nearest centroid. For a new centroid c, one matvec gives h = |x|^2 -
+    2 x.c + |c|^2; as in `_nearest` with E = |x|^2 + |c|^2, a row whose d2
+    falls (Dd_c < d2) has h <= Dd_c + e + e' < d2 + tol. So only rows with
+    h <= d2 + tol, or a nan h from overflow, take the direct sum, and every
+    d2 and seed is that of the direct sum over all rows."""
+    x2 = np.einsum("nd,nd->n", data, data)
     rows = [int(rng.integers(len(data)))]
     d2 = np.full(len(data), np.inf)
     for _ in range(1, k):
-        d2 = np.minimum(d2, np.sum((data - data[rows[-1]]) ** 2, axis=1))
+        c = data[rows[-1]]
+        e = x2 + c @ c
+        near = np.flatnonzero(~(data @ (-2 * c) + e > d2 + _tol(len(c), e)))
+        d2[near] = np.minimum(d2[near], np.sum((data[near] - c) ** 2, axis=1))
         rows.append(int(np.argmax(d2)))
     return data[rows]
 

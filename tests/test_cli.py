@@ -54,7 +54,8 @@ class TestIngest:
         assert passages
         assert all(len(p.text) <= 40 for p in passages)
         assert "wrote" in capsys.readouterr().out
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        manifest = json.loads(
+            (tmp_path / "passages.jsonl.manifest.json").read_text())
         assert manifest["command"] == "ingest"
         assert manifest["config"]["max_words"] == 40
         assert len(manifest["input_hashes"]["in"]) == 64
@@ -259,9 +260,26 @@ class TestBuildAndSearch:
         tmp_path, raw = workspace
         passages = run_ingest(tmp_path, raw)
         run_build(tmp_path, passages)
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        manifest = json.loads(
+            (tmp_path / "index.ridx.manifest.json").read_text())
         assert manifest["command"] == "build-index"
         assert manifest["index_version"] == 1
+
+    def test_commands_in_one_directory_keep_their_own_manifests(
+            self, workspace):
+        # Each file command names its manifest after its artifact, so the
+        # README's ingest, build-index, compress-index sequence in one
+        # directory leaves three manifests, not the last one alone.
+        tmp_path, raw = workspace
+        index_path, _ = run_build(tmp_path, run_ingest(tmp_path, raw))
+        assert main(["compress-index", "--index", str(index_path),
+                     "--out", str(tmp_path / "index.rpqx"), "--m", "4",
+                     "--kc", "4"]) == 0
+        commands = {path.name: json.loads(path.read_text())["command"]
+                    for path in tmp_path.glob("*manifest.json")}
+        assert commands == {"passages.jsonl.manifest.json": "ingest",
+                            "index.ridx.manifest.json": "build-index",
+                            "index.rpqx.manifest.json": "compress-index"}
 
 
 class TestCompress:
@@ -281,7 +299,8 @@ class TestCompress:
                      "--out", str(tmp_path / "index.rpqx"), "--m", str(m),
                      "--kc", str(kc), "--iterations", str(iterations),
                      "--seed", "3"]) == 0
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        manifest = json.loads(
+            (tmp_path / "index.rpqx.manifest.json").read_text())
         assert manifest["command"] == "compress-index"
         return manifest["metrics"]
 

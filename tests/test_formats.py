@@ -77,7 +77,7 @@ WRITERS = {
     "write_passages": lambda a, path: write_passages(a[0], path),
     "write_metrics_csv": lambda a, path: write_metrics_csv(a[4], path),
     "manifest": lambda a, path: _write_manifest(
-        path.parent, "train", {"steps": 3}, {}, {"train": 0.1}),
+        path, "train", {"steps": 3}, {}, {"train": 0.1}),
 }
 
 
@@ -92,7 +92,7 @@ def test_successful_write_leaves_only_the_target(tmp_path, writer):
 
 @pytest.mark.parametrize("writer", sorted(WRITERS))
 def test_failed_write_keeps_previous_file(tmp_path, failing_writes, writer):
-    path = tmp_path / "manifest.json"  # the name _write_manifest uses
+    path = tmp_path / "manifest.json"  # the name train's manifest takes
     path.write_bytes(b"previous artifact")
     with pytest.raises(OSError, match="no space"):
         WRITERS[writer](small_artifacts(), path)

@@ -1,13 +1,16 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from rlab.index import EmbeddingIndex, FormatError, search
-from rlab.pq import (PQCodec, PQIndex, _nearest, compress, compression_ratio,
-                     compressed_size_from_reported, decode, load_pq_index,
-                     pq_search, recall_at_k, save_pq_index, squared_error,
-                     train_pq)
+from rlab.pq import (PQCodec, PQIndex, _kmeans_pp_init, _nearest, compress,
+                     compression_ratio, compressed_size_from_reported, decode,
+                     load_pq_index, pq_search, recall_at_k, save_pq_index,
+                     squared_error, train_pq)
 
 from oracles import _nearest_centroid, brute_force_search, reference_pq
 
@@ -129,6 +132,84 @@ class TestReferencePQ:
         rng = np.random.default_rng(seed)
         vectors = rng.integers(-2, 3, size=(200, 2 * sub_dim)).astype(float)
         self.check(vectors, m=2, k_c=16, iterations=3, seed=seed)
+
+    def test_subnormal_squares(self):
+        # At 1e-161 the squares are subnormal, so their rounding error is
+        # absolute: a tolerance relative to |x|^2 + |c|^2 alone falls to
+        # zero and the screen dropped the direct winner.
+        vectors = np.random.default_rng(27).normal(size=(300, 8)) * 1e-161
+        self.check(vectors, m=2, k_c=16, iterations=5, seed=27)
+
+
+class TestSeeding:
+    """`_kmeans_pp_init` screens each new centroid's distances with one
+    matvec; its seeds equal, byte for byte, the reference's seeding, which
+    takes the direct sum over all rows."""
+
+    def check(self, data, k, seed):
+        got = _kmeans_pp_init(data, k, np.random.default_rng(seed))
+        want = reference_pq(data, 1, k, 0, seed)[0][0]
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_points_one_ulp_beyond_a_distance(self, seed):
+        # Rows differ in the first coordinate only, so each direct sum is
+        # one rounded square. Each position also has copies one ulp above
+        # and below it, so many rows' distances to a new seed differ from
+        # their current d2 by a few ulps. The other coordinates make |x|^2
+        # large, so the matvec's rounding error far exceeds those gaps and
+        # only the direct sum can settle them.
+        first = 10 + np.arange(40.0)
+        data = np.full((120, 8), 10.0)
+        data[:, 0] = np.concatenate([first, np.nextafter(first, np.inf),
+                                     np.nextafter(first, -np.inf)])
+        data = data[np.random.default_rng(seed).permutation(120)]
+        self.check(data, k=120, seed=seed)
+
+    @pytest.mark.parametrize("scale", [1e150, 1e-161, 1e-162])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_extreme_scales(self, scale, seed):
+        # Squares near overflow, and subnormal squares, whose absolute
+        # rounding error the tolerance's tiny term covers (at 1e-162 a
+        # tolerance relative to |x|^2 + |c|^2 alone dropped rows).
+        data = np.random.default_rng(seed).normal(size=(300, 8)) * scale
+        self.check(data, k=32, seed=seed)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_duplicates_reach_zero_distance(self, seed):
+        # Five distinct points for twelve seeds: after the fifth every d2
+        # is an exact zero and the argmax takes row 0 again.
+        rng = np.random.default_rng(seed)
+        data = rng.normal(size=(5, 8))[rng.integers(5, size=200)]
+        self.check(data, k=12, seed=seed)
+
+    def test_cli_sized_subspace(self):
+        # One subspace of the CLI benchmark's index: 9,932 rows of
+        # sub_dim 8, 256 seeds.
+        data = np.random.default_rng(28).normal(size=(9932, 8))
+        self.check(data, k=256, seed=29)
+
+
+def test_codebooks_and_codes_equal_under_one_and_two_blas_threads():
+    # BLAS may split the seeding's matvec and the assignment's GEMM
+    # differently with each thread count; the screens' bound holds for
+    # any summation order, so the bytes stay the same.
+    script = ("import hashlib, numpy as np\n"
+              "from rlab.index import EmbeddingIndex\n"
+              "from rlab.pq import compress, train_pq\n"
+              "v = np.random.default_rng(30).normal(size=(3000, 64))\n"
+              "idx = EmbeddingIndex(version=1, dim=64, vectors=v,\n"
+              "                     ids=[f'p{i:04d}' for i in range(3000)])\n"
+              "p = compress(idx, train_pq(idx, m=8, k_c=64, seed=31))\n"
+              "print(hashlib.sha256(p.codec.codebooks.tobytes()\n"
+              "                     + p.codes.tobytes()).hexdigest())\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    digests = [subprocess.run(
+        [sys.executable, "-c", script], check=True, capture_output=True,
+        text=True, env={**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                        "PYTHONPATH": src}).stdout
+        for threads in ("1", "2")]
+    assert digests[0] == digests[1] and len(digests[0]) == 65
 
 
 class TestNearest:
