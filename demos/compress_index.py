@@ -1,6 +1,6 @@
 """Product quantization: memory saved versus retrieval quality lost.
 
-Trains PQ codecs of decreasing codebook size on one random index and
+Trains PQ codebooks of decreasing size on one random index and
 reports recall@50 against exact search at each setting, then runs the
 memory arithmetic at published-scale numbers: a 768-dim fp16 index with
 128 one-byte codes per vector compresses 12x, taking a 49 GB index to
@@ -26,8 +26,8 @@ def main():
     print(f"{n} vectors, dim {dim}, m=8 subspaces, 25 queries\n")
     print(f"{'k_c':>5} {'bytes/vec':>10} {'ratio':>7} {'recall@50':>10}")
     for k_c in (256, 64, 16, 4):
-        codec = train_pq(idx, m=8, k_c=k_c, iterations=15, seed=1)
-        compressed = compress(idx, codec)
+        codebooks = train_pq(idx, m=8, k_c=k_c, iterations=15, seed=1)
+        compressed = compress(idx, codebooks)
         approx = [pq_search(compressed, q, 50) for q in queries]
         recall = recall_at_k(approx, exact, 50)
         ratio = compression_ratio(dim, 4, 8, k_c)

@@ -115,9 +115,9 @@ def cmd_build_index(args) -> int:
 def cmd_compress_index(args) -> int:
     t0 = time.perf_counter()
     idx = index_mod.load_index(args.index)
-    codec = pq_mod.train_pq(idx, m=args.m, k_c=args.kc,
-                            iterations=args.iterations, seed=args.seed)
-    compressed = pq_mod.compress(idx, codec)
+    codebooks = pq_mod.train_pq(idx, m=args.m, k_c=args.kc,
+                                iterations=args.iterations, seed=args.seed)
+    compressed = pq_mod.compress(idx, codebooks)
     pq_mod.save_pq_index(compressed, args.out)
     t1 = time.perf_counter()
     # Up to 100 index rows, drawn with --seed, query both indexes.

@@ -60,6 +60,8 @@ class EmbeddingIndex:
 
     def __post_init__(self):
         _dtype(self.precision)  # rejects an unknown precision
+        if self.shards < 1:
+            raise ValueError(f"shards={self.shards} is not >= 1")
         if np.shape(self.vectors) != (len(self.ids), self.dim):
             raise ValueError(f"vectors of shape {np.shape(self.vectors)} "
                              f"for {len(self.ids)} ids of dim {self.dim}")
@@ -85,8 +87,6 @@ def build(passages: Sequence[Passage], encoder: DualEncoder,
     token positions, are found here when not given."""
     if not passages:
         raise ValueError("cannot build an index from zero passages")
-    if shards < 1:
-        raise ValueError("shards must be >= 1")
     if tokens is None:
         tokens = TokenTable([p.text for p in passages])
     if rows is None:
@@ -182,9 +182,8 @@ def load_index(path) -> EmbeddingIndex:
     if prec >= len(PRECISIONS):
         raise FormatError(f"{path}: unknown precision code {prec}")
     precision = list(PRECISIONS)[prec]
-    if shards < 1 or n_dates > 1:
-        raise FormatError(f"{path}: bad header: shards={shards}, "
-                          f"{n_dates} dump dates")
+    if n_dates > 1:
+        raise FormatError(f"{path}: bad header: {n_dates} dump dates")
     dates = r.lines(date_len, n_dates, "dump_date")
     ids = r.lines(id_len, n, "id")
     vectors = r.floats((n, dim), PRECISIONS[precision], "vectors")
@@ -196,14 +195,15 @@ def load_index(path) -> EmbeddingIndex:
 
 
 def _from_file(cls, path, **fields):
-    """cls(**fields) for an index read from path, whose id table must be
-    strictly ascending: FormatError if the constructor finds duplicates or
-    has to sort (it keeps ascending ids as given), so that the order is
-    checked in one pass."""
+    """cls(**fields) for an index read from path: FormatError naming the
+    fault the constructor finds, or if it has to sort the ids (it keeps
+    ascending ids as given, so the id table's strict order is checked in
+    one pass)."""
     try:
         index = cls(**fields)
     except ValueError as exc:
-        raise FormatError(f"{path}: ids are not strictly ascending: {exc}") from exc
+        order = "" if ascending(fields["ids"]) else "ids are not strictly ascending: "
+        raise FormatError(f"{path}: {order}{exc}") from exc
     if index.ids is not fields["ids"]:
         raise FormatError(f"{path}: ids are not strictly ascending")
     return index

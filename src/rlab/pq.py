@@ -3,8 +3,10 @@ search, and memory accounting.
 
 Each dim-d vector is split into m subvectors of d/m dimensions; each
 subvector is replaced by the index of its nearest centroid out of k_c
-learned per subspace. Search decodes nothing: per-subspace dot-product
-lookup tables against the query give the approximate scores.
+learned per subspace: a `PQIndex` holds the ids, their codes and the
+(m, k_c, d/m) codebooks array that `train_pq` returns. Search decodes
+nothing: per-subspace dot-product lookup tables against the query give
+the approximate scores.
 
 `_nearest` gives the k-means assignment and the codes: one GEMM per
 subspace screens, and the direct sum of (x - c)^2 settles near ties, so
@@ -26,38 +28,35 @@ from .index import EmbeddingIndex, _from_file, _results, sort_by_id
 from .retriever import sum_rows
 
 
-@dataclass
-class PQCodec:
-    m: int
-    k_c: int
-    codebooks: np.ndarray  # (m, k_c, dim // m)
-
-    @property
-    def sub_dim(self) -> int:
-        return self.codebooks.shape[2]
-
-    @property
-    def dim(self) -> int:
-        return self.m * self.sub_dim
-
-
 @dataclass(frozen=True)
 class PQIndex:
-    codec: PQCodec
-    ids: list[str]  # ascending; the constructor sorts rows as EmbeddingIndex
+    """Row i's codes stand for the vector of ids[i]. The constructor alone
+    holds the checks that a loaded RPQX index must pass; it sorts the rows
+    by id as EmbeddingIndex does."""
+    codebooks: np.ndarray  # (m, k_c, dim // m)
+    ids: list[str]
     codes: np.ndarray  # (N, m) centroid indices
     version: int
-    dim: int
 
     def __post_init__(self):
-        if np.shape(self.codes) != (len(self.ids), self.codec.m):
+        if np.ndim(self.codebooks) != 3 or not len(self.codebooks):
+            raise ValueError(f"codebooks of shape {np.shape(self.codebooks)} "
+                             f"are not (m >= 1, k_c, dim // m)")
+        m, k_c, _ = self.codebooks.shape
+        _check_k_c(k_c)
+        if np.shape(self.codes) != (len(self.ids), m):
             raise ValueError(f"codes of shape {np.shape(self.codes)} for "
-                             f"{len(self.ids)} ids and m={self.codec.m}")
-        if self.dim != self.codec.dim:
-            raise ValueError(f"dim {self.dim} != codec dim {self.codec.dim}")
+                             f"{len(self.ids)} ids and m={m}")
+        if self.codes.size and not 0 <= self.codes.min() <= self.codes.max() < k_c:
+            raise ValueError(f"codes {self.codes.min()}..{self.codes.max()} "
+                             f"outside 0..{k_c - 1}")
         ids, codes = sort_by_id(self.ids, self.codes)
         object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "codes", codes)
+
+    @property
+    def dim(self) -> int:
+        return self.codebooks.shape[0] * self.codebooks.shape[2]
 
     @property
     def size(self) -> int:
@@ -65,8 +64,8 @@ class PQIndex:
 
     def memory_bytes(self) -> int:
         """Packed codes plus float32 codebooks."""
-        return (math.ceil(self.size * self.codec.m * _code_bits(self.codec.k_c) / 8)
-                + 4 * self.codec.codebooks.size)
+        return (math.ceil(self.codes.size * _code_bits(self.codebooks.shape[1]) / 8)
+                + 4 * self.codebooks.size)
 
 
 # RPQX stores each code as an unsigned 16-bit integer.
@@ -162,8 +161,9 @@ def _kmeans(data: np.ndarray, k: int, iterations: int,
 
 
 def train_pq(index: EmbeddingIndex, m: int, k_c: int,
-             iterations: int = 20, seed: int = 0) -> PQCodec:
-    """Learn per-subspace k-means codebooks on the index vectors.
+             iterations: int = 20, seed: int = 0) -> np.ndarray:
+    """Learn per-subspace k-means codebooks on the index vectors, as an
+    (m, k_c, dim // m) float64 array.
 
     The sum of squared quantization errors is non-increasing across
     iterations (standard k-means monotonicity); 0 keeps the k-means++ seeds.
@@ -177,8 +177,7 @@ def train_pq(index: EmbeddingIndex, m: int, k_c: int,
         raise ValueError("insufficient data: k_c exceeds index size")
     rng = np.random.default_rng(seed)
     sub = index.vectors.reshape(index.size, m, -1).transpose(1, 0, 2).copy()
-    codebooks = np.stack([_kmeans(part, k_c, iterations, rng) for part in sub])
-    return PQCodec(m=m, k_c=k_c, codebooks=codebooks)
+    return np.stack([_kmeans(part, k_c, iterations, rng) for part in sub])
 
 
 def squared_error(index: EmbeddingIndex, pqindex: PQIndex) -> float:
@@ -186,22 +185,22 @@ def squared_error(index: EmbeddingIndex, pqindex: PQIndex) -> float:
     return float(((index.vectors - decode(pqindex)) ** 2).sum())
 
 
-def compress(index: EmbeddingIndex, codec: PQCodec) -> PQIndex:
+def compress(index: EmbeddingIndex, codebooks: np.ndarray) -> PQIndex:
     """Each vector's nearest centroid per subspace, the first of ties."""
-    if codec.dim != index.dim:
-        raise ValueError("codec dimension incompatible with index")
-    sub = index.vectors.reshape(index.size, codec.m, -1).transpose(1, 0, 2).copy()
+    m = len(codebooks)
+    if m * codebooks.shape[2] != index.dim:
+        raise ValueError("codebooks dimension incompatible with index")
+    sub = index.vectors.reshape(index.size, m, -1).transpose(1, 0, 2).copy()
     codes = np.stack([_nearest(part, cb)
-                      for part, cb in zip(sub, codec.codebooks)], axis=1)
-    return PQIndex(codec=codec, ids=list(index.ids), codes=codes,
-                   version=index.version, dim=index.dim)
+                      for part, cb in zip(sub, codebooks)], axis=1)
+    return PQIndex(codebooks=codebooks, ids=list(index.ids), codes=codes,
+                   version=index.version)
 
 
 def decode(pqindex: PQIndex) -> np.ndarray:
     """Reconstruct vectors as concatenations of assigned centroids."""
-    codec = pqindex.codec
-    parts = [codec.codebooks[j][pqindex.codes[:, j]] for j in range(codec.m)]
-    return np.concatenate(parts, axis=1)
+    return np.concatenate([cb[col] for cb, col in
+                           zip(pqindex.codebooks, pqindex.codes.T)], axis=1)
 
 
 def pq_search(pqindex: PQIndex, q_vec: np.ndarray, k: int) -> list[tuple[str, float]]:
@@ -212,12 +211,9 @@ def pq_search(pqindex: PQIndex, q_vec: np.ndarray, k: int) -> list[tuple[str, fl
     q_vec = np.asarray(q_vec, dtype=np.float64)
     if q_vec.shape != (pqindex.dim,):
         raise ValueError("query dimension mismatch")
-    codec = pqindex.codec
-    q_sub = q_vec.reshape(codec.m, codec.sub_dim)
-    tables = np.einsum("mkd,md->mk", codec.codebooks, q_sub)  # (m, k_c)
-    scores = np.zeros(pqindex.size)
-    for j in range(codec.m):
-        scores += tables[j][pqindex.codes[:, j]]
+    q_sub = q_vec.reshape(len(pqindex.codebooks), -1)
+    tables = np.einsum("mkd,md->mk", pqindex.codebooks, q_sub)  # (m, k_c)
+    scores = sum(table[col] for table, col in zip(tables, pqindex.codes.T))
     return _results(pqindex.ids, scores, k)
 
 
@@ -265,13 +261,12 @@ _HEADER = "<IIIIIQ"
 
 
 def save_pq_index(pqindex: PQIndex, path):
-    _check_k_c(pqindex.codec.k_c)
     id_blob = join_lines(pqindex.ids, "id")
-    codec = pqindex.codec
+    m, k_c, _ = pqindex.codebooks.shape
     write_artifact(path, _MAGIC, _FORMAT_VERSION, _HEADER,
-                   (pqindex.version, pqindex.dim, codec.m, codec.k_c,
-                    pqindex.size, len(id_blob)),
-                   id_blob, float_bytes(codec.codebooks, "<f4", "codebooks"),
+                   (pqindex.version, pqindex.dim, m, k_c, pqindex.size,
+                    len(id_blob)),
+                   id_blob, float_bytes(pqindex.codebooks, "<f4", "codebooks"),
                    np.ascontiguousarray(pqindex.codes, dtype="<u2").tobytes())
 
 
@@ -285,8 +280,5 @@ def load_pq_index(path) -> PQIndex:
     cb = r.floats((m, k_c, dim // m), "<f4", "codebooks").astype(np.float64)
     codes = np.frombuffer(r.take(2 * n * m), dtype="<u2").reshape(n, m)
     r.end()
-    if codes.size and int(codes.max()) >= k_c:
-        raise FormatError(f"{path}: code {int(codes.max())} >= k_c={k_c}")
-    return _from_file(PQIndex, path, codec=PQCodec(m=m, k_c=k_c, codebooks=cb),
-                      ids=ids, codes=codes.astype(np.int64),
-                      version=version, dim=dim)
+    return _from_file(PQIndex, path, codebooks=cb, ids=ids,
+                      codes=codes.astype(np.int64), version=version)

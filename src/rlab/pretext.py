@@ -119,6 +119,8 @@ class TaskExamples(abc.Sequence):
     MLM seeds are drawn up front, in passage order."""
 
     def __init__(self, passages, task: str, seed: int):
+        if task not in ("prefix_lm", "mlm"):
+            raise ValueError(f"task {task!r} is not 'prefix_lm' or 'mlm'")
         self.mlm, rng = task == "mlm", np.random.default_rng(seed)
         self.passages = [p for p in passages
                          if len(p.text) >= (10 if self.mlm else 2)]

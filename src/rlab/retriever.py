@@ -309,9 +309,14 @@ _HEADER = "<IIQ"  # d, vocab size, vocab byte length
 
 def save_checkpoint(enc: DualEncoder, path):
     vocab_blob = join_lines(enc.vocab.tokens, "vocab token")
-    tables = [float_bytes(table, "<f4", "encoder tables")
-              for table in (enc.query.embedding, enc.query.projection,
-                            enc.doc.embedding, enc.doc.projection)]
+    tables = []  # in the shapes the reader expects, checked before writing
+    for side, params in (("query", enc.query), ("doc", enc.doc)):
+        for name, rows in (("embedding", len(enc.vocab)), ("projection", enc.dim)):
+            table = getattr(params, name)
+            if np.shape(table) != (rows, enc.dim):
+                raise ValueError(f"{side} {name} of shape {np.shape(table)} "
+                                 f"is not ({rows}, {enc.dim})")
+            tables.append(float_bytes(table, "<f4", "encoder tables"))
     write_artifact(path, _MAGIC, _VERSION, _HEADER,
                    (enc.dim, len(enc.vocab), len(vocab_blob)),
                    *tables, vocab_blob)

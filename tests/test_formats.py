@@ -1,6 +1,7 @@
 """Artifact writers replace their target atomically: a writer that fails
 mid-write leaves the previous file byte for byte and no temporary file.
-Artifact readers map their file once, read-only."""
+Artifact readers map their file once, read-only. An index that its
+constructor accepts saves and loads back equal."""
 
 import dataclasses
 import errno
@@ -8,13 +9,18 @@ import mmap
 import os
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rlab import formats
 from rlab.cli import _write_manifest, main
 from rlab.corpus import Passage, write_passages
-from rlab.index import build, load_index, save_index
-from rlab.pq import compress, load_pq_index, save_pq_index, train_pq
+from rlab.index import (PRECISIONS, EmbeddingIndex, build, load_index,
+                        save_index)
+from rlab.pq import (PQIndex, compress, load_pq_index, save_pq_index,
+                     train_pq)
 from rlab.retriever import (Vocab, init_encoder, load_checkpoint,
                             save_checkpoint)
 from rlab.trainer import StepMetrics, write_metrics_csv
@@ -183,5 +189,70 @@ class TestReader:
         loaded = load_index(tmp_path / "idx.ridx")
         pq_loaded = load_pq_index(tmp_path / "idx.rpqx")
         for array in (loaded.vectors, pq_loaded.codes,
-                      pq_loaded.codec.codebooks):
+                      pq_loaded.codebooks):
             assert array.flags.owndata and array.flags.writeable
+
+
+# Strings without a newline (the table separator) or a lone surrogate (not
+# UTF-8), which the writers refuse; ids unsorted, so the constructor sorts.
+text_st = st.text(st.characters(blacklist_characters="\n",
+                                blacklist_categories=("Cs",)), max_size=4)
+ids_st = st.lists(text_st, max_size=8, unique=True)
+
+
+class TestRoundTripProperty:
+    """Every index the constructor accepts saves and loads back equal: its
+    floats bit for bit after storage rounding, which the scales reach in
+    the subnormals too."""
+
+    def test_embedding_index(self, tmp_path):
+        path = tmp_path / "idx.ridx"
+
+        @settings(max_examples=40, deadline=None)
+        @given(ids=ids_st, dim=st.integers(1, 4), seed=st.integers(0, 2**32),
+               scale=st.sampled_from([1e-7, 1.0, 1e3]),
+               precision=st.sampled_from(sorted(PRECISIONS)),
+               version=st.integers(0, 2**32 - 1), shards=st.integers(1, 7),
+               dump_date=st.none() | text_st)
+        def check(ids, dim, seed, scale, precision, version, shards,
+                  dump_date):
+            vectors = np.random.default_rng(seed).normal(
+                size=(len(ids), dim)) * scale
+            idx = EmbeddingIndex(version=version, dim=dim, ids=ids,
+                                 vectors=vectors, precision=precision,
+                                 shards=shards, dump_date=dump_date)
+            save_index(idx, path)
+            loaded = load_index(path)
+            assert ((loaded.ids, loaded.version, loaded.dim, loaded.precision,
+                     loaded.shards, loaded.dump_date)
+                    == (idx.ids, version, dim, precision, shards, dump_date))
+            stored = idx.vectors.astype(PRECISIONS[precision])
+            assert loaded.vectors.tobytes() == stored.astype(float).tobytes()
+        check()
+
+    def test_pq_index(self, tmp_path):
+        path = tmp_path / "idx.rpqx"
+
+        @settings(max_examples=40, deadline=None)
+        @given(ids=ids_st, m=st.integers(1, 4), sub_dim=st.integers(1, 3),
+               k_c=st.sampled_from([1, 2, 255, 256, 257, 300])
+               | st.integers(1, 300),
+               seed=st.integers(0, 2**32),
+               scale=st.sampled_from([1e-40, 1.0, 1e30]),
+               version=st.integers(0, 2**32 - 1))
+        def check(ids, m, sub_dim, k_c, seed, scale, version):
+            rng = np.random.default_rng(seed)
+            codes = rng.integers(k_c, size=(len(ids), m))
+            if codes.size:
+                codes.flat[0], codes.flat[-1] = 0, k_c - 1
+            pidx = PQIndex(codebooks=rng.normal(size=(m, k_c, sub_dim)) * scale,
+                           ids=ids, codes=codes, version=version)
+            save_pq_index(pidx, path)
+            loaded = load_pq_index(path)
+            assert ((loaded.ids, loaded.version, loaded.dim,
+                     loaded.memory_bytes())
+                    == (pidx.ids, version, m * sub_dim, pidx.memory_bytes()))
+            np.testing.assert_array_equal(loaded.codes, pidx.codes)
+            stored = pidx.codebooks.astype("<f4").astype(float)
+            assert loaded.codebooks.tobytes() == stored.tobytes()
+        check()

@@ -10,7 +10,7 @@ from rlab.cli import main
 from rlab.corpus import Passage, TokenTable
 from rlab.index import (PRECISIONS, EmbeddingIndex, FormatError, build,
                         load_index, save_index, search, search_batch)
-from rlab.pq import PQCodec, PQIndex, pq_search
+from rlab.pq import PQIndex, pq_search
 from rlab.retriever import Vocab, encode_doc, init_encoder, save_checkpoint
 
 from oracles import brute_force_search
@@ -193,6 +193,13 @@ class TestIdOrder:
         assert idx.ids is ids
         assert idx.vectors is vectors
 
+    @pytest.mark.parametrize("shards", [0, -1])
+    def test_shards_below_1_rejected(self, shards):
+        # Such an index saved, and then RIDX loading refused it.
+        with pytest.raises(ValueError, match=f"shards={shards}"):
+            EmbeddingIndex(version=1, dim=2, ids=["a"],
+                           vectors=np.ones((1, 2)), shards=shards)
+
     @pytest.mark.parametrize("ids", [["b", "a", "a"], ["a", "a"]])
     def test_duplicate_ids_rejected(self, ids):
         with pytest.raises(ValueError, match="duplicate id 'a'"):
@@ -210,17 +217,15 @@ class TestIdOrder:
             EmbeddingIndex(version=1, dim=dim, ids=ids,
                            vectors=np.ones(shape))
 
-    @pytest.mark.parametrize("codes_shape, dim", [
-        ((3, 1), 1),  # a row with no id
-        ((2, 2), 1),  # two codes per row for a one-subspace codec
-        ((2, 1), 2),  # dim differs from the codec's
+    @pytest.mark.parametrize("codes_shape", [
+        (3, 1),  # a row with no id
+        (2, 2),  # two codes per row for one subspace
+        (2,),  # no subspace axis
     ])
-    def test_pq_codes_must_match_ids_and_codec(self, codes_shape, dim):
-        codec = PQCodec(m=1, k_c=2, codebooks=np.zeros((1, 2, 1)))
-        with pytest.raises(ValueError, match="shape|dim"):
-            PQIndex(codec=codec, ids=["a", "b"],
-                    codes=np.zeros(codes_shape, dtype=np.int64),
-                    version=1, dim=dim)
+    def test_pq_codes_must_match_ids_and_codebooks(self, codes_shape):
+        with pytest.raises(ValueError, match="shape"):
+            PQIndex(codebooks=np.zeros((1, 2, 1)), ids=["a", "b"],
+                    codes=np.zeros(codes_shape, dtype=np.int64), version=1)
 
     def test_unknown_precision_rejected(self):
         passages = make_passages(2)
@@ -258,9 +263,8 @@ class TestIdOrder:
     @pytest.mark.parametrize("field", [f.name for f in
                                        dataclasses.fields(PQIndex)])
     def test_pq_fields_cannot_be_reassigned(self, field):
-        codec = PQCodec(m=1, k_c=2, codebooks=np.array([[[1.0], [0.0]]]))
-        pidx = PQIndex(codec=codec, ids=["a", "b"],
-                       codes=np.array([[0], [1]]), version=1, dim=1)
+        pidx = PQIndex(codebooks=np.array([[[1.0], [0.0]]]), ids=["a", "b"],
+                       codes=np.array([[0], [1]]), version=1)
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(pidx, field, getattr(pidx, field))
         assert pq_search(pidx, np.ones(1), 1) == [("a", 1.0)]
@@ -302,10 +306,8 @@ class TestSelectionProperty:
         assert search_batch(idx, queries, k) == want
         # One subspace whose codebook holds every vector exactly, so the
         # asymmetric scores are the exact dot products.
-        codec = PQCodec(m=1, k_c=len(ids), codebooks=vectors[None].copy())
-        pidx = PQIndex(codec=codec, ids=list(ids),
-                       codes=np.arange(len(ids))[:, None], version=1,
-                       dim=vectors.shape[1])
+        pidx = PQIndex(codebooks=vectors[None].copy(), ids=list(ids),
+                       codes=np.arange(len(ids))[:, None], version=1)
         assert [pq_search(pidx, q, k) for q in queries] == want
 
 

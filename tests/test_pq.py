@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from rlab.index import EmbeddingIndex, FormatError, search
-from rlab.pq import (PQCodec, PQIndex, _kmeans_pp_init, _nearest, compress,
+from rlab.pq import (PQIndex, _kmeans_pp_init, _nearest, compress,
                      compression_ratio, compressed_size_from_reported, decode,
                      load_pq_index, pq_search, recall_at_k, save_pq_index,
                      squared_error, train_pq)
@@ -26,10 +26,10 @@ class TestTrainPQ:
     def test_single_vector_codebook(self):
         idx = EmbeddingIndex(version=1, dim=4, ids=["a"],
                              vectors=np.array([[1.0, 2.0, 3.0, 4.0]]))
-        codec = train_pq(idx, m=2, k_c=1, seed=0)
-        np.testing.assert_allclose(codec.codebooks[0][0], [1.0, 2.0])
-        np.testing.assert_allclose(codec.codebooks[1][0], [3.0, 4.0])
-        assert squared_error(idx, compress(idx, codec)) == pytest.approx(
+        codebooks = train_pq(idx, m=2, k_c=1, seed=0)
+        np.testing.assert_allclose(codebooks[0][0], [1.0, 2.0])
+        np.testing.assert_allclose(codebooks[1][0], [3.0, 4.0])
+        assert squared_error(idx, compress(idx, codebooks)) == pytest.approx(
             0.0, abs=1e-20)
 
     def test_saturated_codebooks_zero_error(self):
@@ -40,8 +40,8 @@ class TestTrainPQ:
                                distinct[rng.integers(4, size=32)]], axis=1)
         idx = EmbeddingIndex(version=1, dim=4,
                              ids=[f"p{i}" for i in range(32)], vectors=rows)
-        codec = train_pq(idx, m=2, k_c=4, iterations=30, seed=2)
-        assert squared_error(idx, compress(idx, codec)) == pytest.approx(
+        codebooks = train_pq(idx, m=2, k_c=4, iterations=30, seed=2)
+        assert squared_error(idx, compress(idx, codebooks)) == pytest.approx(
             0.0, abs=1e-12)
 
     def test_objective_monotone_in_iterations(self):
@@ -57,7 +57,7 @@ class TestTrainPQ:
 
     @pytest.mark.parametrize("m, k_c", [(0, 2), (-1, 2), (2, 0), (2, -1)])
     def test_m_and_k_c_positive(self, m, k_c):
-        # m = 0 divided by zero; k_c = 0 made one centroid for a codec of
+        # m = 0 divided by zero; k_c = 0 made one centroid for codebooks of
         # none, and k_c = -1 reached np.bincount.
         with pytest.raises(ValueError, match="m=" if m < 1 else "k_c="):
             train_pq(random_index(10, 8), m=m, k_c=k_c)
@@ -87,7 +87,7 @@ class TestReferencePQ:
         pidx = compress(idx, train_pq(idx, m=m, k_c=k_c,
                                       iterations=iterations, seed=seed))
         codebooks, codes = reference_pq(vectors, m, k_c, iterations, seed)
-        assert np.array_equal(pidx.codec.codebooks, codebooks)
+        assert np.array_equal(pidx.codebooks, codebooks)
         assert np.array_equal(pidx.codes, codes)
         return codebooks
 
@@ -201,7 +201,7 @@ def test_codebooks_and_codes_equal_under_one_and_two_blas_threads():
               "idx = EmbeddingIndex(version=1, dim=64, vectors=v,\n"
               "                     ids=[f'p{i:04d}' for i in range(3000)])\n"
               "p = compress(idx, train_pq(idx, m=8, k_c=64, seed=31))\n"
-              "print(hashlib.sha256(p.codec.codebooks.tobytes()\n"
+              "print(hashlib.sha256(p.codebooks.tobytes()\n"
               "                     + p.codes.tobytes()).hexdigest())\n")
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     digests = [subprocess.run(
@@ -244,10 +244,10 @@ class TestPeakMemory:
     def test_peak_below_three_distance_tables(self, step):
         n, dim, m, k_c = 4000, 64, 8, 64
         idx = random_index(n, dim, seed=18)
-        codec = train_pq(idx, m=m, k_c=k_c, iterations=2, seed=19)
+        codebooks = train_pq(idx, m=m, k_c=k_c, iterations=2, seed=19)
         run = {"train_pq": lambda: train_pq(idx, m=m, k_c=k_c, iterations=2,
                                             seed=19),
-               "compress": lambda: compress(idx, codec)}[step]
+               "compress": lambda: compress(idx, codebooks)}[step]
         tracemalloc.start()
         try:
             run()
@@ -260,11 +260,11 @@ class TestPeakMemory:
 
 class TestCompressDecode:
     def test_centroid_concatenation_exact(self):
-        codec = PQCodec(m=2, k_c=2, codebooks=np.arange(8.0).reshape(2, 2, 2))
-        vec = np.concatenate([codec.codebooks[0][1], codec.codebooks[1][0]])
+        codebooks = np.arange(8.0).reshape(2, 2, 2)
+        vec = np.concatenate([codebooks[0][1], codebooks[1][0]])
         idx = EmbeddingIndex(version=1, dim=4, ids=["a"],
                              vectors=vec[None, :])
-        decoded = decode(compress(idx, codec))
+        decoded = decode(compress(idx, codebooks))
         np.testing.assert_array_equal(decoded[0], vec)
 
     def test_compression_factor_arithmetic(self):
@@ -272,17 +272,30 @@ class TestCompressDecode:
         assert compression_ratio(dim=64, bytes_per_scalar=2, m=8, k_c=256) == 16.0
 
     def test_memory_bytes_counts_packed_codes_and_float32_codebooks(self):
-        codec = PQCodec(m=8, k_c=256, codebooks=np.zeros((8, 256, 8)))
-        pidx = PQIndex(codec=codec, ids=[f"p{i:04d}" for i in range(1000)],
-                       codes=np.zeros((1000, 8), dtype=np.int64), version=1,
-                       dim=64)
+        pidx = PQIndex(codebooks=np.zeros((8, 256, 8)),
+                       ids=[f"p{i:04d}" for i in range(1000)],
+                       codes=np.zeros((1000, 8), dtype=np.int64), version=1)
         # 1000 vectors x 8 one-byte codes, plus 8 x 256 x 8 float32 values.
         assert pidx.memory_bytes() == 1000 * 8 + 8 * 256 * 8 * 4
         # k_c = 5 needs 3 bits a code: 1000 x 8 x 3 bits is 3000 bytes.
-        small = PQIndex(codec=PQCodec(m=8, k_c=5,
-                                      codebooks=np.zeros((8, 5, 8))),
-                        ids=pidx.ids, codes=pidx.codes, version=1, dim=64)
+        small = PQIndex(codebooks=np.zeros((8, 5, 8)), ids=pidx.ids,
+                        codes=pidx.codes, version=1)
         assert small.memory_bytes() == 3000 + 8 * 5 * 8 * 4
+
+    @pytest.mark.parametrize("codebooks, codes, match", [
+        # -1 was read as the last centroid, and saved as code 65535.
+        (np.zeros((1, 2, 1)), [[-1], [0]], r"codes -1\.\.0 outside 0\.\.1"),
+        # k_c made pq_search raise IndexError.
+        (np.zeros((1, 2, 1)), [[0], [2]], r"codes 0\.\.2 outside 0\.\.1"),
+        (np.zeros((1, 0, 1)), [[0], [0]], "k_c=0"),
+        (np.zeros((1, 65537, 1)), [[0], [1]], "k_c=65537"),
+        (np.zeros((2, 1)), [[0], [0]], "codebooks of shape"),
+        (np.zeros((0, 2, 1)), np.zeros((2, 0), int), "codebooks of shape"),
+    ])
+    def test_constructor_rejects(self, codebooks, codes, match):
+        with pytest.raises(ValueError, match=match):
+            PQIndex(codebooks=codebooks, ids=["a", "b"],
+                    codes=np.array(codes), version=1)
 
     def test_paper_scale_accounting(self):
         # Reported sizes scaled by the per-vector PQ ratio: a 768-dim fp16
@@ -382,33 +395,27 @@ class TestRecallAtK:
 class TestPQFile:
     def test_round_trip(self, tmp_path):
         idx = random_index(50, 8, seed=12)
-        codec = train_pq(idx, m=2, k_c=4, seed=13)
-        pidx = compress(idx, codec)
+        pidx = compress(idx, train_pq(idx, m=2, k_c=4, seed=13))
         path = tmp_path / "idx.rpqx"
         save_pq_index(pidx, path)
         loaded = load_pq_index(path)
         assert loaded.ids == pidx.ids
         np.testing.assert_array_equal(loaded.codes, pidx.codes)
-        np.testing.assert_allclose(loaded.codec.codebooks,
-                                   pidx.codec.codebooks, atol=1e-6)
+        np.testing.assert_allclose(loaded.codebooks, pidx.codebooks,
+                                   atol=1e-6)
         save_pq_index(loaded, tmp_path / "idx2.rpqx")
         assert path.read_bytes() == (tmp_path / "idx2.rpqx").read_bytes()
 
-    def test_k_c_beyond_16_bit_codes_not_saved(self, tmp_path):
+    def test_k_c_beyond_16_bit_codes_not_saved(self):
         # Codes are stored as <u2: code 69999 would read back as 65535.
-        codec = PQCodec(m=1, k_c=70_000,
-                        codebooks=np.arange(70_000.0).reshape(1, 70_000, 1))
-        pidx = PQIndex(codec=codec, ids=["a", "b"],
-                       codes=np.array([[0], [69_999]]), version=1, dim=1)
-        path = tmp_path / "big.rpqx"
         with pytest.raises(ValueError, match="65536"):
-            save_pq_index(pidx, path)
-        assert not path.exists()
+            PQIndex(codebooks=np.arange(70_000.0).reshape(1, 70_000, 1),
+                    ids=["a", "b"], codes=np.array([[0], [69_999]]),
+                    version=1)
 
     def test_newline_in_id_rejected_before_write(self, tmp_path):
-        codec = PQCodec(m=1, k_c=1, codebooks=np.zeros((1, 1, 1)))
-        pidx = PQIndex(codec=codec, ids=["a", "b\n"],
-                       codes=np.zeros((2, 1), dtype=np.int64), version=1, dim=1)
+        pidx = PQIndex(codebooks=np.zeros((1, 1, 1)), ids=["a", "b\n"],
+                       codes=np.zeros((2, 1), dtype=np.int64), version=1)
         path = tmp_path / "idx.rpqx"
         with pytest.raises(ValueError, match=r"'b\\n'"):
             save_pq_index(pidx, path)
@@ -431,11 +438,10 @@ class TestPQFile:
     @pytest.mark.parametrize("table", [b"z\nz", b"z\ny"])
     def test_ids_not_strictly_ascending_is_format_error(self, tmp_path,
                                                         table):
-        codec = PQCodec(m=1, k_c=1, codebooks=np.zeros((1, 1, 1)))
         path = tmp_path / "idx.rpqx"
-        save_pq_index(PQIndex(codec=codec, ids=["y", "z"],
+        save_pq_index(PQIndex(codebooks=np.zeros((1, 1, 1)), ids=["y", "z"],
                               codes=np.zeros((2, 1), dtype=np.int64),
-                              version=1, dim=1), path)
+                              version=1), path)
         data = path.read_bytes()
         at = data.index(b"y\nz")
         path.write_bytes(data[:at] + table + data[at + len(table):])
@@ -443,14 +449,34 @@ class TestPQFile:
             load_pq_index(path)
 
     def test_unsorted_ids_sort_with_their_codes(self):
-        codec = PQCodec(m=1, k_c=3, codebooks=np.arange(3.0).reshape(1, 3, 1))
-        pidx = PQIndex(codec=codec, ids=["c", "a", "b"],
-                       codes=np.array([[2], [0], [1]]), version=1, dim=1)
+        codebooks = np.arange(3.0).reshape(1, 3, 1)
+        pidx = PQIndex(codebooks=codebooks, ids=["c", "a", "b"],
+                       codes=np.array([[2], [0], [1]]), version=1)
         assert pidx.ids == ["a", "b", "c"]
         np.testing.assert_array_equal(pidx.codes[:, 0], [0, 1, 2])
         with pytest.raises(ValueError, match="duplicate id 'a'"):
-            PQIndex(codec=codec, ids=["a", "b", "a"],
-                    codes=np.zeros((3, 1), dtype=np.int64), version=1, dim=1)
+            PQIndex(codebooks=codebooks, ids=["a", "b", "a"],
+                    codes=np.zeros((3, 1), dtype=np.int64), version=1)
+
+    def test_code_beyond_k_c_named_on_load(self, tmp_path):
+        idx = random_index(5, 4, seed=16)
+        path = tmp_path / "idx.rpqx"
+        save_pq_index(compress(idx, train_pq(idx, m=2, k_c=3, seed=17)), path)
+        path.write_bytes(path.read_bytes()[:-2] + b"\x03\0")
+        with pytest.raises(FormatError, match=r"idx.rpqx: codes \d\.\.3 "
+                                              r"outside 0\.\.2$"):
+            load_pq_index(path)
+
+    def test_k_c_0_named_on_load(self, tmp_path):
+        # No rows, so k_c = 0 leaves no codebook or code bytes to read.
+        path = tmp_path / "idx.rpqx"
+        save_pq_index(PQIndex(codebooks=np.zeros((1, 1, 1)), ids=[],
+                              codes=np.zeros((0, 1), dtype=np.int64),
+                              version=1), path)
+        data = path.read_bytes()
+        path.write_bytes(data[:20] + b"\0\0\0\0" + data[24:-4])
+        with pytest.raises(FormatError, match="idx.rpqx: k_c=0 is outside"):
+            load_pq_index(path)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_codebook_is_format_error(self, tmp_path, value):
@@ -468,9 +494,8 @@ class TestPQFile:
     def test_non_finite_codebook_rejected_before_write(self, tmp_path, value):
         codebooks = np.zeros((1, 2, 1))
         codebooks[0, 1, 0] = value
-        pidx = PQIndex(codec=PQCodec(m=1, k_c=2, codebooks=codebooks),
-                       ids=["a"], codes=np.zeros((1, 1), dtype=np.int64),
-                       version=1, dim=1)
+        pidx = PQIndex(codebooks=codebooks, ids=["a"],
+                       codes=np.zeros((1, 1), dtype=np.int64), version=1)
         path = tmp_path / "idx.rpqx"
         with pytest.raises(ValueError, match="non-finite"):
             save_pq_index(pidx, path)

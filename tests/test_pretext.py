@@ -83,6 +83,13 @@ class TestExamples:
                 ex = mlm_example(tuple(f"w{i}" for i in range(n)), seed, "o")
                 assert ex.query and ex.output and ex.origin_passage_id == "o"
 
+    @pytest.mark.parametrize("task", ["MLM", "prefix-lm", ""])
+    def test_unknown_task_rejected(self, task):
+        # "MLM" built prefix-LM examples.
+        with pytest.raises(ValueError, match="'prefix_lm' or 'mlm'"):
+            TaskExamples([Passage(id="p", doc_id="d", text=("a", "b"))],
+                         task, seed=0)
+
     def test_prefix_lm_training_query_collapses_literal_sentinel(self):
         text = ("a", "[MASK_3]", "b", "c")
         examples = TaskExamples([Passage(id="p", doc_id="d", text=text)],

@@ -476,6 +476,22 @@ class TestCheckpoint:
             save_checkpoint(small_encoder, path)
         assert not path.exists()
 
+    @pytest.mark.parametrize("side, table, shape", [
+        ("doc", "embedding", (21, 3)),  # the two sides differ in d
+        ("query", "embedding", (20, 4)),  # |V| is 21
+        ("doc", "embedding", (22, 4)),
+        ("query", "projection", (4, 3)),
+        ("doc", "projection", (3, 3)),
+    ])
+    def test_table_shapes_checked_before_write(self, tmp_path, small_encoder,
+                                               side, table, shape):
+        # Each of these saved, and then the load failed.
+        setattr(getattr(small_encoder, side), table, np.zeros(shape))
+        path = tmp_path / "enc.rlab"
+        with pytest.raises(ValueError, match=f"{side} {table} of shape"):
+            save_checkpoint(small_encoder, path)
+        assert not path.exists()
+
     def test_newline_in_vocab_token_rejected_before_write(self, tmp_path):
         enc = init_encoder(Vocab(["a", "b\nc"]), dim=2)
         path = tmp_path / "enc.rlab"
