@@ -299,86 +299,76 @@ def cmd_cost_model(args) -> int:
 
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+_REQUIRED, _REQUIRED_INT = {"required": True}, {"required": True, "type": int}
+# Each subcommand's help line and options, as (flag, add_argument
+# keywords), in the order `rlab --help` lists them.
+_COMMANDS = {
+    "ingest": ("chunk and filter raw documents", [
+        ("--in", dict(dest="infile", required=True)), ("--out", _REQUIRED),
+        ("--max-words", dict(type=int, default=200)),
+        ("--filter-config", {})]),
+    "build-index": ("embed passages into an index", [
+        ("--passages", _REQUIRED), ("--out", _REQUIRED),
+        ("--checkpoint", dict(help="encoder checkpoint; a fresh seeded "
+                                   "encoder is created when omitted")),
+        ("--dim", dict(type=int, default=64)),
+        ("--shards", dict(type=int, default=1)),
+        ("--precision", dict(choices=list(index_mod.PRECISIONS),
+                             default="float32")),
+        ("--seed", dict(type=int, default=0))]),
+    "compress-index": ("product-quantize an index", [
+        ("--index", _REQUIRED), ("--out", _REQUIRED),
+        ("--m", _REQUIRED_INT), ("--kc", _REQUIRED_INT),
+        ("--iterations", dict(type=int, default=20)),
+        ("--seed", dict(type=int, default=0))]),
+    "search": ("exact top-k search", [
+        ("--index", _REQUIRED), ("--checkpoint", _REQUIRED),
+        ("--query", _REQUIRED), ("--k", dict(type=int, default=5))]),
+    "train": ("joint retriever training", [
+        ("--config", _REQUIRED), ("--corpus", _REQUIRED), ("--out", _REQUIRED),
+        ("--dim", dict(type=int, default=64)),
+        ("--task", dict(choices=["prefix_lm", "mlm"], default="prefix_lm"))]),
+    "evaluate": ("multiple-choice evaluation", [
+        ("--task", _REQUIRED),
+        ("--mode", dict(choices=list(evalkit.ORDERINGS), default="standard")),
+        ("--passages", {}), ("--index", {}), ("--checkpoint", {}),
+        ("--k", dict(type=int, default=5)),
+        ("--audit-leakage", dict(action="store_true"))]),
+    "swap-index": ("replace the active index", [
+        ("--from", dict(dest="from_index", required=True)),
+        ("--to", dict(dest="to_index", required=True))]),
+    "cost-model": ("index-maintenance overheads", [
+        ("--n", _REQUIRED_INT), ("--b", _REQUIRED_INT), ("--k", _REQUIRED_INT),
+        ("--r", dict(type=int, default=1)), ("--l", dict(type=int)),
+        ("--ratio", dict(type=_fraction, default=Fraction(1, 25), help=(
+            "P_retr / P_lm, such as 0.04 or 1/25 (default)")))]),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The `rlab` parser with every subcommand, or with `command` alone:
+    creating each subcommand's parser is most of the cost, so `main` builds
+    only the one it runs. A lone subcommand keeps the full list in the
+    usage line that top-level errors print."""
     parser = argparse.ArgumentParser(prog="rlab", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("ingest", help="chunk and filter raw documents")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--max-words", type=int, default=200)
-    p.add_argument("--filter-config")
-    p.set_defaults(func=cmd_ingest)
-
-    p = sub.add_parser("build-index", help="embed passages into an index")
-    p.add_argument("--passages", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--checkpoint", help="encoder checkpoint; a fresh seeded "
-                                        "encoder is created when omitted")
-    p.add_argument("--dim", type=int, default=64)
-    p.add_argument("--shards", type=int, default=1)
-    p.add_argument("--precision", choices=list(index_mod.PRECISIONS),
-                   default="float32")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_build_index)
-
-    p = sub.add_parser("compress-index", help="product-quantize an index")
-    p.add_argument("--index", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--kc", type=int, required=True)
-    p.add_argument("--iterations", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_compress_index)
-
-    p = sub.add_parser("search", help="exact top-k search")
-    p.add_argument("--index", required=True)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--query", required=True)
-    p.add_argument("--k", type=int, default=5)
-    p.set_defaults(func=cmd_search)
-
-    p = sub.add_parser("train", help="joint retriever training")
-    p.add_argument("--config", required=True)
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--dim", type=int, default=64)
-    p.add_argument("--task", choices=["prefix_lm", "mlm"],
-                   default="prefix_lm")
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("evaluate", help="multiple-choice evaluation")
-    p.add_argument("--task", required=True)
-    p.add_argument("--mode", choices=list(evalkit.ORDERINGS),
-                   default="standard")
-    p.add_argument("--passages")
-    p.add_argument("--index")
-    p.add_argument("--checkpoint")
-    p.add_argument("--k", type=int, default=5)
-    p.add_argument("--audit-leakage", action="store_true")
-    p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("swap-index", help="replace the active index")
-    p.add_argument("--from", dest="from_index", required=True)
-    p.add_argument("--to", dest="to_index", required=True)
-    p.set_defaults(func=cmd_swap_index)
-
-    p = sub.add_parser("cost-model", help="index-maintenance overheads")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--r", type=int, default=1)
-    p.add_argument("--l", type=int)
-    p.add_argument("--ratio", type=_fraction, default=Fraction(1, 25),
-                   help="P_retr / P_lm, such as 0.04 or 1/25 (default)")
-    p.set_defaults(func=cmd_cost_model)
-
+    # No metavar on the full parser: it would rename `command` in errors.
+    sub = parser.add_subparsers(dest="command", required=True, **(
+        {"metavar": "{" + ",".join(_COMMANDS) + "}"} if command else {}))
+    for name in [command] if command else _COMMANDS:
+        help_line, options = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_line)
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
+        # Looked up per build, so a handler replaced on the module runs.
+        p.set_defaults(func=globals()["cmd_" + name.replace("-", "_")])
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # Only the command argv[0] names; for help or a typo, the full parser.
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

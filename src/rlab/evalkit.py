@@ -46,6 +46,8 @@ class ChoiceTask:
     gold: int
 
     def __post_init__(self):
+        if not tokenize(self.question):
+            raise ValueError("question has no word")
         if len(self.options) != 4:
             raise ValueError("exactly 4 options required")
         if self.gold not in range(4):

@@ -47,6 +47,8 @@ class PQIndex:
         if np.shape(self.codes) != (len(self.ids), m):
             raise ValueError(f"codes of shape {np.shape(self.codes)} for "
                              f"{len(self.ids)} ids and m={m}")
+        if not np.issubdtype(self.codes.dtype, np.integer):
+            raise ValueError(f"non-integer codes of dtype {self.codes.dtype}")
         if self.codes.size and not 0 <= self.codes.min() <= self.codes.max() < k_c:
             raise ValueError(f"codes {self.codes.min()}..{self.codes.max()} "
                              f"outside 0..{k_c - 1}")

@@ -228,11 +228,14 @@ class Gradients:
 def sum_rows(rows: np.ndarray,
              values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows, ascending, and each one's values summed in order
-    from zero: the same additions as `np.add.at` into a dense table."""
+    from zero: one `np.bincount` over bins (distinct row) * d + column makes
+    the same additions as `np.add.at` into a dense table."""
     distinct, inverse = np.unique(rows, return_inverse=True)
-    summed = np.zeros((len(distinct), values.shape[1]))
-    np.add.at(summed, inverse, values)
-    return distinct, summed
+    n, d = len(distinct), values.shape[1]
+    bins = (inverse.reshape(-1, 1) * d + np.arange(d)).ravel()
+    summed = np.bincount(bins, weights=np.ravel(values), minlength=n * d)
+    # float64 even with no rows, where np.bincount gives int64.
+    return distinct, summed.astype(np.float64, copy=False).reshape(n, d)
 
 
 def _backprop_side(params: EncoderParams, pooled: np.ndarray, length: int,

@@ -5,6 +5,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+from rlab import cli
 from rlab.cli import _parse_train_config, build_parser, main
 from rlab.corpus import Passage, read_passages, write_passages
 from rlab.pretext import TaskExamples, mlm_example, prefix_lm_example
@@ -530,6 +531,7 @@ class TestEvaluate:
         '["q", ["a", "b", "c", "d"], 0]',                          # array
         '{"question": "q", "options": ["a", "b", "c", "d"], "go',  # cut line
         '{"question": "q", "options": ["a", "b", "c", "d"], "gold": 9}',
+        '{"question": "   ", "options": ["a", "b", "c", "d"], "gold": 0}',
     ])
     def test_malformed_task_exit_1(self, tmp_path, capsys, bad_line):
         task_file = tmp_path / "tasks.jsonl"
@@ -538,6 +540,25 @@ class TestEvaluate:
                                          "gold": 0}) + "\n" + bad_line)
         assert main(["evaluate", "--task", str(task_file)]) == 1
         assert "tasks.jsonl, line 2" in capsys.readouterr().err
+
+    def test_question_with_no_word_exit_1_with_a_retriever(self, workspace,
+                                                           capsys):
+        # Closed-book, the tie went to gold 0 (exit 0); with a retriever,
+        # the query encoder said "empty input" (exit 2).
+        tmp_path, raw = workspace
+        passages_path = run_ingest(tmp_path, raw)
+        index_path, ckpt = run_build(tmp_path, passages_path)
+        task_file = tmp_path / "tasks.jsonl"
+        task_file.write_text(json.dumps({"question": " ",
+                                         "options": ["a", "b", "c", "d"],
+                                         "gold": 0}) + "\n")
+        capsys.readouterr()
+        assert main(["evaluate", "--task", str(task_file),
+                     "--passages", str(passages_path),
+                     "--index", str(index_path),
+                     "--checkpoint", str(ckpt)]) == 1
+        assert ("tasks.jsonl, line 1: question has no word"
+                in capsys.readouterr().err)
 
 
 class TestSwapIndex:
@@ -618,12 +639,72 @@ class TestCostModel:
         assert ("l_reranked must be >= 0" in got.err) == (out == "")
 
 
+COMMANDS = ["ingest", "build-index", "compress-index", "search", "train",
+            "evaluate", "swap-index", "cost-model"]
+SEARCH = ["search", "--index", "i.ridx", "--checkpoint", "c.rlab",
+          "--query", "q"]
+COST = ["cost-model", "--n", "100", "--b", "2", "--k", "3"]
+# Help, version, typos, and missing, extra, unknown and mistyped options:
+# each one is answered by argparse, at the top level or by a subcommand.
+USAGE_CASES = [[command, "-h"] for command in COMMANDS] + [
+    [], ["-h"], ["--help"], ["--version"], ["--vers"], ["-x"], ["serch"],
+    ["SEARCH"], ["--"], ["--", "search"], ["-h", "search"],
+    ["--version", "search"], ["search"], ["search", "--index", "i.ridx"],
+    SEARCH + ["extra"], ["search", "--bogus"], ["search", "--version"],
+    ["search", "-h", "extra"], SEARCH + ["--k", "zz"],
+    ["search", "--ind", "i.ridx", "--check", "c.rlab", "--q", "q"],
+    SEARCH, ["ingest", "--in"], ["ingest", "--in", "raw.jsonl", "--out", "p"],
+    ["build-index", "--passages", "p", "--out", "o", "--precision", "f8"],
+    ["compress-index", "--m", "x"], ["train", "--task", "bogus"],
+    ["evaluate", "--task", "t", "--mode", "bogus"], ["swap-index", "--from"],
+    COST, COST + ["--l", "-1"], COST + ["--ratio", "1/0"],
+    ["cost-model", "--", "--n", "1"],
+]
+
+
 class TestUsage:
     def test_no_command_exit_2(self):
         assert main([]) == 2
 
     def test_version_exit_0(self):
         assert main(["--version"]) == 0
+
+    @pytest.mark.parametrize("argv", USAGE_CASES)
+    def test_same_answer_as_the_full_parser(self, argv, tmp_path, capsys,
+                                            monkeypatch):
+        # main builds only the subcommand argv[0] names; every exit code
+        # and output byte equals that of the parser with all of them.
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("COLUMNS", "80")
+        got = main(argv), *capsys.readouterr()
+        full = build_parser()
+        monkeypatch.setattr(cli, "build_parser", lambda command=None: full)
+        assert (main(argv), *capsys.readouterr()) == got
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_a_command_builds_one_subparser(self, command, monkeypatch,
+                                            capsys):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(parser, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(parser, *args, **kwargs)
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                            counting_init)
+        assert main([command, "--help"]) == 0
+        assert built == ["rlab", f"rlab {command}"]
+        assert capsys.readouterr().out.startswith(f"usage: rlab {command}")
+
+    def test_dispatch_finds_a_replaced_handler(self, monkeypatch):
+        # bench/tracing.py wraps cli.cmd_* by replacing module attributes.
+        calls = []
+        monkeypatch.setattr(cli, "cmd_search",
+                            lambda args: calls.append(args) or 7)
+        assert main(SEARCH) == 7
+        assert [(a.command, a.index, a.k) for a in calls] == [
+            ("search", "i.ridx", 5)]
 
 
 def _integer_flags():

@@ -102,6 +102,12 @@ class TestDebiasInfer:
         with pytest.raises(ValueError):
             ChoiceTask("q", ("a", "b", "c", "d"), gold=4)
 
+    @pytest.mark.parametrize("question", ["", "   ", "\t\n"])
+    def test_question_with_no_word(self, question):
+        # All four options tied on an empty question, and gold 0 won.
+        with pytest.raises(ValueError, match="question has no word"):
+            ChoiceTask(question, ("a", "b", "c", "d"), gold=0)
+
 
 def brute_force_longest_run(a, b):
     best = 0

@@ -291,6 +291,9 @@ class TestCompressDecode:
         (np.zeros((1, 65537, 1)), [[0], [1]], "k_c=65537"),
         (np.zeros((2, 1)), [[0], [0]], "codebooks of shape"),
         (np.zeros((0, 2, 1)), np.zeros((2, 0), int), "codebooks of shape"),
+        # Saving truncated float codes: 0.9 loaded back as code 0.
+        (np.zeros((1, 2, 1)), [[0.9], [0.0]], "non-integer codes"),
+        (np.zeros((1, 2, 1)), [[True], [False]], "non-integer codes"),
     ])
     def test_constructor_rejects(self, codebooks, codes, match):
         with pytest.raises(ValueError, match=match):

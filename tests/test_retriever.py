@@ -18,7 +18,7 @@ from rlab.retriever import (DualEncoder, EncoderParams, Gradients,
                             encode_doc, encode_query, encode_texts,
                             encoder_gradient, init_encoder, load_checkpoint,
                             retrieval_distribution, retriever_gradient,
-                            save_checkpoint)
+                            save_checkpoint, sum_rows)
 from rlab.trainer import TrainConfig, init_state, train_step
 
 from needle import make_needle_task
@@ -359,6 +359,49 @@ class TestRetrieverGradient:
                     fd = (hi - lo) / (2 * step)
                     scale = max(abs(fd), abs(grad.flat[fi]), 1e-8)
                     assert abs(fd - grad.flat[fi]) / scale < 1e-4, name
+
+
+def add_at_rows(rows, values):
+    """Oracle: np.add.at into a dense zero table, then its touched rows."""
+    distinct = np.unique(rows)
+    dense = np.zeros((int(rows.max(initial=-1)) + 1, values.shape[1]))
+    np.add.at(dense, rows, values)
+    return distinct, dense[distinct]
+
+
+class TestSumRows:
+    """sum_rows adds each row's values in the order np.add.at does, so the
+    sparse SGD update stays bit-equal to a dense one."""
+
+    @pytest.mark.parametrize("rows, values", [
+        # Repeated, unsorted rows with values whose sum depends on order.
+        ([5, 2, 5, 0, 2, 5], [[1e16, 1.0], [1.0, -0.0], [1.0, 3.0],
+                              [-0.0, 2.5], [-1e16, 1e-300], [-1e16, 7.0]]),
+        ([3, 3], [[-0.0, -0.0], [-0.0, 1.0]]),  # 0.0 + -0.0 is 0.0
+        ([7], [[1.5, -0.0, 3.0]]),
+        (np.zeros(0, dtype=np.int64), np.zeros((0, 4))),  # k_retrieved = 0
+    ])
+    def test_equals_add_at_bytes(self, rows, values):
+        rows, values = np.asarray(rows), np.asarray(values, dtype=np.float64)
+        got_rows, got = sum_rows(rows, values)
+        want_rows, want = add_at_rows(rows, values)
+        assert got_rows.tolist() == want_rows.tolist()
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 60),
+           d=st.integers(1, 5))
+    def test_random_and_broadcast_rows(self, seed, n, d):
+        rng = np.random.default_rng(seed)
+        rows = rng.integers(0, 8, size=n)
+        values = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-8, 9, (n, 1))
+        for given_values in (values, np.broadcast_to(values[:1], values.shape)
+                             if n else values):
+            got_rows, got = sum_rows(rows, given_values)
+            want_rows, want = add_at_rows(rows, given_values)
+            assert got_rows.tolist() == want_rows.tolist()
+            assert got.tobytes() == want.tobytes()
 
 
 class TestCheckpoint:
