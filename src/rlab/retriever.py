@@ -11,7 +11,9 @@ encoder and keep a prebuilt index valid. `encode_texts` encodes texts,
 many at once, from their embedding rows in CSR form (`Vocab.rows` bisects
 the sorted vocab). Training and the finite-difference check share one
 backprop, `encoder_gradient`, which takes the pooled means of the forward
-pass instead of pooling again.
+pass instead of pooling again. A training step calls it once for all of
+its examples, with one `_backprop_side` per trained side over all of
+their texts; its bits are those of adding the examples one by one.
 
 A loaded encoder's embedding tables are read-only float32 views of the
 checkpoint's one mapping (`formats.Reader`), its projections float64
@@ -29,7 +31,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -238,36 +240,75 @@ def sum_rows(rows: np.ndarray,
     return distinct, summed.astype(np.float64, copy=False).reshape(n, d)
 
 
-def _backprop_side(params: EncoderParams, pooled: np.ndarray, length: int,
-                   grad_vec: np.ndarray, grad_proj: np.ndarray) -> np.ndarray:
-    """Accumulate d(loss)/d(projection) into grad_proj given d(loss)/d(encoded
-    vector) of a text of `length` tokens whose pooled mean is `pooled`;
-    return, one per token, the gradient that token occurrence receives."""
-    grad_proj += np.outer(grad_vec, pooled)
-    grad_pooled = params.projection.T @ grad_vec
-    return np.broadcast_to(grad_pooled / length, (length, len(grad_pooled)))
+class ExampleBackprop(NamedTuple):
+    """An example's d(loss)/d(scores), scores = d_vecs @ q_vec, and the
+    embedding rows, pooled means and vectors (`encode_texts`) of its query
+    and documents, theirs in CSR form; the document rows, lengths and means
+    are None where the mode trains no documents."""
+    g_scores: np.ndarray
+    query_rows: np.ndarray
+    q_pooled: np.ndarray
+    q_vec: np.ndarray
+    doc_rows: np.ndarray | None
+    doc_lengths: Sequence[int] | None
+    d_pooled: np.ndarray | None
+    d_vecs: np.ndarray
 
 
-def encoder_gradient(enc: DualEncoder, query_rows: np.ndarray,
-                     q_pooled: np.ndarray, q_vec: np.ndarray,
-                     doc_rows: np.ndarray, doc_lengths: Sequence[int],
-                     d_pooled: np.ndarray, d_vecs: np.ndarray,
-                     g_scores: np.ndarray, mode: MaintenanceMode) -> Gradients:
-    """Backprop d(loss)/d(scores), scores = d_vecs @ q_vec, into the encoder
-    from the embedding rows and pooled means (`encode_texts`) of the query
-    and of the documents, theirs in CSR form. Document gradients stay zero,
-    and the document rows and means unread, unless the mode trains the
-    document side. Each side's rows are summed in token order."""
+def _backprop_side(params: EncoderParams, rows: np.ndarray,
+                   lengths: np.ndarray, pooled: np.ndarray,
+                   grad_vecs: np.ndarray, counts: np.ndarray,
+                   scale: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Embedding rows and values, and projection gradient, of scale times
+    d(loss)/d(encoded vector) of texts in CSR form with their pooled means,
+    counts[0] texts of example 0 first, and so on. Each example is summed
+    from +0.0 in text order (rows in token order) and scaled, then the
+    examples are added to +0.0 in order: the additions of one at a time."""
+    vocab_size, first = len(params.embedding), np.cumsum(counts) - counts
+    # One pass per text position adds in text order whatever order numpy's
+    # reductions take, and holds one product per example.
+    per_example = np.zeros((len(counts), params.dim, params.dim))
+    for j in range(counts.max()):
+        texts = first[counts > j] + j
+        per_example[counts > j] += (grad_vecs[texts, :, None]
+                                    * pooled[texts, None, :])
+    projection = sum(scale * per_example, np.zeros_like(params.projection))
+    grad_pooled = np.empty_like(grad_vecs)
+    for g, out in zip(grad_vecs, grad_pooled):  # a GEMM's bits would differ
+        np.matmul(params.projection.T, g, out=out)
+    keys = np.repeat(vocab_size * np.repeat(np.arange(len(counts)), counts),
+                     lengths) + rows
+    distinct, summed = sum_rows(keys, np.repeat(
+        grad_pooled / lengths[:, None], lengths, axis=0))
+    return distinct % vocab_size, scale * summed, projection
+
+
+def encoder_gradient(enc: DualEncoder, examples: Sequence[ExampleBackprop],
+                     scale: float, mode: MaintenanceMode) -> Gradients:
+    """Gradient of scale times the examples' summed losses, from one
+    `_backprop_side` per trained side: bit-equal to `zeros_like` plus
+    `add_scaled(gradient of the example, scale)` for each example in turn,
+    so zero with no examples. Document gradients stay zero, and the
+    document rows and means unread, unless the mode trains documents."""
     grads = Gradients.zeros_like(enc)
-    grads.query_rows, grads.query_values = sum_rows(
-        query_rows, _backprop_side(enc.query, q_pooled, len(query_rows),
-                                   g_scores @ d_vecs, grads.query_projection))
+    if not examples:
+        return grads
+    ex = ExampleBackprop(*zip(*examples))
+    q_grads = [g @ d_vecs for g, d_vecs in zip(ex.g_scores, ex.d_vecs)]
+    grads.query_rows, grads.query_values, grads.query_projection = (
+        _backprop_side(enc.query, np.concatenate(ex.query_rows),
+                       np.array([len(r) for r in ex.query_rows]),
+                       np.array(ex.q_pooled), np.array(q_grads),
+                       np.ones(len(examples), dtype=np.int64), scale))
     if mode.trains_docs:
-        values = [_backprop_side(enc.doc, pooled, n, g_k * q_vec,
-                                 grads.doc_projection)
-                  for g_k, pooled, n in zip(g_scores, d_pooled, doc_lengths)]
-        grads.doc_rows, grads.doc_values = sum_rows(doc_rows,
-                                                    np.concatenate(values))
+        counts = np.array([len(g) for g in ex.g_scores])
+        grads.doc_rows, grads.doc_values, grads.doc_projection = (
+            _backprop_side(enc.doc, np.concatenate(ex.doc_rows),
+                           np.concatenate(ex.doc_lengths),
+                           np.concatenate(ex.d_pooled),
+                           np.concatenate(ex.g_scores)[:, None]
+                           * np.repeat(ex.q_vec, counts, axis=0),
+                           counts, scale))
     return grads
 
 
@@ -294,9 +335,9 @@ def retriever_gradient(enc: DualEncoder, query: Sequence[str],
     (q_pooled,), (q_vec,) = encode_texts(enc.query, query_rows, [len(query)])
     d_pooled, d_vecs = encode_texts(enc.doc, doc_rows, doc_lengths)
     probs = retrieval_distribution(d_vecs @ q_vec, temperature)
-    return encoder_gradient(enc, query_rows, q_pooled, q_vec, doc_rows,
-                            doc_lengths, d_pooled, d_vecs,
-                            (probs - target) / temperature, mode)
+    return encoder_gradient(enc, [ExampleBackprop(
+        (probs - target) / temperature, query_rows, q_pooled, q_vec,
+        doc_rows, doc_lengths, d_pooled, d_vecs)], 1.0, mode)
 
 
 # ---------------------------------------------------------------------------

@@ -18,11 +18,13 @@ is in index row order, and the static modes take document vectors from
 the index rows. Their texts are interned once, in `TrainerState.tokens`,
 whose view the LM scores, and `TrainerState.rows` holds the encoder vocab
 row of each of their tokens. A step's queries, a rebuild, the rerank pool
-and full_refresh's K documents are each one `retriever.encode_texts` call;
-its pooled means go on to `retriever.encoder_gradient`, the backprop that
-the gradient check covers. The optimizer is plain SGD with linear warmup
-and decay. With a fixed seed, configuration and corpus, the parameter
-trajectory and the emitted metrics are bit-identical across runs.
+and full_refresh's K documents are each one `retriever.encode_texts` call.
+Each example hands its score gradient, rows, pooled means and vectors
+(`retriever.ExampleBackprop`) to one `retriever.encoder_gradient` call per
+step, the backprop that the gradient check covers. The optimizer is plain
+SGD with linear warmup and decay. With a fixed seed, configuration and
+corpus, the parameter trajectory and the emitted metrics are bit-identical
+across runs.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .corpus import Passage, TokenTable
 from .formats import atomic_write
 from .lm import LMScorer, OverlapLM
 from .losses import (LossKind, build_target, distill_step, emdr2_objective)
-from .retriever import (DEFAULT_TEMPERATURE, DualEncoder, Gradients,
+from .retriever import (DEFAULT_TEMPERATURE, DualEncoder, ExampleBackprop,
                         MaintenanceMode, encode_texts,
                         encoder_gradient, retrieval_distribution, sum_rows)
 
@@ -154,10 +156,11 @@ def _retrieve(state: TrainerState, cfg: TrainConfig, example: TrainExample,
 
 
 def _example_gradient(state: TrainerState, cfg: TrainConfig, lm: LMScorer,
-                      example: TrainExample, query: tuple) -> tuple[Gradients | None, float, np.ndarray]:
-    """Loss gradient (None when frozen), loss value, retrieved rows, given
-    the query as `_queries` gives it. A stale-index signal from retrieval
-    counts in state.stale_rerank_warnings."""
+                      example: TrainExample, query: tuple) -> tuple[ExampleBackprop | None, float, np.ndarray]:
+    """What the backprop needs of the example (None when frozen or when it
+    retrieved nothing), loss value, retrieved rows, given the query as
+    `_queries` gives it. A stale-index signal from retrieval counts in
+    state.stale_rerank_warnings."""
     enc = state.encoder
     query_rows, q_pooled, q_vec = query
     rows, fresh, stale = _retrieve(state, cfg, example, q_vec)
@@ -187,9 +190,9 @@ def _example_gradient(state: TrainerState, cfg: TrainConfig, lm: LMScorer,
 
     if cfg.mode == MaintenanceMode.FIXED:
         return None, loss_value, rows
-    return encoder_gradient(enc, query_rows, q_pooled, q_vec, doc_rows,
-                            lengths, d_pooled, d_vecs, step.grad_wrt_scores,
-                            cfg.mode), loss_value, rows
+    return ExampleBackprop(step.grad_wrt_scores, query_rows, q_pooled, q_vec,
+                           doc_rows, lengths, d_pooled,
+                           d_vecs), loss_value, rows
 
 
 def _queries(state: TrainerState, examples: Sequence[TrainExample]):
@@ -213,21 +216,23 @@ def train_step(state: TrainerState, batch: Sequence[TrainExample],
             previous_version=state.index.version, tokens=state.tokens,
             rows=state.rows)
 
-    total = Gradients.zeros_like(state.encoder)
-    losses, hits, with_gold = [], 0, 0
+    backprops, losses, hits, with_gold = [], [], 0, 0
     # The closed-book ablation (k_retrieved == 0) retrieves and trains nothing.
     examples = batch if cfg.k_retrieved else []
     for ex, query in zip(examples, _queries(state, examples)):
-        grads, loss_value, rows = _example_gradient(state, cfg, lm, ex, query)
+        backprop, loss_value, rows = _example_gradient(state, cfg, lm, ex,
+                                                       query)
         losses.append(loss_value)
         if ex.gold_passage_id:
             with_gold += 1
             hits += int(len(rows) > 0 and state.index.ids[rows[0]]
                         == ex.gold_passage_id)
-        if grads is not None:
-            total.add_scaled(grads, 1.0 / len(batch))
+        if backprop is not None:
+            backprops.append(backprop)
 
     if cfg.mode != MaintenanceMode.FIXED and cfg.k_retrieved > 0:
+        total = encoder_gradient(state.encoder, backprops, 1.0 / len(batch),
+                                 cfg.mode)
         lr = _learning_rate(cfg, state.step)
         rows, summed = sum_rows(total.query_rows, total.query_values)
         state.encoder.query.embedding[rows] -= lr * summed
@@ -260,6 +265,8 @@ def train(state: TrainerState, examples: Sequence[TrainExample],
           on_step: Callable[[StepMetrics], None] | None = None) -> list[StepMetrics]:
     """Run cfg.steps optimizer steps, cycling deterministically through a
     seed-shuffled example order."""
+    if not len(examples):
+        raise ValueError("examples is empty: nothing to train on")
     if lm is None:
         lm = OverlapLM(vocab_size=len(state.encoder.vocab))
     rng = np.random.default_rng(cfg.seed)
@@ -278,6 +285,8 @@ def train(state: TrainerState, examples: Sequence[TrainExample],
 def recall_at_1(state: TrainerState, examples: Sequence[TrainExample],
                 cfg: TrainConfig) -> float:
     """Fraction of examples whose top retrieved passage is their gold."""
+    if not len(examples):
+        raise ValueError("examples is empty: no recall to measure")
     hits = 0
     for ex, (_, _, q_vec) in zip(examples, _queries(state, examples)):
         rows, _, _ = _retrieve(state, cfg, ex, q_vec)

@@ -13,8 +13,9 @@ from rlab.cli import main
 from rlab.corpus import TokenTable, read_passages, write_passages
 from rlab.index import EmbeddingIndex, FormatError, build, save_index
 from rlab.lm import OverlapLM
-from rlab.retriever import (DualEncoder, EncoderParams, Gradients,
-                            MaintenanceMode, Vocab, check_distribution,
+from rlab.retriever import (DualEncoder, EncoderParams, ExampleBackprop,
+                            Gradients, MaintenanceMode, Vocab,
+                            _backprop_side, check_distribution,
                             encode_doc, encode_query, encode_texts,
                             encoder_gradient, init_encoder, load_checkpoint,
                             retrieval_distribution, retriever_gradient,
@@ -315,8 +316,9 @@ class TestRetrieverGradient:
         d_pooled, d_vecs = per_text(enc.doc, doc_rows, lengths)
         g_scores = (retrieval_distribution(d_vecs @ q_vec, theta)
                     - target) / theta
-        got = encoder_gradient(enc, query_rows, q_pooled, q_vec, doc_rows,
-                               lengths, d_pooled, d_vecs, g_scores, mode)
+        got = encoder_gradient(enc, [ExampleBackprop(
+            g_scores, query_rows, q_pooled, q_vec, doc_rows, lengths,
+            d_pooled, d_vecs)], 1.0, mode)
         want = retriever_gradient(enc, query, docs, target, theta, mode)
         for field in ("query_rows", "query_values", "query_projection",
                       "doc_rows", "doc_values", "doc_projection"):
@@ -359,6 +361,105 @@ class TestRetrieverGradient:
                     fd = (hi - lo) / (2 * step)
                     scale = max(abs(fd), abs(grad.flat[fi]), 1e-8)
                     assert abs(fd - grad.flat[fi]) / scale < 1e-4, name
+
+
+def per_text_backprop(params, rows, lengths, pooled, grad_vecs, counts, scale):
+    """Reference for `_backprop_side`, one text at a time: per example a
+    zero projection gradient `+= np.outer(g, pooled)` and the matvec
+    `projection.T @ g` broadcast over the text's tokens, the example's
+    rows summed by `sum_rows`; then the examples added as
+    `Gradients.add_scaled` adds them, after zero tables."""
+    d = params.projection.shape[0]
+    all_rows, all_values = [np.zeros(0, dtype=np.int64)], [np.zeros((0, d))]
+    projection = np.zeros((d, d))
+    text, start = 0, 0
+    for count in counts:
+        example_projection = np.zeros((d, d))
+        example_rows, example_values = [], []
+        for _ in range(count):
+            g, n = np.array(grad_vecs[text]), int(lengths[text])
+            example_projection += np.outer(g, pooled[text])
+            grad_pooled = params.projection.T @ g
+            example_values.append(np.broadcast_to(grad_pooled / n, (n, d)))
+            example_rows.append(rows[start:start + n])
+            text, start = text + 1, start + n
+        distinct, summed = sum_rows(np.concatenate(example_rows),
+                                    np.concatenate(example_values))
+        all_rows.append(distinct)
+        all_values.append(scale * summed)
+        projection += scale * example_projection
+    return np.concatenate(all_rows), np.concatenate(all_values), projection
+
+
+def backprop_case(seed, counts, max_len, d, vocab_size, zeros=0.3):
+    """Texts grouped into examples of counts[i] texts, random lengths up to
+    max_len over a small vocab (rows repeat within and across texts), with
+    about `zeros` of the gradient entries +0.0 or -0.0 against pooled
+    means of both signs, so some products are -0.0."""
+    rng = np.random.default_rng(seed)
+    counts = np.asarray(counts, dtype=np.int64)
+    lengths = rng.integers(1, max_len + 1, counts.sum())
+    rows = rng.integers(0, vocab_size, lengths.sum())
+    texts = int(counts.sum())
+    spread = 10.0 ** rng.integers(-8, 9, (texts, 1))
+    pooled = rng.normal(size=(texts, d)) * spread
+    grad_vecs = rng.normal(size=(texts, d)) * spread[::-1]
+    grad_vecs[rng.random((texts, d)) < zeros] = 0.0
+    grad_vecs[rng.random((texts, d)) < zeros / 2] = -0.0
+    params = EncoderParams(rng.normal(size=(vocab_size, d)),
+                           rng.normal(size=(d, d)))
+    return params, rows, lengths, pooled, grad_vecs, counts
+
+
+class TestBatchedBackprop:
+    """`_backprop_side` over all of a step's texts makes the additions of
+    the per-text loop, so its bytes equal it. numpy documents neither the
+    order of `np.bincount`'s sums nor how BLAS splits a matvec; CI runs
+    these under one and two BLAS threads."""
+
+    @staticmethod
+    def check(params, rows, lengths, pooled, grad_vecs, counts, scale):
+        got = _backprop_side(params, rows, lengths, pooled, grad_vecs,
+                             counts, scale)
+        want = per_text_backprop(params, rows, lengths, pooled, grad_vecs,
+                                 counts, scale)
+        for name, g, w in zip(("rows", "values", "projection"), got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape, name
+            assert g.tobytes() == w.tobytes(), name
+
+    @pytest.mark.parametrize("counts, max_len, d", [
+        ([1], 1, 3),  # one text of one token
+        ([1], 6, 4),  # one text
+        ([1] * 8, 5, 4),  # K = 1: the query side of a batch
+        ([1] * 9, 1, 1),  # one-token texts, d = 1
+        ([3, 1, 4], 1, 2),  # one-token texts in examples of unequal K
+        ([20] * 8, 12, 8),  # a rerank step
+        ([5, 2, 7], 9, 1),
+    ])
+    @pytest.mark.parametrize("scale", [1.0, 1 / 3])
+    def test_equals_per_text_loop(self, counts, max_len, d, scale):
+        self.check(*backprop_case(len(counts) + d, counts, max_len, d, 7),
+                   scale)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           counts=st.lists(st.integers(1, 12), min_size=1, max_size=9),
+           max_len=st.integers(1, 10), d=st.integers(1, 9),
+           vocab_size=st.integers(1, 40), batch=st.integers(1, 9))
+    def test_random_steps(self, seed, counts, max_len, d, vocab_size, batch):
+        self.check(*backprop_case(seed, counts, max_len, d, vocab_size),
+                   1.0 / batch)
+
+    @pytest.mark.parametrize("sign", [0.0, -0.0])
+    def test_zero_gradients(self, sign):
+        # Every product is a signed zero; the sums start from +0.0.
+        params, rows, lengths, pooled, grad_vecs, counts = backprop_case(
+            4, [2, 1, 3], 4, 3, 5)
+        grad_vecs[:] = sign
+        self.check(params, rows, lengths, pooled, grad_vecs, counts, 0.5)
+        projection = _backprop_side(params, rows, lengths, pooled, grad_vecs,
+                                    counts, 0.5)[2]
+        assert not np.signbit(projection).any()
 
 
 def add_at_rows(rows, values):

@@ -12,7 +12,7 @@ from rlab.lm import OverlapLM
 from rlab.losses import (LossKind, build_target, distill_step,
                          emdr2_objective, pdist_target)
 from rlab.retriever import (Gradients, Vocab, encode_doc, encode_query,
-                            encode_texts, init_encoder,
+                            encode_texts, encoder_gradient, init_encoder,
                             retrieval_distribution, retriever_gradient)
 from rlab.trainer import (MaintenanceMode, StepMetrics, TrainConfig,
                           TrainExample, _example_gradient, _learning_rate,
@@ -258,8 +258,9 @@ class TestTrainStep:
                           temperature=0.1, temperature_target=1.0)
         lm = OverlapLM(vocab_size=5000)
         ex = examples[0]
-        grads, _, rows = _example_gradient(state, cfg, lm, ex,
-                                           *_queries(state, [ex]))
+        backprop, _, rows = _example_gradient(state, cfg, lm, ex,
+                                              *_queries(state, [ex]))
+        grads = encoder_gradient(encoder, [backprop], 1.0, mode)
         docs = [tuple(state.passages[r].text) for r in rows]
         target = pdist_target(lm.per_doc_loglik(ex.query, docs, ex.output),
                               cfg.temperature_target)
@@ -491,7 +492,7 @@ def dense_reference_step(state, batch, cfg, lm):
 
 
 class TestSparseGradients:
-    @pytest.mark.parametrize("loss", [LossKind.PDIST, LossKind.EMDR2])
+    @pytest.mark.parametrize("loss", list(LossKind))
     @pytest.mark.parametrize("mode", list(MaintenanceMode))
     def test_bit_identical_to_dense_sgd(self, mode, loss):
         passages, examples, encoder = repeated_token_task()
@@ -527,15 +528,13 @@ class TestSparseGradients:
             cfg = TrainConfig(mode=MaintenanceMode.FULL_REFRESH,
                               k_retrieved=len(passages))
             lm = OverlapLM(vocab_size=50)
-            total = Gradients.zeros_like(encoder)
-            sizes = [sorted(a.size for a in vars(total).values()
-                            if isinstance(a, np.ndarray))]
+            backprops, sizes = [], []
             for ex in examples[:4]:
-                grads, _, _ = _example_gradient(state, cfg, lm, ex,
-                                                *_queries(state, [ex]))
-                total.add_scaled(grads, 1.0 / 4)
-                sizes.append(sorted(a.size for a in vars(grads).values()
-                                    if isinstance(a, np.ndarray)))
+                backprop, _, _ = _example_gradient(state, cfg, lm, ex,
+                                                   *_queries(state, [ex]))
+                backprops.append(backprop)
+                sizes.append(sorted(np.size(a) for a in backprop))
+            total = encoder_gradient(encoder, backprops, 1.0 / 4, cfg.mode)
             sizes.append(sorted(a.size for a in vars(total).values()
                                 if isinstance(a, np.ndarray)))
             return sizes
@@ -543,6 +542,49 @@ class TestSparseGradients:
         small, large = array_sizes(0), array_sizes(20000)
         assert small == large
         assert max(max(s) for s in large) < 20000
+
+    @pytest.mark.parametrize("mode", [MaintenanceMode.QUERY_SIDE,
+                                      MaintenanceMode.RERANK,
+                                      MaintenanceMode.FULL_REFRESH])
+    @pytest.mark.parametrize("n_passages", [1, 14])
+    def test_step_total_in_one_call(self, mode, n_passages):
+        # One backprop over a step's examples equals each example's
+        # gradient added after zero tables with the step's 1/B. The
+        # queries share tokens and the examples share documents; with one
+        # passage, the example that has it as origin retrieves nothing and
+        # is skipped, and the scale stays 1/B.
+        passages, examples, encoder = repeated_token_task()
+        state = init_state(encoder, passages[:n_passages])
+        batch = examples[:3] + [replace(examples[3],
+                                        origin_passage_id=passages[0].id)]
+        cfg = TrainConfig(mode=mode, k_retrieved=6, l_rerank_pool=10,
+                          loss=LossKind.EMDR2)
+        lm = OverlapLM(vocab_size=50)
+        backprops = [_example_gradient(state, cfg, lm, ex, query)[0]
+                     for ex, query in zip(batch, _queries(state, batch))]
+        assert (backprops[3] is None) == (n_passages == 1)
+        backprops = [b for b in backprops if b is not None]
+        got = encoder_gradient(encoder, backprops, 1.0 / len(batch), mode)
+        want = Gradients.zeros_like(encoder)
+        for backprop in backprops:
+            want.add_scaled(encoder_gradient(encoder, [backprop], 1.0, mode),
+                            1.0 / len(batch))
+        for name in ("query_rows", "query_values", "query_projection",
+                     "doc_rows", "doc_values", "doc_projection",
+                     "query_embedding", "doc_embedding"):
+            g, w = getattr(got, name), getattr(want, name)
+            assert g.dtype == w.dtype and g.shape == w.shape, name
+            assert g.tobytes() == w.tobytes(), name
+        assert (len(got.doc_rows) > 0) == mode.trains_docs
+        # A step whose examples all retrieved nothing: zero tables.
+        none, zeros = (encoder_gradient(encoder, [], 0.25, mode),
+                       Gradients.zeros_like(encoder))
+        assert [np.asarray(a).tobytes() for a in vars(none).values()] == [
+            np.asarray(a).tobytes() for a in vars(zeros).values()]
+        # Each example's rows are distinct, so a repeat is a row shared
+        # across examples.
+        trained = [got.query_rows] + [got.doc_rows] * mode.trains_docs
+        assert all(len(np.unique(rows)) < len(rows) for rows in trained)
 
 
 class TupleScorer:
@@ -612,6 +654,13 @@ class TestTokenTableDifferential:
 
 
 class TestTrainLoop:
+    @pytest.mark.parametrize("run", [train, recall_at_1])
+    def test_no_examples_is_an_error(self, run):
+        passages, _, encoder = small_task()
+        state = init_state(encoder, passages)
+        with pytest.raises(ValueError, match="examples"):
+            run(state, [], TrainConfig(k_retrieved=5, steps=2))
+
     def test_deterministic_across_runs(self):
         cfg = TrainConfig(k_retrieved=10, steps=8, batch_size=4,
                           learning_rate=0.3, seed=7)
