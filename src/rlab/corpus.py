@@ -117,14 +117,14 @@ class TokenTable(abc.Sequence):
             starts - np.cumsum(lengths) + lengths, lengths)], lengths
 
     def vocab_rows(self, vocab) -> np.ndarray:
-        """Each term's row in vocab, 0 if it has none: one term_ids lookup
-        per vocab token. A vocab token that is not a term writes the spare
-        last slot, which is cut off."""
+        """Each token position's int32 row in vocab (as `terms`), 0 if its
+        term has none: one term_ids lookup per vocab token. A vocab token
+        that is not a term writes the spare last slot, read by no position."""
         slots = np.fromiter(map(self.term_ids.get, vocab.tokens,
                                 itertools.repeat(-1)), np.int64, len(vocab))
-        rows = np.zeros(len(self.term_strings) + 1, dtype=np.int64)
+        rows = np.zeros(len(self.term_strings) + 1, dtype=np.int32)
         rows[slots] = np.arange(len(vocab))
-        return rows[:-1]
+        return rows[self.terms]
 
     def view(self, rows: np.ndarray) -> "TokenTable":
         """The same table, as the sequence of its texts rows."""

@@ -90,7 +90,7 @@ def build(passages: Sequence[Passage], encoder: DualEncoder,
     if tokens is None:
         tokens = TokenTable([p.text for p in passages])
     if rows is None:
-        rows = tokens.vocab_rows(encoder.vocab).astype(np.int32)[tokens.terms]
+        rows = tokens.vocab_rows(encoder.vocab)
     _, vectors = encode_texts(encoder.doc, rows, np.diff(tokens.offsets))
     # Storage precision rounds on write; arithmetic stays in float64.
     vectors[...] = vectors.astype(_dtype(precision))

@@ -10,9 +10,9 @@ initialization) so that query-side-only training can freeze the document
 encoder and keep a prebuilt index valid. `encode_texts` encodes texts,
 many at once, from their embedding rows in CSR form (`Vocab.rows` bisects
 the sorted vocab). Training and the finite-difference check share one
-backprop, `encoder_gradient`, which takes the pooled means of the forward
-pass instead of pooling again. A training step calls it once for all of
-its examples, with one `_backprop_side` per trained side over all of
+backprop, `encoder_gradient`, from each encoded vector's gradient and the
+pooled means of the forward pass. A training step calls it once for all
+of its examples, with one `_backprop_side` per trained side over all of
 their texts; its bits are those of adding the examples one by one.
 
 A loaded encoder's embedding tables are read-only float32 views of the
@@ -182,7 +182,8 @@ class Gradients:
     are dense; each embedding gradient is sparse: the touched rows (repeats
     allowed) and one value per row entry, in accumulation order. A row's
     gradient is the in-order sum of its values, so no |V|-sized array is
-    ever filled."""
+    ever filled. The query rows of an example with a zero query gradient
+    carry +0.0 values, which leave every sum as it is."""
 
     vocab_size: int
     query_rows: np.ndarray  # (n,) int64
@@ -241,18 +242,17 @@ def sum_rows(rows: np.ndarray,
 
 
 class ExampleBackprop(NamedTuple):
-    """An example's d(loss)/d(scores), scores = d_vecs @ q_vec, and the
-    embedding rows, pooled means and vectors (`encode_texts`) of its query
-    and documents, theirs in CSR form; the document rows, lengths and means
-    are None where the mode trains no documents."""
-    g_scores: np.ndarray
-    query_rows: np.ndarray
-    q_pooled: np.ndarray
-    q_vec: np.ndarray
+    """An example's d(loss)/d(query vector) and the embedding rows, in CSR
+    form, pooled means (`encode_texts`) and d(loss)/d(vector) of its
+    documents, as `_backprop_side` takes them; all None where the mode
+    trains no documents. With scores = d_vecs @ q_vec and g_scores =
+    d(loss)/d(scores), q_grad = g_scores @ d_vecs and d_grads =
+    g_scores[:, None] * q_vec."""
+    q_grad: np.ndarray
     doc_rows: np.ndarray | None
     doc_lengths: Sequence[int] | None
     d_pooled: np.ndarray | None
-    d_vecs: np.ndarray
+    d_grads: np.ndarray | None
 
 
 def _backprop_side(params: EncoderParams, rows: np.ndarray,
@@ -283,32 +283,26 @@ def _backprop_side(params: EncoderParams, rows: np.ndarray,
     return distinct % vocab_size, scale * summed, projection
 
 
-def encoder_gradient(enc: DualEncoder, examples: Sequence[ExampleBackprop],
-                     scale: float, mode: MaintenanceMode) -> Gradients:
-    """Gradient of scale times the examples' summed losses, from one
-    `_backprop_side` per trained side: bit-equal to `zeros_like` plus
-    `add_scaled(gradient of the example, scale)` for each example in turn,
-    so zero with no examples. Document gradients stay zero, and the
-    document rows and means unread, unless the mode trains documents."""
+def encoder_gradient(enc: DualEncoder, queries: Sequence[np.ndarray],
+                     examples: Sequence[ExampleBackprop], scale: float,
+                     mode: MaintenanceMode) -> Gradients:
+    """Gradient of scale times the examples' summed losses, given the
+    rows, lengths (CSR form) and pooled means of their queries, in order,
+    from one `_backprop_side` per trained side: bit-equal to `zeros_like`
+    plus `add_scaled(gradient of the example, scale)` for each example in
+    turn, so zero with no examples. Document gradients stay zero, their
+    fields unread, unless the mode trains documents."""
     grads = Gradients.zeros_like(enc)
     if not examples:
         return grads
     ex = ExampleBackprop(*zip(*examples))
-    q_grads = [g @ d_vecs for g, d_vecs in zip(ex.g_scores, ex.d_vecs)]
     grads.query_rows, grads.query_values, grads.query_projection = (
-        _backprop_side(enc.query, np.concatenate(ex.query_rows),
-                       np.array([len(r) for r in ex.query_rows]),
-                       np.array(ex.q_pooled), np.array(q_grads),
+        _backprop_side(enc.query, *queries, np.array(ex.q_grad),
                        np.ones(len(examples), dtype=np.int64), scale))
     if mode.trains_docs:
-        counts = np.array([len(g) for g in ex.g_scores])
         grads.doc_rows, grads.doc_values, grads.doc_projection = (
-            _backprop_side(enc.doc, np.concatenate(ex.doc_rows),
-                           np.concatenate(ex.doc_lengths),
-                           np.concatenate(ex.d_pooled),
-                           np.concatenate(ex.g_scores)[:, None]
-                           * np.repeat(ex.q_vec, counts, axis=0),
-                           counts, scale))
+            _backprop_side(enc.doc, *map(np.concatenate, ex[1:]),
+                           np.array([len(g) for g in ex.d_grads]), scale))
     return grads
 
 
@@ -331,13 +325,14 @@ def retriever_gradient(enc: DualEncoder, query: Sequence[str],
 
     query_rows = enc.vocab.rows(query)
     doc_rows = enc.vocab.rows([t for doc in docs for t in doc])
-    doc_lengths = [len(doc) for doc in docs]
-    (q_pooled,), (q_vec,) = encode_texts(enc.query, query_rows, [len(query)])
+    q_lengths, doc_lengths = np.array([len(query)]), [len(d) for d in docs]
+    q_pooled, (q_vec,) = encode_texts(enc.query, query_rows, q_lengths)
     d_pooled, d_vecs = encode_texts(enc.doc, doc_rows, doc_lengths)
-    probs = retrieval_distribution(d_vecs @ q_vec, temperature)
-    return encoder_gradient(enc, [ExampleBackprop(
-        (probs - target) / temperature, query_rows, q_pooled, q_vec,
-        doc_rows, doc_lengths, d_pooled, d_vecs)], 1.0, mode)
+    g_scores = (retrieval_distribution(d_vecs @ q_vec, temperature)
+                - target) / temperature
+    return encoder_gradient(enc, (query_rows, q_lengths, q_pooled), [
+        ExampleBackprop(g_scores @ d_vecs, doc_rows, doc_lengths, d_pooled,
+                        g_scores[:, None] * q_vec)], 1.0, mode)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,8 @@ the index rows. Their texts are interned once, in `TrainerState.tokens`,
 whose view the LM scores, and `TrainerState.rows` holds the encoder vocab
 row of each of their tokens. A step's queries, a rebuild, the rerank pool
 and full_refresh's K documents are each one `retriever.encode_texts` call.
-Each example hands its score gradient, rows, pooled means and vectors
+Each example hands its query vector's gradient and, where documents train,
+its documents' rows, pooled means and vector gradients
 (`retriever.ExampleBackprop`) to one `retriever.encoder_gradient` call per
 step, the backprop that the gradient check covers. The optimizer is plain
 SGD with linear warmup and decay. With a fixed seed, configuration and
@@ -156,17 +157,14 @@ def _retrieve(state: TrainerState, cfg: TrainConfig, example: TrainExample,
 
 
 def _example_gradient(state: TrainerState, cfg: TrainConfig, lm: LMScorer,
-                      example: TrainExample, query: tuple) -> tuple[ExampleBackprop | None, float, np.ndarray]:
-    """What the backprop needs of the example (None when frozen or when it
-    retrieved nothing), loss value, retrieved rows, given the query as
-    `_queries` gives it. A stale-index signal from retrieval counts in
-    state.stale_rerank_warnings."""
+                      example: TrainExample, q_vec: np.ndarray) -> tuple[ExampleBackprop, float, np.ndarray]:
+    """What the backprop needs of the example, loss value, retrieved rows,
+    given its query vector as `_queries` gives it; an example that
+    retrieved nothing has loss 0.0 and a zero gradient. A stale-index
+    signal from retrieval counts in state.stale_rerank_warnings."""
     enc = state.encoder
-    query_rows, q_pooled, q_vec = query
     rows, fresh, stale = _retrieve(state, cfg, example, q_vec)
     state.stale_rerank_warnings += stale
-    if not len(rows):
-        return None, 0.0, rows
     docs = state.tokens.view(rows)
     if cfg.mode.trains_docs:
         doc_rows, lengths = docs.gather(state.rows)
@@ -176,32 +174,41 @@ def _example_gradient(state: TrainerState, cfg: TrainConfig, lm: LMScorer,
         # document embeddings, and the backprop reads no document rows.
         doc_rows = lengths = d_pooled = None
         d_vecs = state.index.vectors[rows]
-    probs = retrieval_distribution(d_vecs @ q_vec, cfg.temperature)
 
-    if cfg.loss == LossKind.EMDR2:
-        logliks = lm.per_doc_loglik(example.query, docs, example.output)
-        step = emdr2_objective(logliks, probs, cfg.temperature)
-        loss_value = -step.value
-    else:
-        target = build_target(cfg.loss, lm, example.query, docs,
-                              example.output, cfg.temperature_target)
-        step = distill_step(target, probs, cfg.temperature)
-        loss_value = step.value
+    g_scores, loss_value = np.zeros(0), 0.0
+    if len(rows):
+        probs = retrieval_distribution(d_vecs @ q_vec, cfg.temperature)
+        if cfg.loss == LossKind.EMDR2:
+            logliks = lm.per_doc_loglik(example.query, docs, example.output)
+            step = emdr2_objective(logliks, probs, cfg.temperature)
+            loss_value = -step.value
+        else:
+            target = build_target(cfg.loss, lm, example.query, docs,
+                                  example.output, cfg.temperature_target)
+            step = distill_step(target, probs, cfg.temperature)
+            loss_value = step.value
+        g_scores = step.grad_wrt_scores
 
-    if cfg.mode == MaintenanceMode.FIXED:
-        return None, loss_value, rows
-    return ExampleBackprop(step.grad_wrt_scores, query_rows, q_pooled, q_vec,
-                           doc_rows, lengths, d_pooled,
-                           d_vecs), loss_value, rows
+    d_grads = g_scores[:, None] * q_vec if cfg.mode.trains_docs else None
+    return ExampleBackprop(g_scores @ d_vecs, doc_rows, lengths, d_pooled,
+                           d_grads), loss_value, rows
 
 
 def _queries(state: TrainerState, examples: Sequence[TrainExample]):
-    """Each example's query vocab rows, pooled mean and vector, all encoded
-    in one `encode_texts` call: the parameters hold still within a step."""
-    lengths = [len(ex.query) for ex in examples]
+    """Vocab rows, lengths (CSR form), pooled means and vectors of the
+    examples' queries, from one `encode_texts` call per step."""
+    lengths = np.array([len(ex.query) for ex in examples], dtype=np.int64)
     rows = state.encoder.vocab.rows([t for ex in examples for t in ex.query])
-    return zip(np.split(rows, np.cumsum(lengths)[:-1]),
-               *encode_texts(state.encoder.query, rows, lengths))
+    return (rows, lengths, *encode_texts(state.encoder.query, rows, lengths))
+
+
+def _recall(state: TrainerState, examples: Sequence[TrainExample],
+            retrieved: Sequence[np.ndarray]) -> float:
+    """Share of the examples with a gold passage whose first retrieved row
+    is it, 0.0 when none has one."""
+    hits = [len(rows) > 0 and state.index.ids[rows[0]] == ex.gold_passage_id
+            for ex, rows in zip(examples, retrieved) if ex.gold_passage_id]
+    return sum(hits) / len(hits) if hits else 0.0
 
 
 def train_step(state: TrainerState, batch: Sequence[TrainExample],
@@ -216,23 +223,20 @@ def train_step(state: TrainerState, batch: Sequence[TrainExample],
             previous_version=state.index.version, tokens=state.tokens,
             rows=state.rows)
 
-    backprops, losses, hits, with_gold = [], [], 0, 0
+    backprops, losses, retrieved = [], [], []
     # The closed-book ablation (k_retrieved == 0) retrieves and trains nothing.
     examples = batch if cfg.k_retrieved else []
-    for ex, query in zip(examples, _queries(state, examples)):
+    *queries, q_vecs = _queries(state, examples)
+    for ex, q_vec in zip(examples, q_vecs):
         backprop, loss_value, rows = _example_gradient(state, cfg, lm, ex,
-                                                       query)
+                                                       q_vec)
+        backprops.append(backprop)
         losses.append(loss_value)
-        if ex.gold_passage_id:
-            with_gold += 1
-            hits += int(len(rows) > 0 and state.index.ids[rows[0]]
-                        == ex.gold_passage_id)
-        if backprop is not None:
-            backprops.append(backprop)
+        retrieved.append(rows)
 
     if cfg.mode != MaintenanceMode.FIXED and cfg.k_retrieved > 0:
-        total = encoder_gradient(state.encoder, backprops, 1.0 / len(batch),
-                                 cfg.mode)
+        total = encoder_gradient(state.encoder, queries, backprops,
+                                 1.0 / len(batch), cfg.mode)
         lr = _learning_rate(cfg, state.step)
         rows, summed = sum_rows(total.query_rows, total.query_values)
         state.encoder.query.embedding[rows] -= lr * summed
@@ -245,7 +249,7 @@ def train_step(state: TrainerState, batch: Sequence[TrainExample],
     return StepMetrics(
         step=state.step,
         loss=float(np.mean(losses)) if losses else 0.0,
-        recall_at_1=hits / with_gold if with_gold else 0.0,
+        recall_at_1=_recall(state, examples, retrieved),
         index_version=state.index.version,
     )
 
@@ -254,7 +258,7 @@ def init_state(encoder: DualEncoder,
                passages: Sequence[Passage]) -> TrainerState:
     ordered = sorted(passages, key=lambda p: p.id)
     tokens = TokenTable([p.text for p in ordered])
-    rows = tokens.vocab_rows(encoder.vocab).astype(np.int32)[tokens.terms]
+    rows = tokens.vocab_rows(encoder.vocab)
     idx = index_mod.build(ordered, encoder, tokens=tokens, rows=rows)
     return TrainerState(encoder=encoder, index=idx, passages=ordered,
                         tokens=tokens, rows=rows)
@@ -284,15 +288,14 @@ def train(state: TrainerState, examples: Sequence[TrainExample],
 
 def recall_at_1(state: TrainerState, examples: Sequence[TrainExample],
                 cfg: TrainConfig) -> float:
-    """Fraction of examples whose top retrieved passage is their gold."""
+    """Fraction of the examples with a gold passage whose top retrieved
+    passage is it, 0.0 when none has one; the others retrieve nothing."""
     if not len(examples):
         raise ValueError("examples is empty: no recall to measure")
-    hits = 0
-    for ex, (_, _, q_vec) in zip(examples, _queries(state, examples)):
-        rows, _, _ = _retrieve(state, cfg, ex, q_vec)
-        hits += int(len(rows) > 0
-                    and state.index.ids[rows[0]] == ex.gold_passage_id)
-    return hits / len(examples)
+    gold = [ex for ex in examples if ex.gold_passage_id]
+    q_vecs = _queries(state, gold)[3]
+    return _recall(state, gold, [_retrieve(state, cfg, ex, q_vec)[0]
+                                 for ex, q_vec in zip(gold, q_vecs)])
 
 
 def write_metrics_csv(history: Sequence[StepMetrics], path):

@@ -171,19 +171,23 @@ class TestVocab:
         rows = vocab.rows(text)
         assert rows.dtype == np.int64
         assert rows.tolist() == [reference.get(t, 0) for t in text]
-        table = TokenTable([others, vocab_tokens[::-1], []])
+        table = TokenTable([others, vocab_tokens[::-1], [], others])
         rows = table.vocab_rows(vocab)
-        assert rows.dtype == np.int64
-        assert rows.tolist() == [reference.get(t, 0)
-                                 for t in table.term_strings]
+        assert rows.dtype == np.int32
+        assert rows.tolist() == [reference.get(t, 0) for t in
+                                 others + vocab_tokens[::-1] + others]
 
     def test_table_rows_equal_text_rows(self):
+        # Each needle passage's terms occur once in the corpus; the last
+        # two texts repeat terms within and across texts.
         passages, _, encoder = make_needle_task(n_passages=300, n_examples=2,
                                                 dim=4, seed=5)
-        table = TokenTable([p.text for p in passages]
-                           + [("<unk>", "absent", "\0")])
-        assert np.array_equal(table.vocab_rows(encoder.vocab),
-                              encoder.vocab.rows(table.term_strings))
+        texts = [p.text for p in passages] + [
+            ("<unk>", "absent", "\0", "absent"), passages[0].text]
+        rows = TokenTable(texts).vocab_rows(encoder.vocab)
+        assert rows.dtype == np.int32
+        assert np.array_equal(
+            rows, encoder.vocab.rows([t for text in texts for t in text]))
 
 
 class TestInitEncoder:
@@ -310,15 +314,14 @@ class TestRetrieverGradient:
         target, theta = np.array([0.1, 0.2, 0.3, 0.4]), 0.7
         query_rows = enc.vocab.rows(query)
         doc_rows = enc.vocab.rows([t for d in docs for t in d])
-        lengths = [len(d) for d in docs]
-        (q_pooled,), (q_vec,) = per_text(enc.query, query_rows,
-                                         [len(query)])
+        q_lengths, lengths = np.array([len(query)]), [len(d) for d in docs]
+        q_pooled, (q_vec,) = per_text(enc.query, query_rows, q_lengths)
         d_pooled, d_vecs = per_text(enc.doc, doc_rows, lengths)
         g_scores = (retrieval_distribution(d_vecs @ q_vec, theta)
                     - target) / theta
-        got = encoder_gradient(enc, [ExampleBackprop(
-            g_scores, query_rows, q_pooled, q_vec, doc_rows, lengths,
-            d_pooled, d_vecs)], 1.0, mode)
+        got = encoder_gradient(enc, (query_rows, q_lengths, q_pooled), [
+            ExampleBackprop(g_scores @ d_vecs, doc_rows, lengths, d_pooled,
+                            g_scores[:, None] * q_vec)], 1.0, mode)
         want = retriever_gradient(enc, query, docs, target, theta, mode)
         for field in ("query_rows", "query_values", "query_projection",
                       "doc_rows", "doc_values", "doc_projection"):
@@ -375,7 +378,8 @@ def per_text_backprop(params, rows, lengths, pooled, grad_vecs, counts, scale):
     text, start = 0, 0
     for count in counts:
         example_projection = np.zeros((d, d))
-        example_rows, example_values = [], []
+        example_rows = [np.zeros(0, dtype=np.int64)]
+        example_values = [np.zeros((0, d))]
         for _ in range(count):
             g, n = np.array(grad_vecs[text]), int(lengths[text])
             example_projection += np.outer(g, pooled[text])
@@ -433,6 +437,8 @@ class TestBatchedBackprop:
         ([1] * 8, 5, 4),  # K = 1: the query side of a batch
         ([1] * 9, 1, 1),  # one-token texts, d = 1
         ([3, 1, 4], 1, 2),  # one-token texts in examples of unequal K
+        ([2, 0, 3], 4, 3),  # an example that retrieved nothing
+        ([0], 1, 2),  # a step whose one example retrieved nothing
         ([20] * 8, 12, 8),  # a rerank step
         ([5, 2, 7], 9, 1),
     ])
@@ -443,7 +449,7 @@ class TestBatchedBackprop:
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1),
-           counts=st.lists(st.integers(1, 12), min_size=1, max_size=9),
+           counts=st.lists(st.integers(0, 12), min_size=1, max_size=9),
            max_len=st.integers(1, 10), d=st.integers(1, 9),
            vocab_size=st.integers(1, 40), batch=st.integers(1, 9))
     def test_random_steps(self, seed, counts, max_len, d, vocab_size, batch):

@@ -258,9 +258,9 @@ class TestTrainStep:
                           temperature=0.1, temperature_target=1.0)
         lm = OverlapLM(vocab_size=5000)
         ex = examples[0]
-        backprop, _, rows = _example_gradient(state, cfg, lm, ex,
-                                              *_queries(state, [ex]))
-        grads = encoder_gradient(encoder, [backprop], 1.0, mode)
+        *queries, (q_vec,) = _queries(state, [ex])
+        backprop, _, rows = _example_gradient(state, cfg, lm, ex, q_vec)
+        grads = encoder_gradient(encoder, queries, [backprop], 1.0, mode)
         docs = [tuple(state.passages[r].text) for r in rows]
         target = pdist_target(lm.per_doc_loglik(ex.query, docs, ex.output),
                               cfg.temperature_target)
@@ -409,12 +409,14 @@ class TestEmbedCount:
 
     @pytest.mark.parametrize("mode", list(MaintenanceMode))
     def test_recall_at_1(self, monkeypatch, mode):
+        # An example with no gold passage is not retrieved for.
         passages, examples, encoder = small_task()
         state = init_state(encoder, passages)
         batch = self._batch(passages, examples)
         cfg = TrainConfig(mode=mode, k_retrieved=3, l_rerank_pool=6)
         calls = self._count_embeds(monkeypatch, encoder)
-        recall_at_1(state, batch, cfg)
+        recall_at_1(state, batch + [replace(examples[4], gold_passage_id="")],
+                    cfg)
         assert len(calls) == (len(batch) * cfg.l_rerank_pool
                               if mode == MaintenanceMode.RERANK else 0)
 
@@ -519,29 +521,47 @@ class TestSparseGradients:
         assert np.array_equal(state.encoder.doc.embedding,
                               initial.doc.embedding) == (not mode.trains_docs)
 
+    @staticmethod
+    def array_sizes(passages, examples, encoder, cfg):
+        """The size of each array (np.size(None) is 1) in the records of a
+        step over the first four examples, record by record, and then in
+        the step's total gradient."""
+        state = init_state(encoder, passages)
+        batch = examples[:4]
+        lm = OverlapLM(vocab_size=50)
+        *queries, q_vecs = _queries(state, batch)
+        backprops = [_example_gradient(state, cfg, lm, ex, q_vec)[0]
+                     for ex, q_vec in zip(batch, q_vecs)]
+        total = encoder_gradient(encoder, queries, backprops, 1.0 / 4,
+                                 cfg.mode)
+        sizes = [sorted(np.size(a) for a in backprop)
+                 for backprop in backprops]
+        return sizes + [sorted(a.size for a in vars(total).values()
+                               if isinstance(a, np.ndarray))]
+
     def test_no_array_grows_with_vocab(self):
         def array_sizes(extra_vocab):
             passages, examples, encoder = repeated_token_task(extra_vocab)
-            state = init_state(encoder, passages)
             # K covers every passage, so the touched rows do not depend on
             # the (vocab-dependent) initial ranking.
             cfg = TrainConfig(mode=MaintenanceMode.FULL_REFRESH,
                               k_retrieved=len(passages))
-            lm = OverlapLM(vocab_size=50)
-            backprops, sizes = [], []
-            for ex in examples[:4]:
-                backprop, _, _ = _example_gradient(state, cfg, lm, ex,
-                                                   *_queries(state, [ex]))
-                backprops.append(backprop)
-                sizes.append(sorted(np.size(a) for a in backprop))
-            total = encoder_gradient(encoder, backprops, 1.0 / 4, cfg.mode)
-            sizes.append(sorted(a.size for a in vars(total).values()
-                                if isinstance(a, np.ndarray)))
-            return sizes
+            return self.array_sizes(passages, examples, encoder, cfg)
 
         small, large = array_sizes(0), array_sizes(20000)
         assert small == large
         assert max(max(s) for s in large) < 20000
+
+    def test_no_query_side_record_grows_with_k(self):
+        # A query_side record holds the query vector's gradient, not the
+        # K index rows that it was scored against.
+        passages, examples, encoder = small_task(n_passages=40)
+
+        def record_sizes(k):
+            cfg = TrainConfig(mode=MaintenanceMode.QUERY_SIDE, k_retrieved=k)
+            return self.array_sizes(passages, examples, encoder, cfg)[:-1]
+
+        assert record_sizes(5) == record_sizes(30)
 
     @pytest.mark.parametrize("mode", [MaintenanceMode.QUERY_SIDE,
                                       MaintenanceMode.RERANK,
@@ -552,7 +572,7 @@ class TestSparseGradients:
         # gradient added after zero tables with the step's 1/B. The
         # queries share tokens and the examples share documents; with one
         # passage, the example that has it as origin retrieves nothing and
-        # is skipped, and the scale stays 1/B.
+        # gives a zero record, whose query rows carry +0.0.
         passages, examples, encoder = repeated_token_task()
         state = init_state(encoder, passages[:n_passages])
         batch = examples[:3] + [replace(examples[3],
@@ -560,15 +580,24 @@ class TestSparseGradients:
         cfg = TrainConfig(mode=mode, k_retrieved=6, l_rerank_pool=10,
                           loss=LossKind.EMDR2)
         lm = OverlapLM(vocab_size=50)
-        backprops = [_example_gradient(state, cfg, lm, ex, query)[0]
-                     for ex, query in zip(batch, _queries(state, batch))]
-        assert (backprops[3] is None) == (n_passages == 1)
-        backprops = [b for b in backprops if b is not None]
-        got = encoder_gradient(encoder, backprops, 1.0 / len(batch), mode)
-        want = Gradients.zeros_like(encoder)
-        for backprop in backprops:
-            want.add_scaled(encoder_gradient(encoder, [backprop], 1.0, mode),
-                            1.0 / len(batch))
+        *queries, q_vecs = _queries(state, batch)
+        backprops = [_example_gradient(state, cfg, lm, ex, q_vec)[0]
+                     for ex, q_vec in zip(batch, q_vecs)]
+        got = encoder_gradient(encoder, queries, backprops, 1.0 / len(batch),
+                               mode)
+        want, alone = Gradients.zeros_like(encoder), []
+        for ex, backprop in zip(batch, backprops):
+            alone.append(encoder_gradient(encoder, _queries(state, [ex])[:3],
+                                          [backprop], 1.0, mode))
+            want.add_scaled(alone[-1], 1.0 / len(batch))
+        zero = backprops[3]
+        assert (zero.q_grad.tobytes() == bytes(8 * encoder.dim)) == (
+            n_passages == 1)
+        if n_passages == 1:
+            assert [None if a is None else len(a) for a in zero[1:]] == (
+                [0 if mode.trains_docs else None] * 4)
+            values = alone[3].query_values
+            assert len(values) and values.tobytes() == bytes(values.nbytes)
         for name in ("query_rows", "query_values", "query_projection",
                      "doc_rows", "doc_values", "doc_projection",
                      "query_embedding", "doc_embedding"):
@@ -576,8 +605,9 @@ class TestSparseGradients:
             assert g.dtype == w.dtype and g.shape == w.shape, name
             assert g.tobytes() == w.tobytes(), name
         assert (len(got.doc_rows) > 0) == mode.trains_docs
-        # A step whose examples all retrieved nothing: zero tables.
-        none, zeros = (encoder_gradient(encoder, [], 0.25, mode),
+        # No examples: zero tables.
+        none, zeros = (encoder_gradient(encoder, _queries(state, [])[:3],
+                                        [], 0.25, mode),
                        Gradients.zeros_like(encoder))
         assert [np.asarray(a).tobytes() for a in vars(none).values()] == [
             np.asarray(a).tobytes() for a in vars(zeros).values()]
@@ -647,8 +677,8 @@ class TestTokenTableDifferential:
         cfg = TrainConfig(mode=mode, k_retrieved=4, l_rerank_pool=8,
                           loss=LossKind.LOOP)
         scorer = TupleScorer(OverlapLM(vocab_size=500))
-        _, _, rows = _example_gradient(state, cfg, scorer, examples[0],
-                                       *_queries(state, examples[:1]))
+        (q_vec,) = _queries(state, examples[:1])[3]
+        _, _, rows = _example_gradient(state, cfg, scorer, examples[0], q_vec)
         assert scorer.seen == [[state.passages[r].text for r in rows]]
         assert all(type(doc) is tuple for doc in scorer.seen[0])
 
@@ -660,6 +690,22 @@ class TestTrainLoop:
         state = init_state(encoder, passages)
         with pytest.raises(ValueError, match="examples"):
             run(state, [], TrainConfig(k_retrieved=5, steps=2))
+
+    def test_recall_counts_examples_with_a_gold(self):
+        # Both count hits over the examples with a gold passage only: a
+        # top hit beside an example without a gold reads 1.0 (recall_at_1
+        # once read 0.5), and a batch with no gold reads 0.0.
+        passages, examples, encoder = small_task(n_passages=20)
+        state = init_state(encoder, passages)
+        cfg = TrainConfig(mode=MaintenanceMode.FIXED, k_retrieved=5)
+        lm = OverlapLM(vocab_size=5000)
+        q_vec = encode_query(encoder, examples[0].query)
+        top = state.index.ids[_retrieve(state, cfg, examples[0], q_vec)[0][0]]
+        hit = replace(examples[0], gold_passage_id=top)
+        no_gold = replace(examples[1], gold_passage_id="")
+        for batch, recall in [([hit, no_gold], 1.0), ([no_gold], 0.0)]:
+            assert recall_at_1(state, batch, cfg) == recall
+            assert train_step(state, batch, cfg, lm).recall_at_1 == recall
 
     def test_deterministic_across_runs(self):
         cfg = TrainConfig(k_retrieved=10, steps=8, batch_size=4,
