@@ -17,11 +17,11 @@ Conditioning on a document set pools the token counts of all documents,
 matching the composition semantics where every document contributes to a
 single fused context. The query does not enter the counts.
 
-Each call counts the output tokens in every document into one
-(|output|, K) matrix and every score is a numpy expression over it;
-nothing is kept between calls. It counts term ids with one `np.bincount`
-over a `corpus.TokenTable` (a view of the trainer's, or the documents
-interned on the fly); a table indexes to token tuples for other scorers.
+Each call counts the output tokens in every document into one (|output|, K)
+matrix, keeps nothing, and makes every score a numpy expression over it: a
+float64 array with one entry per document (a float for the joint). It counts
+term ids with one `np.bincount` over a `corpus.TokenTable` (a view of the
+trainer's, or documents interned on the fly), which indexes to token tuples.
 """
 
 from __future__ import annotations
@@ -38,16 +38,16 @@ TokenSeq = Sequence[str]
 
 class LMScorer(Protocol):
     def per_doc_loglik(self, query: TokenSeq, docs: Sequence[TokenSeq],
-                       output: TokenSeq) -> list[float]: ...
+                       output: TokenSeq) -> np.ndarray: ...
 
     def joint_loglik(self, query: TokenSeq, docs: Sequence[TokenSeq],
                      output: TokenSeq) -> float: ...
 
     def loo_logliks(self, query: TokenSeq, docs: Sequence[TokenSeq],
-                    output: TokenSeq) -> list[float]: ...
+                    output: TokenSeq) -> np.ndarray: ...
 
     def attention_relevance(self, query: TokenSeq, docs: Sequence[TokenSeq],
-                            output: TokenSeq) -> list[float]: ...
+                            output: TokenSeq) -> np.ndarray: ...
 
 
 def _count_matrix(docs: Sequence[TokenSeq],
@@ -64,7 +64,7 @@ def _count_matrix(docs: Sequence[TokenSeq],
     # terms of the table write the spare last slot, which no term reads.
     slot = np.full(len(table.term_strings) + 1, -1)
     slot[[table.term_ids.get(t, -1) for t in row]] = np.arange(len(row))
-    hits = slot[terms]
+    hits = slot.take(terms)
     cells = hits * len(table) + np.repeat(np.arange(len(table)), lengths)
     counts = np.bincount(cells[hits >= 0], minlength=len(row) * len(table))
     return counts.reshape(len(row), -1)[[row[t] for t in output]], lengths
@@ -95,7 +95,7 @@ class OverlapLM:
         return np.cumsum(self._token_logs(counts, lengths), axis=0)[-1]
 
     def per_doc_loglik(self, query, docs, output):
-        return self._logliks(*_count_matrix(docs, output)).tolist()
+        return self._logliks(*_count_matrix(docs, output))
 
     def joint_loglik(self, query, docs, output):
         if not docs:
@@ -109,11 +109,11 @@ class OverlapLM:
             raise ValueError("leave-one-out undefined for K=1")
         counts, lengths = _count_matrix(docs, output)
         return self._logliks(counts.sum(axis=1, keepdims=True) - counts,
-                             lengths.sum() - lengths).tolist()
+                             lengths.sum() - lengths)
 
     def attention_relevance(self, query, docs, output):
         """Overlap proxy for aggregated attention mass: the mean over
         output tokens of each token's in-document frequency."""
         counts, lengths = _count_matrix(docs, output)
         return np.divide(counts.sum(axis=0), lengths * len(output),
-                         out=np.zeros(len(docs)), where=lengths > 0).tolist()
+                         out=np.zeros(len(docs)), where=lengths > 0)

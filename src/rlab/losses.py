@@ -59,7 +59,7 @@ def kl_divergence(p: Sequence[float], q: Sequence[float]) -> float:
     return float(np.sum(p[support] * np.log(p[support] / q[support])))
 
 
-def _target_softmax(scores: np.ndarray, temperature_target: float,
+def _target_softmax(scores: Sequence[float], temperature_target: float,
                     kind: LossKind) -> TargetDistribution:
     if not 0 < temperature_target < np.inf:
         raise ValueError("target temperature must be finite and > 0")
@@ -79,16 +79,14 @@ def _target_softmax(scores: np.ndarray, temperature_target: float,
 def adist_target(relevance: Sequence[float],
                  temperature_target: float = DEFAULT_TARGET_TEMPERATURE) -> TargetDistribution:
     """Softmax of aggregated attention-relevance scores."""
-    return _target_softmax(np.asarray(relevance, dtype=np.float64),
-                           temperature_target, LossKind.ADIST)
+    return _target_softmax(relevance, temperature_target, LossKind.ADIST)
 
 
 def pdist_target(per_doc_logliks: Sequence[float],
                  temperature_target: float = DEFAULT_TARGET_TEMPERATURE) -> TargetDistribution:
     """Document posterior under a uniform prior: softmax of the per-doc
     output log-likelihoods."""
-    return _target_softmax(np.asarray(per_doc_logliks, dtype=np.float64),
-                           temperature_target, LossKind.PDIST)
+    return _target_softmax(per_doc_logliks, temperature_target, LossKind.PDIST)
 
 
 def loop_target(loo_logliks: Sequence[float],
@@ -139,8 +137,9 @@ def distill_step(target: TargetDistribution, retr_probs: Sequence[float],
 def build_target(kind: LossKind | str, lm, query, docs, output,
                  temperature_target: float = DEFAULT_TARGET_TEMPERATURE) -> TargetDistribution:
     """Construct the target distribution for a named KL loss from an LM
-    scorer. The marginal-likelihood objective has no target; use
-    emdr2_objective directly."""
+    scorer's per-document scores, float64 arrays or any float sequence.
+    The marginal-likelihood objective has no target; use emdr2_objective
+    directly."""
     kind = LossKind(kind)
     if kind == LossKind.ADIST:
         return adist_target(lm.attention_relevance(query, docs, output),

@@ -177,6 +177,7 @@ def _example_gradient(state: TrainerState, cfg: TrainConfig, lm: LMScorer,
 
     g_scores, loss_value = np.zeros(0), 0.0
     if len(rows):
+        # Not `_retrieve`'s scores[rows]: matvec bits depend on row position.
         probs = retrieval_distribution(d_vecs @ q_vec, cfg.temperature)
         if cfg.loss == LossKind.EMDR2:
             logliks = lm.per_doc_loglik(example.query, docs, example.output)

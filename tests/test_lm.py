@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import example, given, strategies as st
 from rlab.corpus import TokenTable
 from rlab.lm import OverlapLM, _count_matrix
 
+from needle import make_needle_task
 from oracles import counter_overlap_lm, mp_overlap_lm
 
 
@@ -210,11 +212,102 @@ class TestCounterOracle:
                 pytest.approx(want["per_doc"], **close)
             assert lm.joint_loglik([], given_docs, output) == \
                 pytest.approx(want["joint"], **close)
-            assert lm.attention_relevance([], given_docs, output) == \
-                want["relevance"]
+            assert lm.attention_relevance([], given_docs, output).tolist() \
+                == want["relevance"]
             if len(docs) == 1:
                 with pytest.raises(ValueError, match="leave-one-out"):
                     lm.loo_logliks([], given_docs, output)
             else:
                 assert lm.loo_logliks([], given_docs, output) == \
                     pytest.approx(want["loo"], **close)
+
+
+def byte_reference(docs, output, vocab_size, smoothing):
+    """Per-document, leave-one-out and joint log-likelihoods and attention
+    relevance from collections.Counter counts: each factor in Python float
+    arithmetic, np.log of the factors elementwise, and the logs added in
+    token order."""
+    counters = [Counter(d) for d in docs]
+    lengths = [len(d) for d in docs]
+    pooled, total = sum(counters, Counter()), sum(lengths)
+    floor = (1.0 - smoothing) / vocab_size
+
+    def loglik(counts, length):
+        factors = [smoothing * (c / length if length else 0.0) + floor
+                   for c in counts]
+        value = 0.0
+        for log in np.log(np.array(factors)).tolist():
+            value += log
+        return value
+
+    return {
+        "per_doc": [loglik([c[t] for t in output], n)
+                    for c, n in zip(counters, lengths)],
+        "loo": [loglik([pooled[t] - c[t] for t in output], total - n)
+                for c, n in zip(counters, lengths)],
+        "joint": loglik([pooled[t] for t in output], total),
+        "relevance": [sum(c[t] for t in output) / (n * len(output)) if n
+                      else 0.0 for c, n in zip(counters, lengths)],
+    }
+
+
+def assert_same_bits(corpus, rows, output, vocab_size, smoothing):
+    """For the corpus rows as a row view of a token table and as a list of
+    tuples, every per-document score is a float64 array with the
+    reference's bits, and the joint log-likelihood a float with them."""
+    view = TokenTable([tuple(t) for t in corpus]).view(np.array(rows))
+    docs = [tuple(corpus[r]) for r in rows]
+    want = byte_reference(docs, output, vocab_size, smoothing)
+    lm = OverlapLM(vocab_size=vocab_size, smoothing=smoothing)
+    fns = {"per_doc": lm.per_doc_loglik, "relevance": lm.attention_relevance}
+    if len(docs) > 1:
+        fns["loo"] = lm.loo_logliks
+    for given_docs in (view, docs):
+        for name, fn in fns.items():
+            got = fn([], given_docs, output)
+            assert isinstance(got, np.ndarray), name
+            assert got.dtype == np.float64 and got.shape == (len(docs),), name
+            assert got.tobytes() == np.array(want[name]).tobytes(), name
+        joint = lm.joint_loglik([], given_docs, output)
+        assert type(joint) is float
+        assert np.float64(joint).tobytes() == \
+            np.float64(want["joint"]).tobytes()
+
+
+class TestBytes:
+    """The scores against a Counter reference, bit for bit."""
+
+    @given(corpus=st.lists(st.lists(st.sampled_from("abcde"), max_size=8),
+                           min_size=1, max_size=8),
+           picks=st.lists(st.integers(0, 7), min_size=1, max_size=8),
+           output=st.lists(st.sampled_from("abcdefg"), min_size=1,
+                           max_size=12),
+           vocab_size=st.integers(1, 60),
+           smoothing=st.floats(0.01, 0.99))
+    @example(corpus=[["a", "b", "a"]], picks=[0], output=["a"],
+             vocab_size=9, smoothing=0.5)  # K = 1
+    @example(corpus=[["a", "b"], [], ["c"]], picks=[0, 1, 2],
+             output=["b", "c"], vocab_size=9, smoothing=0.3)  # empty doc
+    @example(corpus=[[]], picks=[0, 0], output=["a", "a"], vocab_size=3,
+             smoothing=0.5)  # only empty docs
+    @example(corpus=[["a", "b", "a"], ["a", "c"]], picks=[1, 0, 1],
+             output=["a", "c", "a", "b", "a", "a"], vocab_size=7,
+             smoothing=0.7)  # repeated output tokens, duplicate docs
+    @example(corpus=[["a", "b"], ["c"]], picks=[0, 1],
+             output=["z", "a", "y", "z"], vocab_size=11,
+             smoothing=0.4)  # tokens absent from the table
+    def test_matches_reference(self, corpus, picks, output, vocab_size,
+                               smoothing):
+        rows = [i % len(corpus) for i in picks]
+        assert_same_bits(corpus, rows, output, vocab_size, smoothing)
+
+    def test_needle_view(self):
+        # The needle fixture at K = 1000: every passage of the trainer's
+        # table in a shuffled retrieval order, against three outputs.
+        passages, examples, encoder = make_needle_task()
+        corpus = [p.text for p in sorted(passages, key=lambda p: p.id)]
+        rows = np.random.default_rng(0).permutation(len(corpus)).tolist()
+        assert len(rows) == 1000
+        for ex in examples[:3]:
+            assert_same_bits(corpus, rows, ex.output, len(encoder.vocab),
+                             0.5)
