@@ -194,8 +194,7 @@ def cmd_train(args) -> int:
     retriever.save_checkpoint(state.encoder, out_dir / "encoder.rlab")
     index_mod.save_index(state.index, out_dir / "index.ridx")
     _write_manifest(out_dir / "manifest.json", "train",
-                    {k: (v.value if hasattr(v, "value") else v)
-                     for k, v in dataclasses.asdict(cfg).items()},
+                    dataclasses.asdict(cfg),
                     {"corpus": Path(args.corpus), "config": Path(args.config)},
                     {"build_index": build_time,
                      "train": time.perf_counter() - t1},

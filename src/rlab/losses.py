@@ -112,6 +112,8 @@ def emdr2_objective(per_doc_logliks: Sequence[float],
     """
     logliks = np.asarray(per_doc_logliks, dtype=np.float64)
     p = np.asarray(retr_probs, dtype=np.float64)
+    if logliks.shape != p.shape:
+        raise ValueError(f"{logliks.size} logliks for {p.size} retr_probs")
     check_distribution(p, "retr_probs")
     with np.errstate(divide="ignore"):
         joint = logliks + np.log(p)

@@ -21,9 +21,9 @@ copies; `encode_texts` upcasts only the rows it gathers, so vectors match
 the tables upcast whole. `copy()` gives a float64 one to train.
 
 An example touches only the embedding rows of its own tokens, so
-`Gradients` keeps each embedding gradient as sparse rows, which `sum_rows`
-adds in the order of a dense `np.add.at`: the SGD update is bit-identical
-to a dense one without ever filling a |V| x d table.
+`Gradients` keeps each embedding gradient as its touched rows, each once,
+summed by `sum_rows` in the order of a dense `np.add.at`: the SGD update
+is bit-identical to a dense one without ever filling a |V| x d table.
 """
 
 from __future__ import annotations
@@ -179,11 +179,9 @@ def retrieval_distribution(scores: Sequence[float], temperature: float) -> np.nd
 @dataclass
 class Gradients:
     """Gradients of the DualEncoder parameters. The projection gradients
-    are dense; each embedding gradient is sparse: the touched rows (repeats
-    allowed) and one value per row entry, in accumulation order. A row's
-    gradient is the in-order sum of its values, so no |V|-sized array is
-    ever filled. The query rows of an example with a zero query gradient
-    carry +0.0 values, which leave every sum as it is."""
+    are dense; each embedding gradient is sparse: the touched rows, strictly
+    ascending, and each row's summed gradient, so no |V|-sized array is
+    ever filled. A row touched only with zero gradients carries +0.0."""
 
     vocab_size: int
     query_rows: np.ndarray  # (n,) int64
@@ -202,18 +200,18 @@ class Gradients:
                    no_rows, no_values, np.zeros_like(enc.doc.projection))
 
     def add_scaled(self, other: "Gradients", scale: float = 1.0):
-        self.query_rows = np.concatenate([self.query_rows, other.query_rows])
-        self.query_values = np.concatenate([self.query_values,
-                                            scale * other.query_values])
+        self.query_rows, self.query_values = sum_rows(
+            np.concatenate([self.query_rows, other.query_rows]),
+            np.concatenate([self.query_values, scale * other.query_values]))
         self.query_projection += scale * other.query_projection
-        self.doc_rows = np.concatenate([self.doc_rows, other.doc_rows])
-        self.doc_values = np.concatenate([self.doc_values,
-                                          scale * other.doc_values])
+        self.doc_rows, self.doc_values = sum_rows(
+            np.concatenate([self.doc_rows, other.doc_rows]),
+            np.concatenate([self.doc_values, scale * other.doc_values]))
         self.doc_projection += scale * other.doc_projection
 
     def _dense(self, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
         dense = np.zeros((self.vocab_size, values.shape[1]))
-        np.add.at(dense, rows, values)
+        dense[rows] = values
         dense.flags.writeable = False
         return dense
 
@@ -259,11 +257,11 @@ def _backprop_side(params: EncoderParams, rows: np.ndarray,
                    lengths: np.ndarray, pooled: np.ndarray,
                    grad_vecs: np.ndarray, counts: np.ndarray,
                    scale: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Embedding rows and values, and projection gradient, of scale times
-    d(loss)/d(encoded vector) of texts in CSR form with their pooled means,
-    counts[0] texts of example 0 first, and so on. Each example is summed
-    from +0.0 in text order (rows in token order) and scaled, then the
-    examples are added to +0.0 in order: the additions of one at a time."""
+    """Ascending embedding rows, their values, and projection gradient, of
+    scale times d(loss)/d(encoded vector) of texts in CSR form with their
+    pooled means, counts[0] texts of example 0 first, and so on. Each example
+    is summed from +0.0 in text order (rows in token order) and scaled, then
+    each row's examples are added to +0.0 in order, as one at a time would."""
     vocab_size, first = len(params.embedding), np.cumsum(counts) - counts
     # One pass per text position adds in text order whatever order numpy's
     # reductions take, and holds one product per example.
@@ -280,7 +278,7 @@ def _backprop_side(params: EncoderParams, rows: np.ndarray,
                      lengths) + rows
     distinct, summed = sum_rows(keys, np.repeat(
         grad_pooled / lengths[:, None], lengths, axis=0))
-    return distinct % vocab_size, scale * summed, projection
+    return (*sum_rows(distinct % vocab_size, scale * summed), projection)
 
 
 def encoder_gradient(enc: DualEncoder, queries: Sequence[np.ndarray],
@@ -288,10 +286,10 @@ def encoder_gradient(enc: DualEncoder, queries: Sequence[np.ndarray],
                      mode: MaintenanceMode) -> Gradients:
     """Gradient of scale times the examples' summed losses, given the
     rows, lengths (CSR form) and pooled means of their queries, in order,
-    from one `_backprop_side` per trained side: bit-equal to `zeros_like`
-    plus `add_scaled(gradient of the example, scale)` for each example in
-    turn, so zero with no examples. Document gradients stay zero, their
-    fields unread, unless the mode trains documents."""
+    from one `_backprop_side` per trained side, each embedding row once:
+    bit-equal to `zeros_like` plus `add_scaled(gradient of the example,
+    scale)` for each example in turn, so zero with no examples. Document
+    gradients stay zero unless the mode trains documents."""
     grads = Gradients.zeros_like(enc)
     if not examples:
         return grads
@@ -321,6 +319,8 @@ def retriever_gradient(enc: DualEncoder, query: Sequence[str],
     if mode == MaintenanceMode.FIXED:
         raise ValueError("retriever frozen")
     target = np.asarray(target_probs, dtype=np.float64)
+    if target.shape != (len(docs),):
+        raise ValueError(f"{target.size} target_probs for {len(docs)} docs")
     check_distribution(target, "target_probs")
 
     query_rows = enc.vocab.rows(query)

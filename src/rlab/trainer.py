@@ -22,10 +22,10 @@ and full_refresh's K documents are each one `retriever.encode_texts` call.
 Each example hands its query vector's gradient and, where documents train,
 its documents' rows, pooled means and vector gradients
 (`retriever.ExampleBackprop`) to one `retriever.encoder_gradient` call per
-step, the backprop that the gradient check covers. The optimizer is plain
-SGD with linear warmup and decay. With a fixed seed, configuration and
-corpus, the parameter trajectory and the emitted metrics are bit-identical
-across runs.
+step, the backprop that the gradient check covers; it gives each embedding
+row once, summed over the batch. The optimizer is plain SGD with linear
+warmup and decay. With a fixed seed, configuration and corpus, the
+parameter trajectory and the emitted metrics are bit-identical across runs.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .lm import LMScorer, OverlapLM
 from .losses import (LossKind, build_target, distill_step, emdr2_objective)
 from .retriever import (DEFAULT_TEMPERATURE, DualEncoder, ExampleBackprop,
                         MaintenanceMode, encode_texts,
-                        encoder_gradient, retrieval_distribution, sum_rows)
+                        encoder_gradient, retrieval_distribution)
 
 
 @dataclass(frozen=True)
@@ -73,6 +73,8 @@ class TrainConfig:
                             ("k_retrieved", 0), ("warmup_steps", 0)]:
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be >= {least}")
+        if self.loss == LossKind.LOOP and self.k_retrieved == 1:
+            raise ValueError("loss loop needs k_retrieved >= 2 (or 0)")
         for name in ("temperature", "temperature_target"):
             if not 0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be finite and > 0")
@@ -238,14 +240,12 @@ def train_step(state: TrainerState, batch: Sequence[TrainExample],
     if cfg.mode != MaintenanceMode.FIXED and cfg.k_retrieved > 0:
         total = encoder_gradient(state.encoder, queries, backprops,
                                  1.0 / len(batch), cfg.mode)
-        lr = _learning_rate(cfg, state.step)
-        rows, summed = sum_rows(total.query_rows, total.query_values)
-        state.encoder.query.embedding[rows] -= lr * summed
-        state.encoder.query.projection -= lr * total.query_projection
+        lr, enc = _learning_rate(cfg, state.step), state.encoder
+        enc.query.embedding[total.query_rows] -= lr * total.query_values
+        enc.query.projection -= lr * total.query_projection
         if cfg.mode.trains_docs:
-            rows, summed = sum_rows(total.doc_rows, total.doc_values)
-            state.encoder.doc.embedding[rows] -= lr * summed
-            state.encoder.doc.projection -= lr * total.doc_projection
+            enc.doc.embedding[total.doc_rows] -= lr * total.doc_values
+            enc.doc.projection -= lr * total.doc_projection
 
     return StepMetrics(
         step=state.step,

@@ -422,6 +422,21 @@ class TestTrain:
                      "--corpus", str(passages),
                      "--out", str(tmp_path / "run")]) == 2
 
+    @pytest.mark.parametrize("mode", list(MaintenanceMode))
+    def test_loop_loss_with_one_document_exit_2_before_reading(
+            self, tmp_path, capsys, mode):
+        # Was accepted; the run read the corpus and built the index before
+        # its first step died. The corpus path here does not exist, so a
+        # config check made after reading it would exit 1.
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(f"loss = loop\nk_retrieved = 1\n"
+                       f"mode = {mode.value}\n")
+        out_dir = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--corpus",
+                     str(tmp_path / "missing.jsonl"),
+                     "--out", str(out_dir)]) == 2
+        assert "k_retrieved" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_config_file_sets_every_field(self, tmp_path):
         cfg = tmp_path / "train.cfg"

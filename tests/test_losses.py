@@ -180,6 +180,19 @@ class TestEMDR2:
         got = emdr2_objective([-2.5, -2.5, -2.5], [0.2, 0.3, 0.5])
         assert got.value == pytest.approx(-2.5)
 
+    @pytest.mark.parametrize("logliks, probs", [
+        ([-1.0], [0.2, 0.3, 0.5]),  # broadcast to a value of -1.0
+        ([-1.0, -2.0], [0.2, 0.3, 0.5]),
+        ([-1.0, -2.0, -3.0], [1.0]),
+        ([], [1.0]),
+    ])
+    def test_unequal_lengths_rejected(self, logliks, probs):
+        # The first case returned -1.0 and a gradient of about 1e-17; the
+        # others failed only as numpy's "could not be broadcast".
+        want = f"{len(logliks)} logliks for {len(probs)} retr_probs"
+        with pytest.raises(ValueError, match=want):
+            emdr2_objective(logliks, probs)
+
     def test_value_bounds(self):
         rng = np.random.default_rng(3)
         for _ in range(100):

@@ -291,6 +291,17 @@ class TestRetrieverGradient:
             retriever_gradient(enc, ["t0"], [["t1"]], np.array([1.0]), 1.0,
                                MaintenanceMode.FIXED)
 
+    @pytest.mark.parametrize("target", [[1.0], [0.5, 0.5], [0.25] * 4, []])
+    def test_target_length_must_match_docs(self, target):
+        # [1.0] against three documents returned a gradient; the others
+        # failed only as numpy's "could not be broadcast".
+        enc = self.make()
+        with pytest.raises(ValueError,
+                           match=f"{len(target)} target_probs for 3 docs"):
+            retriever_gradient(enc, ["t0"], [["t1"], ["t2"], ["t3"]],
+                               np.array(target), 1.0,
+                               MaintenanceMode.FULL_REFRESH)
+
     def test_query_side_doc_grads_zero(self):
         enc = self.make()
         grads = retriever_gradient(enc, ["t0"], [["t1"], ["t2"]],
@@ -370,8 +381,8 @@ def per_text_backprop(params, rows, lengths, pooled, grad_vecs, counts, scale):
     """Reference for `_backprop_side`, one text at a time: per example a
     zero projection gradient `+= np.outer(g, pooled)` and the matvec
     `projection.T @ g` broadcast over the text's tokens, the example's
-    rows summed by `sum_rows`; then the examples added as
-    `Gradients.add_scaled` adds them, after zero tables."""
+    rows summed by `sum_rows` and scaled; then one more `sum_rows` adds
+    each row's examples in example order."""
     d = params.projection.shape[0]
     all_rows, all_values = [np.zeros(0, dtype=np.int64)], [np.zeros((0, d))]
     projection = np.zeros((d, d))
@@ -392,7 +403,8 @@ def per_text_backprop(params, rows, lengths, pooled, grad_vecs, counts, scale):
         all_rows.append(distinct)
         all_values.append(scale * summed)
         projection += scale * example_projection
-    return np.concatenate(all_rows), np.concatenate(all_values), projection
+    return (*sum_rows(np.concatenate(all_rows), np.concatenate(all_values)),
+            projection)
 
 
 def backprop_case(seed, counts, max_len, d, vocab_size, zeros=0.3):

@@ -47,6 +47,16 @@ class TestConfigValidation:
     def test_closed_book_allowed(self):
         TrainConfig(k_retrieved=0)
 
+    @pytest.mark.parametrize("mode", list(MaintenanceMode))
+    def test_loop_loss_needs_two_documents(self, mode):
+        # Accepted, then the first step died on "leave-one-out undefined
+        # for K=1"; closed book (K = 0) still runs.
+        with pytest.raises(ValueError, match="k_retrieved >= 2"):
+            TrainConfig(mode=mode, loss=LossKind.LOOP, k_retrieved=1)
+        for k in (0, 2):
+            TrainConfig(mode=mode, loss=LossKind.LOOP, k_retrieved=k)
+        TrainConfig(mode=mode, loss=LossKind.PDIST, k_retrieved=1)
+
     @pytest.mark.parametrize("field, value", [
         ("steps", 0), ("steps", -1),
         # On 6 rows, a negative k kept no rows (-3) or 4 of them (-1).
@@ -611,10 +621,41 @@ class TestSparseGradients:
                        Gradients.zeros_like(encoder))
         assert [np.asarray(a).tobytes() for a in vars(none).values()] == [
             np.asarray(a).tobytes() for a in vars(zeros).values()]
-        # Each example's rows are distinct, so a repeat is a row shared
-        # across examples.
-        trained = [got.query_rows] + [got.doc_rows] * mode.trains_docs
-        assert all(len(np.unique(rows)) < len(rows) for rows in trained)
+        # Each row appears once, ascending.
+        for rows in [got.query_rows] + [got.doc_rows] * mode.trains_docs:
+            assert (np.diff(rows) > 0).all()
+
+    @pytest.mark.parametrize("mode", [MaintenanceMode.QUERY_SIDE,
+                                      MaintenanceMode.RERANK,
+                                      MaintenanceMode.FULL_REFRESH])
+    def test_rows_strictly_ascending(self, mode):
+        # Every Gradients holds each embedding row once, ascending: the
+        # total of a step whose examples share rows, each example's own,
+        # their sum by add_scaled, and retriever_gradient's.
+        passages, examples, encoder = repeated_token_task()
+        state = init_state(encoder, passages)
+        batch = examples[:4]
+        cfg = TrainConfig(mode=mode, k_retrieved=6, l_rerank_pool=10)
+        lm = OverlapLM(vocab_size=50)
+        *queries, q_vecs = _queries(state, batch)
+        backprops = [_example_gradient(state, cfg, lm, ex, q_vec)[0]
+                     for ex, q_vec in zip(batch, q_vecs)]
+        grads = [encoder_gradient(encoder, queries, backprops, 0.25, mode)]
+        added = Gradients.zeros_like(encoder)
+        for ex, backprop in zip(batch, backprops):
+            grads.append(encoder_gradient(
+                encoder, _queries(state, [ex])[:3], [backprop], 1.0, mode))
+            added.add_scaled(grads[-1], 0.25)
+        docs = [p.text for p in passages[:5]]
+        grads += [added, retriever_gradient(
+            encoder, batch[0].query, docs, np.full(5, 0.2), 0.1, mode)]
+        for g in grads:
+            for rows in (g.query_rows, g.doc_rows):
+                assert rows.dtype == np.int64
+                assert (np.diff(rows) > 0).all()
+        for side in ["query"] + ["doc"] * mode.trains_docs:
+            rows = [getattr(g, f"{side}_rows") for g in grads[:5]]
+            assert len(rows[0]) < sum(map(len, rows[1:])), side  # shared
 
 
 class TupleScorer:
