@@ -175,11 +175,12 @@ def cmd_train(args) -> int:
     cfg = _parse_train_config(Path(args.config))
     t0 = time.perf_counter()
     passages = corpus.read_passages(args.corpus)
-    terms = set().union(*(p.text for p in passages))
+    ordered = sorted(passages, key=lambda p: p.id)
+    tokens = corpus.TokenTable([p.text for p in ordered])
     enc = retriever.init_encoder(
-        retriever.Vocab(terms | {pretext.RETRIEVER_MASK_TOKEN}), args.dim,
-        seed=cfg.seed)
-    state = trainer.init_state(enc, passages)
+        retriever.Vocab([*tokens.term_strings, pretext.RETRIEVER_MASK_TOKEN]),
+        args.dim, seed=cfg.seed)
+    state = trainer.init_state_from_table(enc, ordered, tokens)
     build_time = time.perf_counter() - t0
 
     examples = pretext.TaskExamples(passages, args.task, cfg.seed)

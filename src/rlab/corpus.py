@@ -4,7 +4,9 @@ Documents arrive as structured records (title + sections); they are
 linearized, split by section into passages of bounded word count, and
 filtered on simple document-level statistics. A "word" is a maximal run
 of non-whitespace characters, and passages store their token lists
-directly so all downstream counting is deterministic.
+directly so all downstream counting is deterministic. The passages that
+one `read_passages` or `ingest` call returns share one string per
+distinct token: each call maps every token through a dict of its own.
 """
 
 from __future__ import annotations
@@ -80,6 +82,12 @@ class FilterConfig:
 def tokenize(text: str) -> list[str]:
     """Split on whitespace; a word is a maximal non-whitespace run."""
     return text.split()
+
+
+def _shared(words: Sequence[str], canon: dict[str, str]) -> tuple[str, ...]:
+    """words as a tuple of canon's strings: canon maps each token it has
+    met to its first string, so equal tokens become one object."""
+    return tuple(map(canon.setdefault, words, words))
 
 
 class TokenTable(abc.Sequence):
@@ -174,9 +182,14 @@ def chunk(doc: RawDocument, max_words: int = 200) -> list[Passage]:
 
     Section titles are kept as passage metadata, not counted as words.
     """
+    return _chunk(doc, [tokenize(s.text) for s in doc.sections], max_words)
+
+
+def _chunk(doc: RawDocument, sections: Sequence[Sequence[str]],
+           max_words: int) -> list[Passage]:
+    """`chunk`, given the tokens of each of doc's sections."""
     passages = []
-    for si, section in enumerate(doc.sections):
-        tokens = tokenize(section.text)
+    for si, (section, tokens) in enumerate(zip(doc.sections, sections)):
         for pi, piece in enumerate(chunk_tokens(tokens, max_words)):
             passages.append(Passage(
                 id=f"{doc.id}:s{si}:p{pi}",
@@ -209,7 +222,12 @@ def quality_filter(doc: RawDocument, cfg: FilterConfig = FilterConfig()) -> bool
     """True iff the document passes all four quality tests:
     length, mean word length, alphanumeric ratio, repeated-token ratio.
     """
-    tokens = [t for section in doc.sections for t in tokenize(section.text)]
+    return _passes([t for section in doc.sections
+                    for t in tokenize(section.text)], cfg)
+
+
+def _passes(tokens: Sequence[str], cfg: FilterConfig) -> bool:
+    """`quality_filter` of a document whose tokens are given."""
     if len(tokens) < cfg.min_doc_length:
         return False
     joined = "".join(tokens)  # tokens hold no whitespace
@@ -269,14 +287,17 @@ def passage_to_json(p: Passage) -> dict:
 
 
 def passage_from_json(obj: dict) -> Passage:
-    return Passage(
-        id=obj["id"],
-        doc_id=obj.get("doc_id", obj["id"]),
-        text=tuple(tokenize(obj["text"])),
-        source=obj.get("source", "wiki"),
-        dump_date=obj.get("dump_date"),
-        section_title=obj.get("section_title", ""),
-    )
+    return _passage(obj, {})
+
+
+def _passage(obj: dict, canon: dict[str, str]) -> Passage:
+    """`passage_from_json`, the tokens taken through canon (`_shared`).
+    The fields go in by position: by keyword, a read of 10,000 passages
+    took about 10 ms longer."""
+    get = obj.get
+    return Passage(obj["id"], get("doc_id", obj["id"]),
+                   _shared(tokenize(obj["text"]), canon), get("source", "wiki"),
+                   get("dump_date"), get("section_title", ""))
 
 
 def write_passages(passages: Iterable[Passage], path) -> int:
@@ -290,19 +311,21 @@ def write_passages(passages: Iterable[Passage], path) -> int:
 
 def read_passages(path) -> list[Passage]:
     """Passages from JSONL, one object per line; blank lines are skipped.
+    The passages share one string per distinct token, the first one read.
     A malformed line, an empty id or a text with no word raises
     FormatError naming the file and line."""
-    out = []
+    out, canon = [], {}
     for where, obj in jsonl_objects(path):
-        if not (isinstance(obj.get("id"), str)
-                and isinstance(obj.get("text"), str)
-                and all(isinstance(obj.get(k, ""), str)
-                        for k in ("doc_id", "source", "section_title"))
-                and isinstance(obj.get("dump_date"), (str, type(None)))):
+        get = obj.get
+        if not (isinstance(get("id"), str) and isinstance(get("text"), str)
+                and isinstance(get("doc_id", ""), str)
+                and isinstance(get("source", ""), str)
+                and isinstance(get("section_title", ""), str)
+                and isinstance(get("dump_date"), (str, type(None)))):
             raise FormatError(f"{where}: expected a string id and text, and "
                               f"string doc_id, source and section_title and "
                               f"a string or null dump_date where given")
-        passage = passage_from_json(obj)
+        passage = _passage(obj, canon)
         if not passage.id:
             raise FormatError(f"{where}: empty id")
         if not passage.text:
@@ -313,12 +336,16 @@ def read_passages(path) -> list[Passage]:
 
 def ingest(documents: Iterable[RawDocument], max_words: int = 200,
            cfg: FilterConfig | None = None) -> list[Passage]:
-    """Filter documents, then chunk the survivors into passages."""
+    """Filter documents, then chunk the survivors into passages. The
+    passages share one string per distinct token, the first one kept.
+    Each section is split into tokens once, for the filter and the chunks."""
     cfg = cfg or FilterConfig()
-    passages = []
+    passages, canon = [], {}
     for doc in documents:
         if doc.source == "infobox":
             doc = linearize_document(doc)
-        if quality_filter(doc, cfg):
-            passages.extend(chunk(doc, max_words))
+        sections = [tokenize(s.text) for s in doc.sections]
+        if _passes([t for tokens in sections for t in tokens], cfg):
+            passages.extend(_chunk(doc, [_shared(tokens, canon)
+                                         for tokens in sections], max_words))
     return passages

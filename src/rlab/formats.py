@@ -165,7 +165,7 @@ def jsonl_objects(path) -> Iterator[tuple[str, dict]]:
     file and line."""
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, 1):
-            if not line.strip():
+            if line.isspace():
                 continue
             where = f"{path}, line {lineno}"
             try:

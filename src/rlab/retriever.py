@@ -105,15 +105,16 @@ class DualEncoder:
 
 def init_encoder(vocab: Vocab, dim: int, seed: int = 0) -> DualEncoder:
     """Embeddings uniform in [-1/sqrt(d), 1/sqrt(d)], identity projection;
-    query and document sides start as tied copies.
+    query and document sides start as tied copies: the query side holds
+    the drawn table, the document side one copy of it.
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
     rng = np.random.default_rng(seed)
     bound = 1.0 / np.sqrt(dim)
     emb = rng.uniform(-bound, bound, size=(len(vocab), dim))
-    side = EncoderParams(emb, np.eye(dim))
-    return DualEncoder(vocab, side.copy(), side.copy())
+    return DualEncoder(vocab, EncoderParams(emb, np.eye(dim)),
+                       EncoderParams(emb.copy(), np.eye(dim)))
 
 
 _BLOCK_ROWS = 4096  # embedding rows gathered at a time

@@ -257,11 +257,23 @@ def train_step(state: TrainerState, batch: Sequence[TrainExample],
 
 def init_state(encoder: DualEncoder,
                passages: Sequence[Passage]) -> TrainerState:
+    """The state before step 1: the passages in index row order
+    (ascending id), their texts interned, and the index built of them."""
     ordered = sorted(passages, key=lambda p: p.id)
-    tokens = TokenTable([p.text for p in ordered])
+    return init_state_from_table(encoder, ordered,
+                                 TokenTable([p.text for p in ordered]))
+
+
+def init_state_from_table(encoder: DualEncoder, passages: list[Passage],
+                          tokens: TokenTable) -> TrainerState:
+    """`init_state` of passages given in ascending id order, with tokens
+    their texts, interned in that order, so that the table can give the
+    encoder its vocab first. Passages out of that order raise ValueError."""
     rows = tokens.vocab_rows(encoder.vocab)
-    idx = index_mod.build(ordered, encoder, tokens=tokens, rows=rows)
-    return TrainerState(encoder=encoder, index=idx, passages=ordered,
+    idx = index_mod.build(passages, encoder, tokens=tokens, rows=rows)
+    if idx.ids != [p.id for p in passages]:
+        raise ValueError("passages must be in ascending id order")
+    return TrainerState(encoder=encoder, index=idx, passages=passages,
                         tokens=tokens, rows=rows)
 
 
@@ -269,9 +281,18 @@ def train(state: TrainerState, examples: Sequence[TrainExample],
           cfg: TrainConfig, lm: LMScorer | None = None,
           on_step: Callable[[StepMetrics], None] | None = None) -> list[StepMetrics]:
     """Run cfg.steps optimizer steps, cycling deterministically through a
-    seed-shuffled example order."""
+    seed-shuffled example order. Under loss loop, an example with fewer
+    than two selectable index rows raises ValueError before any step."""
     if not len(examples):
         raise ValueError("examples is empty: nothing to train on")
+    if cfg.loss == LossKind.LOOP and cfg.k_retrieved and state.index.size < 3:
+        # Leave-one-out needs two rows other than the example's origin.
+        for ex in examples:
+            if state.index.size - (ex.origin_passage_id in state.index.ids) < 2:
+                raise ValueError(f"loss loop needs 2 selectable passages per "
+                                 f"example; an index of {state.index.size} "
+                                 f"leaves fewer to the example with origin "
+                                 f"{ex.origin_passage_id!r}")
     if lm is None:
         lm = OverlapLM(vocab_size=len(state.encoder.vocab))
     rng = np.random.default_rng(cfg.seed)

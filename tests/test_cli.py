@@ -438,6 +438,23 @@ class TestTrain:
         assert "k_retrieved" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("mode", list(MaintenanceMode))
+    def test_loop_loss_on_two_passages_exit_2_before_training(
+            self, tmp_path, capsys, mode):
+        # Each example's origin is one of the two passages, leaving one
+        # document to leave out; the run died inside step 1.
+        passages = tmp_path / "passages.jsonl"
+        write_passages([Passage(id=f"p{i}", doc_id="d", text=tuple(
+            f"w{i}x{j}" for j in range(12))) for i in range(2)], passages)
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(f"loss = loop\nk_retrieved = 3\nl_rerank_pool = 3\n"
+                       f"mode = {mode.value}\nsteps = 2\nbatch_size = 1\n")
+        out_dir = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--corpus",
+                     str(passages), "--out", str(out_dir), "--dim", "4"]) == 2
+        assert "2 selectable passages" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_config_file_sets_every_field(self, tmp_path):
         cfg = tmp_path / "train.cfg"
         cfg.write_text("# every field, off its default\n"

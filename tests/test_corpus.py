@@ -1,6 +1,9 @@
+import hashlib
 import json
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,7 +12,7 @@ from rlab.corpus import (FilterConfig, Passage, RawDocument, Section,
                          linearize_document, linearize_structured,
                          passage_from_json, passage_to_json, quality_filter,
                          read_documents, read_passages, repeated_token_ratio,
-                         tokenize)
+                         tokenize, write_passages)
 from rlab.index import FormatError
 
 
@@ -217,3 +220,84 @@ class TestIO:
     def test_wiki_requires_dump_date(self):
         with pytest.raises(ValueError):
             RawDocument(id="d", title="t", sections=(), source="wiki")
+
+
+WORDS = [f"word{i:03d}" for i in range(100)]  # not cached by the interpreter
+REPEATS_PASS = FilterConfig(max_repeated_token_ratio=1.0)
+
+
+def zipf_passages(n, length, seed=0):
+    """n passages of `length` tokens drawn from WORDS, most repeated."""
+    rng = np.random.default_rng(seed)
+    return [Passage(id=f"d{i // 3}:s0:p{i % 3}", doc_id=f"d{i // 3}",
+                    text=tuple(WORDS[j] for j in rng.zipf(1.5, length) % 100),
+                    dump_date="2021-12-20", section_title="Body")
+            for i in range(n)]
+
+
+def zipf_documents():
+    """20 documents of two 60-word sections, which ingest at 25 words
+    per passage (REPEATS_PASS) chunks into 120 passages."""
+    texts = [" ".join(p.text) for p in zipf_passages(40, 60)]
+    return [make_doc([("A", a), ("B", b)], doc_id=f"d{i}")
+            for i, (a, b) in enumerate(zip(texts[::2], texts[1::2]))]
+
+
+def token_objects(passages) -> set[int]:
+    """The identities of the token strings of passages."""
+    return {id(t) for p in passages for t in p.text}
+
+
+class TestSharedTokens:
+    """The passages of one read_passages or ingest call hold one string
+    per distinct token; a second call shares none of them."""
+
+    def assert_shared(self, first, second):
+        distinct = len({t for p in first for t in p.text})
+        a, b = token_objects(first), token_objects(second)
+        assert len(a) == len(b) == distinct
+        assert not a & b
+
+    def test_read_passages(self, tmp_path):
+        path = tmp_path / "p.jsonl"
+        write_passages(zipf_passages(60, 40), path)
+        first, second = read_passages(path), read_passages(path)
+        assert first == second == zipf_passages(60, 40)
+        self.assert_shared(first, second)
+
+    def test_ingest(self):
+        first = ingest(zipf_documents(), max_words=25, cfg=REPEATS_PASS)
+        second = ingest(zipf_documents(), max_words=25, cfg=REPEATS_PASS)
+        assert first == second and len(first) == 120
+        self.assert_shared(first, second)
+
+    def test_reading_repeated_tokens_allocates_little(self, tmp_path):
+        # 200,000 token occurrences of 100 words: a string per occurrence
+        # is about 11 MB, one per word under 10 kB. On Python 3.11 the read
+        # allocated 13.7 MB with a string per occurrence and 2.5 MB with
+        # one per word, most of it the token tuples.
+        path = tmp_path / "p.jsonl"
+        write_passages(zipf_passages(2000, 100), path)
+        tracemalloc.start()
+        try:
+            passages = read_passages(path)
+            allocated = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(passages) == 2000
+        assert allocated < 3_500_000
+
+    # sha256 of the file that test_written_passages_unchanged writes, as
+    # the module wrote it when each token occurrence was its own string.
+    GOLDEN = "e0615d6f2dc6870a039690395a1363c05b4a2d714975db14b6887b360464119b"
+
+    def test_written_passages_unchanged(self, tmp_path):
+        written, again = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        passages = ingest(zipf_documents(), max_words=25, cfg=REPEATS_PASS)
+        assert write_passages(passages, written) == 120
+        assert hashlib.sha256(written.read_bytes()).hexdigest() == self.GOLDEN
+        passages = read_passages(written)
+        assert len(token_objects(passages)) == len(
+            {t for p in passages for t in p.text})
+        write_passages(passages, again)
+        assert again.read_bytes() == written.read_bytes()

@@ -1,6 +1,7 @@
 import errno
 import mmap
 import struct
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -196,6 +197,26 @@ class TestInitEncoder:
         # dim 0 drew from uniform(-inf, inf) and raised OverflowError.
         with pytest.raises(ValueError, match="dim"):
             init_encoder(Vocab(["a"]), dim)
+
+    def test_sides_equal_and_separate(self):
+        enc = init_encoder(Vocab([f"t{i}" for i in range(50)]), 8, seed=3)
+        for name in ("embedding", "projection"):
+            q, d = getattr(enc.query, name), getattr(enc.doc, name)
+            assert q.dtype == d.dtype == np.float64
+            assert q.tobytes() == d.tobytes()
+            assert not np.shares_memory(q, d)
+
+    def test_two_tables_at_a_time(self):
+        # The drawn table and two copies of it were alive at once.
+        vocab, dim = Vocab([f"t{i}" for i in range(5000)]), 32
+        table = len(vocab) * dim * 8
+        tracemalloc.start()
+        try:
+            init_encoder(vocab, dim, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 2 * table <= peak < 2.5 * table
 
 
 class TestRetrievalDistribution:

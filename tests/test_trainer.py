@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rlab.corpus import Passage
+from rlab.corpus import Passage, TokenTable
 from rlab.index import EmbeddingIndex, build, search
 from rlab.lm import OverlapLM
 from rlab.losses import (LossKind, build_target, distill_step,
@@ -16,8 +16,9 @@ from rlab.retriever import (Gradients, Vocab, encode_doc, encode_query,
                             retrieval_distribution, retriever_gradient)
 from rlab.trainer import (MaintenanceMode, StepMetrics, TrainConfig,
                           TrainExample, _example_gradient, _learning_rate,
-                          _queries, _retrieve, init_state, recall_at_1,
-                          train, train_step, write_metrics_csv)
+                          _queries, _retrieve, init_state,
+                          init_state_from_table, recall_at_1, train,
+                          train_step, write_metrics_csv)
 
 from needle import make_needle_task
 
@@ -814,6 +815,64 @@ class TestTrainLoop:
         before = snapshot()
         recall_at_1(state, examples, cfg)
         assert snapshot() == before
+
+
+class TestLoopNeedsTwoSelectable:
+    """loss=loop leaves one retrieved document out, so train refuses,
+    before any step, a run where an example has fewer than two selectable
+    rows: the index's, less its origin's."""
+
+    def run(self, n_passages, origin, mode=MaintenanceMode.QUERY_SIDE):
+        passages, examples, encoder = small_task(n_passages=n_passages)
+        state = init_state(encoder, passages)
+        examples = [replace(examples[0], origin_passage_id=origin),
+                    *examples[1:3]]
+        cfg = TrainConfig(mode=mode, loss=LossKind.LOOP, k_retrieved=3,
+                          l_rerank_pool=3, refresh_interval=1, steps=2,
+                          batch_size=2)
+        return state, lambda: train(state, examples, cfg)
+
+    @pytest.mark.parametrize("mode", list(MaintenanceMode))
+    @pytest.mark.parametrize("n_passages, origin", [
+        (2, "p0000"), (1, ""), (1, "p0000")])
+    def test_refused_before_step_1(self, mode, n_passages, origin):
+        # An origin in a 2-row index died inside step 1, with state.step
+        # already 1, on "leave-one-out undefined for K=1".
+        state, run = self.run(n_passages, origin, mode)
+        before = [t.tobytes() for t in (state.encoder.query.embedding,
+                                        state.encoder.doc.embedding)]
+        with pytest.raises(ValueError, match="2 selectable passages"):
+            run()
+        assert state.step == 0 and state.index.version == 1
+        assert [t.tobytes() for t in (state.encoder.query.embedding,
+                                      state.encoder.doc.embedding)] == before
+
+    @pytest.mark.parametrize("n_passages, origin", [
+        (2, ""), (2, "elsewhere"), (3, "p0000")])
+    def test_two_selectable_rows_train(self, n_passages, origin):
+        state, run = self.run(n_passages, origin)
+        assert len(run()) == 2 and state.step == 2
+
+
+class TestInitStateFromTable:
+    def test_equals_init_state(self):
+        passages, _, encoder = small_task()
+        ordered = sorted(passages, key=lambda p: p.id)
+        got = init_state_from_table(encoder, ordered,
+                                    TokenTable([p.text for p in ordered]))
+        want = init_state(encoder, passages[::-1])
+        assert got.passages == want.passages
+        assert got.index.ids == want.index.ids
+        assert got.index.vectors.tobytes() == want.index.vectors.tobytes()
+        assert got.rows.tobytes() == want.rows.tobytes()
+
+    def test_passages_out_of_id_order_refused(self):
+        # The index sorts its rows by id; TrainerState.passages must too.
+        passages, _, encoder = small_task()
+        shuffled = passages[1::-1] + passages[2:]
+        with pytest.raises(ValueError, match="ascending id"):
+            init_state_from_table(encoder, shuffled,
+                                  TokenTable([p.text for p in shuffled]))
 
 
 class TestMetricsCsv:
