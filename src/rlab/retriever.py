@@ -31,7 +31,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -240,20 +240,6 @@ def sum_rows(rows: np.ndarray,
     return distinct, summed.astype(np.float64, copy=False).reshape(n, d)
 
 
-class ExampleBackprop(NamedTuple):
-    """An example's d(loss)/d(query vector) and the embedding rows, in CSR
-    form, pooled means (`encode_texts`) and d(loss)/d(vector) of its
-    documents, as `_backprop_side` takes them; all None where the mode
-    trains no documents. With scores = d_vecs @ q_vec and g_scores =
-    d(loss)/d(scores), q_grad = g_scores @ d_vecs and d_grads =
-    g_scores[:, None] * q_vec."""
-    q_grad: np.ndarray
-    doc_rows: np.ndarray | None
-    doc_lengths: Sequence[int] | None
-    d_pooled: np.ndarray | None
-    d_grads: np.ndarray | None
-
-
 def _backprop_side(params: EncoderParams, rows: np.ndarray,
                    lengths: np.ndarray, pooled: np.ndarray,
                    grad_vecs: np.ndarray, counts: np.ndarray,
@@ -283,25 +269,24 @@ def _backprop_side(params: EncoderParams, rows: np.ndarray,
 
 
 def encoder_gradient(enc: DualEncoder, queries: Sequence[np.ndarray],
-                     examples: Sequence[ExampleBackprop], scale: float,
-                     mode: MaintenanceMode) -> Gradients:
-    """Gradient of scale times the examples' summed losses, given the
-    rows, lengths (CSR form) and pooled means of their queries, in order,
-    from one `_backprop_side` per trained side, each embedding row once:
-    bit-equal to `zeros_like` plus `add_scaled(gradient of the example,
-    scale)` for each example in turn, so zero with no examples. Document
-    gradients stay zero unless the mode trains documents."""
+                     q_grads: np.ndarray, docs: Sequence[np.ndarray] | None,
+                     scale: float) -> Gradients:
+    """Gradient of scale times the summed losses of B examples, given the
+    rows, lengths (CSR form) and pooled means of their queries and the
+    (B, d) d(loss)/d(query vector), and, unless None (no document trains),
+    the same four of their documents, example after example, and each
+    example's document count; one `_backprop_side` per trained side, each
+    embedding row once: bit-equal to `zeros_like` plus `add_scaled(gradient
+    of the example, scale)` for each example in turn, so zero with none."""
     grads = Gradients.zeros_like(enc)
-    if not examples:
+    if not len(q_grads):
         return grads
-    ex = ExampleBackprop(*zip(*examples))
     grads.query_rows, grads.query_values, grads.query_projection = (
-        _backprop_side(enc.query, *queries, np.array(ex.q_grad),
-                       np.ones(len(examples), dtype=np.int64), scale))
-    if mode.trains_docs:
+        _backprop_side(enc.query, *queries, q_grads,
+                       np.ones(len(q_grads), dtype=np.int64), scale))
+    if docs is not None:
         grads.doc_rows, grads.doc_values, grads.doc_projection = (
-            _backprop_side(enc.doc, *map(np.concatenate, ex[1:]),
-                           np.array([len(g) for g in ex.d_grads]), scale))
+            _backprop_side(enc.doc, *docs, scale))
     return grads
 
 
@@ -331,9 +316,11 @@ def retriever_gradient(enc: DualEncoder, query: Sequence[str],
     d_pooled, d_vecs = encode_texts(enc.doc, doc_rows, doc_lengths)
     g_scores = (retrieval_distribution(d_vecs @ q_vec, temperature)
                 - target) / temperature
-    return encoder_gradient(enc, (query_rows, q_lengths, q_pooled), [
-        ExampleBackprop(g_scores @ d_vecs, doc_rows, doc_lengths, d_pooled,
-                        g_scores[:, None] * q_vec)], 1.0, mode)
+    trained = (doc_rows, np.array(doc_lengths), d_pooled,
+               g_scores[:, None] * q_vec,
+               np.array([len(docs)])) if mode.trains_docs else None
+    return encoder_gradient(enc, (query_rows, q_lengths, q_pooled),
+                            (g_scores @ d_vecs)[None], trained, 1.0)
 
 
 # ---------------------------------------------------------------------------

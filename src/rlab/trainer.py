@@ -17,15 +17,15 @@ A step works in index rows, never passage ids: `TrainerState.passages`
 is in index row order, and the static modes take document vectors from
 the index rows. Their texts are interned once, in `TrainerState.tokens`,
 whose view the LM scores, and `TrainerState.rows` holds the encoder vocab
-row of each of their tokens. A step's queries, a rebuild, the rerank pool
-and full_refresh's K documents are each one `retriever.encode_texts` call.
-Each example hands its query vector's gradient and, where documents train,
-its documents' rows, pooled means and vector gradients
-(`retriever.ExampleBackprop`) to one `retriever.encoder_gradient` call per
-step, the backprop that the gradient check covers; it gives each embedding
-row once, summed over the batch. The optimizer is plain SGD with linear
-warmup and decay. With a fixed seed, configuration and corpus, the
-parameter trajectory and the emitted metrics are bit-identical across runs.
+row of each of their tokens. A step runs its phases in order, each over
+all of its examples: encode the queries, retrieve, encode the trained
+documents, take each example's target and loss, and backprop once, in
+`retriever.encoder_gradient`, which the gradient check covers and which
+gives each embedding row once, summed over the batch. A step's queries,
+its trained documents and a rebuild are each one `encode_texts` call.
+The optimizer is plain SGD with linear warmup and decay. With a fixed
+seed, configuration and corpus, the parameter trajectory and the emitted
+metrics are bit-identical across runs.
 """
 
 from __future__ import annotations
@@ -42,9 +42,8 @@ from .corpus import Passage, TokenTable
 from .formats import atomic_write
 from .lm import LMScorer, OverlapLM
 from .losses import (LossKind, build_target, distill_step, emdr2_objective)
-from .retriever import (DEFAULT_TEMPERATURE, DualEncoder, ExampleBackprop,
-                        MaintenanceMode, encode_texts,
-                        encoder_gradient, retrieval_distribution)
+from .retriever import (DEFAULT_TEMPERATURE, DualEncoder, MaintenanceMode,
+                        encode_texts, encoder_gradient, retrieval_distribution)
 
 
 @dataclass(frozen=True)
@@ -129,72 +128,56 @@ def _learning_rate(cfg: TrainConfig, step: int) -> float:
     return cfg.learning_rate * remaining / span
 
 
-def _retrieve(state: TrainerState, cfg: TrainConfig, example: TrainExample,
-              q_vec: np.ndarray) -> tuple[np.ndarray, tuple | None, bool]:
-    """Index rows of the candidate documents for one example with query
-    vector q_vec, best first, honoring the maintenance mode and
-    self-exclusion; in rerank their fresh pooled means and vectors
-    (`encode_texts`), else None; and whether rerank raised the stale-index
-    signal. State is not changed."""
-    scores = state.index.vectors @ q_vec
-    n = state.index.size  # selectable rows: all but the origin's
-    origin = example.origin_passage_id
-    row = bisect.bisect_left(state.index.ids, origin)
-    if origin and row < n and state.index.ids[row] == origin:
-        scores[row] = -np.inf
-        n -= 1
-    if cfg.mode != MaintenanceMode.RERANK:
-        return index_mod._top_k(scores, min(cfg.k_retrieved, n)), None, False
-    pool = index_mod._top_k(scores, min(cfg.l_rerank_pool, n))
-    # Rescored in row order, so fresh ties break by ascending id.
-    by_row = np.sort(pool)
-    pooled, vecs = encode_texts(state.encoder.doc,
-                                *state.tokens.view(by_row).gather(state.rows))
-    fresh = np.array([np.dot(q_vec, v) for v in vecs])
-    kept = index_mod._top_k(fresh, len(by_row))[:cfg.k_retrieved]
-    # Stale-index signal: a fresh top-K element coming from the tail of the
-    # stale pool suggests the true top-K may have escaped it.
-    stale = bool(np.isin(by_row[kept], pool[cfg.l_rerank_pool - 1:]).any())
-    return by_row[kept], (pooled[kept], vecs[kept]), stale
+def _flat(parts: Sequence[np.ndarray]) -> np.ndarray:
+    """The int64 arrays parts, one after another; empty if there are none."""
+    return np.concatenate([np.zeros(0, dtype=np.int64), *parts])
 
 
-def _example_gradient(state: TrainerState, cfg: TrainConfig, lm: LMScorer,
-                      example: TrainExample, q_vec: np.ndarray) -> tuple[ExampleBackprop, float, np.ndarray]:
-    """What the backprop needs of the example, loss value, retrieved rows,
-    given its query vector as `_queries` gives it; an example that
-    retrieved nothing has loss 0.0 and a zero gradient. A stale-index
-    signal from retrieval counts in state.stale_rerank_warnings."""
-    enc = state.encoder
-    rows, fresh, stale = _retrieve(state, cfg, example, q_vec)
-    state.stale_rerank_warnings += stale
-    docs = state.tokens.view(rows)
-    if cfg.mode.trains_docs:
-        doc_rows, lengths = docs.gather(state.rows)
-        d_pooled, d_vecs = fresh or encode_texts(enc.doc, doc_rows, lengths)
-    else:
-        # The index is never stale in these modes; its vectors are the
-        # document embeddings, and the backprop reads no document rows.
-        doc_rows = lengths = d_pooled = None
-        d_vecs = state.index.vectors[rows]
-
-    g_scores, loss_value = np.zeros(0), 0.0
-    if len(rows):
-        # Not `_retrieve`'s scores[rows]: matvec bits depend on row position.
-        probs = retrieval_distribution(d_vecs @ q_vec, cfg.temperature)
-        if cfg.loss == LossKind.EMDR2:
-            logliks = lm.per_doc_loglik(example.query, docs, example.output)
-            step = emdr2_objective(logliks, probs, cfg.temperature)
-            loss_value = -step.value
-        else:
-            target = build_target(cfg.loss, lm, example.query, docs,
-                                  example.output, cfg.temperature_target)
-            step = distill_step(target, probs, cfg.temperature)
-            loss_value = step.value
-        g_scores = step.grad_wrt_scores
-
-    d_grads = g_scores[:, None] * q_vec if cfg.mode.trains_docs else None
-    return ExampleBackprop(g_scores @ d_vecs, doc_rows, lengths, d_pooled,
-                           d_grads), loss_value, rows
+def _retrieve(state: TrainerState, cfg: TrainConfig,
+              examples: Sequence[TrainExample],
+              q_vecs: np.ndarray) -> tuple[list[np.ndarray], tuple | None, int]:
+    """Index rows of each example's candidate documents for its query
+    vector, best first, honoring the maintenance mode and self-exclusion;
+    where documents train, the vocab rows and lengths (CSR form) of them
+    all, example after example, in rerank with their fresh pooled means
+    and vectors from one `encode_texts` call over every example's pool,
+    else None; and how many examples raised rerank's stale-index signal.
+    State is not changed."""
+    rerank = cfg.mode == MaintenanceMode.RERANK
+    retrieved = []
+    for ex, q_vec in zip(examples, q_vecs):
+        scores = state.index.vectors @ q_vec
+        n = state.index.size  # selectable rows: all but the origin's
+        origin = ex.origin_passage_id
+        row = bisect.bisect_left(state.index.ids, origin)
+        if origin and row < n and state.index.ids[row] == origin:
+            scores[row] = -np.inf
+            n -= 1
+        k = cfg.l_rerank_pool if rerank else cfg.k_retrieved
+        retrieved.append(index_mod._top_k(scores, min(k, n)))
+    if not cfg.mode.trains_docs:
+        return retrieved, None, 0
+    fresh, stale = (), 0
+    if rerank:
+        # Rescored in row order, so fresh ties break by ascending id.
+        by_row = _flat([np.sort(pool) for pool in retrieved])
+        pooled, vecs = encode_texts(
+            state.encoder.doc, *state.tokens.view(by_row).gather(state.rows))
+        kept, first = [], 0
+        for pool, q_vec in zip(retrieved, q_vecs):
+            scores = np.array([np.dot(q_vec, v)
+                               for v in vecs[first:first + len(pool)]])
+            keep = index_mod._top_k(scores, len(pool))[:cfg.k_retrieved]
+            kept.append(first + keep)
+            # Stale-index signal: a fresh top-K element coming from the tail
+            # of the stale pool suggests the true top-K may have escaped it.
+            stale += bool(np.isin(by_row[kept[-1]],
+                                  pool[cfg.l_rerank_pool - 1:]).any())
+            first += len(pool)
+        retrieved = [by_row[k] for k in kept]
+        fresh = (pooled[_flat(kept)], vecs[_flat(kept)])
+    docs = state.tokens.view(_flat(retrieved)).gather(state.rows)
+    return retrieved, (*docs, *fresh), stale
 
 
 def _queries(state: TrainerState, examples: Sequence[TrainExample]):
@@ -216,8 +199,8 @@ def _recall(state: TrainerState, examples: Sequence[TrainExample],
 
 def train_step(state: TrainerState, batch: Sequence[TrainExample],
                cfg: TrainConfig, lm: LMScorer) -> StepMetrics:
-    """One optimizer step over a batch. Rebuilds run strictly between
-    steps, before the batch is processed."""
+    """One optimizer step over a batch, phase by phase. Rebuilds run
+    strictly between steps, before the batch is processed."""
     state.step += 1
     if cfg.rebuilds_at(state.step):
         state.index = index_mod.build(
@@ -225,21 +208,47 @@ def train_step(state: TrainerState, batch: Sequence[TrainExample],
             shards=state.index.shards, precision=state.index.precision,
             previous_version=state.index.version, tokens=state.tokens,
             rows=state.rows)
+    if not cfg.k_retrieved:  # the closed-book ablation: no retrieval
+        return StepMetrics(state.step, 0.0, 0.0, state.index.version)
 
-    backprops, losses, retrieved = [], [], []
-    # The closed-book ablation (k_retrieved == 0) retrieves and trains nothing.
-    examples = batch if cfg.k_retrieved else []
-    *queries, q_vecs = _queries(state, examples)
-    for ex, q_vec in zip(examples, q_vecs):
-        backprop, loss_value, rows = _example_gradient(state, cfg, lm, ex,
-                                                       q_vec)
-        backprops.append(backprop)
-        losses.append(loss_value)
-        retrieved.append(rows)
+    *queries, q_vecs = _queries(state, batch)
+    retrieved, docs, stale = _retrieve(state, cfg, batch, q_vecs)
+    state.stale_rerank_warnings += stale
+    if cfg.mode == MaintenanceMode.FULL_REFRESH:
+        docs += encode_texts(state.encoder.doc, *docs)
+    counts = np.array([len(rows) for rows in retrieved])
+    # The static modes' index is never stale: its rows are document vectors.
+    d_vecs = (np.split(docs[3], np.cumsum(counts)[:-1]) if docs
+              else [state.index.vectors[rows] for rows in retrieved])
 
-    if cfg.mode != MaintenanceMode.FIXED and cfg.k_retrieved > 0:
-        total = encoder_gradient(state.encoder, queries, backprops,
-                                 1.0 / len(batch), cfg.mode)
+    # An example that retrieved nothing has loss 0.0 and a zero gradient.
+    losses, g_scores = [0.0] * len(batch), [np.zeros(0)] * len(batch)
+    for i, (ex, q_vec, rows, vecs) in enumerate(
+            zip(batch, q_vecs, retrieved, d_vecs)):
+        if not len(rows):
+            continue
+        # Not `_retrieve`'s scores[rows]: matvec bits depend on row position.
+        probs = retrieval_distribution(vecs @ q_vec, cfg.temperature)
+        texts = state.tokens.view(rows)
+        if cfg.loss == LossKind.EMDR2:
+            logliks = lm.per_doc_loglik(ex.query, texts, ex.output)
+            step = emdr2_objective(logliks, probs, cfg.temperature)
+            losses[i] = -step.value
+        else:
+            target = build_target(cfg.loss, lm, ex.query, texts, ex.output,
+                                  cfg.temperature_target)
+            step = distill_step(target, probs, cfg.temperature)
+            losses[i] = step.value
+        g_scores[i] = step.grad_wrt_scores
+
+    if cfg.mode != MaintenanceMode.FIXED:
+        q_grads = np.array([g @ vecs for g, vecs in zip(g_scores, d_vecs)])
+        if docs:
+            d_grads = (np.concatenate(g_scores)[:, None]
+                       * np.repeat(q_vecs, counts, axis=0))
+            docs = (*docs[:3], d_grads, counts)
+        total = encoder_gradient(state.encoder, queries, q_grads, docs,
+                                 1.0 / len(batch))
         lr, enc = _learning_rate(cfg, state.step), state.encoder
         enc.query.embedding[total.query_rows] -= lr * total.query_values
         enc.query.projection -= lr * total.query_projection
@@ -249,8 +258,8 @@ def train_step(state: TrainerState, batch: Sequence[TrainExample],
 
     return StepMetrics(
         step=state.step,
-        loss=float(np.mean(losses)) if losses else 0.0,
-        recall_at_1=_recall(state, examples, retrieved),
+        loss=float(np.mean(losses)),
+        recall_at_1=_recall(state, batch, retrieved),
         index_version=state.index.version,
     )
 
@@ -315,9 +324,8 @@ def recall_at_1(state: TrainerState, examples: Sequence[TrainExample],
     if not len(examples):
         raise ValueError("examples is empty: no recall to measure")
     gold = [ex for ex in examples if ex.gold_passage_id]
-    q_vecs = _queries(state, gold)[3]
-    return _recall(state, gold, [_retrieve(state, cfg, ex, q_vec)[0]
-                                 for ex, q_vec in zip(gold, q_vecs)])
+    return _recall(state, gold,
+                   _retrieve(state, cfg, gold, _queries(state, gold)[3])[0])
 
 
 def write_metrics_csv(history: Sequence[StepMetrics], path):

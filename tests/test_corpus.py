@@ -135,6 +135,27 @@ class TestQualityFilter:
         if not quality_filter(doc, base):
             assert not quality_filter(doc, tight)
 
+    @pytest.mark.parametrize("threshold, at, past", [
+        # 4 tokens against a minimum of 4; 3 are too few.
+        (dict(min_doc_length=4), ["a1", "a2", "a3", "a4"], ["a1", "a2", "a3"]),
+        # Mean word length 16/4 == 4.0; 17/4 is above it.
+        (dict(max_mean_word_length=4.0), ["ab01", "ab02", "ab03", "ab04"],
+         ["ab01", "ab02", "ab03", "ab004"]),
+        # Alphanumeric ratio 15/25 == 0.6; 15/26 is below it.
+        (dict(min_alnum_ratio=0.6), ["001!!", "002!!", "003!!", "004!!",
+                                     "005!!"],
+         ["001!!", "002!!", "003!!", "004!!", "005!!!"]),
+        # Repeated-token ratio 1 - 2/4 == 0.5; 1 - 2/5 is above it.
+        (dict(max_repeated_token_ratio=0.5), ["a1", "a1", "b1", "b1"],
+         ["a1", "a1", "b1", "b1", "b1"]),
+    ])
+    def test_threshold_is_inclusive(self, threshold, at, past):
+        # A document exactly at a threshold passes, and one just past it
+        # fails; each document meets the other three tests.
+        cfg = FilterConfig(**{"min_doc_length": 1, **threshold})
+        assert quality_filter(make_doc([("", " ".join(at))]), cfg)
+        assert not quality_filter(make_doc([("", " ".join(past))]), cfg)
+
 
 class TestIO:
     def test_passage_json_round_trip(self):

@@ -14,13 +14,12 @@ from rlab.cli import main
 from rlab.corpus import TokenTable, read_passages, write_passages
 from rlab.index import EmbeddingIndex, FormatError, build, save_index
 from rlab.lm import OverlapLM
-from rlab.retriever import (DualEncoder, EncoderParams, ExampleBackprop,
-                            Gradients, MaintenanceMode, Vocab,
-                            _backprop_side, check_distribution,
-                            encode_doc, encode_query, encode_texts,
-                            encoder_gradient, init_encoder, load_checkpoint,
-                            retrieval_distribution, retriever_gradient,
-                            save_checkpoint, sum_rows)
+from rlab.retriever import (DualEncoder, EncoderParams, Gradients,
+                            MaintenanceMode, Vocab, _backprop_side,
+                            check_distribution, encode_doc, encode_query,
+                            encode_texts, encoder_gradient, init_encoder,
+                            load_checkpoint, retrieval_distribution,
+                            retriever_gradient, save_checkpoint, sum_rows)
 from rlab.trainer import TrainConfig, init_state, train_step
 
 from needle import make_needle_task
@@ -351,9 +350,11 @@ class TestRetrieverGradient:
         d_pooled, d_vecs = per_text(enc.doc, doc_rows, lengths)
         g_scores = (retrieval_distribution(d_vecs @ q_vec, theta)
                     - target) / theta
-        got = encoder_gradient(enc, (query_rows, q_lengths, q_pooled), [
-            ExampleBackprop(g_scores @ d_vecs, doc_rows, lengths, d_pooled,
-                            g_scores[:, None] * q_vec)], 1.0, mode)
+        given = (doc_rows, np.array(lengths), d_pooled,
+                 g_scores[:, None] * q_vec, np.array([len(lengths)]))
+        got = encoder_gradient(enc, (query_rows, q_lengths, q_pooled),
+                               (g_scores @ d_vecs)[None],
+                               given if mode.trains_docs else None, 1.0)
         want = retriever_gradient(enc, query, docs, target, theta, mode)
         for field in ("query_rows", "query_values", "query_projection",
                       "doc_rows", "doc_values", "doc_projection"):

@@ -15,10 +15,9 @@ from rlab.retriever import (Gradients, Vocab, encode_doc, encode_query,
                             encode_texts, encoder_gradient, init_encoder,
                             retrieval_distribution, retriever_gradient)
 from rlab.trainer import (MaintenanceMode, StepMetrics, TrainConfig,
-                          TrainExample, _example_gradient, _learning_rate,
-                          _queries, _retrieve, init_state,
-                          init_state_from_table, recall_at_1, train,
-                          train_step, write_metrics_csv)
+                          TrainExample, _learning_rate, _queries, _retrieve,
+                          init_state, init_state_from_table, recall_at_1,
+                          train, train_step, write_metrics_csv)
 
 from needle import make_needle_task
 
@@ -33,6 +32,42 @@ def small_task(**kwargs):
     defaults = dict(n_passages=30, n_examples=8, dim=16, seed=0)
     defaults.update(kwargs)
     return make_needle_task(**defaults)
+
+
+def backprop_of_step(monkeypatch, state, batch, cfg, lm):
+    """The arguments (encoder, queries, q_grads, docs, scale) and result of
+    the one encoder_gradient call of a train_step."""
+    calls = []
+
+    def recording(*args):
+        calls.append((args, encoder_gradient(*args)))
+        return calls[-1][1]
+    monkeypatch.setattr("rlab.trainer.encoder_gradient", recording)
+    train_step(state, batch, cfg, lm)
+    (call,) = calls
+    return call
+
+
+def cut(rows, lengths, *per_text, counts):
+    """Texts in CSR form and arrays of one entry per text, cut into runs
+    of counts[i] texts: one tuple of the same arrays per run."""
+    ends = np.cumsum(counts)[:-1]
+    row_ends = np.cumsum(np.concatenate([[0], lengths]))[ends]
+    return list(zip(np.split(rows, row_ends),
+                    *[np.split(a, ends) for a in (lengths, *per_text)]))
+
+
+def per_example(queries, q_grads, docs):
+    """Each example's own encoder_gradient arguments (queries, q_grads,
+    docs), cut from a step's."""
+    n = len(q_grads)
+    own_docs = [None] * n
+    if docs is not None:
+        *texts, counts = docs
+        own_docs = [(*d, counts[i:i + 1])
+                    for i, d in enumerate(cut(*texts, counts=counts))]
+    return list(zip(cut(*queries, counts=np.ones(n, dtype=np.int64)),
+                    np.split(q_grads, n), own_docs))
 
 
 class TestConfigValidation:
@@ -148,7 +183,8 @@ class TestRetrieve:
         cfg = TrainConfig(k_retrieved=5, steps=1)
         ex = TrainExample(query=passages[0].text[:2], output=("x",),
                           origin_passage_id=passages[0].id)
-        rows, _, _ = _retrieve(state, cfg, ex, encode_query(encoder, ex.query))
+        (rows,), _, _ = _retrieve(state, cfg, [ex],
+                                  [encode_query(encoder, ex.query)])
         ids = [state.index.ids[r] for r in rows]
         assert len(ids) == 5
         assert passages[0].id not in ids
@@ -160,7 +196,7 @@ class TestRetrieve:
         ex = examples[0]
         q_vec = encode_query(encoder, ex.query)
         expected = [pid for pid, _ in search(state.index, q_vec, 5)]
-        rows, _, _ = _retrieve(state, cfg, ex, q_vec)
+        (rows,), _, _ = _retrieve(state, cfg, [ex], [q_vec])
         assert [state.index.ids[r] for r in rows] == expected
 
     def test_rerank_agrees_with_fresh_index(self):
@@ -172,8 +208,8 @@ class TestRetrieve:
         plain = TrainConfig(k_retrieved=5, steps=1)
         ex = examples[0]
         q_vec = encode_query(encoder, ex.query)
-        assert _retrieve(state, fresh, ex, q_vec)[0].tolist() == \
-            _retrieve(state, plain, ex, q_vec)[0].tolist()
+        assert _retrieve(state, fresh, [ex], [q_vec])[0][0].tolist() == \
+            _retrieve(state, plain, [ex], [q_vec])[0][0].tolist()
 
     def test_rerank_ties_by_id_not_stale_order(self):
         # Every passage has the same text, so their fresh scores all tie,
@@ -191,11 +227,11 @@ class TestRetrieve:
             ["p11", "p10", "p09"]
         cfg = TrainConfig(mode=MaintenanceMode.RERANK, k_retrieved=4,
                           l_rerank_pool=8)
-        rows, _, stale = _retrieve(state, cfg, ex, q_vec)
+        (rows,), _, stale = _retrieve(state, cfg, [ex], [q_vec])
         assert [state.index.ids[r] for r in rows] == \
             ["p04", "p05", "p06", "p07"]
         # p04 closes the stale pool, and the fresh top-K holds it.
-        assert stale
+        assert stale == 1
 
     @staticmethod
     def _count_encodes(monkeypatch, encoder):
@@ -223,7 +259,7 @@ class TestRetrieve:
         q_vec = encode_query(encoder, ex.query)
         assert search(state.index, q_vec, 1)[0][0] == origin.id
         encoded = self._count_encodes(monkeypatch, encoder)
-        rows, _, _ = _retrieve(state, cfg, ex, q_vec)
+        (rows,), _, _ = _retrieve(state, cfg, [ex], [q_vec])
         assert len(encoded) == cfg.l_rerank_pool
         assert encoder.vocab.rows(origin.text).tolist() not in encoded
         assert len(rows) == 3 and origin.id not in \
@@ -239,10 +275,42 @@ class TestRetrieve:
         results = []
         for origin in ("", "absent"):
             ex = replace(examples[0], origin_passage_id=origin)
-            rows, _, stale = _retrieve(state, cfg, ex, q_vec)
+            (rows,), _, stale = _retrieve(state, cfg, [ex], [q_vec])
             results.append((rows.tolist(), stale, len(encoded)))
             encoded.clear()
         assert results[0] == results[1]
+
+    @pytest.mark.parametrize("mode", list(MaintenanceMode))
+    def test_batch_equals_one_example_at_a_time(self, mode):
+        # A step's examples retrieve together what each retrieves alone,
+        # and their trained documents are each one's, one after another,
+        # with the same bits: rerank encodes all pools in one call. The
+        # document encoder has moved since the build, so rerank's fresh
+        # scores reorder its stale pools; every other example has an
+        # origin.
+        passages, examples, encoder = small_task()
+        state = init_state(encoder, passages)
+        rng = np.random.default_rng(5)
+        encoder.doc.embedding += rng.normal(scale=0.3,
+                                            size=encoder.doc.embedding.shape)
+        batch = TestEmbedCount._batch(passages, examples)
+        cfg = TrainConfig(mode=mode, k_retrieved=3, l_rerank_pool=6)
+        q_vecs = _queries(state, batch)[3]
+        rows, docs, stale = _retrieve(state, cfg, batch, q_vecs)
+        alone = [_retrieve(state, cfg, [ex], [q_vec])
+                 for ex, q_vec in zip(batch, q_vecs)]
+        assert [r.tolist() for r in rows] == [a[0][0].tolist() for a in alone]
+        assert stale == sum(a[2] for a in alone)
+        assert len(docs or ()) == {MaintenanceMode.RERANK: 4,
+                                   MaintenanceMode.FULL_REFRESH: 2}.get(mode, 0)
+        for i, field in enumerate(docs or ()):
+            want = np.concatenate([a[1][i] for a in alone])
+            assert field.dtype == want.dtype and field.shape == want.shape
+            assert field.tobytes() == want.tobytes()
+        # No examples: nothing retrieved, no documents encoded.
+        none, none_docs, none_stale = _retrieve(state, cfg, [], q_vecs[:0])
+        assert none == [] and none_stale == 0
+        assert [len(a) for a in none_docs or ()] == [0] * len(docs or ())
 
     def test_stale_rerank_warning_counter(self):
         passages, examples, encoder = small_task()
@@ -261,17 +329,16 @@ class TestRetrieve:
 class TestTrainStep:
     @pytest.mark.parametrize("mode", [MaintenanceMode.FULL_REFRESH,
                                       MaintenanceMode.QUERY_SIDE])
-    def test_example_gradient_is_retriever_gradient(self, mode):
+    def test_step_gradient_is_retriever_gradient(self, monkeypatch, mode):
         # training applies the gradient that criterion 3 checks
         passages, examples, encoder = small_task()
-        state = init_state(encoder, passages)
+        state = init_state(encoder.copy(), passages)
         cfg = TrainConfig(mode=mode, k_retrieved=10, loss=LossKind.PDIST,
                           temperature=0.1, temperature_target=1.0)
         lm = OverlapLM(vocab_size=5000)
         ex = examples[0]
-        *queries, (q_vec,) = _queries(state, [ex])
-        backprop, _, rows = _example_gradient(state, cfg, lm, ex, q_vec)
-        grads = encoder_gradient(encoder, queries, [backprop], 1.0, mode)
+        (rows,), _, _ = _retrieve(state, cfg, [ex], _queries(state, [ex])[3])
+        _, grads = backprop_of_step(monkeypatch, state, [ex], cfg, lm)
         docs = [tuple(state.passages[r].text) for r in rows]
         target = pdist_target(lm.per_doc_loglik(ex.query, docs, ex.output),
                               cfg.temperature_target)
@@ -367,18 +434,19 @@ class TestEmbedCount:
     """A step embeds the documents the cost model charges its mode for:
     none in the static modes, the L candidates of each example in rerank,
     and in full_refresh the K retrieved per example plus the N of a
-    rebuild."""
+    rebuild; a step's documents are one encode_texts call, and a rebuild
+    is one more."""
 
     @staticmethod
     def _count_embeds(monkeypatch, encoder):
-        """Every document embed, one entry per text, seen through the
-        trainer's and the index builder's bindings of encode_texts on the
-        document side."""
+        """Every document-side encode_texts call, as the vocab rows of each
+        of its texts, seen through the trainer's and the index builder's
+        bindings."""
         calls = []
 
         def counting(params, rows, lengths):
             if params is encoder.doc:
-                calls.extend(text_rows(rows, lengths))
+                calls.append(text_rows(rows, lengths))
             return encode_texts(params, rows, lengths)
         monkeypatch.setattr("rlab.trainer.encode_texts", counting)
         monkeypatch.setattr("rlab.index.encode_texts", counting)
@@ -408,15 +476,17 @@ class TestEmbedCount:
             MaintenanceMode.RERANK: sum(min(l_pool, n) for n in selectable),
             MaintenanceMode.FULL_REFRESH: len(batch) * cfg.k_retrieved,
         }[mode]
+        step_calls = int(mode.trains_docs)
         rebuild = len(passages) if cfg.rebuilds_at(2) else 0
         calls = self._count_embeds(monkeypatch, encoder)
         lm = OverlapLM(vocab_size=5000)
         counts = []
         for _ in range(2):
             train_step(state, batch, cfg, lm)
-            counts.append(len(calls))
+            counts.append((len(calls), sum(map(len, calls))))
             calls.clear()
-        assert counts == [per_step, per_step + rebuild]
+        assert counts == [(step_calls, per_step),
+                          (step_calls + bool(rebuild), per_step + rebuild)]
 
     @pytest.mark.parametrize("mode", list(MaintenanceMode))
     def test_recall_at_1(self, monkeypatch, mode):
@@ -428,8 +498,9 @@ class TestEmbedCount:
         calls = self._count_embeds(monkeypatch, encoder)
         recall_at_1(state, batch + [replace(examples[4], gold_passage_id="")],
                     cfg)
-        assert len(calls) == (len(batch) * cfg.l_rerank_pool
-                              if mode == MaintenanceMode.RERANK else 0)
+        assert [len(texts) for texts in calls] == (
+            [len(batch) * cfg.l_rerank_pool]
+            if mode == MaintenanceMode.RERANK else [])
 
 
 def repeated_token_task(extra_vocab=0):
@@ -460,7 +531,7 @@ def dense_side_gradient(params, vocab, text, grad_vec, emb_grad, proj_grad):
 def dense_reference_step(state, batch, cfg, lm):
     """One SGD step with dense |V|x d gradients, sharing no code with
     `Gradients`: per example np.add.at into zero tables, total += g / B,
-    table -= lr * total."""
+    table -= lr * total. An example that retrieved nothing adds nothing."""
     state.step += 1
     if cfg.rebuilds_at(state.step):
         state.index = build(state.passages, state.encoder,
@@ -473,7 +544,9 @@ def dense_reference_step(state, batch, cfg, lm):
     total = [np.zeros_like(t) for t in tables]
     for ex in batch:
         q_vec = encode_query(enc, ex.query)
-        rows, _, _ = _retrieve(state, cfg, ex, q_vec)
+        (rows,), _, _ = _retrieve(state, cfg, [ex], [q_vec])
+        if not len(rows):
+            continue
         docs = [state.passages[r].text for r in rows]
         if cfg.mode.trains_docs:
             d_vecs = np.stack([encode_doc(enc, d) for d in docs])
@@ -504,14 +577,30 @@ def dense_reference_step(state, batch, cfg, lm):
         table -= lr * t
 
 
+# Corpora of 1, 2 and 24 passages, every other example naming an origin:
+# with one passage, half the examples retrieve nothing. Rerank also runs
+# with L above the selectable rows of the whole corpus. train refuses loss
+# loop where an example has fewer than two selectable rows, so those cases
+# are left out.
+DENSE_CASES = [
+    (mode, loss, n_passages, l_pool)
+    for mode in MaintenanceMode for loss in LossKind
+    for n_passages, l_pool in [(1, 10), (2, 10), (24, 10), (24, 30)]
+    if (mode == MaintenanceMode.RERANK or l_pool == 10)
+    and not (loss == LossKind.LOOP and n_passages < 3)]
+
+
 class TestSparseGradients:
-    @pytest.mark.parametrize("loss", list(LossKind))
-    @pytest.mark.parametrize("mode", list(MaintenanceMode))
-    def test_bit_identical_to_dense_sgd(self, mode, loss):
+    @pytest.mark.parametrize("mode, loss, n_passages, l_pool", DENSE_CASES)
+    def test_bit_identical_to_dense_sgd(self, mode, loss, n_passages, l_pool):
         passages, examples, encoder = repeated_token_task()
+        passages = passages[:n_passages]
+        examples = [replace(ex, origin_passage_id=passages[e % n_passages].id)
+                    if e % 2 else ex for e, ex in enumerate(examples)]
         cfg = TrainConfig(mode=mode, loss=loss, k_retrieved=6,
-                          l_rerank_pool=10, refresh_interval=2, batch_size=3,
-                          steps=6, learning_rate=0.5, warmup_steps=2)
+                          l_rerank_pool=l_pool, refresh_interval=2,
+                          batch_size=3, steps=6, learning_rate=0.5,
+                          warmup_steps=2)
         lm = OverlapLM(vocab_size=50)
         state = init_state(encoder, passages)
         reference = init_state(encoder.copy(), passages)
@@ -525,6 +614,8 @@ class TestSparseGradients:
                         getattr(getattr(state.encoder, side), table),
                         getattr(getattr(reference.encoder, side), table),
                         err_msg=f"step {step + 1}: {side} {table}")
+        if n_passages == 1:
+            return  # one retrieved row: a zero gradient, nothing trains
         initial = repeated_token_task()[2]
         assert np.array_equal(state.encoder.query.embedding,
                               initial.query.embedding) == (
@@ -533,80 +624,81 @@ class TestSparseGradients:
                               initial.doc.embedding) == (not mode.trains_docs)
 
     @staticmethod
-    def array_sizes(passages, examples, encoder, cfg):
-        """The size of each array (np.size(None) is 1) in the records of a
-        step over the first four examples, record by record, and then in
-        the step's total gradient."""
+    def array_sizes(monkeypatch, passages, examples, encoder, cfg):
+        """The size of each array the backprop is given in a step over the
+        first four examples, and of each array of the step's total
+        gradient; and the documents given (None where none train)."""
         state = init_state(encoder, passages)
-        batch = examples[:4]
-        lm = OverlapLM(vocab_size=50)
-        *queries, q_vecs = _queries(state, batch)
-        backprops = [_example_gradient(state, cfg, lm, ex, q_vec)[0]
-                     for ex, q_vec in zip(batch, q_vecs)]
-        total = encoder_gradient(encoder, queries, backprops, 1.0 / 4,
-                                 cfg.mode)
-        sizes = [sorted(np.size(a) for a in backprop)
-                 for backprop in backprops]
-        return sizes + [sorted(a.size for a in vars(total).values()
-                               if isinstance(a, np.ndarray))]
+        (_, queries, q_grads, docs, _), total = backprop_of_step(
+            monkeypatch, state, examples[:4], cfg, OverlapLM(vocab_size=50))
+        given = [a.size for a in (*queries, q_grads, *(docs or ()))]
+        return given, sorted(a.size for a in vars(total).values()
+                             if isinstance(a, np.ndarray)), docs
 
-    def test_no_array_grows_with_vocab(self):
+    def test_no_array_grows_with_vocab(self, monkeypatch):
         def array_sizes(extra_vocab):
             passages, examples, encoder = repeated_token_task(extra_vocab)
             # K covers every passage, so the touched rows do not depend on
             # the (vocab-dependent) initial ranking.
             cfg = TrainConfig(mode=MaintenanceMode.FULL_REFRESH,
                               k_retrieved=len(passages))
-            return self.array_sizes(passages, examples, encoder, cfg)
+            return self.array_sizes(monkeypatch, passages, examples, encoder,
+                                    cfg)[:2]
 
         small, large = array_sizes(0), array_sizes(20000)
         assert small == large
         assert max(max(s) for s in large) < 20000
 
-    def test_no_query_side_record_grows_with_k(self):
-        # A query_side record holds the query vector's gradient, not the
-        # K index rows that it was scored against.
+    def test_query_side_builds_no_document_gradient(self, monkeypatch):
+        # A query_side step hands the backprop no documents, only each
+        # query vector's gradient, not the K index rows that it was scored
+        # against; its total has no document rows and a zero projection.
         passages, examples, encoder = small_task(n_passages=40)
 
-        def record_sizes(k):
+        def backprop_given(k):
             cfg = TrainConfig(mode=MaintenanceMode.QUERY_SIDE, k_retrieved=k)
-            return self.array_sizes(passages, examples, encoder, cfg)[:-1]
+            given, _, docs = self.array_sizes(monkeypatch, passages, examples,
+                                              encoder.copy(), cfg)
+            assert docs is None
+            return given
 
-        assert record_sizes(5) == record_sizes(30)
+        assert backprop_given(5) == backprop_given(30)
+        state = init_state(encoder, passages)
+        cfg = TrainConfig(mode=MaintenanceMode.QUERY_SIDE, k_retrieved=30)
+        _, total = backprop_of_step(monkeypatch, state, examples[:4], cfg,
+                                    OverlapLM(vocab_size=50))
+        assert len(total.doc_rows) == 0 and len(total.doc_values) == 0
+        assert not total.doc_projection.any()
 
     @pytest.mark.parametrize("mode", [MaintenanceMode.QUERY_SIDE,
                                       MaintenanceMode.RERANK,
                                       MaintenanceMode.FULL_REFRESH])
     @pytest.mark.parametrize("n_passages", [1, 14])
-    def test_step_total_in_one_call(self, mode, n_passages):
+    def test_step_total_in_one_call(self, monkeypatch, mode, n_passages):
         # One backprop over a step's examples equals each example's
         # gradient added after zero tables with the step's 1/B. The
         # queries share tokens and the examples share documents; with one
         # passage, the example that has it as origin retrieves nothing and
-        # gives a zero record, whose query rows carry +0.0.
+        # gives a zero gradient, whose query rows carry +0.0.
         passages, examples, encoder = repeated_token_task()
-        state = init_state(encoder, passages[:n_passages])
+        state = init_state(encoder.copy(), passages[:n_passages])
         batch = examples[:3] + [replace(examples[3],
                                         origin_passage_id=passages[0].id)]
         cfg = TrainConfig(mode=mode, k_retrieved=6, l_rerank_pool=10,
                           loss=LossKind.EMDR2)
         lm = OverlapLM(vocab_size=50)
-        *queries, q_vecs = _queries(state, batch)
-        backprops = [_example_gradient(state, cfg, lm, ex, q_vec)[0]
-                     for ex, q_vec in zip(batch, q_vecs)]
-        got = encoder_gradient(encoder, queries, backprops, 1.0 / len(batch),
-                               mode)
+        (_, queries, q_grads, docs, scale), got = backprop_of_step(
+            monkeypatch, state, batch, cfg, lm)
+        assert scale == 1.0 / len(batch)
+        assert (docs is not None) == mode.trains_docs
         want, alone = Gradients.zeros_like(encoder), []
-        for ex, backprop in zip(batch, backprops):
-            alone.append(encoder_gradient(encoder, _queries(state, [ex])[:3],
-                                          [backprop], 1.0, mode))
+        for args in per_example(queries, q_grads, docs):
+            alone.append(encoder_gradient(encoder, *args, 1.0))
             want.add_scaled(alone[-1], 1.0 / len(batch))
-        zero = backprops[3]
-        assert (zero.q_grad.tobytes() == bytes(8 * encoder.dim)) == (
+        assert (q_grads[3].tobytes() == bytes(8 * encoder.dim)) == (
             n_passages == 1)
         if n_passages == 1:
-            assert [None if a is None else len(a) for a in zero[1:]] == (
-                [0 if mode.trains_docs else None] * 4)
+            assert docs is None or docs[4][3] == 0
             values = alone[3].query_values
             assert len(values) and values.tobytes() == bytes(values.nbytes)
         for name in ("query_rows", "query_values", "query_projection",
@@ -618,7 +710,7 @@ class TestSparseGradients:
         assert (len(got.doc_rows) > 0) == mode.trains_docs
         # No examples: zero tables.
         none, zeros = (encoder_gradient(encoder, _queries(state, [])[:3],
-                                        [], 0.25, mode),
+                                        q_grads[:0], None, 0.25),
                        Gradients.zeros_like(encoder))
         assert [np.asarray(a).tobytes() for a in vars(none).values()] == [
             np.asarray(a).tobytes() for a in vars(zeros).values()]
@@ -629,23 +721,20 @@ class TestSparseGradients:
     @pytest.mark.parametrize("mode", [MaintenanceMode.QUERY_SIDE,
                                       MaintenanceMode.RERANK,
                                       MaintenanceMode.FULL_REFRESH])
-    def test_rows_strictly_ascending(self, mode):
+    def test_rows_strictly_ascending(self, monkeypatch, mode):
         # Every Gradients holds each embedding row once, ascending: the
         # total of a step whose examples share rows, each example's own,
         # their sum by add_scaled, and retriever_gradient's.
         passages, examples, encoder = repeated_token_task()
-        state = init_state(encoder, passages)
+        state = init_state(encoder.copy(), passages)
         batch = examples[:4]
         cfg = TrainConfig(mode=mode, k_retrieved=6, l_rerank_pool=10)
         lm = OverlapLM(vocab_size=50)
-        *queries, q_vecs = _queries(state, batch)
-        backprops = [_example_gradient(state, cfg, lm, ex, q_vec)[0]
-                     for ex, q_vec in zip(batch, q_vecs)]
-        grads = [encoder_gradient(encoder, queries, backprops, 0.25, mode)]
-        added = Gradients.zeros_like(encoder)
-        for ex, backprop in zip(batch, backprops):
-            grads.append(encoder_gradient(
-                encoder, _queries(state, [ex])[:3], [backprop], 1.0, mode))
+        (_, queries, q_grads, docs, _), total = backprop_of_step(
+            monkeypatch, state, batch, cfg, lm)
+        grads, added = [total], Gradients.zeros_like(encoder)
+        for args in per_example(queries, q_grads, docs):
+            grads.append(encoder_gradient(encoder, *args, 1.0))
             added.add_scaled(grads[-1], 0.25)
         docs = [p.text for p in passages[:5]]
         grads += [added, retriever_gradient(
@@ -719,8 +808,9 @@ class TestTokenTableDifferential:
         cfg = TrainConfig(mode=mode, k_retrieved=4, l_rerank_pool=8,
                           loss=LossKind.LOOP)
         scorer = TupleScorer(OverlapLM(vocab_size=500))
-        (q_vec,) = _queries(state, examples[:1])[3]
-        _, _, rows = _example_gradient(state, cfg, scorer, examples[0], q_vec)
+        (rows,), _, _ = _retrieve(state, cfg, examples[:1],
+                                  _queries(state, examples[:1])[3])
+        train_step(state, examples[:1], cfg, scorer)
         assert scorer.seen == [[state.passages[r].text for r in rows]]
         assert all(type(doc) is tuple for doc in scorer.seen[0])
 
@@ -742,7 +832,8 @@ class TestTrainLoop:
         cfg = TrainConfig(mode=MaintenanceMode.FIXED, k_retrieved=5)
         lm = OverlapLM(vocab_size=5000)
         q_vec = encode_query(encoder, examples[0].query)
-        top = state.index.ids[_retrieve(state, cfg, examples[0], q_vec)[0][0]]
+        (rows,), _, _ = _retrieve(state, cfg, examples[:1], [q_vec])
+        top = state.index.ids[rows[0]]
         hit = replace(examples[0], gold_passage_id=top)
         no_gold = replace(examples[1], gold_passage_id="")
         for batch, recall in [([hit, no_gold], 1.0), ([no_gold], 0.0)]:
