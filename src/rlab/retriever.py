@@ -10,7 +10,7 @@ initialization) so that query-side-only training can freeze the document
 encoder and keep a prebuilt index valid. `encode_texts` encodes texts,
 many at once, from their embedding rows in CSR form (`Vocab.rows` bisects
 the sorted vocab). Training and the finite-difference check share one
-backprop, `encoder_gradient`, from each encoded vector's gradient and the
+backprop, `encoder_gradient`, from each example's score gradients and the
 pooled means of the forward pass. A training step calls it once for all
 of its examples, with one `_backprop_side` per trained side over all of
 their texts; its bits are those of adding the examples one by one.
@@ -269,24 +269,32 @@ def _backprop_side(params: EncoderParams, rows: np.ndarray,
 
 
 def encoder_gradient(enc: DualEncoder, queries: Sequence[np.ndarray],
-                     q_grads: np.ndarray, docs: Sequence[np.ndarray] | None,
+                     g_scores: Sequence[np.ndarray],
+                     d_vecs: Sequence[np.ndarray],
+                     docs: Sequence[np.ndarray] | None,
                      scale: float) -> Gradients:
     """Gradient of scale times the summed losses of B examples, given the
-    rows, lengths (CSR form) and pooled means of their queries and the
-    (B, d) d(loss)/d(query vector), and, unless None (no document trains),
-    the same four of their documents, example after example, and each
-    example's document count; one `_backprop_side` per trained side, each
-    embedding row once: bit-equal to `zeros_like` plus `add_scaled(gradient
-    of the example, scale)` for each example in turn, so zero with none."""
+    rows, lengths (CSR form), pooled means and vectors of their queries,
+    each one's d(loss)/d(scores) (empty if it retrieved nothing) and the
+    document vectors it scored, and, unless None (no document trains), the
+    rows, lengths and pooled means of their documents, example after
+    example; one `_backprop_side` per trained side, each embedding row
+    once: bit-equal to `zeros_like` plus `add_scaled(gradient of the
+    example, scale)` for each example in turn, so zero with none."""
     grads = Gradients.zeros_like(enc)
-    if not len(q_grads):
+    if not len(g_scores):
         return grads
+    *queries, q_vecs = queries
+    counts = np.array([len(g) for g in g_scores], dtype=np.int64)
+    q_grads = np.array([g @ vecs for g, vecs in zip(g_scores, d_vecs)])
     grads.query_rows, grads.query_values, grads.query_projection = (
-        _backprop_side(enc.query, *queries, q_grads,
-                       np.ones(len(q_grads), dtype=np.int64), scale))
+        _backprop_side(enc.query, *queries, q_grads, np.ones_like(counts),
+                       scale))
     if docs is not None:
+        d_grads = (np.concatenate(g_scores)[:, None]
+                   * np.repeat(q_vecs, counts, axis=0))
         grads.doc_rows, grads.doc_values, grads.doc_projection = (
-            _backprop_side(enc.doc, *docs, scale))
+            _backprop_side(enc.doc, *docs, d_grads, counts, scale))
     return grads
 
 
@@ -312,15 +320,14 @@ def retriever_gradient(enc: DualEncoder, query: Sequence[str],
     query_rows = enc.vocab.rows(query)
     doc_rows = enc.vocab.rows([t for doc in docs for t in doc])
     q_lengths, doc_lengths = np.array([len(query)]), [len(d) for d in docs]
-    q_pooled, (q_vec,) = encode_texts(enc.query, query_rows, q_lengths)
+    q_pooled, q_vecs = encode_texts(enc.query, query_rows, q_lengths)
     d_pooled, d_vecs = encode_texts(enc.doc, doc_rows, doc_lengths)
-    g_scores = (retrieval_distribution(d_vecs @ q_vec, temperature)
+    g_scores = (retrieval_distribution(d_vecs @ q_vecs[0], temperature)
                 - target) / temperature
-    trained = (doc_rows, np.array(doc_lengths), d_pooled,
-               g_scores[:, None] * q_vec,
-               np.array([len(docs)])) if mode.trains_docs else None
-    return encoder_gradient(enc, (query_rows, q_lengths, q_pooled),
-                            (g_scores @ d_vecs)[None], trained, 1.0)
+    trained = ((doc_rows, np.array(doc_lengths), d_pooled)
+               if mode.trains_docs else None)
+    return encoder_gradient(enc, (query_rows, q_lengths, q_pooled, q_vecs),
+                            [g_scores], [d_vecs], trained, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,10 @@ the index rows. Their texts are interned once, in `TrainerState.tokens`,
 whose view the LM scores, and `TrainerState.rows` holds the encoder vocab
 row of each of their tokens. A step runs its phases in order, each over
 all of its examples: encode the queries, retrieve, encode the trained
-documents, take each example's target and loss, and backprop once, in
-`retriever.encoder_gradient`, which the gradient check covers and which
-gives each embedding row once, summed over the batch. A step's queries,
-its trained documents and a rebuild are each one `encode_texts` call.
+documents, take each example's target, loss and score gradient, and
+backprop once from those, in `retriever.encoder_gradient` as the gradient
+check does, each embedding row once. A step's queries, its trained
+documents and a rebuild are each one `encode_texts` call.
 The optimizer is plain SGD with linear warmup and decay. With a fixed
 seed, configuration and corpus, the parameter trajectory and the emitted
 metrics are bit-identical across runs.
@@ -138,9 +138,8 @@ def _retrieve(state: TrainerState, cfg: TrainConfig,
               q_vecs: np.ndarray) -> tuple[list[np.ndarray], tuple | None, int]:
     """Index rows of each example's candidate documents for its query
     vector, best first, honoring the maintenance mode and self-exclusion;
-    where documents train, the vocab rows and lengths (CSR form) of them
-    all, example after example, in rerank with their fresh pooled means
-    and vectors from one `encode_texts` call over every example's pool,
+    in rerank the fresh pooled means and vectors of the kept rows, example
+    after example, from one `encode_texts` call over every example's pool,
     else None; and how many examples raised rerank's stale-index signal.
     State is not changed."""
     rerank = cfg.mode == MaintenanceMode.RERANK
@@ -155,29 +154,26 @@ def _retrieve(state: TrainerState, cfg: TrainConfig,
             n -= 1
         k = cfg.l_rerank_pool if rerank else cfg.k_retrieved
         retrieved.append(index_mod._top_k(scores, min(k, n)))
-    if not cfg.mode.trains_docs:
+    if not rerank:
         return retrieved, None, 0
-    fresh, stale = (), 0
-    if rerank:
-        # Rescored in row order, so fresh ties break by ascending id.
-        by_row = _flat([np.sort(pool) for pool in retrieved])
-        pooled, vecs = encode_texts(
-            state.encoder.doc, *state.tokens.view(by_row).gather(state.rows))
-        kept, first = [], 0
-        for pool, q_vec in zip(retrieved, q_vecs):
-            scores = np.array([np.dot(q_vec, v)
-                               for v in vecs[first:first + len(pool)]])
-            keep = index_mod._top_k(scores, len(pool))[:cfg.k_retrieved]
-            kept.append(first + keep)
-            # Stale-index signal: a fresh top-K element coming from the tail
-            # of the stale pool suggests the true top-K may have escaped it.
-            stale += bool(np.isin(by_row[kept[-1]],
-                                  pool[cfg.l_rerank_pool - 1:]).any())
-            first += len(pool)
-        retrieved = [by_row[k] for k in kept]
-        fresh = (pooled[_flat(kept)], vecs[_flat(kept)])
-    docs = state.tokens.view(_flat(retrieved)).gather(state.rows)
-    return retrieved, (*docs, *fresh), stale
+    # Rescored in row order, so fresh ties break by ascending id.
+    by_row = _flat([np.sort(pool) for pool in retrieved])
+    pooled, vecs = encode_texts(
+        state.encoder.doc, *state.tokens.view(by_row).gather(state.rows))
+    kept, first, stale = [], 0, 0
+    for pool, q_vec in zip(retrieved, q_vecs):
+        scores = np.array([np.dot(q_vec, v)
+                           for v in vecs[first:first + len(pool)]])
+        keep = index_mod._top_k(scores, len(pool))[:cfg.k_retrieved]
+        kept.append(first + keep)
+        # Stale-index signal: a fresh top-K element coming from the tail
+        # of the stale pool suggests the true top-K may have escaped it.
+        stale += bool(np.isin(by_row[kept[-1]],
+                              pool[cfg.l_rerank_pool - 1:]).any())
+        first += len(pool)
+    kept_rows = _flat(kept)
+    return ([by_row[k] for k in kept], (pooled[kept_rows], vecs[kept_rows]),
+            stale)
 
 
 def _queries(state: TrainerState, examples: Sequence[TrainExample]):
@@ -211,20 +207,21 @@ def train_step(state: TrainerState, batch: Sequence[TrainExample],
     if not cfg.k_retrieved:  # the closed-book ablation: no retrieval
         return StepMetrics(state.step, 0.0, 0.0, state.index.version)
 
-    *queries, q_vecs = _queries(state, batch)
-    retrieved, docs, stale = _retrieve(state, cfg, batch, q_vecs)
+    queries = _queries(state, batch)
+    retrieved, fresh, stale = _retrieve(state, cfg, batch, queries[3])
     state.stale_rerank_warnings += stale
-    if cfg.mode == MaintenanceMode.FULL_REFRESH:
-        docs += encode_texts(state.encoder.doc, *docs)
-    counts = np.array([len(rows) for rows in retrieved])
-    # The static modes' index is never stale: its rows are document vectors.
-    d_vecs = (np.split(docs[3], np.cumsum(counts)[:-1]) if docs
-              else [state.index.vectors[rows] for rows in retrieved])
+    if cfg.mode.trains_docs:
+        rows, lengths = state.tokens.view(_flat(retrieved)).gather(state.rows)
+        pooled, vecs = fresh or encode_texts(state.encoder.doc, rows, lengths)
+        docs = (rows, lengths, pooled)
+        d_vecs = np.split(vecs, np.cumsum([len(r) for r in retrieved])[:-1])
+    else:  # the static modes' index is never stale: its rows are vectors
+        docs, d_vecs = None, [state.index.vectors[rows] for rows in retrieved]
 
     # An example that retrieved nothing has loss 0.0 and a zero gradient.
     losses, g_scores = [0.0] * len(batch), [np.zeros(0)] * len(batch)
     for i, (ex, q_vec, rows, vecs) in enumerate(
-            zip(batch, q_vecs, retrieved, d_vecs)):
+            zip(batch, queries[3], retrieved, d_vecs)):
         if not len(rows):
             continue
         # Not `_retrieve`'s scores[rows]: matvec bits depend on row position.
@@ -242,13 +239,8 @@ def train_step(state: TrainerState, batch: Sequence[TrainExample],
         g_scores[i] = step.grad_wrt_scores
 
     if cfg.mode != MaintenanceMode.FIXED:
-        q_grads = np.array([g @ vecs for g, vecs in zip(g_scores, d_vecs)])
-        if docs:
-            d_grads = (np.concatenate(g_scores)[:, None]
-                       * np.repeat(q_vecs, counts, axis=0))
-            docs = (*docs[:3], d_grads, counts)
-        total = encoder_gradient(state.encoder, queries, q_grads, docs,
-                                 1.0 / len(batch))
+        total = encoder_gradient(state.encoder, queries, g_scores, d_vecs,
+                                 docs, 1.0 / len(batch))
         lr, enc = _learning_rate(cfg, state.step), state.encoder
         enc.query.embedding[total.query_rows] -= lr * total.query_values
         enc.query.projection -= lr * total.query_projection

@@ -346,14 +346,13 @@ class TestRetrieverGradient:
         query_rows = enc.vocab.rows(query)
         doc_rows = enc.vocab.rows([t for d in docs for t in d])
         q_lengths, lengths = np.array([len(query)]), [len(d) for d in docs]
-        q_pooled, (q_vec,) = per_text(enc.query, query_rows, q_lengths)
+        q_pooled, q_vecs = per_text(enc.query, query_rows, q_lengths)
         d_pooled, d_vecs = per_text(enc.doc, doc_rows, lengths)
-        g_scores = (retrieval_distribution(d_vecs @ q_vec, theta)
+        g_scores = (retrieval_distribution(d_vecs @ q_vecs[0], theta)
                     - target) / theta
-        given = (doc_rows, np.array(lengths), d_pooled,
-                 g_scores[:, None] * q_vec, np.array([len(lengths)]))
-        got = encoder_gradient(enc, (query_rows, q_lengths, q_pooled),
-                               (g_scores @ d_vecs)[None],
+        given = (doc_rows, np.array(lengths), d_pooled)
+        got = encoder_gradient(enc, (query_rows, q_lengths, q_pooled, q_vecs),
+                               [g_scores], [d_vecs],
                                given if mode.trains_docs else None, 1.0)
         want = retriever_gradient(enc, query, docs, target, theta, mode)
         for field in ("query_rows", "query_values", "query_projection",
