@@ -89,14 +89,13 @@ def cmd_ingest(args) -> int:
 def cmd_build_index(args) -> int:
     t0 = time.perf_counter()
     passages = corpus.read_passages(args.passages)
-    tokens = corpus.TokenTable([p.text for p in passages])
     if args.checkpoint:
         enc = retriever.load_checkpoint(args.checkpoint)
     else:
-        enc = retriever.init_encoder(retriever.Vocab(tokens.term_strings),
-                                     args.dim, seed=args.seed)
+        enc = retriever.init_encoder(retriever.Vocab(set().union(
+            *(p.text for p in passages))), args.dim, seed=args.seed)
     idx = index_mod.build(passages, enc, shards=args.shards,
-                          precision=args.precision, tokens=tokens)
+                          precision=args.precision)
     # The index is written first: an id it rejects leaves no files behind.
     index_mod.save_index(idx, args.out)
     if not args.checkpoint:
@@ -175,12 +174,10 @@ def cmd_train(args) -> int:
     cfg = _parse_train_config(Path(args.config))
     t0 = time.perf_counter()
     passages = corpus.read_passages(args.corpus)
-    ordered = sorted(passages, key=lambda p: p.id)
-    tokens = corpus.TokenTable([p.text for p in ordered])
-    enc = retriever.init_encoder(
-        retriever.Vocab([*tokens.term_strings, pretext.RETRIEVER_MASK_TOKEN]),
+    enc = retriever.init_encoder(retriever.Vocab(set().union(
+        [pretext.RETRIEVER_MASK_TOKEN], *(p.text for p in passages))),
         args.dim, seed=cfg.seed)
-    state = trainer.init_state_from_table(enc, ordered, tokens)
+    state = trainer.init_state(enc, passages)
     build_time = time.perf_counter() - t0
 
     examples = pretext.TaskExamples(passages, args.task, cfg.seed)

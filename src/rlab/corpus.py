@@ -258,7 +258,9 @@ def _is_section(obj) -> bool:
 
 def read_documents(path) -> Iterator[RawDocument]:
     """Raw documents from JSONL, one object per line; blank lines are
-    skipped. A malformed line raises FormatError naming the file and line."""
+    skipped. A malformed line or an id read before raises FormatError
+    naming the file and line."""
+    seen = set()
     for where, obj in jsonl_objects(path):
         if not (isinstance(obj.get("id"), str)
                 and isinstance(obj.get("title"), str)
@@ -272,6 +274,9 @@ def read_documents(path) -> Iterator[RawDocument]:
             doc = document_from_json(obj)
         except ValueError as exc:
             raise FormatError(f"{where}: {exc}") from exc
+        if doc.id in seen:
+            raise FormatError(f"{where}: duplicate id {doc.id!r}")
+        seen.add(doc.id)
         yield doc
 
 
@@ -312,9 +317,9 @@ def write_passages(passages: Iterable[Passage], path) -> int:
 def read_passages(path) -> list[Passage]:
     """Passages from JSONL, one object per line; blank lines are skipped.
     The passages share one string per distinct token, the first one read.
-    A malformed line, an empty id or a text with no word raises
-    FormatError naming the file and line."""
-    out, canon = [], {}
+    A malformed line, an empty id, an id read before or a text with no
+    word raises FormatError naming the file and line."""
+    out, canon, seen = [], {}, set()
     for where, obj in jsonl_objects(path):
         get = obj.get
         if not (isinstance(get("id"), str) and isinstance(get("text"), str)
@@ -328,6 +333,9 @@ def read_passages(path) -> list[Passage]:
         passage = _passage(obj, canon)
         if not passage.id:
             raise FormatError(f"{where}: empty id")
+        if passage.id in seen:
+            raise FormatError(f"{where}: duplicate id {passage.id!r}")
+        seen.add(passage.id)
         if not passage.text:
             raise FormatError(f"{where}: empty text")
         out.append(passage)

@@ -17,12 +17,14 @@ A step works in index rows, never passage ids: `TrainerState.passages`
 is in index row order, and the static modes take document vectors from
 the index rows. Their texts are interned once, in `TrainerState.tokens`,
 whose view the LM scores, and `TrainerState.rows` holds the encoder vocab
-row of each of their tokens. A step runs its phases in order, each over
-all of its examples: encode the queries, retrieve, encode the trained
-documents, take each example's target, loss and score gradient, and
-backprop once from those, in `retriever.encoder_gradient` as the gradient
-check does, each embedding row once. A step's queries, its trained
-documents and a rebuild are each one `encode_texts` call.
+row of each of their tokens. `init_state` alone makes that state, from
+passages in any order: it sorts them by id, interns their texts, finds
+their vocab rows and builds the index. A step runs its phases in order,
+each over all of its examples: encode the queries, retrieve, encode the
+trained documents, take each example's target, loss and score gradient,
+and backprop once from those, in `retriever.encoder_gradient` as the
+gradient check does, each embedding row once. A step's queries, its
+trained documents and a rebuild are each one `encode_texts` call.
 The optimizer is plain SGD with linear warmup and decay. With a fixed
 seed, configuration and corpus, the parameter trajectory and the emitted
 metrics are bit-identical across runs.
@@ -164,8 +166,7 @@ def _retrieve(state: TrainerState, cfg: TrainConfig,
     for pool, q_vec in zip(retrieved, q_vecs):
         scores = np.array([np.dot(q_vec, v)
                            for v in vecs[first:first + len(pool)]])
-        keep = index_mod._top_k(scores, len(pool))[:cfg.k_retrieved]
-        kept.append(first + keep)
+        kept.append(first + index_mod._top_k(scores, cfg.k_retrieved))
         # Stale-index signal: a fresh top-K element coming from the tail
         # of the stale pool suggests the true top-K may have escaped it.
         stale += bool(np.isin(by_row[kept[-1]],
@@ -261,20 +262,10 @@ def init_state(encoder: DualEncoder,
     """The state before step 1: the passages in index row order
     (ascending id), their texts interned, and the index built of them."""
     ordered = sorted(passages, key=lambda p: p.id)
-    return init_state_from_table(encoder, ordered,
-                                 TokenTable([p.text for p in ordered]))
-
-
-def init_state_from_table(encoder: DualEncoder, passages: list[Passage],
-                          tokens: TokenTable) -> TrainerState:
-    """`init_state` of passages given in ascending id order, with tokens
-    their texts, interned in that order, so that the table can give the
-    encoder its vocab first. Passages out of that order raise ValueError."""
+    tokens = TokenTable([p.text for p in ordered])
     rows = tokens.vocab_rows(encoder.vocab)
-    idx = index_mod.build(passages, encoder, tokens=tokens, rows=rows)
-    if idx.ids != [p.id for p in passages]:
-        raise ValueError("passages must be in ascending id order")
-    return TrainerState(encoder=encoder, index=idx, passages=passages,
+    idx = index_mod.build(ordered, encoder, tokens=tokens, rows=rows)
+    return TrainerState(encoder=encoder, index=idx, passages=ordered,
                         tokens=tokens, rows=rows)
 
 

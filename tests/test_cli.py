@@ -11,6 +11,7 @@ from rlab.corpus import Passage, read_passages, write_passages
 from rlab.pretext import TaskExamples, mlm_example, prefix_lm_example
 from rlab.index import load_index
 from rlab.pq import compress, squared_error, train_pq
+from rlab.retriever import load_checkpoint
 from rlab.trainer import LossKind, MaintenanceMode, TrainConfig, TrainExample
 
 
@@ -257,6 +258,40 @@ class TestBuildAndSearch:
                      "--checkpoint", str(ckpt), "--query", "doc0tok0"]) == 1
         assert "index.ridx" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["ingest", "build-index", "train",
+                                         "evaluate"])
+    def test_repeated_input_id_exit_1_and_nothing_written(
+            self, tmp_path, capsys, command):
+        # ingest wrote doc0's passages twice and evaluate read the
+        # passages, both with exit 0; build-index and train exited 2 on
+        # "duplicate id" from the index, naming no file or line.
+        raw = tmp_path / "raw.jsonl"
+        make_raw_corpus(raw, n_docs=2)
+        raw.write_text(raw.read_text() + raw.read_text().splitlines()[0]
+                       + "\n")
+        passages = tmp_path / "passages.jsonl"
+        passages.write_text('{"id": "doc0", "text": "x y"}\n'
+                            '{"id": "doc1", "text": "y z"}\n'
+                            '{"id": "doc0", "text": "z x"}\n')
+        config = tmp_path / "train.cfg"
+        config.write_text("steps=1\nk_retrieved=1\n")
+        task = tmp_path / "tasks.jsonl"
+        task.write_text(json.dumps({"question": "x y", "gold": 0,
+                                    "options": ["x", "y", "z", "w"]}) + "\n")
+        before = sorted(p.name for p in tmp_path.iterdir())
+        args = {"ingest": ["--in", str(raw), "--out", str(tmp_path / "o")],
+                "build-index": ["--passages", str(passages),
+                                "--out", str(tmp_path / "index.ridx")],
+                "train": ["--config", str(config), "--corpus", str(passages),
+                          "--out", str(tmp_path / "run")],
+                "evaluate": ["--task", str(task),
+                             "--passages", str(passages)]}[command]
+        assert main([command, *args]) == 1
+        name = "raw.jsonl" if command == "ingest" else "passages.jsonl"
+        assert (f"{name}, line 3: duplicate id 'doc0'"
+                in capsys.readouterr().err)
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+
     def test_manifest_records_index_version(self, workspace):
         tmp_path, raw = workspace
         passages = run_ingest(tmp_path, raw)
@@ -356,6 +391,34 @@ class TestTrain:
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert manifest["config"]["steps"] == 3
         assert manifest["config"]["loss"] == "pdist"
+
+    @pytest.mark.parametrize("mode", list(MaintenanceMode))
+    def test_line_order_does_not_matter(self, tmp_path, mode):
+        # The index, the trainer's passages and their interned texts are
+        # in id order whatever the order of the lines. The examples follow
+        # the lines, so one passage alone is long enough to give an MLM one.
+        passages = [Passage(id=f"p{i:02d}", doc_id="d", text=tuple(
+            f"w{i * j % 13}" for j in range(12 if i == 6 else 2 + i % 7)))
+            for i in range(12)]
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(f"mode = {mode.value}\nk_retrieved = 3\n"
+                       "l_rerank_pool = 5\nrefresh_interval = 2\nsteps = 3\n"
+                       "batch_size = 2\nlearning_rate = 0.5\n")
+        outputs = []
+        for order, lines in (("ascending", passages),
+                             ("reversed", passages[::-1])):
+            corpus = tmp_path / f"{order}.jsonl"
+            write_passages(lines, corpus)
+            out = tmp_path / order
+            assert main(["train", "--config", str(cfg), "--corpus",
+                         str(corpus), "--out", str(out), "--dim", "4",
+                         "--task", "mlm"]) == 0
+            outputs.append([(out / name).read_bytes() for name in
+                            ("encoder.rlab", "index.ridx", "metrics.csv")])
+        assert outputs[0] == outputs[1]
+        distinct = {t for p in passages for t in p.text}
+        vocab = load_checkpoint(tmp_path / "reversed" / "encoder.rlab").vocab
+        assert vocab.tokens == ["<unk>", *sorted(distinct | {"<mask>"})]
 
     @pytest.mark.parametrize("task", ["prefix_lm", "mlm"])
     def test_lazy_examples_equal_eager_ones(self, task):

@@ -238,6 +238,26 @@ class TestIO:
                            match=rf"raw\.jsonl, line 3: .*{reason}"):
             list(read_documents(path))
 
+    def test_read_passages_repeated_id_names_second_line(self, tmp_path):
+        # Read without complaint; the index rejected it later, naming no
+        # file or line.
+        path = tmp_path / "p.jsonl"
+        path.write_text('{"id": "a", "text": "x y"}\n{"id": "b", "text": "y"}'
+                        '\n\n{"id": "a", "text": "z"}\n')
+        with pytest.raises(FormatError,
+                           match=r"p\.jsonl, line 4: duplicate id 'a'$"):
+            read_passages(path)
+
+    def test_read_documents_repeated_id_names_second_line(self, tmp_path):
+        # ingest chunked both documents into passages of the same ids.
+        path = tmp_path / "raw.jsonl"
+        other = self.GOOD_DOCUMENT.replace(b'"id": "a"', b'"id": "b"')
+        path.write_bytes(b"\n".join([self.GOOD_DOCUMENT, other, b"",
+                                     self.GOOD_DOCUMENT]) + b"\n")
+        with pytest.raises(FormatError,
+                           match=r"raw\.jsonl, line 4: duplicate id 'a'$"):
+            list(read_documents(path))
+
     def test_wiki_requires_dump_date(self):
         with pytest.raises(ValueError):
             RawDocument(id="d", title="t", sections=(), source="wiki")

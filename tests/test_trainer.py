@@ -16,8 +16,8 @@ from rlab.retriever import (Gradients, Vocab, encode_doc, encode_query,
                             retrieval_distribution, retriever_gradient)
 from rlab.trainer import (MaintenanceMode, StepMetrics, TrainConfig,
                           TrainExample, _learning_rate, _queries, _retrieve,
-                          init_state, init_state_from_table, recall_at_1,
-                          train, train_step, write_metrics_csv)
+                          init_state, recall_at_1, train, train_step,
+                          write_metrics_csv)
 
 from needle import make_needle_task
 
@@ -984,27 +984,6 @@ class TestLoopNeedsTwoSelectable:
         history = train(init_state(encoder, passages), examples, cfg)
         assert len(history) == 3
         assert np.isfinite([m.loss for m in history]).all()
-
-
-class TestInitStateFromTable:
-    def test_equals_init_state(self):
-        passages, _, encoder = small_task()
-        ordered = sorted(passages, key=lambda p: p.id)
-        got = init_state_from_table(encoder, ordered,
-                                    TokenTable([p.text for p in ordered]))
-        want = init_state(encoder, passages[::-1])
-        assert got.passages == want.passages
-        assert got.index.ids == want.index.ids
-        assert got.index.vectors.tobytes() == want.index.vectors.tobytes()
-        assert got.rows.tobytes() == want.rows.tobytes()
-
-    def test_passages_out_of_id_order_refused(self):
-        # The index sorts its rows by id; TrainerState.passages must too.
-        passages, _, encoder = small_task()
-        shuffled = passages[1::-1] + passages[2:]
-        with pytest.raises(ValueError, match="ascending id"):
-            init_state_from_table(encoder, shuffled,
-                                  TokenTable([p.text for p in shuffled]))
 
 
 class TestMetricsCsv:
