@@ -180,7 +180,7 @@ def cmd_train(args) -> int:
     state = trainer.init_state(enc, passages)
     build_time = time.perf_counter() - t0
 
-    examples = pretext.TaskExamples(passages, args.task, cfg.seed)
+    examples = pretext.TaskExamples(state.passages, args.task, cfg.seed)
     if not examples:
         raise UsageError("corpus produced no training examples")
 

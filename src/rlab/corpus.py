@@ -1,12 +1,13 @@
 """Corpus ingestion: chunking, infobox linearization, and quality filtering.
 
-Documents arrive as structured records (title + sections); they are
-linearized, split by section into passages of bounded word count, and
-filtered on simple document-level statistics. A "word" is a maximal run
-of non-whitespace characters, and passages store their token lists
-directly so all downstream counting is deterministic. The passages that
-one `read_passages` or `ingest` call returns share one string per
-distinct token: each call maps every token through a dict of its own.
+Documents arrive as structured records (title + sections); `ingest`
+linearizes infoboxes, filters documents on simple document-level
+statistics and splits the survivors by section into passages of bounded
+word count. A "word" is a maximal run of non-whitespace characters, and
+passages store their token lists directly so all downstream counting is
+deterministic. The passages that one `read_passages` or `ingest` call
+returns share one string per distinct token: each call maps every token
+through a dict of its own.
 """
 
 from __future__ import annotations
@@ -141,24 +142,6 @@ class TokenTable(abc.Sequence):
         return view
 
 
-def linearize_structured(entries: Sequence[str]) -> str:
-    """Join list/infobox entries into flat text with a '; ' separator.
-
-    Empty entries are skipped. Idempotent on already-flat (single entry)
-    input.
-    """
-    return "; ".join(e for e in entries if e)
-
-
-def linearize_document(doc: RawDocument) -> RawDocument:
-    """Flatten an infobox/list document: each section body is one entry,
-    joined with '; ' into a single flat section. Linearization happens
-    before chunking.
-    """
-    flat = linearize_structured([s.text for s in doc.sections])
-    return replace(doc, sections=(Section("", flat),))
-
-
 def chunk_tokens(tokens: Sequence[str], max_words: int) -> list[list[str]]:
     """Split a token sequence into ceil(W/max_words) near-equal pieces.
 
@@ -176,18 +159,11 @@ def chunk_tokens(tokens: Sequence[str], max_words: int) -> list[list[str]]:
     return [list(tokens[a:b]) for a, b in zip(starts, starts[1:])]
 
 
-def chunk(doc: RawDocument, max_words: int = 200) -> list[Passage]:
-    """Split a document by section, then split long sections into
-    equal-size passages of at most max_words words each.
-
-    Section titles are kept as passage metadata, not counted as words.
-    """
-    return _chunk(doc, [tokenize(s.text) for s in doc.sections], max_words)
-
-
-def _chunk(doc: RawDocument, sections: Sequence[Sequence[str]],
-           max_words: int) -> list[Passage]:
-    """`chunk`, given the tokens of each of doc's sections."""
+def chunk(doc: RawDocument, sections: Sequence[Sequence[str]],
+          max_words: int) -> list[Passage]:
+    """Split a document by section, given each section's tokens, then
+    split long sections into equal-size passages of at most max_words
+    words each. Section titles are passage metadata, not words."""
     passages = []
     for si, (section, tokens) in enumerate(zip(doc.sections, sections)):
         for pi, piece in enumerate(chunk_tokens(tokens, max_words)):
@@ -218,17 +194,11 @@ def alnum_ratio(text: str) -> float:
     return len(re.sub(r"[\W_]+", "", stripped)) / len(stripped)
 
 
-def quality_filter(doc: RawDocument, cfg: FilterConfig = FilterConfig()) -> bool:
-    """True iff the document passes all four quality tests:
+def quality_filter(tokens: Sequence[str], cfg: FilterConfig) -> bool:
+    """True iff a document of these tokens passes all four quality tests:
     length, mean word length, alphanumeric ratio, repeated-token ratio.
-    """
-    return _passes([t for section in doc.sections
-                    for t in tokenize(section.text)], cfg)
-
-
-def _passes(tokens: Sequence[str], cfg: FilterConfig) -> bool:
-    """`quality_filter` of a document whose tokens are given."""
-    if len(tokens) < cfg.min_doc_length:
+    A document with no word fails, whatever the minimum length."""
+    if not tokens or len(tokens) < cfg.min_doc_length:
         return False
     joined = "".join(tokens)  # tokens hold no whitespace
     return (len(joined) / len(tokens) <= cfg.max_mean_word_length
@@ -238,18 +208,6 @@ def _passes(tokens: Sequence[str], cfg: FilterConfig) -> bool:
 
 # ---------------------------------------------------------------------------
 # JSONL interchange
-
-def document_from_json(obj: dict) -> RawDocument:
-    sections = tuple(Section(s.get("title", ""), s["text"])
-                     for s in obj["sections"])
-    return RawDocument(
-        id=obj["id"],
-        title=obj["title"],
-        sections=sections,
-        source=obj.get("source", "wiki"),
-        dump_date=obj.get("dump_date"),
-    )
-
 
 def _is_section(obj) -> bool:
     return (isinstance(obj, dict) and isinstance(obj.get("text"), str)
@@ -271,7 +229,10 @@ def read_documents(path) -> Iterator[RawDocument]:
                               f"a list of sections with string text and a "
                               f"string or null dump_date")
         try:
-            doc = document_from_json(obj)
+            doc = RawDocument(obj["id"], obj["title"], tuple(
+                Section(s.get("title", ""), s["text"])
+                for s in obj["sections"]),
+                obj.get("source", "wiki"), obj.get("dump_date"))
         except ValueError as exc:
             raise FormatError(f"{where}: {exc}") from exc
         if doc.id in seen:
@@ -291,14 +252,10 @@ def passage_to_json(p: Passage) -> dict:
     }
 
 
-def passage_from_json(obj: dict) -> Passage:
-    return _passage(obj, {})
-
-
 def _passage(obj: dict, canon: dict[str, str]) -> Passage:
-    """`passage_from_json`, the tokens taken through canon (`_shared`).
-    The fields go in by position: by keyword, a read of 10,000 passages
-    took about 10 ms longer."""
+    """The passage of a JSON object, its tokens taken through canon
+    (`_shared`). The fields go in by position: by keyword, a read of
+    10,000 passages took about 10 ms longer."""
     get = obj.get
     return Passage(obj["id"], get("doc_id", obj["id"]),
                    _shared(tokenize(obj["text"]), canon), get("source", "wiki"),
@@ -344,16 +301,20 @@ def read_passages(path) -> list[Passage]:
 
 def ingest(documents: Iterable[RawDocument], max_words: int = 200,
            cfg: FilterConfig | None = None) -> list[Passage]:
-    """Filter documents, then chunk the survivors into passages. The
-    passages share one string per distinct token, the first one kept.
+    """Linearize each infobox into one section, its nonempty section
+    bodies joined by '; ', filter the documents, then chunk the survivors.
+    The passages share one string per distinct token, the first one kept.
     Each section is split into tokens once, for the filter and the chunks."""
+    if max_words < 1:
+        raise ValueError("max_words must be >= 1")
     cfg = cfg or FilterConfig()
     passages, canon = [], {}
     for doc in documents:
         if doc.source == "infobox":
-            doc = linearize_document(doc)
+            doc = replace(doc, sections=(Section("", "; ".join(
+                s.text for s in doc.sections if s.text)),))
         sections = [tokenize(s.text) for s in doc.sections]
-        if _passes([t for tokens in sections for t in tokens], cfg):
-            passages.extend(_chunk(doc, [_shared(tokens, canon)
-                                         for tokens in sections], max_words))
+        if quality_filter([t for tokens in sections for t in tokens], cfg):
+            passages.extend(chunk(doc, [_shared(tokens, canon)
+                                        for tokens in sections], max_words))
     return passages

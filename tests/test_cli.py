@@ -125,6 +125,37 @@ class TestIngest:
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "filter.json", "raw.jsonl"]
 
+    def test_document_with_no_word_fails_the_filter(self, tmp_path, capsys):
+        # At min_doc_length 0 the filter divided by the document's zero
+        # token count: a ZeroDivisionError traceback.
+        raw, config = tmp_path / "raw.jsonl", tmp_path / "filter.json"
+        raw.write_text(json.dumps({"id": "a", "title": "T", "sections": [],
+                                   "dump_date": "2021-12-20"}) + "\n")
+        config.write_text('{"min_doc_length": 0}')
+        out = tmp_path / "o.jsonl"
+        assert main(["ingest", "--in", str(raw), "--out", str(out),
+                     "--filter-config", str(config)]) == 0
+        assert read_passages(out) == []
+        assert "wrote 0 passages" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("max_words", ["0", "-1"])
+    @pytest.mark.parametrize("min_doc_length", [50, 10 ** 6])
+    def test_max_words_below_1_exit_2_and_nothing_written(
+            self, workspace, capsys, max_words, min_doc_length):
+        # When no document passed the filter, nothing was chunked and
+        # max_words went unchecked: exit 0, with passages.jsonl and its
+        # manifest written.
+        tmp_path, raw = workspace
+        (tmp_path / "filter.json").write_text(
+            f'{{"min_doc_length": {min_doc_length}}}')
+        assert main(["ingest", "--in", str(raw),
+                     "--out", str(tmp_path / "o.jsonl"),
+                     "--filter-config", str(tmp_path / "filter.json"),
+                     "--max-words", max_words]) == 2
+        assert "max_words must be >= 1" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "filter.json", "raw.jsonl"]
+
 
 class TestBuildAndSearch:
     def test_build_then_search(self, workspace, capsys):
@@ -394,30 +425,32 @@ class TestTrain:
 
     @pytest.mark.parametrize("mode", list(MaintenanceMode))
     def test_line_order_does_not_matter(self, tmp_path, mode):
-        # The index, the trainer's passages and their interned texts are
-        # in id order whatever the order of the lines. The examples follow
-        # the lines, so one passage alone is long enough to give an MLM one.
+        # The index, the trainer's passages, their interned texts and the
+        # examples are in id order whatever the order of the lines. Every
+        # passage is long enough for an example of either task; the
+        # examples followed the lines, and the seeded draws then picked
+        # other passages when the lines were reversed.
         passages = [Passage(id=f"p{i:02d}", doc_id="d", text=tuple(
-            f"w{i * j % 13}" for j in range(12 if i == 6 else 2 + i % 7)))
-            for i in range(12)]
+            f"w{i * j % 13}" for j in range(10 + i % 7))) for i in range(12)]
         cfg = tmp_path / "train.cfg"
         cfg.write_text(f"mode = {mode.value}\nk_retrieved = 3\n"
                        "l_rerank_pool = 5\nrefresh_interval = 2\nsteps = 3\n"
                        "batch_size = 2\nlearning_rate = 0.5\n")
-        outputs = []
-        for order, lines in (("ascending", passages),
-                             ("reversed", passages[::-1])):
-            corpus = tmp_path / f"{order}.jsonl"
-            write_passages(lines, corpus)
-            out = tmp_path / order
-            assert main(["train", "--config", str(cfg), "--corpus",
-                         str(corpus), "--out", str(out), "--dim", "4",
-                         "--task", "mlm"]) == 0
-            outputs.append([(out / name).read_bytes() for name in
-                            ("encoder.rlab", "index.ridx", "metrics.csv")])
-        assert outputs[0] == outputs[1]
+        for task in ("prefix_lm", "mlm"):
+            outputs = []
+            for order, lines in (("ascending", passages),
+                                 ("reversed", passages[::-1])):
+                corpus = tmp_path / f"{order}.jsonl"
+                write_passages(lines, corpus)
+                out = tmp_path / task / order
+                assert main(["train", "--config", str(cfg), "--corpus",
+                             str(corpus), "--out", str(out), "--dim", "4",
+                             "--task", task]) == 0
+                outputs.append([(out / name).read_bytes() for name in (
+                    "encoder.rlab", "index.ridx", "metrics.csv")])
+            assert outputs[0] == outputs[1], task
         distinct = {t for p in passages for t in p.text}
-        vocab = load_checkpoint(tmp_path / "reversed" / "encoder.rlab").vocab
+        vocab = load_checkpoint(out / "encoder.rlab").vocab
         assert vocab.tokens == ["<unk>", *sorted(distinct | {"<mask>"})]
 
     @pytest.mark.parametrize("task", ["prefix_lm", "mlm"])

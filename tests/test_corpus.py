@@ -9,10 +9,9 @@ from hypothesis import given, strategies as st
 
 from rlab.corpus import (FilterConfig, Passage, RawDocument, Section,
                          alnum_ratio, chunk, chunk_tokens, ingest,
-                         linearize_document, linearize_structured,
-                         passage_from_json, passage_to_json, quality_filter,
-                         read_documents, read_passages, repeated_token_ratio,
-                         tokenize, write_passages)
+                         passage_to_json, quality_filter, read_documents,
+                         read_passages, repeated_token_ratio, tokenize,
+                         write_passages)
 from rlab.index import FormatError
 
 
@@ -22,28 +21,43 @@ def make_doc(sections, source="wiki", doc_id="d1"):
         dump_date="2021-12-20")
 
 
+# Every document with a word passes the filter.
+LENIENT = FilterConfig(min_doc_length=0, max_mean_word_length=1e9,
+                       min_alnum_ratio=0.0, max_repeated_token_ratio=1.0)
+
+
+def linearized(entries):
+    """The passages ingest makes of an infobox of these section bodies."""
+    doc = make_doc([(f"k{i}", e) for i, e in enumerate(entries)],
+                   source="infobox")
+    return ingest([doc], cfg=LENIENT)
+
+
 class TestLinearize:
     def test_two_entries(self):
-        assert linearize_structured(["pop.: 5M", "area: 10km²"]) == "pop.: 5M; area: 10km²"
+        (p,) = linearized(["pop.: 5M", "area: 10km²"])
+        assert " ".join(p.text) == "pop.: 5M; area: 10km²"
 
     def test_single_entry_no_separator(self):
-        assert linearize_structured(["x"]) == "x"
+        (p,) = linearized(["x"])
+        assert p.text == ("x",)
 
     def test_empty(self):
-        assert linearize_structured([]) == ""
+        assert linearized([]) == []
 
     def test_empty_entries_skipped(self):
-        assert linearize_structured(["a", "", "b"]) == "a; b"
+        (p,) = linearized(["a", "", "b"])
+        assert " ".join(p.text) == "a; b"
 
     def test_idempotent_on_flat(self):
-        flat = linearize_structured(["a: 1", "b: 2"])
-        assert linearize_structured([flat]) == flat
+        (flat,) = linearized(["a: 1", "b: 2"])
+        assert linearized([" ".join(flat.text)]) == [flat]
 
     def test_document_linearization(self):
-        doc = make_doc([("k1", "a: 1"), ("k2", "b: 2")], source="infobox")
-        flat = linearize_document(doc)
-        assert len(flat.sections) == 1
-        assert flat.sections[0].text == "a: 1; b: 2"
+        # One flat section with no title, however many the infobox had.
+        (p,) = linearized(["a: 1", "b: 2"])
+        assert (p.id, p.section_title, " ".join(p.text)) == \
+            ("d1:s0:p0", "", "a: 1; b: 2")
 
 
 class TestChunk:
@@ -60,14 +74,24 @@ class TestChunk:
         assert len(chunk_tokens([f"w{i}" for i in range(200)], 200)) == 1
 
     def test_empty_doc(self):
-        doc = make_doc([])
-        assert chunk(doc) == []
+        assert chunk(make_doc([]), [], 200) == []
+        assert ingest([make_doc([])], cfg=LENIENT) == []
 
     def test_section_titles_not_counted(self):
         doc = make_doc([("History", " ".join(f"w{i}" for i in range(10)))])
-        (p,) = chunk(doc)
+        (p,) = chunk(doc, [tokenize(doc.sections[0].text)], 200)
         assert len(p.text) == 10
         assert p.section_title == "History"
+        assert ingest([doc], max_words=10, cfg=LENIENT) == [p]
+
+    @pytest.mark.parametrize("max_words", [0, -1])
+    def test_max_words_below_1_refused_before_any_document(self, max_words):
+        # Refused only when a document passed the filter and was chunked.
+        def documents():
+            raise AssertionError("a document was read")
+            yield
+        with pytest.raises(ValueError, match="max_words must be >= 1"):
+            ingest(documents(), max_words=max_words)
 
     @given(st.integers(1, 500), st.integers(1, 200))
     def test_partition_and_equal_size_properties(self, n, max_words):
@@ -82,26 +106,37 @@ class TestChunk:
 
 class TestQualityFilter:
     def test_short_doc_rejected(self):
-        doc = make_doc([("", "one two three")])
-        assert not quality_filter(doc, FilterConfig(min_doc_length=50))
+        tokens = ["one", "two", "three"]
+        assert not quality_filter(tokens, FilterConfig(min_doc_length=50))
 
     def test_all_repeated_tokens_rejected(self):
-        doc = make_doc([("", "aaa aaa aaa aaa")])
         cfg = FilterConfig(min_doc_length=1, max_repeated_token_ratio=0.5)
         assert repeated_token_ratio(["aaa"] * 4) == 0.75
-        assert not quality_filter(doc, cfg)
+        assert not quality_filter(["aaa"] * 4, cfg)
 
     def test_normal_paragraph_accepted(self):
         # 60 distinct short alphanumeric words: length 60 >= 50, mean word
         # length 3.27 <= 10, alnum ratio 1.0 >= 0.6, repeated ratio 0 <= 0.5.
-        words = [f"ab{i}" for i in range(60)]
-        doc = make_doc([("", " ".join(words))])
-        assert quality_filter(doc, FilterConfig())
+        assert quality_filter([f"ab{i}" for i in range(60)], FilterConfig())
 
     def test_long_words_rejected(self):
-        words = ["x" * 30 for _ in range(60)]
-        doc = make_doc([("", " ".join(f"{w}{i}" for i, w in enumerate(words)))])
-        assert not quality_filter(doc, FilterConfig())
+        words = [f"{'x' * 30}{i}" for i in range(60)]
+        assert not quality_filter(words, FilterConfig())
+
+    def test_no_word_rejected_at_any_minimum_length(self):
+        # Divided by the zero token count at min_doc_length 0.
+        assert not quality_filter([], LENIENT)
+        assert not quality_filter([], FilterConfig(min_doc_length=-1))
+
+    def test_ingest_filters_whole_documents(self):
+        # Two 30-word sections pass a minimum of 60 together, though
+        # neither would alone; a document of one of them fails.
+        halves = [" ".join(f"{s}{i}" for i in range(30)) for s in "ab"]
+        doc = make_doc([("A", halves[0]), ("B", halves[1])])
+        cfg = FilterConfig(min_doc_length=60)
+        assert [p.id for p in ingest([doc], cfg=cfg)] == ["d1:s0:p0",
+                                                          "d1:s1:p0"]
+        assert ingest([make_doc([("A", halves[0])])], cfg=cfg) == []
 
     def test_alnum_ratio_equals_a_per_character_oracle(self):
         # Every code point but the surrogates, alone and in one text with
@@ -117,8 +152,7 @@ class TestQualityFilter:
 
     def test_non_alnum_rejected(self):
         words = [f"@#$%^&{i}!" for i in range(60)]
-        doc = make_doc([("", " ".join(words))])
-        assert not quality_filter(doc, FilterConfig())
+        assert not quality_filter(words, FilterConfig())
 
     @pytest.mark.parametrize("tighten", [
         dict(min_doc_length=120),
@@ -129,11 +163,10 @@ class TestQualityFilter:
     def test_monotonicity(self, tighten):
         # Tightening any threshold never converts rejected into accepted.
         words = [f"ab{i}" for i in range(60)] + ["ab0"]
-        doc = make_doc([("", " ".join(words))])
         base = FilterConfig()
         tight = FilterConfig(**{**base.__dict__, **tighten})
-        if not quality_filter(doc, base):
-            assert not quality_filter(doc, tight)
+        if not quality_filter(words, base):
+            assert not quality_filter(words, tight)
 
     @pytest.mark.parametrize("threshold, at, past", [
         # 4 tokens against a minimum of 4; 3 are too few.
@@ -153,16 +186,24 @@ class TestQualityFilter:
         # A document exactly at a threshold passes, and one just past it
         # fails; each document meets the other three tests.
         cfg = FilterConfig(**{"min_doc_length": 1, **threshold})
-        assert quality_filter(make_doc([("", " ".join(at))]), cfg)
-        assert not quality_filter(make_doc([("", " ".join(past))]), cfg)
+        assert quality_filter(at, cfg)
+        assert not quality_filter(past, cfg)
 
 
 class TestIO:
-    def test_passage_json_round_trip(self):
+    def test_passage_json_round_trip(self, tmp_path):
         p = Passage(id="d1:s0:p0", doc_id="d1", text=("a", "b"),
                     source="wiki", dump_date="2021-12-20",
                     section_title="History")
-        assert passage_from_json(passage_to_json(p)) == p
+        path = tmp_path / "p.jsonl"
+        write_passages([p], path)
+        assert read_passages(path) == [p]
+
+    def test_read_passages_fills_omitted_fields(self, tmp_path):
+        path = tmp_path / "p.jsonl"
+        path.write_text('{"id": "b", "text": "x y"}\n')
+        assert read_passages(path) == [Passage(id="b", doc_id="b",
+                                               text=("x", "y"))]
 
     def test_ingest_linearizes_infoboxes(self):
         entries = [(f"k{i}", f"key{i}: value{i}") for i in range(30)]
