@@ -1,10 +1,10 @@
 """Command-line entry point wiring corpus -> index -> trainer -> evalkit.
 
-One binary, subcommand style; `train` draws its examples from
-`pretext.TaskExamples`. Every run writes a manifest (config snapshot,
-seed, input hashes, index version, per-phase timings) so the run can be
-reproduced from it alone: `<artifact>.manifest.json` next to the file a
-command writes, or `manifest.json` in the directory `train` writes.
+One binary, subcommand style. Config files hold `key = value` lines.
+Each artifact gets a manifest (every argument, config field and input
+hash, the index version, per-phase timings) that reproduces its run:
+`<artifact>.manifest.json` next to the file a command writes, or
+`manifest.json` in the directory `train` writes.
 Exit codes: 0 ok, 1 I/O or format error, 2 usage/config error.
 """
 
@@ -33,7 +33,7 @@ class UsageError(ValueError):
     """A usage or configuration error (exit 2)."""
 
 
-def _sha256(path: Path) -> str:
+def _sha256(path: str) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for block in iter(lambda: fh.read(1 << 20), b""):
@@ -41,15 +41,49 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(path: Path, command: str, config: dict,
-                    inputs: dict[str, Path], timings: dict[str, float],
+def _read_config(path: str, cls):
+    """A `cls` from `key = value` lines, each value typed as its field's
+    default; blank lines and `#` lines are skipped. Each value is checked
+    by `cls` with the other fields at their defaults, so an error names
+    its line; checks across fields name the file."""
+    types = {f.name: type(f.default) for f in dataclasses.fields(cls)}
+    values: dict = {}
+    with open(path, encoding="utf-8") as fh:
+        for n, line in enumerate(fh, 1):
+            key, eq, raw = map(str.strip, line.partition("="))
+            if key.startswith("#") or not (key or eq):
+                continue
+            if key not in types or not eq:
+                what = "unknown key" if eq else "malformed line"
+                raise ValueError(f"{path}, line {n}: {what} {key!r}")
+            try:
+                values[key] = types[key](raw)
+                cls(**{key: values[key]})
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {n}: {key}: {exc}") from None
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+# The arguments that name an input file: a manifest hashes each one given.
+_INPUTS = ("infile", "passages", "checkpoint", "index", "corpus", "config",
+           "filter_config")
+
+
+def _write_manifest(path: Path, args, timings: dict[str, float], config=None,
                     index_version: int | None = None,
                     metrics: dict[str, float] | None = None):
+    """Every argument in `args`, `config`'s fields and each input's sha256."""
+    given = {k: v for k, v in vars(args).items()
+             if k not in ("func", "command")}
     manifest = {
         "tool_version": __version__,
-        "command": command,
-        "config": config,
-        "input_hashes": {k: _sha256(p) for k, p in inputs.items()},
+        "command": args.command,
+        "config": {**given, **(dataclasses.asdict(config) if config else {})},
+        "input_hashes": {k: _sha256(given[k]) for k in _INPUTS
+                         if given.get(k)},
         "index_version": index_version,
         "timings_s": {k: round(v, 4) for k, v in timings.items()},
         "metrics": metrics or {},
@@ -62,26 +96,14 @@ def _write_manifest(path: Path, command: str, config: dict,
 # Subcommands
 
 def cmd_ingest(args) -> int:
-    cfg = corpus.FilterConfig()
-    if args.filter_config:
-        with open(args.filter_config, encoding="utf-8") as fh:
-            raw = json.load(fh)
-        if not isinstance(raw, dict):
-            raise UsageError("filter config must be a JSON object")
-        known = {f.name for f in dataclasses.fields(corpus.FilterConfig)}
-        for key in raw:
-            if key not in known:
-                raise UsageError(f"unknown filter-config key: {key}")
-        cfg = corpus.FilterConfig(**raw)
+    cfg = (_read_config(args.filter_config, corpus.FilterConfig)
+           if args.filter_config else corpus.FilterConfig())
     t0 = time.perf_counter()
     passages = corpus.ingest(corpus.read_documents(args.infile),
                              max_words=args.max_words, cfg=cfg)
     n = corpus.write_passages(passages, args.out)
-    _write_manifest(Path(f"{args.out}.manifest.json"), "ingest",
-                    {"max_words": args.max_words,
-                     "filter": dataclasses.asdict(cfg)},
-                    {"in": Path(args.infile)},
-                    {"ingest": time.perf_counter() - t0})
+    _write_manifest(Path(f"{args.out}.manifest.json"), args,
+                    {"ingest": time.perf_counter() - t0}, cfg)
     print(f"wrote {n} passages to {args.out}")
     return 0
 
@@ -100,10 +122,7 @@ def cmd_build_index(args) -> int:
     index_mod.save_index(idx, args.out)
     if not args.checkpoint:
         retriever.save_checkpoint(enc, Path(args.out).with_suffix(".rlab"))
-    _write_manifest(Path(f"{args.out}.manifest.json"), "build-index",
-                    {"shards": args.shards, "precision": args.precision,
-                     "dim": enc.dim, "seed": args.seed},
-                    {"passages": Path(args.passages)},
+    _write_manifest(Path(f"{args.out}.manifest.json"), args,
                     {"build": time.perf_counter() - t0},
                     index_version=idx.version)
     print(f"built index: {idx.size} entries, dim {idx.dim}, "
@@ -128,15 +147,11 @@ def cmd_compress_index(args) -> int:
             [pq_mod.pq_search(compressed, q, 10) for q in queries],
             index_mod.search_batch(idx, queries, 10), 10),
     }
-    ratio = idx.memory_bytes() / compressed.memory_bytes()
-    _write_manifest(Path(f"{args.out}.manifest.json"), "compress-index",
-                    {"m": args.m, "kc": args.kc,
-                     "iterations": args.iterations, "seed": args.seed},
-                    {"index": Path(args.index)},
+    _write_manifest(Path(f"{args.out}.manifest.json"), args,
                     {"compress": t1 - t0, "metrics": time.perf_counter() - t1},
                     index_version=idx.version, metrics=metrics)
     print(f"compressed {idx.memory_bytes()} -> {compressed.memory_bytes()} "
-          f"bytes ({ratio:.1f}x)")
+          f"bytes ({idx.memory_bytes() / compressed.memory_bytes():.1f}x)")
     return 0
 
 
@@ -149,29 +164,8 @@ def cmd_search(args) -> int:
     return 0
 
 
-def _parse_train_config(path: Path) -> trainer.TrainConfig:
-    """Flat key=value file mirroring TrainConfig fields, typed as each
-    field's default."""
-    fields = {f.name: type(f.default)
-              for f in dataclasses.fields(trainer.TrainConfig)}
-    values: dict = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise UsageError(f"malformed config line: {line!r}")
-            key, _, raw = line.partition("=")
-            key, raw = key.strip(), raw.strip()
-            if key not in fields:
-                raise UsageError(f"unknown config key: {key}")
-            values[key] = fields[key](raw)
-    return trainer.TrainConfig(**values)
-
-
 def cmd_train(args) -> int:
-    cfg = _parse_train_config(Path(args.config))
+    cfg = _read_config(args.config, trainer.TrainConfig)
     t0 = time.perf_counter()
     passages = corpus.read_passages(args.corpus)
     enc = retriever.init_encoder(retriever.Vocab(set().union(
@@ -191,12 +185,10 @@ def cmd_train(args) -> int:
     trainer.write_metrics_csv(history, out_dir / "metrics.csv")
     retriever.save_checkpoint(state.encoder, out_dir / "encoder.rlab")
     index_mod.save_index(state.index, out_dir / "index.ridx")
-    _write_manifest(out_dir / "manifest.json", "train",
-                    dataclasses.asdict(cfg),
-                    {"corpus": Path(args.corpus), "config": Path(args.config)},
+    _write_manifest(out_dir / "manifest.json", args,
                     {"build_index": build_time,
                      "train": time.perf_counter() - t1},
-                    index_version=state.index.version)
+                    cfg, index_version=state.index.version)
     print(f"trained {cfg.steps} steps; final loss "
           f"{history[-1].loss:.6f}; artifacts in {out_dir}")
     return 0
@@ -236,9 +228,8 @@ def cmd_evaluate(args) -> int:
             q_vec = retriever.encode_query(enc, corpus.tokenize(question))
             return [by_id[pid] for pid, _ in index_mod.search(idx, q_vec, k)]
 
-    scorer_lm = lm_mod.OverlapLM(vocab_size=max(
-        len(set().union(*(p.text for p in passages))), 1000))
-    scorer = _overlap_choice_scorer(scorer_lm)
+    scorer = _overlap_choice_scorer(lm_mod.OverlapLM(vocab_size=max(
+        len(set().union(*(p.text for p in passages))), 1000)))
 
     correct, flagged = 0, 0
     for task in tasks:

@@ -1,13 +1,15 @@
 import argparse
+import hashlib
 import json
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from rlab import cli
-from rlab.cli import _parse_train_config, build_parser, main
-from rlab.corpus import Passage, read_passages, write_passages
+from rlab.cli import _read_config, build_parser, main
+from rlab.corpus import FilterConfig, Passage, read_passages, write_passages
 from rlab.pretext import TaskExamples, mlm_example, prefix_lm_example
 from rlab.index import load_index
 from rlab.pq import compress, squared_error, train_pq
@@ -41,6 +43,16 @@ def run_ingest(tmp_path, raw):
     return out
 
 
+def round_trip(manifest, cls, tmp_path):
+    """`cls` read back from its fields in a manifest's config, written as
+    `key = value` lines."""
+    names = {f.name for f in fields(cls)}
+    path = tmp_path / "round-trip.cfg"
+    path.write_text("".join(f"{k} = {v}\n" for k, v in
+                            manifest["config"].items() if k in names))
+    return _read_config(path, cls)
+
+
 def run_build(tmp_path, passages):
     out = tmp_path / "index.ridx"
     assert main(["build-index", "--passages", str(passages),
@@ -60,7 +72,7 @@ class TestIngest:
             (tmp_path / "passages.jsonl.manifest.json").read_text())
         assert manifest["command"] == "ingest"
         assert manifest["config"]["max_words"] == 40
-        assert len(manifest["input_hashes"]["in"]) == 64
+        assert len(manifest["input_hashes"]["infile"]) == 64
         assert "ingest" in manifest["timings_s"]
 
     def test_missing_input_exit_1(self, tmp_path):
@@ -81,57 +93,64 @@ class TestIngest:
         assert f"raw.jsonl, line {lines}" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_unknown_filter_key_exit_2(self, workspace):
+    def test_unknown_filter_key_exit_2(self, workspace, capsys):
         tmp_path, raw = workspace
-        bad = tmp_path / "filter.json"
-        bad.write_text('{"no_such_knob": 1}')
+        bad = tmp_path / "filter.cfg"
+        bad.write_text("no_such_knob = 1\n")
         assert main(["ingest", "--in", str(raw),
                      "--out", str(tmp_path / "o.jsonl"),
                      "--filter-config", str(bad)]) == 2
+        assert "filter.cfg, line 1: unknown key 'no_such_knob'" in (
+            capsys.readouterr().err)
 
-    @pytest.mark.parametrize("config, key", [
-        ('{"min_doc_length": "x"}', "min_doc_length"),
-        ('{"min_alnum_ratio": null}', "min_alnum_ratio"),
-        ('{"max_mean_word_length": true}', "max_mean_word_length"),
-        ('[["min_doc_length", 5]]', "object"),
-        ('5', "object"),
+    @pytest.mark.parametrize("config, message", [
+        ("min_doc_length = x", "min_doc_length: invalid literal"),
+        ("min_alnum_ratio =", "min_alnum_ratio: could not convert"),
+        ("max_mean_word_length = true", "max_mean_word_length: could not"),
+        ("min_doc_length = 5.0", "min_doc_length: invalid literal"),
+        ("min_doc_length: 5", "malformed line 'min_doc_length: 5'"),
+        ("5", "malformed line '5'"),
     ])
     def test_mistyped_filter_config_exit_2(self, workspace, capsys, config,
-                                           key):
+                                           message):
         tmp_path, raw = workspace
-        bad = tmp_path / "filter.json"
-        bad.write_text(config)
+        bad = tmp_path / "filter.cfg"
+        bad.write_text(f"# filter\n\n{config}\n")
         assert main(["ingest", "--in", str(raw),
                      "--out", str(tmp_path / "o.jsonl"),
                      "--filter-config", str(bad)]) == 2
-        assert key in capsys.readouterr().err
+        assert f"filter.cfg, line 3: {message}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("key", [
         "min_doc_length", "max_mean_word_length", "min_alnum_ratio",
         "max_repeated_token_ratio"])
     def test_non_finite_filter_config_exit_2_and_nothing_written(
             self, workspace, capsys, key, value):
-        # Python's json reads NaN and Infinity: a NaN minimum length
-        # turned the length filter off and an infinite one dropped every
-        # document, both with exit 0.
+        # A NaN minimum length turned the length filter off and an
+        # infinite one dropped every document, both with exit 0. The
+        # integer field refuses them as integers, the others as finite
+        # numbers.
         tmp_path, raw = workspace
-        bad = tmp_path / "filter.json"
-        bad.write_text(f'{{"{key}": {value}}}')
+        bad = tmp_path / "filter.cfg"
+        bad.write_text(f"{key} = {value}\n")
         assert main(["ingest", "--in", str(raw),
                      "--out", str(tmp_path / "o.jsonl"),
                      "--filter-config", str(bad)]) == 2
-        assert f"{key} must be a finite number" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"filter.cfg, line 1: {key}: " in err
+        assert ("invalid literal for int()" if key == "min_doc_length"
+                else f"{key} must be a finite number") in err
         assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "filter.json", "raw.jsonl"]
+            "filter.cfg", "raw.jsonl"]
 
     def test_document_with_no_word_fails_the_filter(self, tmp_path, capsys):
         # At min_doc_length 0 the filter divided by the document's zero
         # token count: a ZeroDivisionError traceback.
-        raw, config = tmp_path / "raw.jsonl", tmp_path / "filter.json"
+        raw, config = tmp_path / "raw.jsonl", tmp_path / "filter.cfg"
         raw.write_text(json.dumps({"id": "a", "title": "T", "sections": [],
                                    "dump_date": "2021-12-20"}) + "\n")
-        config.write_text('{"min_doc_length": 0}')
+        config.write_text("min_doc_length = 0\n")
         out = tmp_path / "o.jsonl"
         assert main(["ingest", "--in", str(raw), "--out", str(out),
                      "--filter-config", str(config)]) == 0
@@ -146,15 +165,33 @@ class TestIngest:
         # max_words went unchecked: exit 0, with passages.jsonl and its
         # manifest written.
         tmp_path, raw = workspace
-        (tmp_path / "filter.json").write_text(
-            f'{{"min_doc_length": {min_doc_length}}}')
+        (tmp_path / "filter.cfg").write_text(
+            f"min_doc_length = {min_doc_length}\n")
         assert main(["ingest", "--in", str(raw),
                      "--out", str(tmp_path / "o.jsonl"),
-                     "--filter-config", str(tmp_path / "filter.json"),
+                     "--filter-config", str(tmp_path / "filter.cfg"),
                      "--max-words", max_words]) == 2
         assert "max_words must be >= 1" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "filter.json", "raw.jsonl"]
+            "filter.cfg", "raw.jsonl"]
+
+    def test_manifest_round_trips_the_filter_config(self, workspace):
+        # A float that needs 17 significant digits comes back exactly.
+        tmp_path, raw = workspace
+        config = tmp_path / "filter.cfg"
+        config.write_text("min_doc_length = 7\n"
+                          "max_mean_word_length = 10.000000000000002\n"
+                          "min_alnum_ratio = 0.30000000000000004\n"
+                          "max_repeated_token_ratio = 0.1\n")
+        out = tmp_path / "o.jsonl"
+        assert main(["ingest", "--in", str(raw), "--out", str(out),
+                     "--filter-config", str(config)]) == 0
+        manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+        assert manifest["input_hashes"]["filter_config"] == hashlib.sha256(
+            config.read_bytes()).hexdigest()
+        assert round_trip(manifest, FilterConfig, tmp_path) == _read_config(
+            config, FilterConfig)
+        assert _read_config(config, FilterConfig).min_alnum_ratio == 0.1 + 0.2
 
 
 class TestBuildAndSearch:
@@ -332,6 +369,21 @@ class TestBuildAndSearch:
         assert manifest["command"] == "build-index"
         assert manifest["index_version"] == 1
 
+    def test_manifest_records_given_checkpoint_and_its_hash(self, workspace):
+        # The manifest kept --passages' hash alone, so the encoder the
+        # index was built with went unrecorded.
+        tmp_path, raw = workspace
+        passages = run_ingest(tmp_path, raw)
+        _, ckpt = run_build(tmp_path, passages)
+        out = tmp_path / "again.ridx"
+        assert main(["build-index", "--passages", str(passages),
+                     "--checkpoint", str(ckpt), "--out", str(out)]) == 0
+        manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+        assert manifest["config"]["checkpoint"] == str(ckpt)
+        assert manifest["input_hashes"] == {
+            "checkpoint": hashlib.sha256(ckpt.read_bytes()).hexdigest(),
+            "passages": hashlib.sha256(passages.read_bytes()).hexdigest()}
+
     def test_commands_in_one_directory_keep_their_own_manifests(
             self, workspace):
         # Each file command names its manifest after its artifact, so the
@@ -422,6 +474,48 @@ class TestTrain:
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert manifest["config"]["steps"] == 3
         assert manifest["config"]["loss"] == "pdist"
+
+    def test_manifest_records_every_argument(self, tmp_path):
+        # --dim and --task were left out, so the manifest did not say
+        # which encoder width or pretext task the run used.
+        passages = tmp_path / "passages.jsonl"
+        write_passages([Passage(id=f"p{i}", doc_id="d", text=tuple(
+            f"w{i}x{j}" for j in range(12))) for i in range(4)], passages)
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("steps = 1\nbatch_size = 1\nk_retrieved = 2\n")
+        out_dir = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--corpus", str(passages),
+                     "--out", str(out_dir), "--dim", "4",
+                     "--task", "mlm"]) == 0
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert {k: manifest["config"][k] for k in
+                ("config", "corpus", "out", "dim", "task")} == {
+            "config": str(cfg), "corpus": str(passages),
+            "out": str(out_dir), "dim": 4, "task": "mlm"}
+        assert set(manifest["input_hashes"]) == {"config", "corpus"}
+
+    @pytest.mark.parametrize("loss", list(LossKind))
+    @pytest.mark.parametrize("mode", list(MaintenanceMode))
+    def test_manifest_round_trips_the_train_config(self, tmp_path, mode,
+                                                   loss):
+        # Floats that need 17 significant digits come back exactly.
+        passages = tmp_path / "passages.jsonl"
+        write_passages([Passage(id=f"p{i}", doc_id="d", text=tuple(
+            f"w{i}x{j}" for j in range(12))) for i in range(5)], passages)
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(f"mode = {mode.value}\nloss = {loss.value}\n"
+                       "k_retrieved = 2\nl_rerank_pool = 3\nsteps = 1\n"
+                       "batch_size = 1\nrefresh_interval = 1\n"
+                       "temperature = 0.30000000000000004\n"
+                       "temperature_target = 1.0000000000000002\n"
+                       "learning_rate = 0.012345678901234568\nseed = 3\n")
+        out_dir = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--corpus", str(passages),
+                     "--out", str(out_dir), "--dim", "4"]) == 0
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        expected = _read_config(cfg, TrainConfig)
+        assert expected.temperature == 0.1 + 0.2
+        assert round_trip(manifest, TrainConfig, tmp_path) == expected
 
     @pytest.mark.parametrize("mode", list(MaintenanceMode))
     def test_line_order_does_not_matter(self, tmp_path, mode):
@@ -559,11 +653,39 @@ class TestTrain:
                        "temperature = 0.5\ntemperature_target = 2\n"
                        "loss = emdr2\nmode = rerank\nsteps = 9\n"
                        "learning_rate = 1e-3\nwarmup_steps = 0\nseed = 11\n")
-        assert _parse_train_config(cfg) == TrainConfig(
+        assert _read_config(cfg, TrainConfig) == TrainConfig(
             k_retrieved=3, l_rerank_pool=7, refresh_interval=2, batch_size=4,
             temperature=0.5, temperature_target=2.0, loss=LossKind.EMDR2,
             mode=MaintenanceMode.RERANK, steps=9, learning_rate=1e-3,
             warmup_steps=0, seed=11)
+
+    @pytest.mark.parametrize("line, message", [
+        ("stepz = 3", "unknown key 'stepz'"),
+        ("steps 3", "malformed line 'steps 3'"),
+        ("steps = three", "steps: invalid literal for int()"),
+        ("loss = bogus", "loss: 'bogus' is not a valid LossKind"),
+        ("temperature = 0", "temperature: temperature must be finite"),
+    ])
+    def test_config_error_names_file_line_and_key(self, tmp_path, capsys,
+                                                  line, message):
+        # The corpus does not exist: the config is refused before it is
+        # read.
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(f"# a comment = 1\nsteps = 2\n\n{line}\n")
+        assert main(["train", "--config", str(cfg), "--corpus",
+                     str(tmp_path / "missing.jsonl"),
+                     "--out", str(tmp_path / "run")]) == 2
+        assert f"train.cfg, line 4: {message}" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["train.cfg"]
+
+    def test_config_error_across_lines_names_file(self, tmp_path, capsys):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("mode = rerank\nk_retrieved = 50\nl_rerank_pool = 10\n")
+        assert main(["train", "--config", str(cfg), "--corpus",
+                     str(tmp_path / "missing.jsonl"),
+                     "--out", str(tmp_path / "run")]) == 2
+        assert (f"{cfg}: rerank pool L must be >= K"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("line", ["steps = 3.5", "temperature = warm",
                                       "loss = bogus", "mode = bogus"])

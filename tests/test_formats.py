@@ -83,7 +83,7 @@ WRITERS = {
     "write_passages": lambda a, path: write_passages(a[0], path),
     "write_metrics_csv": lambda a, path: write_metrics_csv(a[4], path),
     "manifest": lambda a, path: _write_manifest(
-        path, "train", {"steps": 3}, {}, {"train": 0.1}),
+        path, SimpleNamespace(command="train", steps=3), {"train": 0.1}),
 }
 
 
