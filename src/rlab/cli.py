@@ -29,10 +29,6 @@ from . import formats, pretext, retriever, trainer
 from .formats import atomic_write
 
 
-class UsageError(ValueError):
-    """A usage or configuration error (exit 2)."""
-
-
 def _sha256(path: str) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -42,10 +38,9 @@ def _sha256(path: str) -> str:
 
 
 def _read_config(path: str, cls):
-    """A `cls` from `key = value` lines, each value typed as its field's
-    default; blank lines and `#` lines are skipped. Each value is checked
-    by `cls` with the other fields at their defaults, so an error names
-    its line; checks across fields name the file."""
+    """A `cls` from `key = value` lines, skipping blank and `#` lines. Each
+    value is typed as its field's default and checked with the other fields
+    at their defaults, so an error names its line; the whole is checked last."""
     types = {f.name: type(f.default) for f in dataclasses.fields(cls)}
     values: dict = {}
     with open(path, encoding="utf-8") as fh:
@@ -67,7 +62,8 @@ def _read_config(path: str, cls):
         raise ValueError(f"{path}: {exc}") from None
 
 
-# The arguments that name an input file: a manifest hashes each one given.
+# The arguments that name an input file: a manifest hashes each one given,
+# and `main` refuses, before anything is read, an --out that names one.
 _INPUTS = ("infile", "passages", "checkpoint", "index", "corpus", "config",
            "filter_config")
 
@@ -109,6 +105,9 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_build_index(args) -> int:
+    ckpt = Path(args.checkpoint or Path(args.out).with_suffix(".rlab"))
+    if ckpt.resolve() in {Path(p).resolve() for p in (args.out, args.passages)}:
+        raise ValueError(f"checkpoint {ckpt} is also --out or --passages")
     t0 = time.perf_counter()
     passages = corpus.read_passages(args.passages)
     if args.checkpoint:
@@ -121,7 +120,7 @@ def cmd_build_index(args) -> int:
     # The index is written first: an id it rejects leaves no files behind.
     index_mod.save_index(idx, args.out)
     if not args.checkpoint:
-        retriever.save_checkpoint(enc, Path(args.out).with_suffix(".rlab"))
+        retriever.save_checkpoint(enc, ckpt)
     _write_manifest(Path(f"{args.out}.manifest.json"), args,
                     {"build": time.perf_counter() - t0},
                     index_version=idx.version)
@@ -176,7 +175,7 @@ def cmd_train(args) -> int:
 
     examples = pretext.TaskExamples(state.passages, args.task, cfg.seed)
     if not examples:
-        raise UsageError("corpus produced no training examples")
+        raise ValueError("corpus produced no training examples")
 
     t1 = time.perf_counter()
     history = trainer.train(state, examples, cfg)
@@ -210,9 +209,11 @@ def _overlap_choice_scorer(scorer_lm: lm_mod.OverlapLM) -> evalkit.ChoiceScorer:
 
 def cmd_evaluate(args) -> int:
     if bool(args.index) != bool(args.checkpoint):
-        raise UsageError("--index needs --checkpoint" if args.index
+        raise ValueError("--index needs --checkpoint" if args.index
                          else "--checkpoint needs --index")
     tasks = evalkit.read_choice_tasks(args.task)
+    if not tasks:
+        raise ValueError(f"{args.task} holds no task")
     passages = corpus.read_passages(args.passages) if args.passages else []
     retrieve = None
     if args.index:
@@ -221,7 +222,7 @@ def cmd_evaluate(args) -> int:
         by_id = {p.id: p for p in passages}
         missing = [pid for pid in idx.ids if pid not in by_id]
         if missing:
-            raise UsageError(f"{len(missing)} index ids have no passage in "
+            raise ValueError(f"{len(missing)} index ids have no passage in "
                              f"--passages, first {missing[0]!r}")
 
         def retrieve(question: str, k: int):
@@ -242,7 +243,7 @@ def cmd_evaluate(args) -> int:
         prediction, _ = evalkit.debias_infer(task, scorer, mode=args.mode,
                                              docs=docs)
         correct += int(prediction == task.gold)
-    accuracy = correct / len(tasks) if tasks else 0.0
+    accuracy = correct / len(tasks)
     print(f"accuracy: {accuracy:.4f} ({correct}/{len(tasks)}, mode={args.mode})")
     if args.audit_leakage:
         print(f"leakage-flagged questions: {flagged}")
@@ -253,10 +254,10 @@ def cmd_swap_index(args) -> int:
     active = index_mod.load_index(args.from_index)
     replacement = index_mod.load_index(args.to_index)
     if replacement.dim != active.dim:
-        raise UsageError(f"dimension mismatch: {active.dim} vs {replacement.dim}")
+        raise ValueError(f"dimension mismatch: {active.dim} vs {replacement.dim}")
     if (active.dump_date and replacement.dump_date
             and active.dump_date == replacement.dump_date):
-        raise UsageError("indices share a dump_date; nothing to swap")
+        raise ValueError("indices share a dump_date; nothing to swap")
     index_mod.save_index(replacement, args.from_index)
     print(f"swapped index at {args.from_index}: version {active.version} "
           f"-> {replacement.version}")
@@ -362,11 +363,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        if getattr(args, "out", None) and Path(args.out).resolve() in {
+                Path(v).resolve() for k, v in vars(args).items()
+                if k in _INPUTS and v}:
+            raise ValueError(f"--out {args.out} is also an input")
         return args.func(args)
     except (OSError, formats.FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:  # UsageError included
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

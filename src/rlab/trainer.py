@@ -69,7 +69,7 @@ class TrainConfig:
         # Counts are checked in every mode, also where the mode ignores
         # them. k_retrieved == 0 is the closed-book ablation: no retrieval,
         # no training signal; the harness still runs end to end.
-        for name, least in [("batch_size", 1), ("steps", 1),
+        for name, least in [("batch_size", 1), ("steps", 1), ("seed", 0),
                             ("l_rerank_pool", 1), ("refresh_interval", 1),
                             ("k_retrieved", 0), ("warmup_steps", 0)]:
             if getattr(self, name) < least:

@@ -401,6 +401,55 @@ class TestBuildAndSearch:
                             "index.rpqx.manifest.json": "compress-index"}
 
 
+class TestOutputOverInput:
+    """A command whose output would replace one of its inputs exits 2
+    before it reads or writes anything; each case exited 0."""
+
+    def listing(self, tmp_path):
+        return {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+    def test_ingest_out_is_its_input(self, workspace, capsys):
+        # The raw documents were replaced with passages.
+        tmp_path, raw = workspace
+        before = self.listing(tmp_path)
+        assert main(["ingest", "--in", str(raw), "--out",
+                     str(tmp_path / "." / "raw.jsonl")]) == 2
+        assert "is also an input" in capsys.readouterr().err
+        assert self.listing(tmp_path) == before
+
+    def test_compress_index_out_is_its_index(self, workspace, capsys):
+        # The RIDX file was replaced with an RPQX one.
+        tmp_path, raw = workspace
+        index_path, _ = run_build(tmp_path, run_ingest(tmp_path, raw))
+        before = self.listing(tmp_path)
+        assert main(["compress-index", "--index", str(index_path),
+                     "--out", str(index_path), "--m", "2", "--kc", "2"]) == 2
+        assert "is also an input" in capsys.readouterr().err
+        assert self.listing(tmp_path) == before
+
+    def test_build_index_out_is_its_checkpoint(self, workspace, capsys):
+        # The checkpoint was replaced with an RIDX file.
+        tmp_path, raw = workspace
+        passages = run_ingest(tmp_path, raw)
+        _, ckpt = run_build(tmp_path, passages)
+        before = self.listing(tmp_path)
+        assert main(["build-index", "--passages", str(passages),
+                     "--checkpoint", str(ckpt), "--out", str(ckpt)]) == 2
+        assert "is also an input" in capsys.readouterr().err
+        assert self.listing(tmp_path) == before
+
+    def test_build_index_out_is_its_fresh_checkpoint(self, workspace, capsys):
+        # The fresh checkpoint was written over the index, and searching
+        # the index then failed with "bad index magic".
+        tmp_path, raw = workspace
+        passages = run_ingest(tmp_path, raw)
+        before = self.listing(tmp_path)
+        assert main(["build-index", "--passages", str(passages),
+                     "--out", str(tmp_path / "c.rlab")]) == 2
+        assert "c.rlab is also --out" in capsys.readouterr().err
+        assert self.listing(tmp_path) == before
+
+
 class TestCompress:
     def test_compress_roundtrip(self, workspace, capsys):
         tmp_path, raw = workspace
@@ -611,6 +660,9 @@ class TestTrain:
         assert main(["train", "--config", str(cfg),
                      "--corpus", str(passages),
                      "--out", str(tmp_path / "run")]) == 2
+        # A check across lines names the file alone.
+        assert (f"{cfg}: rerank pool L must be >= K"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("mode", list(MaintenanceMode))
     def test_loop_loss_with_one_document_exit_2_before_reading(
@@ -665,6 +717,7 @@ class TestTrain:
         ("steps = three", "steps: invalid literal for int()"),
         ("loss = bogus", "loss: 'bogus' is not a valid LossKind"),
         ("temperature = 0", "temperature: temperature must be finite"),
+        ("seed = -1", "seed: seed must be >= 0"),
     ])
     def test_config_error_names_file_line_and_key(self, tmp_path, capsys,
                                                   line, message):
@@ -677,15 +730,6 @@ class TestTrain:
                      "--out", str(tmp_path / "run")]) == 2
         assert f"train.cfg, line 4: {message}" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["train.cfg"]
-
-    def test_config_error_across_lines_names_file(self, tmp_path, capsys):
-        cfg = tmp_path / "train.cfg"
-        cfg.write_text("mode = rerank\nk_retrieved = 50\nl_rerank_pool = 10\n")
-        assert main(["train", "--config", str(cfg), "--corpus",
-                     str(tmp_path / "missing.jsonl"),
-                     "--out", str(tmp_path / "run")]) == 2
-        assert (f"{cfg}: rerank pool L must be >= K"
-                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("line", ["steps = 3.5", "temperature = warm",
                                       "loss = bogus", "mode = bogus"])
@@ -731,6 +775,21 @@ class TestEvaluate:
         out = capsys.readouterr().out
         assert "accuracy:" in out
         assert "mode=cyclic4" in out
+
+    @pytest.mark.parametrize("text", ["", "\n\n"])
+    def test_no_task_exit_2_before_reading_passages(self, tmp_path, capsys,
+                                                    text):
+        # Printed "accuracy: 0.0000 (0/0, mode=standard)" with exit 0. The
+        # passages, index and checkpoint do not exist: none is read.
+        task_file = tmp_path / "tasks.jsonl"
+        task_file.write_text(text)
+        absent = [str(tmp_path / name) for name in ("p.jsonl", "i", "c")]
+        assert main(["evaluate", "--task", str(task_file),
+                     "--passages", absent[0], "--index", absent[1],
+                     "--checkpoint", absent[2]]) == 2
+        captured = capsys.readouterr()
+        assert f"{task_file} holds no task" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("passages", ["absent", "subset"])
     def test_index_ids_missing_from_passages_exit_2(self, workspace, capsys,
