@@ -9,9 +9,10 @@ here (the loss tests bring a fixed-value scorer of their own).
 
 The built-in stand-in is a smoothed unigram-overlap model: the
 probability of an output token given a document mixes the token's
-in-document frequency with a uniform vocabulary floor,
+in-document frequency with a uniform vocabulary floor, at the one fixed
+weight SMOOTHING = 0.5:
 
-    p(t | d) = lam * count_d(t) / |d| + (1 - lam) / |V|.
+    p(t | d) = SMOOTHING * count_d(t) / |d| + (1 - SMOOTHING) / |V|.
 
 Conditioning on a document set pools the token counts of all documents,
 matching the composition semantics where every document contributes to a
@@ -34,6 +35,7 @@ import numpy as np
 from .corpus import TokenTable
 
 TokenSeq = Sequence[str]
+SMOOTHING = 0.5
 
 
 class LMScorer(Protocol):
@@ -73,26 +75,18 @@ def _count_matrix(docs: Sequence[TokenSeq],
 @dataclass
 class OverlapLM:
     vocab_size: int
-    smoothing: float = 0.5
 
     def __post_init__(self):
         if self.vocab_size < 1:
             raise ValueError("vocab_size must be >= 1")
-        if not (0.0 < self.smoothing < 1.0):
-            raise ValueError("smoothing must be strictly inside (0,1)")
-
-    def _token_logs(self, counts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-        """log p(t | context) per output token (row) and context (column);
-        an empty context has frequency zero."""
-        freq = np.divide(counts, lengths, out=np.zeros(counts.shape),
-                         where=lengths > 0)
-        return np.log(self.smoothing * freq
-                      + (1.0 - self.smoothing) / self.vocab_size)
 
     def _logliks(self, counts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-        """Output log-likelihood per context. The running sum adds the
-        token factors in token order; `sum` may pair them up."""
-        return np.cumsum(self._token_logs(counts, lengths), axis=0)[-1]
+        """Log-likelihood per context (column): a running sum over the token
+        rows in order, which `sum` may pair up. An empty context has freq 0."""
+        freq = np.divide(counts, lengths, out=np.zeros(counts.shape),
+                         where=lengths > 0)
+        factors = SMOOTHING * freq + (1.0 - SMOOTHING) / self.vocab_size
+        return np.cumsum(np.log(factors), axis=0)[-1]
 
     def per_doc_loglik(self, query, docs, output):
         return self._logliks(*_count_matrix(docs, output))

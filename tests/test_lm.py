@@ -14,7 +14,7 @@ from oracles import counter_overlap_lm, mp_overlap_lm
 
 @pytest.fixture
 def lm():
-    return OverlapLM(vocab_size=10, smoothing=0.5)
+    return OverlapLM(vocab_size=10)
 
 
 tokens_st = st.lists(st.sampled_from("abcdefg"), min_size=1, max_size=12)
@@ -123,7 +123,7 @@ class TestInvariants:
 
     @given(st.lists(tokens_st, min_size=1, max_size=4), tokens_st)
     def test_logliks_nonpositive(self, docs, output):
-        lm = OverlapLM(vocab_size=9, smoothing=0.5)
+        lm = OverlapLM(vocab_size=9)
         assert all(v <= 0 for v in lm.per_doc_loglik([], docs, output))
         assert lm.joint_loglik([], docs, output) <= 0
 
@@ -140,18 +140,17 @@ class TestOracle:
     @given(docs=st.lists(st.lists(st.sampled_from("abcde"), max_size=6),
                          min_size=1, max_size=4),
            output=st.lists(st.sampled_from("abcdefg"), min_size=1, max_size=10),
-           vocab_size=st.integers(2, 50),
-           smoothing=st.floats(0.05, 0.95))
-    @example(docs=[[]], output=["a"], vocab_size=7, smoothing=0.5)  # empty, K=1
+           vocab_size=st.integers(2, 50))
+    @example(docs=[[]], output=["a"], vocab_size=7)  # empty, K=1
     @example(docs=[["a", "b"], []], output=["a", "a", "z"],  # K=2, repeated
-             vocab_size=10, smoothing=0.5)                  # and absent tokens
+             vocab_size=10)                                  # and absent tokens
     @example(docs=[["a", "b", "a"], ["a", "b", "a"], ["c"]],  # duplicates
              output=["a", "c", "b", "a", "a", "c", "b", "a", "d"],
-             vocab_size=9, smoothing=0.3)
-    @example(docs=[[], []], output=["a"], vocab_size=3, smoothing=0.5)
-    def test_matches_formula(self, docs, output, vocab_size, smoothing):
-        lm = OverlapLM(vocab_size=vocab_size, smoothing=smoothing)
-        want = mp_overlap_lm(docs, output, vocab_size, smoothing)
+             vocab_size=9)
+    @example(docs=[[], []], output=["a"], vocab_size=3)
+    def test_matches_formula(self, docs, output, vocab_size):
+        lm = OverlapLM(vocab_size=vocab_size)
+        want = mp_overlap_lm(docs, output, vocab_size, 0.5)
         close = dict(rel=1e-12, abs=0.0)
         assert lm.per_doc_loglik([], docs, output) == \
             pytest.approx(want["per_doc"], **close)
@@ -174,7 +173,7 @@ class TestOracle:
             for fn in (lm.per_doc_loglik, lm.joint_loglik, lm.loo_logliks,
                        lm.attention_relevance):
                 fn((), docs, output)
-        assert vars(lm) == before == {"vocab_size": 9, "smoothing": 0.5}
+        assert vars(lm) == before == {"vocab_size": 9}
 
 
 class TestCounterOracle:
@@ -186,23 +185,21 @@ class TestCounterOracle:
            picks=st.lists(st.integers(0, 5), min_size=1, max_size=5),
            output=st.lists(st.sampled_from("abcdefg"), min_size=1,
                            max_size=8),
-           vocab_size=st.integers(2, 50),
-           smoothing=st.floats(0.05, 0.95))
+           vocab_size=st.integers(2, 50))
     @example(corpus=[["a", "b", "a"]], picks=[0], output=["a", "z", "a"],
-             vocab_size=9, smoothing=0.5)  # K = 1, repeated and absent
+             vocab_size=9)  # K = 1, repeated and absent
     @example(corpus=[["a", "b"], ["c"], ["d", "e"]], picks=[2, 0, 2, 0],
-             output=["c", "e", "f", "e"], vocab_size=9,  # duplicate docs;
-             smoothing=0.3)  # "c" is a table term in no picked doc
-    @example(corpus=[[], ["a"]], picks=[0, 0], output=["a"], vocab_size=3,
-             smoothing=0.5)  # only empty docs
-    def test_matches_counter(self, corpus, picks, output, vocab_size,
-                             smoothing):
+             output=["c", "e", "f", "e"],  # duplicate docs; "c" is a
+             vocab_size=9)                 # table term in no picked doc
+    @example(corpus=[[], ["a"]], picks=[0, 0], output=["a"],
+             vocab_size=3)  # only empty docs
+    def test_matches_counter(self, corpus, picks, output, vocab_size):
         rows = np.array([i % len(corpus) for i in picks])
         view = TokenTable([tuple(t) for t in corpus]).view(rows)
         docs = [tuple(corpus[r]) for r in rows]
         assert list(view) == docs
-        want = counter_overlap_lm(docs, output, vocab_size, smoothing)
-        lm = OverlapLM(vocab_size=vocab_size, smoothing=smoothing)
+        want = counter_overlap_lm(docs, output, vocab_size, 0.5)
+        lm = OverlapLM(vocab_size=vocab_size)
         close = dict(rel=1e-12, abs=1e-300)
         for given_docs in (view, docs):
             counts, lengths = _count_matrix(given_docs, output)
@@ -251,14 +248,14 @@ def byte_reference(docs, output, vocab_size, smoothing):
     }
 
 
-def assert_same_bits(corpus, rows, output, vocab_size, smoothing):
+def assert_same_bits(corpus, rows, output, vocab_size):
     """For the corpus rows as a row view of a token table and as a list of
     tuples, every per-document score is a float64 array with the
     reference's bits, and the joint log-likelihood a float with them."""
     view = TokenTable([tuple(t) for t in corpus]).view(np.array(rows))
     docs = [tuple(corpus[r]) for r in rows]
-    want = byte_reference(docs, output, vocab_size, smoothing)
-    lm = OverlapLM(vocab_size=vocab_size, smoothing=smoothing)
+    want = byte_reference(docs, output, vocab_size, 0.5)
+    lm = OverlapLM(vocab_size=vocab_size)
     fns = {"per_doc": lm.per_doc_loglik, "relevance": lm.attention_relevance}
     if len(docs) > 1:
         fns["loo"] = lm.loo_logliks
@@ -282,24 +279,22 @@ class TestBytes:
            picks=st.lists(st.integers(0, 7), min_size=1, max_size=8),
            output=st.lists(st.sampled_from("abcdefg"), min_size=1,
                            max_size=12),
-           vocab_size=st.integers(1, 60),
-           smoothing=st.floats(0.01, 0.99))
+           vocab_size=st.integers(1, 60))
     @example(corpus=[["a", "b", "a"]], picks=[0], output=["a"],
-             vocab_size=9, smoothing=0.5)  # K = 1
+             vocab_size=9)  # K = 1
     @example(corpus=[["a", "b"], [], ["c"]], picks=[0, 1, 2],
-             output=["b", "c"], vocab_size=9, smoothing=0.3)  # empty doc
-    @example(corpus=[[]], picks=[0, 0], output=["a", "a"], vocab_size=3,
-             smoothing=0.5)  # only empty docs
+             output=["b", "c"], vocab_size=9)  # empty doc
+    @example(corpus=[[]], picks=[0, 0], output=["a", "a"],
+             vocab_size=3)  # only empty docs
     @example(corpus=[["a", "b", "a"], ["a", "c"]], picks=[1, 0, 1],
-             output=["a", "c", "a", "b", "a", "a"], vocab_size=7,
-             smoothing=0.7)  # repeated output tokens, duplicate docs
+             output=["a", "c", "a", "b", "a", "a"],
+             vocab_size=7)  # repeated output tokens, duplicate docs
     @example(corpus=[["a", "b"], ["c"]], picks=[0, 1],
-             output=["z", "a", "y", "z"], vocab_size=11,
-             smoothing=0.4)  # tokens absent from the table
-    def test_matches_reference(self, corpus, picks, output, vocab_size,
-                               smoothing):
+             output=["z", "a", "y", "z"],
+             vocab_size=11)  # tokens absent from the table
+    def test_matches_reference(self, corpus, picks, output, vocab_size):
         rows = [i % len(corpus) for i in picks]
-        assert_same_bits(corpus, rows, output, vocab_size, smoothing)
+        assert_same_bits(corpus, rows, output, vocab_size)
 
     def test_needle_view(self):
         # The needle fixture at K = 1000: every passage of the trainer's
@@ -309,5 +304,4 @@ class TestBytes:
         rows = np.random.default_rng(0).permutation(len(corpus)).tolist()
         assert len(rows) == 1000
         for ex in examples[:3]:
-            assert_same_bits(corpus, rows, ex.output, len(encoder.vocab),
-                             0.5)
+            assert_same_bits(corpus, rows, ex.output, len(encoder.vocab))
