@@ -38,11 +38,11 @@ def _sha256(path: str) -> str:
 
 
 def _read_config(path: str, cls):
-    """A `cls` from `key = value` lines, skipping blank and `#` lines. Each
-    value is typed as its field's default and checked with the other fields
-    at their defaults, so an error names its line; the whole is checked last."""
+    """A `cls` from `key = value` lines, each key once; blank and `#` lines
+    are skipped. Each value is typed as its field's default and checked with
+    the others at their defaults, so an error names its line or lines."""
     types = {f.name: type(f.default) for f in dataclasses.fields(cls)}
-    values: dict = {}
+    values, lines = {}, {}
     with open(path, encoding="utf-8") as fh:
         for n, line in enumerate(fh, 1):
             key, eq, raw = map(str.strip, line.partition("="))
@@ -56,6 +56,9 @@ def _read_config(path: str, cls):
                 cls(**{key: values[key]})
             except ValueError as exc:
                 raise ValueError(f"{path}, line {n}: {key}: {exc}") from None
+            if lines.setdefault(key, n) != n:
+                raise ValueError(f"{path}, lines {lines[key]} and {n}: "
+                                 f"repeated key {key!r}")
     try:
         return cls(**values)
     except ValueError as exc:
@@ -105,6 +108,8 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_build_index(args) -> int:
+    if args.checkpoint and args.dim is not None:
+        raise ValueError("--dim sizes a fresh encoder, not --checkpoint's")
     ckpt = Path(args.checkpoint or Path(args.out).with_suffix(".rlab"))
     if ckpt.resolve() in {Path(p).resolve() for p in (args.out, args.passages)}:
         raise ValueError(f"checkpoint {ckpt} is also --out or --passages")
@@ -114,7 +119,8 @@ def cmd_build_index(args) -> int:
         enc = retriever.load_checkpoint(args.checkpoint)
     else:
         enc = retriever.init_encoder(retriever.Vocab(set().union(
-            *(p.text for p in passages))), args.dim, seed=args.seed)
+            *(p.text for p in passages))),
+            64 if args.dim is None else args.dim, seed=args.seed)
     idx = index_mod.build(passages, enc, shards=args.shards,
                           precision=args.precision)
     # The index is written first: an id it rejects leaves no files behind.
@@ -165,11 +171,14 @@ def cmd_search(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _read_config(args.config, trainer.TrainConfig)
+    out_dir = Path(args.out)
+    if out_dir.exists() and not out_dir.is_dir():
+        raise FileExistsError(f"--out {out_dir} is a file, not a directory")
     t0 = time.perf_counter()
     passages = corpus.read_passages(args.corpus)
     enc = retriever.init_encoder(retriever.Vocab(set().union(
         [pretext.RETRIEVER_MASK_TOKEN], *(p.text for p in passages))),
-        args.dim, seed=cfg.seed)
+        64 if args.dim is None else args.dim, seed=cfg.seed)
     state = trainer.init_state(enc, passages)
     build_time = time.perf_counter() - t0
 
@@ -179,7 +188,6 @@ def cmd_train(args) -> int:
 
     t1 = time.perf_counter()
     history = trainer.train(state, examples, cfg)
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     trainer.write_metrics_csv(history, out_dir / "metrics.csv")
     retriever.save_checkpoint(state.encoder, out_dir / "encoder.rlab")
@@ -300,7 +308,7 @@ _COMMANDS = {
         ("--passages", _REQUIRED), ("--out", _REQUIRED),
         ("--checkpoint", dict(help="encoder checkpoint; a fresh seeded "
                                    "encoder is created when omitted")),
-        ("--dim", dict(type=int, default=64)),
+        ("--dim", dict(type=int, help="fresh encoder width, default 64")),
         ("--shards", dict(type=int, default=1)),
         ("--precision", dict(choices=list(index_mod.PRECISIONS),
                              default="float32")),
@@ -315,7 +323,7 @@ _COMMANDS = {
         ("--query", _REQUIRED), ("--k", dict(type=int, default=5))]),
     "train": ("joint retriever training", [
         ("--config", _REQUIRED), ("--corpus", _REQUIRED), ("--out", _REQUIRED),
-        ("--dim", dict(type=int, default=64)),
+        ("--dim", dict(type=int, help="fresh encoder width, default 64")),
         ("--task", dict(choices=["prefix_lm", "mlm"], default="prefix_lm"))]),
     "evaluate": ("multiple-choice evaluation", [
         ("--task", _REQUIRED),

@@ -70,7 +70,7 @@ class FilterConfig:
 
     def __post_init__(self):
         for name, value in vars(self).items():
-            # A JSON number: an int or a float, not a bool, and finite.
+            # A Python caller may pass a bool or a str, and a file nan or inf.
             if (isinstance(value, bool) or not isinstance(value, (int, float))
                     or not -np.inf < value < np.inf):
                 raise ValueError(f"{name} must be a finite number, not {value!r}")

@@ -103,6 +103,19 @@ class TestIngest:
         assert "filter.cfg, line 1: unknown key 'no_such_knob'" in (
             capsys.readouterr().err)
 
+    def test_repeated_filter_key_exit_2_before_reading(self, tmp_path,
+                                                       capsys):
+        # The last line won silently. The input does not exist, so a
+        # refusal made after reading it would exit 1.
+        config = tmp_path / "filter.cfg"
+        config.write_text("min_doc_length = 5\n# again\nmin_doc_length = 9\n")
+        assert main(["ingest", "--in", str(tmp_path / "missing.jsonl"),
+                     "--out", str(tmp_path / "o.jsonl"),
+                     "--filter-config", str(config)]) == 2
+        assert ("filter.cfg, lines 1 and 3: repeated key 'min_doc_length'"
+                in capsys.readouterr().err)
+        assert [p.name for p in tmp_path.iterdir()] == ["filter.cfg"]
+
     @pytest.mark.parametrize("config, message", [
         ("min_doc_length = x", "min_doc_length: invalid literal"),
         ("min_alnum_ratio =", "min_alnum_ratio: could not convert"),
@@ -383,6 +396,37 @@ class TestBuildAndSearch:
         assert manifest["input_hashes"] == {
             "checkpoint": hashlib.sha256(ckpt.read_bytes()).hexdigest(),
             "passages": hashlib.sha256(passages.read_bytes()).hexdigest()}
+
+    def test_dim_with_checkpoint_exit_2_and_nothing_written(self, workspace,
+                                                            capsys):
+        # --dim was ignored, yet the manifest recorded it as the width.
+        tmp_path, raw = workspace
+        passages = run_ingest(tmp_path, raw)
+        _, ckpt = run_build(tmp_path, passages)
+        before = sorted(p.name for p in tmp_path.iterdir())
+        assert main(["build-index", "--passages", str(passages),
+                     "--checkpoint", str(ckpt), "--out",
+                     str(tmp_path / "again.ridx"), "--dim", "16"]) == 2
+        assert "--dim" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("command", ["build-index", "train"])
+    def test_dim_not_given_is_null_and_64_wide(self, workspace, command):
+        # The manifest recorded the default 64 as if it had been given.
+        tmp_path, raw = workspace
+        passages = run_ingest(tmp_path, raw)
+        (tmp_path / "train.cfg").write_text("steps = 1\nk_retrieved = 2\n")
+        out = tmp_path / "out"
+        argv = {"build-index": ["--passages", str(passages)],
+                "train": ["--config", str(tmp_path / "train.cfg"),
+                          "--corpus", str(passages)]}[command]
+        assert main([command, *argv, "--out", str(out)]) == 0
+        manifest, ckpt = {
+            "build-index": (Path(f"{out}.manifest.json"), out.with_suffix(
+                ".rlab")),
+            "train": (out / "manifest.json", out / "encoder.rlab")}[command]
+        assert json.loads(manifest.read_text())["config"]["dim"] is None
+        assert load_checkpoint(ckpt).dim == 64
 
     def test_commands_in_one_directory_keep_their_own_manifests(
             self, workspace):
@@ -730,6 +774,36 @@ class TestTrain:
                      "--out", str(tmp_path / "run")]) == 2
         assert f"train.cfg, line 4: {message}" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["train.cfg"]
+
+    def test_repeated_config_key_exit_2_before_reading(self, tmp_path,
+                                                       capsys):
+        # steps = 2 then steps = 3 trained 3 steps with exit 0. The corpus
+        # does not exist, so a refusal made after reading it would exit 1.
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("steps = 2\nbatch_size = 1\nsteps = 3\n")
+        assert main(["train", "--config", str(cfg), "--corpus",
+                     str(tmp_path / "missing.jsonl"),
+                     "--out", str(tmp_path / "run")]) == 2
+        assert ("train.cfg, lines 1 and 3: repeated key 'steps'"
+                in capsys.readouterr().err)
+        assert [p.name for p in tmp_path.iterdir()] == ["train.cfg"]
+
+    def test_out_is_a_file_exit_1_before_reading_the_corpus(self, tmp_path,
+                                                            capsys):
+        # The run read the corpus, built the index and trained every step
+        # before making --out failed; here the malformed corpus was the
+        # error it reported.
+        cfg, corpus = tmp_path / "train.cfg", tmp_path / "passages.jsonl"
+        cfg.write_text("steps = 1\n")
+        corpus.write_text("{not json\n")
+        out = tmp_path / "afile"
+        out.write_text("kept\n")
+        assert main(["train", "--config", str(cfg), "--corpus", str(corpus),
+                     "--out", str(out)]) == 1
+        assert f"--out {out}" in capsys.readouterr().err
+        assert out.read_text() == "kept\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "afile", "passages.jsonl", "train.cfg"]
 
     @pytest.mark.parametrize("line", ["steps = 3.5", "temperature = warm",
                                       "loss = bogus", "mode = bogus"])

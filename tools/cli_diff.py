@@ -15,7 +15,16 @@ directory:
 - `train` in every maintenance mode with both tasks (pdist for prefix_lm,
   emdr2 for mlm), and once in rerank with loss loop;
 - `evaluate --mode cyclic4 --audit-leakage` on a trained index, and
-  `evaluate` with `--passages` alone.
+  `evaluate` with `--passages` alone;
+- `build-index --checkpoint` with a trained `encoder.rlab` (an index
+  refresh after retriever training);
+- `swap-index` from an index of a later dump (the first ten documents
+  ingested again under another `dump_date`) to the refreshed one, and a
+  swap refused because both indexes share a `dump_date`;
+- `cost-model` with and without `--l`;
+- three refusals: a train config that sets a key twice, `build-index`
+  given both `--checkpoint` and `--dim`, and `train --out` naming an
+  existing file.
 
 It prints the sha256 of every file the commands wrote and of each
 command's exit code, stdout and stderr, one per line, then the sha256 of
@@ -29,6 +38,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import string
@@ -113,6 +123,38 @@ def commands(words):
     out.append(("evaluate-passages", [
         "evaluate", "--task", "in/tasks.jsonl", "--passages",
         "passages.jsonl"]))
+    with open("in/raw.jsonl", encoding="utf-8") as src, \
+            open("in/raw2023.jsonl", "w", encoding="utf-8") as dst:
+        dst.writelines(json.dumps({**json.loads(line),
+                                   "dump_date": "2023-01-01"}) + "\n"
+                       for line in itertools.islice(src, 10))
+    Path("in/repeated.cfg").write_text(
+        TRAIN_CONFIG.format(mode="fixed", loss="pdist") + "steps = 4\n")
+    cost = ["cost-model", "--n", "10000", "--b", "4", "--k", "20", "--r", "5"]
+    out += [
+        ("build-refresh", ["build-index", "--passages", "passages.jsonl",
+                           "--checkpoint", f"{trained}/encoder.rlab",
+                           "--out", "refresh.ridx"]),
+        ("ingest-2023", ["ingest", "--in", "in/raw2023.jsonl",
+                         "--out", "passages2023.jsonl", "--max-words", "40"]),
+        ("build-2023", ["build-index", "--passages", "passages2023.jsonl",
+                        "--out", "i2023.ridx", "--dim", "16"]),
+        ("swap-same-dump", ["swap-index", "--from", "f32.ridx",
+                            "--to", "refresh.ridx"]),
+        ("swap", ["swap-index", "--from", "i2023.ridx", "--to",
+                  "refresh.ridx"]),
+        ("cost-model", cost),
+        ("cost-model-rerank", [*cost, "--l", "100"]),
+        ("refuse-repeated-key", [
+            "train", "--config", "in/repeated.cfg", "--corpus",
+            "passages.jsonl", "--out", "repeated", "--dim", "16"]),
+        ("refuse-dim-with-checkpoint", [
+            "build-index", "--passages", "passages.jsonl", "--checkpoint",
+            "f32.rlab", "--out", "refused.ridx", "--dim", "16"]),
+        ("refuse-out-file", [
+            "train", "--config", f"in/{trained}.cfg", "--corpus",
+            "passages.jsonl", "--out", "f32.rpqx", "--dim", "16"]),
+    ]
     return out
 
 
