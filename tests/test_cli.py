@@ -415,16 +415,17 @@ class TestBuildAndSearch:
         # The manifest recorded the default 64 as if it had been given.
         tmp_path, raw = workspace
         passages = run_ingest(tmp_path, raw)
-        (tmp_path / "train.cfg").write_text("steps = 1\nk_retrieved = 2\n")
         out = tmp_path / "out"
-        argv = {"build-index": ["--passages", str(passages)],
-                "train": ["--config", str(tmp_path / "train.cfg"),
-                          "--corpus", str(passages)]}[command]
+        if command == "build-index":
+            argv = ["--passages", str(passages)]
+            manifest, ckpt = (Path(f"{out}.manifest.json"),
+                              out.with_suffix(".rlab"))
+        else:
+            cfg = tmp_path / "train.cfg"
+            cfg.write_text("steps = 1\nk_retrieved = 2\n")
+            argv = ["--config", str(cfg), "--corpus", str(passages)]
+            manifest, ckpt = out / "manifest.json", out / "encoder.rlab"
         assert main([command, *argv, "--out", str(out)]) == 0
-        manifest, ckpt = {
-            "build-index": (Path(f"{out}.manifest.json"), out.with_suffix(
-                ".rlab")),
-            "train": (out / "manifest.json", out / "encoder.rlab")}[command]
         assert json.loads(manifest.read_text())["config"]["dim"] is None
         assert load_checkpoint(ckpt).dim == 64
 
