@@ -1,7 +1,5 @@
 """Desk-scale retrieval-augmented learning laboratory."""
 
-from . import corpus, costmodel, evalkit, index, lm, losses, pq, pretext, retriever, trainer
-
 __version__ = "0.1.0"
 
 __all__ = [

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import hashlib
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -66,9 +68,28 @@ def _read_config(path: str, cls):
 
 
 # The arguments that name an input file: a manifest hashes each one given,
-# and `main` refuses, before anything is read, an --out that names one.
+# and `_check_out` refuses, before anything is read, an --out naming one.
 _INPUTS = ("infile", "passages", "checkpoint", "index", "corpus", "config",
            "filter_config")
+
+
+def _check_out(args):
+    """Refuse an --out naming an input (ValueError) or one the command cannot
+    write (OSError): train makes a directory and its parents, others a file."""
+    out = Path(args.out)
+    if out.resolve() in {Path(v).resolve() for k, v in vars(args).items()
+                         if k in _INPUTS and v}:
+        raise ValueError(f"--out {args.out} is also an input")
+    if args.command == "train":
+        near = next(p for p in (out, *out.parents) if p.exists())
+        if not near.is_dir():
+            raise NotADirectoryError(
+                f"--out {out} is a file, not a directory" if near == out
+                else f"--out {out}: {near} is not a directory")
+    elif out.is_dir() or not out.parent.is_dir():
+        code = (errno.EISDIR if out.is_dir() else
+                errno.ENOTDIR if out.parent.exists() else errno.ENOENT)
+        raise OSError(code, os.strerror(code), args.out)
 
 
 def _write_manifest(path: Path, args, timings: dict[str, float], config=None,
@@ -172,8 +193,6 @@ def cmd_search(args) -> int:
 def cmd_train(args) -> int:
     cfg = _read_config(args.config, trainer.TrainConfig)
     out_dir = Path(args.out)
-    if out_dir.exists() and not out_dir.is_dir():
-        raise FileExistsError(f"--out {out_dir} is a file, not a directory")
     t0 = time.perf_counter()
     passages = corpus.read_passages(args.corpus)
     enc = retriever.init_encoder(retriever.Vocab(set().union(
@@ -287,7 +306,7 @@ def cmd_cost_model(args) -> int:
         p_retr=args.ratio.numerator, p_lm=args.ratio.denominator)
     full = costmodel.overhead_full_refresh(params)
     print(f"full-refresh overhead: {float(full):.3f} "
-          f"(~{round(float(full) * 100 / 10) * 10}%)")
+          f"(~{int(full * 10 + Fraction(1, 2)) * 10}%)")  # exactly, half up
     if args.l:
         rerank = costmodel.overhead_rerank(params)
         print(f"rerank overhead: {float(rerank):.3f}")
@@ -371,10 +390,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        if getattr(args, "out", None) and Path(args.out).resolve() in {
-                Path(v).resolve() for k, v in vars(args).items()
-                if k in _INPUTS and v}:
-            raise ValueError(f"--out {args.out} is also an input")
+        if getattr(args, "out", None):
+            _check_out(args)
         return args.func(args)
     except (OSError, formats.FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,16 +2,17 @@
 
 Every reader (RIDX, RPQX, RLAB and JSONL) raises `FormatError` for
 malformed or truncated input, and the CLI maps it to exit 1. A binary
-artifact (magic, version word, header, tables) is written by
-`write_artifact` and read front to back by a `Reader` from one read-only
-mapping of the file. Every JSONL reader takes its lines from
-`jsonl_objects` and names the file and line of a bad record. String
-tables (ids, vocab tokens) are stored newline-joined, so writers refuse
-any string holding a newline before they open the file. Float tables go
-through `float_bytes` and `Reader.floats`: a writer refuses, before it
-opens the file, a value that would be stored as NaN or infinite, and a
-reader rejects one. Every artifact writer goes through `atomic_write`,
-so a failed write leaves the previous file as it was.
+artifact (magic, version word, header, tables) is written by its
+`Format`, whose `read` checks the header and returns a `Reader` of the
+rest, read front to back from one read-only mapping of the file. Every
+JSONL reader takes its lines from `jsonl_objects` and names the file and
+line of a bad record. String tables (ids, vocab tokens) are stored
+newline-joined, so writers refuse any string holding a newline before
+they open the file. Float tables go through `float_bytes` and
+`Reader.floats`: a writer refuses, before it opens the file, a value
+that would be stored as NaN or infinite, and a reader rejects one. Every
+artifact writer goes through `atomic_write`, so a failed write leaves the
+previous file as it was.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import operator
 import os
 import secrets
 import struct
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -75,16 +76,6 @@ def join_lines(strings: Sequence[str], what: str) -> bytes:
     return "\n".join(strings).encode("utf-8")
 
 
-def write_artifact(path, magic: bytes, version: int, layout: str,
-                   fields: Sequence[int], *tables: bytes):
-    """Write magic, the version word, the header fields packed by layout
-    and then each table, one write apiece, through `atomic_write`."""
-    with atomic_write(path) as fh:
-        fh.write(magic + struct.pack("<I", version) + struct.pack(layout, *fields))
-        for table in tables:
-            fh.write(table)
-
-
 class Reader:
     """An artifact read front to back from one read-only mapping of path,
     each read checked against the bytes left. `take` and `floats` give
@@ -110,17 +101,6 @@ class Reader:
                               f"needs {n} more bytes, has {left}")
         self.pos += n
         return self.data[self.pos - n:self.pos]
-
-    def header(self, magic: bytes, version: int, layout: str, what: str,
-               versioned: str) -> tuple:
-        """The fields packed by layout after magic and the version word;
-        FormatError "bad <what> magic" or "unsupported <versioned> N"."""
-        if self.take(4) != magic:
-            raise FormatError(f"{self.path}: bad {what} magic")
-        found, = struct.unpack("<I", self.take(4))
-        if found != version:
-            raise FormatError(f"{self.path}: unsupported {versioned} {found}")
-        return struct.unpack(layout, self.take(struct.calcsize(layout)))
 
     def floats(self, shape: tuple[int, ...], dtype, what: str) -> np.ndarray:
         """The next array of shape, as stored in dtype; a NaN or infinite
@@ -149,6 +129,34 @@ class Reader:
         if len(self.data) > self.pos:
             raise FormatError(f"{self.path}: {len(self.data) - self.pos} "
                               f"trailing bytes after byte {self.pos}")
+
+
+class Format(NamedTuple):
+    """A binary artifact's magic, version word and header layout, and the
+    names in its errors "bad <what> magic" and "unsupported <versioned> N"."""
+    magic: bytes
+    version: int
+    layout: str
+    what: str
+    versioned: str
+
+    def write(self, path, fields: Sequence[int], *tables: bytes):
+        """Header of fields, then each table, one write apiece, atomically."""
+        with atomic_write(path) as fh:
+            fh.write(self.magic + struct.pack("<I", self.version)
+                     + struct.pack(self.layout, *fields))
+            for table in tables:
+                fh.write(table)
+
+    def read(self, path) -> tuple[Reader, tuple]:
+        """A `Reader` past path's checked header, and the header's fields."""
+        r = Reader(path)
+        if r.take(4) != self.magic:
+            raise FormatError(f"{path}: bad {self.what} magic")
+        found, = struct.unpack("<I", r.take(4))
+        if found != self.version:
+            raise FormatError(f"{path}: unsupported {self.versioned} {found}")
+        return r, struct.unpack(self.layout, r.take(struct.calcsize(self.layout)))
 
 
 def ascending(strings: Sequence[str]) -> bool:

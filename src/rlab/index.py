@@ -18,8 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import Passage, TokenTable
-from .formats import (FormatError, Reader, ascending, float_bytes,
-                      join_lines, write_artifact)
+from .formats import FormatError, Format, ascending, float_bytes, join_lines
 from .retriever import DualEncoder, encode_texts
 
 PRECISIONS = {"float32": np.dtype("<f4"), "float16": np.dtype("<f2")}
@@ -79,19 +78,16 @@ class EmbeddingIndex:
 
 def build(passages: Sequence[Passage], encoder: DualEncoder,
           shards: int = 1, precision: str = "float32",
-          previous_version: int = 0, tokens: TokenTable | None = None,
-          rows: np.ndarray | None = None) -> EmbeddingIndex:
+          previous_version: int = 0, rows: np.ndarray | None = None) -> EmbeddingIndex:
     """Embed every passage with the document encoder; the index sorts them
-    by id if needed. version = previous + 1. tokens, the passages' texts
-    in passage order, and rows, the encoder vocab row of each of their
-    token positions, are found here when not given."""
+    by id if needed. version = previous + 1. rows, the encoder vocab row
+    of each token position of the passages' texts in passage order, are
+    found here when not given."""
     if not passages:
         raise ValueError("cannot build an index from zero passages")
-    if tokens is None:
-        tokens = TokenTable([p.text for p in passages])
     if rows is None:
-        rows = tokens.vocab_rows(encoder.vocab)
-    _, vectors = encode_texts(encoder.doc, rows, np.diff(tokens.offsets))
+        rows = TokenTable([p.text for p in passages]).vocab_rows(encoder.vocab)
+    _, vectors = encode_texts(encoder.doc, rows, [len(p.text) for p in passages])
     # Storage precision rounds on write; arithmetic stays in float64.
     vectors[...] = vectors.astype(_dtype(precision))
     dates = {p.dump_date for p in passages if p.dump_date}
@@ -152,33 +148,27 @@ def search_batch(index: EmbeddingIndex, q_vecs: np.ndarray, k: int) -> list[list
 
 
 # ---------------------------------------------------------------------------
-# Index file: magic "RIDX"; format (2), version, dim, precision, N, id
-# table bytes, shards, dump_date count (0 or 1) and bytes; the dump_date;
-# the id table, strictly ascending; the vector block. Little-endian
-# throughout, bit-exact round trip. Any other format is a format error.
+# Index file: magic; format (2), version, dim, precision, N, id table
+# bytes, shards, dump_date count (0 or 1) and bytes; the dump_date; the id
+# table, strictly ascending; the vector block. Little-endian throughout,
+# bit-exact round trip. Any other format is a format error.
 
-_MAGIC = b"RIDX"
-_FORMAT_VERSION = 2
-_HEADER = "<IIBIQIBI"
+_RIDX = Format(b"RIDX", 2, "<IIBIQIBI", "index", "index format")
 
 
 def save_index(index: EmbeddingIndex, path):
     id_blob = join_lines(index.ids, "id")
     dates = [] if index.dump_date is None else [index.dump_date]
     date_blob = join_lines(dates, "dump_date")
-    vector_blob = float_bytes(index.vectors, PRECISIONS[index.precision],
-                              "vectors")
-    write_artifact(path, _MAGIC, _FORMAT_VERSION, _HEADER,
-                   (index.version, index.dim,
-                    list(PRECISIONS).index(index.precision), index.size,
-                    len(id_blob), index.shards, len(dates), len(date_blob)),
-                   date_blob, id_blob, vector_blob)
+    vector_blob = float_bytes(index.vectors, PRECISIONS[index.precision], "vectors")
+    _RIDX.write(path, (index.version, index.dim,
+                       list(PRECISIONS).index(index.precision), index.size,
+                       len(id_blob), index.shards, len(dates), len(date_blob)),
+                date_blob, id_blob, vector_blob)
 
 
 def load_index(path) -> EmbeddingIndex:
-    r = Reader(path)
-    version, dim, prec, n, id_len, shards, n_dates, date_len = r.header(
-        _MAGIC, _FORMAT_VERSION, _HEADER, "index", "index format")
+    r, (version, dim, prec, n, id_len, shards, n_dates, date_len) = _RIDX.read(path)
     if prec >= len(PRECISIONS):
         raise FormatError(f"{path}: unknown precision code {prec}")
     precision = list(PRECISIONS)[prec]

@@ -10,8 +10,8 @@ the approximate scores.
 
 `_nearest` gives the k-means assignment and the codes: one GEMM per
 subspace screens, and the direct sum of (x - c)^2 settles near ties, so
-they equal a direct argmin's, the first of ties. k-means++ seeding adds
-one centroid at a time: a matvec screens the rows it may bring closer,
+they equal a direct argmin's, the first of ties. Farthest-point seeding
+adds one centroid at a time: a matvec screens the rows it may bring closer,
 and the direct sum settles them, so the seeds are the direct sum's.
 """
 
@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .formats import FormatError, Reader, float_bytes, join_lines, write_artifact
+from .formats import FormatError, Format, float_bytes, join_lines
 from .index import EmbeddingIndex, _from_file, _results, sort_by_id
 from .retriever import sum_rows
 
@@ -131,8 +131,8 @@ def _nearest(data: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return best
 
 
-def _kmeans_pp_init(data: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Farthest-point style seeding: first centroid random, each next one
+def _farthest_point_seeds(data: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """Farthest-point seeding: first centroid random, each next one
     is the point with maximal squared distance d2 (the direct sum) to its
     nearest centroid. For a new centroid c, one matvec gives h = |x|^2 -
     2 x.c + |c|^2; as in `_nearest` with E = |x|^2 + |c|^2, a row whose d2
@@ -153,7 +153,7 @@ def _kmeans_pp_init(data: np.ndarray, k: int, rng: np.random.Generator) -> np.nd
 
 def _kmeans(data: np.ndarray, k: int, iterations: int,
             rng: np.random.Generator) -> np.ndarray:
-    centroids = _kmeans_pp_init(data, k, rng)
+    centroids = _farthest_point_seeds(data, k, rng)
     for _ in range(iterations):
         assign = _nearest(data, centroids)
         # Only filled clusters are summed; an empty one keeps its centroid.
@@ -168,7 +168,7 @@ def train_pq(index: EmbeddingIndex, m: int, k_c: int,
     (m, k_c, dim // m) float64 array.
 
     The sum of squared quantization errors is non-increasing across
-    iterations (standard k-means monotonicity); 0 keeps the k-means++ seeds.
+    iterations (k-means monotonicity); 0 keeps the farthest-point seeds.
     """
     if m < 1 or index.dim % m:
         raise ValueError(f"m={m} is not a positive divisor of dim={index.dim}")
@@ -254,28 +254,23 @@ def compressed_size_from_reported(uncompressed: float, dim: int,
 
 
 # ---------------------------------------------------------------------------
-# PQ index file: magic "RPQX"; format, version, dim, m, k_c, N, id table
+# PQ index file: magic; format (1), version, dim, m, k_c, N, id table
 # bytes; the id table, strictly ascending; float32 codebooks; uint16 codes.
 
-_MAGIC = b"RPQX"
-_FORMAT_VERSION = 1
-_HEADER = "<IIIIIQ"
+_RPQX = Format(b"RPQX", 1, "<IIIIIQ", "PQ index", "PQ format")
 
 
 def save_pq_index(pqindex: PQIndex, path):
     id_blob = join_lines(pqindex.ids, "id")
     m, k_c, _ = pqindex.codebooks.shape
-    write_artifact(path, _MAGIC, _FORMAT_VERSION, _HEADER,
-                   (pqindex.version, pqindex.dim, m, k_c, pqindex.size,
-                    len(id_blob)),
-                   id_blob, float_bytes(pqindex.codebooks, "<f4", "codebooks"),
-                   np.ascontiguousarray(pqindex.codes, dtype="<u2").tobytes())
+    _RPQX.write(path, (pqindex.version, pqindex.dim, m, k_c, pqindex.size,
+                       len(id_blob)),
+                id_blob, float_bytes(pqindex.codebooks, "<f4", "codebooks"),
+                np.ascontiguousarray(pqindex.codes, dtype="<u2").tobytes())
 
 
 def load_pq_index(path) -> PQIndex:
-    r = Reader(path)
-    version, dim, m, k_c, n, id_len = r.header(
-        _MAGIC, _FORMAT_VERSION, _HEADER, "PQ index", "PQ format")
+    r, (version, dim, m, k_c, n, id_len) = _RPQX.read(path)
     if m == 0 or dim % m:
         raise FormatError(f"{path}: m={m} does not divide dim={dim}")
     ids = r.lines(id_len, n, "id")

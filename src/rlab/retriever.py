@@ -35,8 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .formats import (FormatError, Reader, ascending, float_bytes,
-                      join_lines, write_artifact)
+from .formats import FormatError, Format, ascending, float_bytes, join_lines
 
 UNK = "<unk>"
 DEFAULT_TEMPERATURE = 0.1  # tuned retrieval temperature
@@ -331,14 +330,12 @@ def retriever_gradient(enc: DualEncoder, query: Sequence[str],
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint format: magic "RLAB", version (2), d, vocab size, vocab byte
-# length, then row-major float32 tables (query emb, query proj, doc emb,
-# doc proj), then the newline-joined vocab as UTF-8: UNK, then the other
+# Checkpoint file: magic, version (2), d, vocab size, vocab byte length,
+# then row-major float32 tables (query emb, query proj, doc emb, doc
+# proj), then the newline-joined vocab as UTF-8: UNK, then the other
 # tokens strictly ascending. Any other version is a format error.
 
-_MAGIC = b"RLAB"
-_VERSION = 2
-_HEADER = "<IIQ"  # d, vocab size, vocab byte length
+_RLAB = Format(b"RLAB", 2, "<IIQ", "checkpoint", "checkpoint version")
 
 
 def save_checkpoint(enc: DualEncoder, path):
@@ -351,15 +348,11 @@ def save_checkpoint(enc: DualEncoder, path):
                 raise ValueError(f"{side} {name} of shape {np.shape(table)} "
                                  f"is not ({rows}, {enc.dim})")
             tables.append(float_bytes(table, "<f4", "encoder tables"))
-    write_artifact(path, _MAGIC, _VERSION, _HEADER,
-                   (enc.dim, len(enc.vocab), len(vocab_blob)),
-                   *tables, vocab_blob)
+    _RLAB.write(path, (enc.dim, len(enc.vocab), len(vocab_blob)), *tables, vocab_blob)
 
 
 def load_checkpoint(path) -> DualEncoder:
-    r = Reader(path)
-    dim, vsize, vocab_len = r.header(_MAGIC, _VERSION, _HEADER, "checkpoint",
-                                     "checkpoint version")
+    r, (dim, vsize, vocab_len) = _RLAB.read(path)
     tables = [r.floats((rows, dim), "<f4", "encoder tables")
               for rows in (vsize, dim, vsize, dim)]
     tokens = r.lines(vocab_len, vsize, "vocab token")

@@ -203,8 +203,7 @@ def train_step(state: TrainerState, batch: Sequence[TrainExample],
         state.index = index_mod.build(
             state.passages, state.encoder,
             shards=state.index.shards, precision=state.index.precision,
-            previous_version=state.index.version, tokens=state.tokens,
-            rows=state.rows)
+            previous_version=state.index.version, rows=state.rows)
     if not cfg.k_retrieved:  # the closed-book ablation: no retrieval
         return StepMetrics(state.step, 0.0, 0.0, state.index.version)
 
@@ -264,9 +263,8 @@ def init_state(encoder: DualEncoder,
     ordered = sorted(passages, key=lambda p: p.id)
     tokens = TokenTable([p.text for p in ordered])
     rows = tokens.vocab_rows(encoder.vocab)
-    idx = index_mod.build(ordered, encoder, tokens=tokens, rows=rows)
-    return TrainerState(encoder=encoder, index=idx, passages=ordered,
-                        tokens=tokens, rows=rows)
+    idx = index_mod.build(ordered, encoder, rows=rows)
+    return TrainerState(encoder, idx, ordered, tokens, rows)
 
 
 def train(state: TrainerState, examples: Sequence[TrainExample],

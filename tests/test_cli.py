@@ -313,6 +313,32 @@ class TestBuildAndSearch:
         assert err == f"error: [Errno 2] No such file or directory: '{out}'\n"
         assert not (tmp_path / "nodir").exists()
 
+    @pytest.mark.parametrize("command", ["ingest", "build-index",
+                                         "compress-index"])
+    @pytest.mark.parametrize("out, message", [
+        ("nodir/x", "[Errno 2] No such file or directory"),
+        ("afile/x", "[Errno 20] Not a directory"),
+        ("adir", "[Errno 21] Is a directory")], ids=["missing", "file", "dir"])
+    def test_unwritable_out_exit_1_before_reading_the_input(
+            self, tmp_path, capsys, command, out, message):
+        # Each command did its whole work before the write failed, and
+        # ingest over a directory named its random temporary file; here the
+        # input is malformed, so it was the error they reported.
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("{not json\n")
+        (tmp_path / "afile").write_text("kept\n")
+        (tmp_path / "adir").mkdir()
+        out = tmp_path / out
+        args = {"ingest": ["--in", str(bad)],
+                "build-index": ["--passages", str(bad)],
+                "compress-index": ["--index", str(bad),
+                                   "--m", "2", "--kc", "2"]}[command]
+        assert main([command, *args, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}: '{out}'\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "adir", "afile", "bad.jsonl"]
+        assert not any((tmp_path / "adir").iterdir())
+
     def test_newline_in_id_exit_2_and_nothing_written(self, tmp_path, capsys):
         passages = tmp_path / "passages.jsonl"
         passages.write_text('{"id": "a\\nb", "text": "x y"}\n'
@@ -806,6 +832,26 @@ class TestTrain:
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "afile", "passages.jsonl", "train.cfg"]
 
+    @pytest.mark.parametrize("below", ["run", "deeper/run"])
+    def test_out_below_a_file_exit_1_before_reading_the_corpus(
+            self, tmp_path, capsys, below):
+        # The run trained every step, then failed to make --out with
+        # "[Errno 20] Not a directory"; here the malformed corpus was the
+        # error it reported.
+        cfg, corpus = tmp_path / "train.cfg", tmp_path / "passages.jsonl"
+        cfg.write_text("steps = 1\n")
+        corpus.write_text("{not json\n")
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        out = afile / below
+        assert main(["train", "--config", str(cfg), "--corpus", str(corpus),
+                     "--out", str(out)]) == 1
+        assert (capsys.readouterr().err
+                == f"error: --out {out}: {afile} is not a directory\n")
+        assert afile.read_text() == "kept\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "afile", "passages.jsonl", "train.cfg"]
+
     @pytest.mark.parametrize("line", ["steps = 3.5", "temperature = warm",
                                       "loss = bogus", "mode = bogus"])
     def test_mistyped_config_value_exit_2(self, workspace, line):
@@ -1004,6 +1050,15 @@ class TestCostModel:
         assert capsys.readouterr().out == (
             "full-refresh overhead: 0.289 (~30%)\n"
             "rerank overhead: 0.100\n")
+
+    @pytest.mark.parametrize("n, out", [("10000", "0.250 (~30%)"),
+                                        ("2000", "0.050 (~10%)")])
+    def test_percentage_rounds_half_up(self, capsys, n, out):
+        # Exactly 0.25 and 0.05 printed ~20% and ~0%: rounded half to even
+        # through a float.
+        assert main(["cost-model", "--n", n, "--b", "4", "--k", "20",
+                     "--r", "5"]) == 0
+        assert capsys.readouterr().out == f"full-refresh overhead: {out}\n"
 
     @pytest.mark.parametrize("ratio", ["abc", "1/0", "inf", "0", "-0.04"])
     def test_bad_ratio_exit_2(self, ratio):

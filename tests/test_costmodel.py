@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -61,3 +64,16 @@ class TestRerank:
     def test_negative_l_rejected(self):
         with pytest.raises(ValueError, match="l_reranked"):
             replace(PAPER, l_reranked=-1)
+
+
+def test_import_loads_no_other_rlab_module():
+    # The package imported every module, so `import rlab.costmodel` loaded
+    # all of them, numpy included.
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    script = ("import sys, rlab.costmodel\n"
+              "print(sorted(m for m in sys.modules"
+              " if m.split('.')[0] == 'rlab'))")
+    loaded = subprocess.run(
+        [sys.executable, "-c", script], check=True, capture_output=True,
+        text=True, env={**os.environ, "PYTHONPATH": src}).stdout
+    assert loaded == "['rlab', 'rlab.costmodel']\n"

@@ -88,8 +88,9 @@ class TestBuild:
                                 0, 12, rng.integers(1, 9))))
                     for i in range(30)]
         enc = init_encoder(Vocab(words[:9]), 8, seed=3)
-        tokens = TokenTable([p.text for p in passages]) if interned else None
-        idx = build(passages, enc, precision=precision, tokens=tokens)
+        rows = (TokenTable([p.text for p in passages]).vocab_rows(enc.vocab)
+                if interned else None)
+        idx = build(passages, enc, precision=precision, rows=rows)
         ordered = sorted(passages, key=lambda p: p.id)
         want = np.stack([encode_doc(enc, p.text) for p in ordered])
         assert idx.ids == [p.id for p in ordered]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from rlab.index import EmbeddingIndex, FormatError, search
-from rlab.pq import (PQIndex, _kmeans_pp_init, _nearest, compress,
+from rlab.pq import (PQIndex, _farthest_point_seeds, _nearest, compress,
                      compression_ratio, compressed_size_from_reported, decode,
                      load_pq_index, pq_search, recall_at_k, save_pq_index,
                      squared_error, train_pq)
@@ -142,12 +142,12 @@ class TestReferencePQ:
 
 
 class TestSeeding:
-    """`_kmeans_pp_init` screens each new centroid's distances with one
-    matvec; its seeds equal, byte for byte, the reference's seeding, which
-    takes the direct sum over all rows."""
+    """`_farthest_point_seeds` screens each new centroid's distances with
+    one matvec; its seeds equal, byte for byte, the reference's seeding,
+    which takes the direct sum over all rows."""
 
     def check(self, data, k, seed):
-        got = _kmeans_pp_init(data, k, np.random.default_rng(seed))
+        got = _farthest_point_seeds(data, k, np.random.default_rng(seed))
         want = reference_pq(data, 1, k, 0, seed)[0][0]
         assert got.tobytes() == want.tobytes()
 

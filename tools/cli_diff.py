@@ -22,9 +22,10 @@ directory:
   ingested again under another `dump_date`) to the refreshed one, and a
   swap refused because both indexes share a `dump_date`;
 - `cost-model` with and without `--l`;
-- three refusals: a train config that sets a key twice, `build-index`
-  given both `--checkpoint` and `--dim`, and `train --out` naming an
-  existing file.
+- six refusals: a train config that sets a key twice, `build-index`
+  given both `--checkpoint` and `--dim`, `train --out` naming an existing
+  file or a path below one, `ingest --out` in a missing directory and
+  `build-index --out` naming a directory.
 
 It prints the sha256 of every file the commands wrote and of each
 command's exit code, stdout and stderr, one per line, then the sha256 of
@@ -154,6 +155,13 @@ def commands(words):
         ("refuse-out-file", [
             "train", "--config", f"in/{trained}.cfg", "--corpus",
             "passages.jsonl", "--out", "f32.rpqx", "--dim", "16"]),
+        ("refuse-out-below-file", [
+            "train", "--config", f"in/{trained}.cfg", "--corpus",
+            "passages.jsonl", "--out", "f32.rpqx/run", "--dim", "16"]),
+        ("refuse-out-missing-dir", [
+            "ingest", "--in", "in/raw.jsonl", "--out", "nodir/p.jsonl"]),
+        ("refuse-out-dir", [
+            "build-index", "--passages", "passages.jsonl", "--out", trained]),
     ]
     return out
 
