@@ -68,28 +68,41 @@ def _read_config(path: str, cls):
 
 
 # The arguments that name an input file: a manifest hashes each one given,
-# and `_check_out` refuses, before anything is read, an --out naming one.
+# and `_check_out` refuses, before anything is read, an output naming one.
 _INPUTS = ("infile", "passages", "checkpoint", "index", "corpus", "config",
            "filter_config")
 
 
-def _check_out(args):
-    """Refuse an --out naming an input (ValueError) or one the command cannot
-    write (OSError): train makes a directory and its parents, others a file."""
+def _outputs(args) -> list[Path]:
+    """Every file the command writes, its manifest last."""
     out = Path(args.out)
-    if out.resolve() in {Path(v).resolve() for k, v in vars(args).items()
-                         if k in _INPUTS and v}:
-        raise ValueError(f"--out {args.out} is also an input")
     if args.command == "train":
-        near = next(p for p in (out, *out.parents) if p.exists())
-        if not near.is_dir():
-            raise NotADirectoryError(
-                f"--out {out} is a file, not a directory" if near == out
-                else f"--out {out}: {near} is not a directory")
-    elif out.is_dir() or not out.parent.is_dir():
-        code = (errno.EISDIR if out.is_dir() else
-                errno.ENOTDIR if out.parent.exists() else errno.ENOENT)
-        raise OSError(code, os.strerror(code), args.out)
+        return [out / name for name in
+                ("metrics.csv", "encoder.rlab", "index.ridx", "manifest.json")]
+    fresh = args.command == "build-index" and not args.checkpoint
+    return [out, *[out.parent / f"{out.stem}.rlab"] * fresh,
+            Path(f"{args.out}.manifest.json")]
+
+
+def _check_out(args):
+    """Refuse an output naming an input or another output, or unwritable."""
+    outputs, train = _outputs(args), args.command == "train"
+    taken = {Path(v).resolve(): "an input" for k, v in vars(args).items()
+             if k in _INPUTS and v}
+    for path in [Path(args.out), *outputs] if train else outputs:
+        if path.resolve() in taken:
+            raise ValueError(f"{path} is also {taken[path.resolve()]}")
+        taken[path.resolve()] = "another output"
+    for path in outputs:
+        if path.is_dir() or not (train or path.parent.is_dir()):
+            code = (errno.EISDIR if path.is_dir() else
+                    errno.ENOTDIR if path.parent.exists() else errno.ENOENT)
+            raise OSError(code, os.strerror(code), str(path))
+        near = next(p for p in path.parents if p.exists())
+        if train and not near.is_dir():  # train makes --out and its parents
+            raise NotADirectoryError(f"--out {args.out}" + (
+                " is a file, not a directory" if near == path.parent
+                else f": {near} is not a directory"))
 
 
 def _write_manifest(path: Path, args, timings: dict[str, float], config=None,
@@ -122,7 +135,7 @@ def cmd_ingest(args) -> int:
     passages = corpus.ingest(corpus.read_documents(args.infile),
                              max_words=args.max_words, cfg=cfg)
     n = corpus.write_passages(passages, args.out)
-    _write_manifest(Path(f"{args.out}.manifest.json"), args,
+    _write_manifest(_outputs(args)[-1], args,
                     {"ingest": time.perf_counter() - t0}, cfg)
     print(f"wrote {n} passages to {args.out}")
     return 0
@@ -131,9 +144,7 @@ def cmd_ingest(args) -> int:
 def cmd_build_index(args) -> int:
     if args.checkpoint and args.dim is not None:
         raise ValueError("--dim sizes a fresh encoder, not --checkpoint's")
-    ckpt = Path(args.checkpoint or Path(args.out).with_suffix(".rlab"))
-    if ckpt.resolve() in {Path(p).resolve() for p in (args.out, args.passages)}:
-        raise ValueError(f"checkpoint {ckpt} is also --out or --passages")
+    _, *fresh, manifest = _outputs(args)
     t0 = time.perf_counter()
     passages = corpus.read_passages(args.passages)
     if args.checkpoint:
@@ -146,10 +157,9 @@ def cmd_build_index(args) -> int:
                           precision=args.precision)
     # The index is written first: an id it rejects leaves no files behind.
     index_mod.save_index(idx, args.out)
-    if not args.checkpoint:
-        retriever.save_checkpoint(enc, ckpt)
-    _write_manifest(Path(f"{args.out}.manifest.json"), args,
-                    {"build": time.perf_counter() - t0},
+    if fresh:
+        retriever.save_checkpoint(enc, *fresh)
+    _write_manifest(manifest, args, {"build": time.perf_counter() - t0},
                     index_version=idx.version)
     print(f"built index: {idx.size} entries, dim {idx.dim}, "
           f"version {idx.version}")
@@ -173,7 +183,7 @@ def cmd_compress_index(args) -> int:
             [pq_mod.pq_search(compressed, q, 10) for q in queries],
             index_mod.search_batch(idx, queries, 10), 10),
     }
-    _write_manifest(Path(f"{args.out}.manifest.json"), args,
+    _write_manifest(_outputs(args)[-1], args,
                     {"compress": t1 - t0, "metrics": time.perf_counter() - t1},
                     index_version=idx.version, metrics=metrics)
     print(f"compressed {idx.memory_bytes()} -> {compressed.memory_bytes()} "
@@ -192,7 +202,7 @@ def cmd_search(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _read_config(args.config, trainer.TrainConfig)
-    out_dir = Path(args.out)
+    metrics_csv, encoder, index, manifest = _outputs(args)
     t0 = time.perf_counter()
     passages = corpus.read_passages(args.corpus)
     enc = retriever.init_encoder(retriever.Vocab(set().union(
@@ -202,21 +212,18 @@ def cmd_train(args) -> int:
     build_time = time.perf_counter() - t0
 
     examples = pretext.TaskExamples(state.passages, args.task, cfg.seed)
-    if not examples:
-        raise ValueError("corpus produced no training examples")
-
     t1 = time.perf_counter()
     history = trainer.train(state, examples, cfg)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    trainer.write_metrics_csv(history, out_dir / "metrics.csv")
-    retriever.save_checkpoint(state.encoder, out_dir / "encoder.rlab")
-    index_mod.save_index(state.index, out_dir / "index.ridx")
-    _write_manifest(out_dir / "manifest.json", args,
+    manifest.parent.mkdir(parents=True, exist_ok=True)
+    trainer.write_metrics_csv(history, metrics_csv)
+    retriever.save_checkpoint(state.encoder, encoder)
+    index_mod.save_index(state.index, index)
+    _write_manifest(manifest, args,
                     {"build_index": build_time,
                      "train": time.perf_counter() - t1},
                     cfg, index_version=state.index.version)
     print(f"trained {cfg.steps} steps; final loss "
-          f"{history[-1].loss:.6f}; artifacts in {out_dir}")
+          f"{history[-1].loss:.6f}; artifacts in {manifest.parent}")
     return 0
 
 
@@ -225,11 +232,10 @@ def _overlap_choice_scorer(scorer_lm: lm_mod.OverlapLM) -> evalkit.ChoiceScorer:
     under the pooled retrieved passages."""
     def score(question, ordered_options, docs):
         doc_tokens = corpus.TokenTable([p.text for p in docs] or [()])
-        logliks = [scorer_lm.joint_loglik(corpus.tokenize(question),
-                                          doc_tokens,
-                                          corpus.tokenize(opt) or ["?"])
-                   / max(len(corpus.tokenize(opt)), 1)
-                   for opt in ordered_options]
+        q_tokens = corpus.tokenize(question)
+        options = [corpus.tokenize(opt) or ["?"] for opt in ordered_options]
+        logliks = [scorer_lm.joint_loglik(q_tokens, doc_tokens, tokens)
+                   / len(tokens) for tokens in options]
         return retriever.softmax(np.asarray(logliks))
     return score
 
@@ -390,7 +396,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        if getattr(args, "out", None):
+        if "out" in args:
             _check_out(args)
         return args.func(args)
     except (OSError, formats.FormatError) as exc:

@@ -339,6 +339,64 @@ class TestBuildAndSearch:
             "adir", "afile", "bad.jsonl"]
         assert not any((tmp_path / "adir").iterdir())
 
+    @pytest.mark.parametrize("command", ["ingest", "build-index",
+                                         "compress-index"])
+    def test_manifest_is_a_directory_exit_1_before_reading_the_input(
+            self, tmp_path, capsys, command):
+        # Each command did its whole work and wrote --out before the
+        # manifest failed, naming its random temporary file; here the input
+        # is malformed, so it was the error they reported.
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("{not json\n")
+        out = tmp_path / "x.out"
+        manifest = tmp_path / "x.out.manifest.json"
+        manifest.mkdir()
+        args = {"ingest": ["--in", str(bad)],
+                "build-index": ["--passages", str(bad)],
+                "compress-index": ["--index", str(bad),
+                                   "--m", "2", "--kc", "2"]}[command]
+        assert main([command, *args, "--out", str(out)]) == 1
+        assert (capsys.readouterr().err
+                == f"error: [Errno 21] Is a directory: '{manifest}'\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "bad.jsonl", "x.out.manifest.json"]
+        assert not any(manifest.iterdir())
+
+    @pytest.mark.parametrize("command", ["ingest", "build-index",
+                                         "compress-index"])
+    @pytest.mark.parametrize("out", ["", ".", "/"])
+    def test_out_with_an_empty_name_exit_1_before_reading_the_input(
+            self, tmp_path, monkeypatch, capsys, command, out):
+        # "" skipped the --out check: ingest and compress-index read their
+        # input first, and build-index exited 2 on Path's empty-name error.
+        # "." and "/" were refused as they are now. The input is malformed.
+        monkeypatch.chdir(tmp_path)
+        Path("bad.jsonl").write_text("{not json\n")
+        args = {"ingest": ["--in", "bad.jsonl"],
+                "build-index": ["--passages", "bad.jsonl"],
+                "compress-index": ["--index", "bad.jsonl",
+                                   "--m", "2", "--kc", "2"]}[command]
+        assert main([command, *args, "--out", out]) == 1
+        assert (capsys.readouterr().err
+                == f"error: [Errno 21] Is a directory: '{out or '.'}'\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.jsonl"]
+
+    def test_fresh_checkpoint_is_a_directory_exit_1_before_reading(
+            self, tmp_path, capsys):
+        # The index was written, then saving the fresh checkpoint failed,
+        # naming its random temporary file; here the passages are
+        # malformed, so they were the error it reported.
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("{not json\n")
+        ckpt = tmp_path / "x.rlab"
+        ckpt.mkdir()
+        assert main(["build-index", "--passages", str(bad),
+                     "--out", str(tmp_path / "x.ridx"), "--dim", "4"]) == 1
+        assert (capsys.readouterr().err
+                == f"error: [Errno 21] Is a directory: '{ckpt}'\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "bad.jsonl", "x.rlab"]
+
     def test_newline_in_id_exit_2_and_nothing_written(self, tmp_path, capsys):
         passages = tmp_path / "passages.jsonl"
         passages.write_text('{"id": "a\\nb", "text": "x y"}\n'
@@ -477,7 +535,8 @@ class TestOutputOverInput:
     before it reads or writes anything; each case exited 0."""
 
     def listing(self, tmp_path):
-        return {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        return {p.relative_to(tmp_path): p.is_dir() or p.read_bytes()
+                for p in tmp_path.rglob("*")}
 
     def test_ingest_out_is_its_input(self, workspace, capsys):
         # The raw documents were replaced with passages.
@@ -517,7 +576,57 @@ class TestOutputOverInput:
         before = self.listing(tmp_path)
         assert main(["build-index", "--passages", str(passages),
                      "--out", str(tmp_path / "c.rlab")]) == 2
-        assert "c.rlab is also --out" in capsys.readouterr().err
+        assert "c.rlab is also another output" in capsys.readouterr().err
+        assert self.listing(tmp_path) == before
+
+    def test_build_index_fresh_checkpoint_is_its_passages(self, tmp_path,
+                                                          capsys):
+        passages = tmp_path / "x.rlab"
+        passages.write_text("{not json\n")
+        before = self.listing(tmp_path)
+        assert main(["build-index", "--passages", str(passages),
+                     "--out", str(tmp_path / "x.ridx")]) == 2
+        assert (capsys.readouterr().err
+                == f"error: {passages} is also an input\n")
+        assert self.listing(tmp_path) == before
+
+    def test_ingest_manifest_is_its_input(self, tmp_path, capsys):
+        # The manifest was written over the documents, with exit 0; here
+        # the documents are malformed, so reading them failed first.
+        raw = tmp_path / "docs.manifest.json"
+        raw.write_text("{not json\n")
+        before = self.listing(tmp_path)
+        assert main(["ingest", "--in", str(raw),
+                     "--out", str(tmp_path / "docs")]) == 2
+        assert capsys.readouterr().err == f"error: {raw} is also an input\n"
+        assert self.listing(tmp_path) == before
+
+    def test_train_corpus_is_its_metrics(self, tmp_path, capsys):
+        # The run trained on the corpus and then wrote its metrics over
+        # it, with exit 0; here the corpus is malformed, so reading it
+        # failed first.
+        run = tmp_path / "run"
+        run.mkdir()
+        corpus = run / "metrics.csv"
+        corpus.write_text("{not json\n")
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("steps = 1\n")
+        before = self.listing(tmp_path)
+        assert main(["train", "--config", str(cfg), "--corpus", str(corpus),
+                     "--out", str(run)]) == 2
+        assert capsys.readouterr().err == f"error: {corpus} is also an input\n"
+        assert self.listing(tmp_path) == before
+
+    def test_train_out_is_its_corpus(self, workspace, capsys):
+        # --out is checked as well as the four files written below it.
+        tmp_path, raw = workspace
+        passages = run_ingest(tmp_path, raw)
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("steps = 1\n")
+        before = self.listing(tmp_path)
+        assert main(["train", "--config", str(cfg), "--corpus", str(passages),
+                     "--out", str(passages)]) == 2
+        assert "is also an input" in capsys.readouterr().err
         assert self.listing(tmp_path) == before
 
 
@@ -851,6 +960,38 @@ class TestTrain:
         assert afile.read_text() == "kept\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "afile", "passages.jsonl", "train.cfg"]
+
+    def test_manifest_is_a_directory_exit_1_before_reading_the_corpus(
+            self, tmp_path, capsys):
+        # The run trained every step and wrote its other three files
+        # before the manifest failed; here the malformed corpus was the
+        # error it reported.
+        cfg, corpus = tmp_path / "train.cfg", tmp_path / "passages.jsonl"
+        cfg.write_text("steps = 1\n")
+        corpus.write_text("{not json\n")
+        manifest = tmp_path / "run" / "manifest.json"
+        manifest.mkdir(parents=True)
+        assert main(["train", "--config", str(cfg), "--corpus", str(corpus),
+                     "--out", str(manifest.parent)]) == 1
+        assert (capsys.readouterr().err
+                == f"error: [Errno 21] Is a directory: '{manifest}'\n")
+        assert [p.name for p in manifest.parent.iterdir()] == ["manifest.json"]
+        assert not any(manifest.iterdir())
+
+    @pytest.mark.parametrize("task", ["prefix_lm", "mlm"])
+    def test_corpus_with_no_example_exit_2_and_nothing_written(
+            self, tmp_path, capsys, task):
+        # A one-word passage is too short for either task, and
+        # trainer.train refuses an empty example sequence before step 1.
+        cfg, corpus = tmp_path / "train.cfg", tmp_path / "passages.jsonl"
+        cfg.write_text("steps = 1\n")
+        corpus.write_text('{"id": "a", "text": "alpha"}\n'
+                          '{"id": "b", "text": "beta"}\n')
+        assert main(["train", "--config", str(cfg), "--corpus", str(corpus),
+                     "--out", str(tmp_path / "run"), "--task", task]) == 2
+        assert "examples" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "passages.jsonl", "train.cfg"]
 
     @pytest.mark.parametrize("line", ["steps = 3.5", "temperature = warm",
                                       "loss = bogus", "mode = bogus"])

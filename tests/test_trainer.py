@@ -847,6 +847,15 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="examples"):
             run(state, [], TrainConfig(k_retrieved=5, steps=2))
 
+    def test_no_examples_raises_before_step_1(self):
+        passages, _, encoder = small_task()
+        state = init_state(encoder, passages)
+        query = state.encoder.query.embedding.copy()
+        with pytest.raises(ValueError, match="nothing to train on"):
+            train(state, [], TrainConfig(k_retrieved=5, steps=2))
+        assert state.step == 0
+        np.testing.assert_array_equal(state.encoder.query.embedding, query)
+
     def test_recall_counts_examples_with_a_gold(self):
         # Both count hits over the examples with a gold passage only: a
         # top hit beside an example without a gold reads 1.0 (recall_at_1

@@ -22,10 +22,12 @@ directory:
   ingested again under another `dump_date`) to the refreshed one, and a
   swap refused because both indexes share a `dump_date`;
 - `cost-model` with and without `--l`;
-- six refusals: a train config that sets a key twice, `build-index`
+- nine refusals: a train config that sets a key twice, `build-index`
   given both `--checkpoint` and `--dim`, `train --out` naming an existing
-  file or a path below one, `ingest --out` in a missing directory and
-  `build-index --out` naming a directory.
+  file or a path below one, `ingest --out` in a missing directory,
+  `build-index --out` naming a directory, `build-index` whose fresh
+  checkpoint `<out>.rlab` is a directory, `ingest` whose manifest would
+  be its own input, and `train` whose `manifest.json` is a directory.
 
 It prints the sha256 of every file the commands wrote and of each
 command's exit code, stdout and stderr, one per line, then the sha256 of
@@ -90,7 +92,8 @@ def write_inputs(rng):
 
 def commands(words):
     """(label, argv) of every command, in the order they run; writes the
-    train configs into in/."""
+    train configs and other extra inputs into in/, and makes the two
+    directories that refused outputs would replace."""
     out = [("ingest", ["ingest", "--in", "in/raw.jsonl",
                        "--out", "passages.jsonl", "--max-words", "40"]),
            ("build-f32", ["build-index", "--passages", "passages.jsonl",
@@ -131,6 +134,10 @@ def commands(words):
                        for line in itertools.islice(src, 10))
     Path("in/repeated.cfg").write_text(
         TRAIN_CONFIG.format(mode="fixed", loss="pdist") + "steps = 4\n")
+    Path("in/docs.manifest.json").write_text(
+        Path("in/raw.jsonl").read_text(encoding="utf-8"), encoding="utf-8")
+    Path("refused-checkpoint.rlab").mkdir()
+    Path("refused-run/manifest.json").mkdir(parents=True)
     cost = ["cost-model", "--n", "10000", "--b", "4", "--k", "20", "--r", "5"]
     out += [
         ("build-refresh", ["build-index", "--passages", "passages.jsonl",
@@ -162,6 +169,15 @@ def commands(words):
             "ingest", "--in", "in/raw.jsonl", "--out", "nodir/p.jsonl"]),
         ("refuse-out-dir", [
             "build-index", "--passages", "passages.jsonl", "--out", trained]),
+        ("refuse-fresh-checkpoint-dir", [
+            "build-index", "--passages", "passages.jsonl",
+            "--out", "refused-checkpoint.ridx", "--dim", "16"]),
+        ("refuse-manifest-over-input", [
+            "ingest", "--in", "in/docs.manifest.json", "--out", "in/docs",
+            "--max-words", "40"]),
+        ("refuse-manifest-dir", [
+            "train", "--config", f"in/{trained}.cfg", "--corpus",
+            "passages.jsonl", "--out", "refused-run", "--dim", "16"]),
     ]
     return out
 
