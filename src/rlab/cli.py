@@ -86,6 +86,8 @@ def _outputs(args) -> list[Path]:
 
 def _check_out(args):
     """Refuse an output naming an input or another output, or unwritable."""
+    if not args.out:  # as open(""); Path("") would be the directory "."
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), "")
     outputs, train = _outputs(args), args.command == "train"
     taken = {Path(v).resolve(): "an input" for k, v in vars(args).items()
              if k in _INPUTS and v}
@@ -349,7 +351,7 @@ _COMMANDS = {
     "train": ("joint retriever training", [
         ("--config", _REQUIRED), ("--corpus", _REQUIRED), ("--out", _REQUIRED),
         ("--dim", dict(type=int, help="fresh encoder width, default 64")),
-        ("--task", dict(choices=["prefix_lm", "mlm"], default="prefix_lm"))]),
+        ("--task", dict(choices=pretext.TASKS, default="prefix_lm"))]),
     "evaluate": ("multiple-choice evaluation", [
         ("--task", _REQUIRED),
         ("--mode", dict(choices=list(evalkit.ORDERINGS), default="standard")),

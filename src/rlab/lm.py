@@ -1,11 +1,11 @@
 """Language-model scoring contract and the built-in analytic toy LM.
 
 Every distillation loss consumes four quantities from the reader: the
-per-document conditional log-likelihood of the output, the joint
-log-likelihood given the whole retrieved set, the leave-one-out joint
-log-likelihoods, and a nonnegative per-document attention relevance.
-`LMScorer` spells that contract; `OverlapLM` is its one implementation
-here (the loss tests bring a fixed-value scorer of their own).
+per-document log-likelihood of the output, the joint log-likelihood given
+the whole retrieved set, the leave-one-out joint log-likelihoods (each may
+be -inf: the output ruled out), and a finite per-document attention
+relevance >= 0. `LMScorer` spells that contract; `OverlapLM`, whose scores
+are all finite, is its one implementation (the loss tests bring their own).
 
 The built-in stand-in is a smoothed unigram-overlap model: the
 probability of an output token given a document mixes the token's
@@ -39,6 +39,7 @@ SMOOTHING = 0.5
 
 
 class LMScorer(Protocol):
+    """A log-likelihood may be -inf; a relevance is finite and >= 0."""
     def per_doc_loglik(self, query: TokenSeq, docs: Sequence[TokenSeq],
                        output: TokenSeq) -> np.ndarray: ...
 

@@ -5,6 +5,8 @@ posterior distillation, leave-one-out distillation) construct a target
 distribution over the retrieved documents from reader signals and distill
 it into the retriever with a KL step. The fourth treats the documents as
 latent variables and maximizes the log marginal likelihood of the output.
+In all four, a document the reader rules out (target score -inf) gets zero
+mass, and scores with no finite maximum (all -inf, any +inf or NaN) raise.
 
 Targets are constants with respect to retriever differentiation
 (StopGradient): the gradient of every objective with respect to the
@@ -15,7 +17,6 @@ posterior of the mixture.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -59,34 +60,30 @@ def kl_divergence(p: Sequence[float], q: Sequence[float]) -> float:
     return float(np.sum(p[support] * np.log(p[support] / q[support])))
 
 
-def _target_softmax(scores: Sequence[float], temperature_target: float,
-                    kind: LossKind) -> TargetDistribution:
+def _target_softmax(scores: Sequence[float],
+                    temperature_target: float) -> TargetDistribution:
+    """Temperature softmax; a score of -inf gets exactly zero mass."""
     if not 0 < temperature_target < np.inf:
         raise ValueError("target temperature must be finite and > 0")
     scores = np.asarray(scores, dtype=np.float64)
     if scores.size < 1:
         raise ValueError("need at least one document")
-    if not np.all(np.isfinite(scores)):
-        # Output impossible under every document: fall back to uniform
-        # rather than propagating NaNs.
-        warnings.warn(f"{kind.value}: degenerate target scores, using uniform")
-        probs = np.full(scores.size, 1.0 / scores.size)
-    else:
-        probs = softmax(scores / temperature_target)
-    return TargetDistribution(probs=probs)
+    if not np.isfinite(np.max(scores)):
+        raise ValueError("target scores have no finite maximum")
+    return TargetDistribution(probs=softmax(scores / temperature_target))
 
 
 def adist_target(relevance: Sequence[float],
                  temperature_target: float = DEFAULT_TARGET_TEMPERATURE) -> TargetDistribution:
     """Softmax of aggregated attention-relevance scores."""
-    return _target_softmax(relevance, temperature_target, LossKind.ADIST)
+    return _target_softmax(relevance, temperature_target)
 
 
 def pdist_target(per_doc_logliks: Sequence[float],
                  temperature_target: float = DEFAULT_TARGET_TEMPERATURE) -> TargetDistribution:
     """Document posterior under a uniform prior: softmax of the per-doc
     output log-likelihoods."""
-    return _target_softmax(per_doc_logliks, temperature_target, LossKind.PDIST)
+    return _target_softmax(per_doc_logliks, temperature_target)
 
 
 def loop_target(loo_logliks: Sequence[float],
@@ -96,7 +93,7 @@ def loop_target(loo_logliks: Sequence[float],
     logliks = np.asarray(loo_logliks, dtype=np.float64)
     if logliks.size < 2:
         raise ValueError("leave-one-out target requires K >= 2")
-    return _target_softmax(-logliks, temperature_target, LossKind.LOOP)
+    return _target_softmax(-logliks, temperature_target)
 
 
 def emdr2_objective(per_doc_logliks: Sequence[float],
@@ -120,10 +117,8 @@ def emdr2_objective(per_doc_logliks: Sequence[float],
     m = np.max(joint)
     if not np.isfinite(m):
         raise ValueError("degenerate mixture: all terms vanish")
-    value = float(m + np.log(np.sum(np.exp(joint - m))))
-    posterior = np.exp(joint - m)
-    posterior /= posterior.sum()
-    return LossValue(value=value, grad_wrt_scores=(p - posterior) / temperature)
+    return LossValue(value=float(m + np.log(np.sum(np.exp(joint - m)))),
+                     grad_wrt_scores=(p - softmax(joint)) / temperature)
 
 
 def distill_step(target: TargetDistribution, retr_probs: Sequence[float],
@@ -138,10 +133,10 @@ def distill_step(target: TargetDistribution, retr_probs: Sequence[float],
 
 def build_target(kind: LossKind | str, lm, query, docs, output,
                  temperature_target: float = DEFAULT_TARGET_TEMPERATURE) -> TargetDistribution:
-    """Construct the target distribution for a named KL loss from an LM
-    scorer's per-document scores, float64 arrays or any float sequence.
-    The marginal-likelihood objective has no target; use emdr2_objective
-    directly."""
+    """The target distribution of a named KL loss from an LM scorer's
+    per-document scores (float64 arrays or any float sequence): a score of
+    -inf gets zero mass, and no finite maximum raises ValueError. The
+    marginal-likelihood objective has no target; use emdr2_objective."""
     kind = LossKind(kind)
     if kind == LossKind.ADIST:
         return adist_target(lm.attention_relevance(query, docs, output),

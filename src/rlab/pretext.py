@@ -17,6 +17,7 @@ import numpy as np
 from .trainer import TrainExample
 
 RETRIEVER_MASK_TOKEN = "<mask>"
+TASKS = ("prefix_lm", "mlm")
 
 
 def retrieval_query(query: Sequence[str]) -> tuple[str, ...]:
@@ -119,8 +120,8 @@ class TaskExamples(abc.Sequence):
     MLM seeds are drawn up front, in passage order."""
 
     def __init__(self, passages, task: str, seed: int):
-        if task not in ("prefix_lm", "mlm"):
-            raise ValueError(f"task {task!r} is not 'prefix_lm' or 'mlm'")
+        if task not in TASKS:
+            raise ValueError(f"task {task!r} is not {' or '.join(map(repr, TASKS))}")
         self.mlm, rng = task == "mlm", np.random.default_rng(seed)
         self.passages = [p for p in passages
                          if len(p.text) >= (10 if self.mlm else 2)]

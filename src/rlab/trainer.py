@@ -43,7 +43,8 @@ from . import index as index_mod
 from .corpus import Passage, TokenTable
 from .formats import atomic_write
 from .lm import LMScorer, OverlapLM
-from .losses import (LossKind, build_target, distill_step, emdr2_objective)
+from .losses import (DEFAULT_TARGET_TEMPERATURE, LossKind, build_target,
+                     distill_step, emdr2_objective)
 from .retriever import (DEFAULT_TEMPERATURE, DualEncoder, MaintenanceMode,
                         encode_texts, encoder_gradient, retrieval_distribution)
 
@@ -55,7 +56,7 @@ class TrainConfig:
     refresh_interval: int = 1000
     batch_size: int = 8
     temperature: float = DEFAULT_TEMPERATURE
-    temperature_target: float = 1.0
+    temperature_target: float = DEFAULT_TARGET_TEMPERATURE
     loss: LossKind = LossKind.PDIST
     mode: MaintenanceMode = MaintenanceMode.QUERY_SIDE
     steps: int = 100

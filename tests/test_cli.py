@@ -377,8 +377,9 @@ class TestBuildAndSearch:
                 "compress-index": ["--index", "bad.jsonl",
                                    "--m", "2", "--kc", "2"]}[command]
         assert main([command, *args, "--out", out]) == 1
-        assert (capsys.readouterr().err
-                == f"error: [Errno 21] Is a directory: '{out or '.'}'\n")
+        assert capsys.readouterr().err == (
+            f"error: [Errno 21] Is a directory: '{out}'\n" if out
+            else "error: [Errno 2] No such file or directory: ''\n")
         assert [p.name for p in tmp_path.iterdir()] == ["bad.jsonl"]
 
     def test_fresh_checkpoint_is_a_directory_exit_1_before_reading(
@@ -940,6 +941,21 @@ class TestTrain:
         assert out.read_text() == "kept\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "afile", "passages.jsonl", "train.cfg"]
+
+    def test_empty_out_exit_1_and_nothing_written(self, tmp_path,
+                                                  monkeypatch, capsys):
+        # An empty --out named the working directory: the run trained and
+        # wrote its four files there, with exit 0.
+        monkeypatch.chdir(tmp_path)
+        Path("train.cfg").write_text("steps = 1\n")
+        Path("passages.jsonl").write_text('{"id": "a", "text": "x y z"}\n'
+                                          '{"id": "b", "text": "y z w"}\n')
+        assert main(["train", "--config", "train.cfg", "--corpus",
+                     "passages.jsonl", "--out", ""]) == 1
+        assert (capsys.readouterr().err
+                == "error: [Errno 2] No such file or directory: ''\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "passages.jsonl", "train.cfg"]
 
     @pytest.mark.parametrize("below", ["run", "deeper/run"])
     def test_out_below_a_file_exit_1_before_reading_the_corpus(

@@ -114,10 +114,43 @@ class TestTargets:
         b = loop_target([-1.0, -2.0, -3.0]).probs
         np.testing.assert_allclose(a, [b[2], b[0], b[1]])
 
-    def test_degenerate_scores_fall_back_to_uniform(self):
-        with pytest.warns(UserWarning, match="degenerate"):
-            probs = pdist_target([-np.inf, -np.inf]).probs
-        np.testing.assert_allclose(probs, [0.5, 0.5])
+    @pytest.mark.parametrize("scores", [
+        [-np.inf, -np.inf], [-1.0, np.inf], [-1.0, np.nan],
+        [np.nan, -np.inf]])
+    @pytest.mark.parametrize("ctor", [adist_target, pdist_target])
+    def test_no_finite_maximum_raises(self, ctor, scores):
+        # Any non-finite score gave a uniform target and a warning.
+        with pytest.raises(ValueError, match="no finite maximum"):
+            ctor(scores)
+
+    @pytest.mark.parametrize("loo_logliks", [
+        [-np.inf, -1.0], [np.inf, np.inf], [-1.0, np.nan]])
+    def test_loop_no_finite_maximum_raises(self, loo_logliks):
+        # A leave-one-out log-likelihood of -inf is a LOOP score of +inf.
+        with pytest.raises(ValueError, match="no finite maximum"):
+            loop_target(loo_logliks)
+
+    def test_ruled_out_document_gets_zero_mass(self):
+        # Was [0.5, 0.5], with a warning.
+        np.testing.assert_array_equal(pdist_target([-1.0, -np.inf]).probs,
+                                      [1.0, 0.0])
+        np.testing.assert_array_equal(loop_target([-1.0, np.inf]).probs,
+                                      [1.0, 0.0])
+
+    @pytest.mark.parametrize("ctor", [adist_target, pdist_target])
+    def test_minus_inf_entries_match_softmax_over_the_rest(self, ctor):
+        rng = np.random.default_rng(7)
+        for _ in range(100):
+            k = int(rng.integers(2, 7))
+            theta_t = float(rng.uniform(0.1, 3.0))
+            scores = -rng.exponential(2.0, size=k)
+            out = rng.permutation(k)[:int(rng.integers(1, k))]
+            scores[out] = -np.inf
+            kept = np.isfinite(scores)
+            probs = ctor(scores, theta_t).probs
+            assert np.all(probs[~kept] == 0.0)
+            np.testing.assert_allclose(
+                probs[kept], mp_softmax(scores[kept] / theta_t), rtol=1e-9)
 
     @pytest.mark.parametrize("kind", ["adist", "pdist", "loop"])
     def test_constructors_valid_and_equivariant(self, kind):
@@ -201,6 +234,23 @@ class TestEMDR2:
             probs = rng.dirichlet(np.ones(k))
             v = emdr2_objective(logliks, probs).value
             assert logliks.min() - 1e-9 <= v <= logliks.max() + 1e-9
+
+    def test_posterior_is_the_pdist_target(self):
+        # Under uniform p_retr and temperature_target 1, the mixture's
+        # document posterior p - temperature * grad is the PDist target,
+        # ruled-out documents included.
+        rng = np.random.default_rng(8)
+        for _ in range(100):
+            k = int(rng.integers(2, 7))
+            theta = float(rng.uniform(0.2, 2.0))
+            logliks = -rng.exponential(2.0, size=k)
+            logliks[rng.permutation(k)[:int(rng.integers(0, k))]] = -np.inf
+            p = np.full(k, 1.0 / k)
+            step = emdr2_objective(logliks, p, theta)
+            posterior = p - theta * step.grad_wrt_scores
+            target = pdist_target(logliks, 1.0).probs
+            np.testing.assert_allclose(posterior, target, rtol=0, atol=1e-12)
+            assert np.all(target[np.isneginf(logliks)] == 0.0)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(4)

@@ -839,6 +839,42 @@ class TestTokenTableDifferential:
         assert all(type(doc) is tuple for doc in scorer.seen[0])
 
 
+class RulingOutScorer(TupleScorer):
+    """OverlapLM's scores, except that the output is impossible under the
+    first document of each call: its log-likelihood is -inf."""
+
+    def per_doc_loglik(self, query, docs, output):
+        logliks = super().per_doc_loglik(query, docs, output)
+        logliks[0] = -np.inf
+        return logliks
+
+
+class TestRuledOutDocument:
+    def test_gets_zero_target_mass_and_trains(self, monkeypatch):
+        # Every example's target was uniform, with one warning each, so
+        # PDist learned nothing from the step's examples.
+        passages, examples, encoder = small_task(n_passages=40,
+                                                 n_examples=12, dim=8)
+        state = init_state(encoder, passages)
+        cfg = TrainConfig(mode=MaintenanceMode.QUERY_SIDE, k_retrieved=5,
+                          batch_size=4, steps=3, learning_rate=0.5)
+        targets = []
+
+        def recording(*args):
+            targets.append(build_target(*args))
+            return targets[-1]
+        monkeypatch.setattr("rlab.trainer.build_target", recording)
+        scorer = RulingOutScorer(OverlapLM(vocab_size=500))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            history = train(state, examples, cfg, scorer)
+        assert len(targets) == 12
+        assert all(np.isfinite(m.loss) and m.loss > 0 for m in history)
+        for target in targets:
+            assert target.probs[0] == 0.0
+            assert target.probs[1:].sum() == pytest.approx(1.0)
+
+
 class TestTrainLoop:
     @pytest.mark.parametrize("run", [train, recall_at_1])
     def test_no_examples_is_an_error(self, run):

@@ -22,9 +22,9 @@ directory:
   ingested again under another `dump_date`) to the refreshed one, and a
   swap refused because both indexes share a `dump_date`;
 - `cost-model` with and without `--l`;
-- nine refusals: a train config that sets a key twice, `build-index`
+- ten refusals: a train config that sets a key twice, `build-index`
   given both `--checkpoint` and `--dim`, `train --out` naming an existing
-  file or a path below one, `ingest --out` in a missing directory,
+  file or a path below one, or empty, `ingest --out` in a missing directory,
   `build-index --out` naming a directory, `build-index` whose fresh
   checkpoint `<out>.rlab` is a directory, `ingest` whose manifest would
   be its own input, and `train` whose `manifest.json` is a directory.
@@ -165,6 +165,9 @@ def commands(words):
         ("refuse-out-below-file", [
             "train", "--config", f"in/{trained}.cfg", "--corpus",
             "passages.jsonl", "--out", "f32.rpqx/run", "--dim", "16"]),
+        ("refuse-out-empty", [
+            "train", "--config", f"in/{trained}.cfg", "--corpus",
+            "passages.jsonl", "--out", "", "--dim", "16"]),
         ("refuse-out-missing-dir", [
             "ingest", "--in", "in/raw.jsonl", "--out", "nodir/p.jsonl"]),
         ("refuse-out-dir", [
