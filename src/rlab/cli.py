@@ -238,7 +238,7 @@ def _overlap_choice_scorer(scorer_lm: lm_mod.OverlapLM) -> evalkit.ChoiceScorer:
         options = [corpus.tokenize(opt) or ["?"] for opt in ordered_options]
         logliks = [scorer_lm.joint_loglik(q_tokens, doc_tokens, tokens)
                    / len(tokens) for tokens in options]
-        return retriever.softmax(np.asarray(logliks))
+        return retriever.softmax(logliks)
     return score
 
 

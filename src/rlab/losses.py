@@ -5,8 +5,8 @@ posterior distillation, leave-one-out distillation) construct a target
 distribution over the retrieved documents from reader signals and distill
 it into the retriever with a KL step. The fourth treats the documents as
 latent variables and maximizes the log marginal likelihood of the output.
-In all four, a document the reader rules out (target score -inf) gets zero
-mass, and scores with no finite maximum (all -inf, any +inf or NaN) raise.
+Each target and the mixture's posterior is a `retriever.softmax`, under its
+rule; in LOOP the documents the output cannot do without share all the mass.
 
 Targets are constants with respect to retriever differentiation
 (StopGradient): the gradient of every objective with respect to the
@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .retriever import check_distribution, softmax
+from .retriever import check_distribution, check_temperature, softmax
 
 DEFAULT_TARGET_TEMPERATURE = 1.0
 
@@ -60,40 +60,30 @@ def kl_divergence(p: Sequence[float], q: Sequence[float]) -> float:
     return float(np.sum(p[support] * np.log(p[support] / q[support])))
 
 
-def _target_softmax(scores: Sequence[float],
-                    temperature_target: float) -> TargetDistribution:
-    """Temperature softmax; a score of -inf gets exactly zero mass."""
-    if not 0 < temperature_target < np.inf:
-        raise ValueError("target temperature must be finite and > 0")
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.size < 1:
-        raise ValueError("need at least one document")
-    if not np.isfinite(np.max(scores)):
-        raise ValueError("target scores have no finite maximum")
-    return TargetDistribution(probs=softmax(scores / temperature_target))
-
-
 def adist_target(relevance: Sequence[float],
                  temperature_target: float = DEFAULT_TARGET_TEMPERATURE) -> TargetDistribution:
     """Softmax of aggregated attention-relevance scores."""
-    return _target_softmax(relevance, temperature_target)
+    return TargetDistribution(softmax(relevance, temperature_target))
 
 
 def pdist_target(per_doc_logliks: Sequence[float],
                  temperature_target: float = DEFAULT_TARGET_TEMPERATURE) -> TargetDistribution:
     """Document posterior under a uniform prior: softmax of the per-doc
     output log-likelihoods."""
-    return _target_softmax(per_doc_logliks, temperature_target)
+    return TargetDistribution(softmax(per_doc_logliks, temperature_target))
 
 
 def loop_target(loo_logliks: Sequence[float],
                 temperature_target: float = DEFAULT_TARGET_TEMPERATURE) -> TargetDistribution:
     """Softmax of negated leave-one-out log-likelihoods: a document whose
-    removal hurts most receives the highest target mass."""
-    logliks = np.asarray(loo_logliks, dtype=np.float64)
-    if logliks.size < 2:
+    removal hurts most receives the highest target mass; those without
+    which the output is impossible share all of it (the limit at +inf)."""
+    scores = -np.asarray(loo_logliks, dtype=np.float64)
+    if scores.size < 2:
         raise ValueError("leave-one-out target requires K >= 2")
-    return _target_softmax(-logliks, temperature_target)
+    if np.isposinf(scores).any() and not np.isnan(scores).any():
+        scores = np.where(np.isposinf(scores), 0.0, -np.inf)
+    return TargetDistribution(softmax(scores, temperature_target))
 
 
 def emdr2_objective(per_doc_logliks: Sequence[float],
@@ -107,6 +97,7 @@ def emdr2_objective(per_doc_logliks: Sequence[float],
     descent step as the KL losses. LM likelihoods are constants
     (StopGradient).
     """
+    check_temperature(temperature)
     logliks = np.asarray(per_doc_logliks, dtype=np.float64)
     p = np.asarray(retr_probs, dtype=np.float64)
     if logliks.shape != p.shape:
@@ -114,29 +105,27 @@ def emdr2_objective(per_doc_logliks: Sequence[float],
     check_distribution(p, "retr_probs")
     with np.errstate(divide="ignore"):
         joint = logliks + np.log(p)
-    m = np.max(joint)
-    if not np.isfinite(m):
-        raise ValueError("degenerate mixture: all terms vanish")
+    posterior, m = softmax(joint), np.max(joint)
     return LossValue(value=float(m + np.log(np.sum(np.exp(joint - m)))),
-                     grad_wrt_scores=(p - softmax(joint)) / temperature)
+                     grad_wrt_scores=(p - posterior) / temperature)
 
 
 def distill_step(target: TargetDistribution, retr_probs: Sequence[float],
                  temperature: float) -> LossValue:
     """KL(target || p_retr) and its gradient with respect to the retrieval
     scores, (p_retr - target) / temperature. The target is constant."""
+    check_temperature(temperature)
     p = np.asarray(retr_probs, dtype=np.float64)
-    value = kl_divergence(target.probs, p)
-    return LossValue(value=value,
+    return LossValue(value=kl_divergence(target.probs, p),
                      grad_wrt_scores=(p - target.probs) / temperature)
 
 
 def build_target(kind: LossKind | str, lm, query, docs, output,
                  temperature_target: float = DEFAULT_TARGET_TEMPERATURE) -> TargetDistribution:
     """The target distribution of a named KL loss from an LM scorer's
-    per-document scores (float64 arrays or any float sequence): a score of
-    -inf gets zero mass, and no finite maximum raises ValueError. The
-    marginal-likelihood objective has no target; use emdr2_objective."""
+    per-document scores (float64 arrays or any float sequence), under
+    `retriever.softmax`'s rule and LOOP's for an indispensable document.
+    The marginal-likelihood objective has no target; use emdr2_objective."""
     kind = LossKind(kind)
     if kind == LossKind.ADIST:
         return adist_target(lm.attention_relevance(query, docs, output),

@@ -2,8 +2,8 @@
 
 Queries and documents are embedded independently: mean pooling over a
 learned token embedding table followed by an optional linear projection.
-Relevance is the dot product of the two embeddings, and the distribution
-over a retrieved top-K set is a temperature softmax of the scores.
+Relevance is the dot product of the two embeddings. `softmax` is the rule
+of every distribution over retrieved documents, the retrieval one too.
 
 The query and document sides hold separate parameter sets (tied copies at
 initialization) so that query-side-only training can freeze the document
@@ -152,9 +152,24 @@ def encode_doc(enc: DualEncoder, text: Sequence[str]) -> np.ndarray:
     return encode_texts(enc.doc, enc.vocab.rows(text), [len(text)])[1][0]
 
 
-def softmax(x: np.ndarray) -> np.ndarray:
-    z = x - np.max(x)
-    e = np.exp(z)
+def check_temperature(temperature: float):
+    if not 0 < temperature < np.inf:
+        raise ValueError("temperature must be finite and > 0")
+
+
+def softmax(x: Sequence[float], temperature: float = 1.0) -> np.ndarray:
+    """softmax(x / temperature), max-stabilized: the one rule for every
+    distribution over retrieved documents. The temperature must be finite
+    and > 0 and x a nonempty vector; -inf gets exactly zero mass, and no
+    finite maximum (all -inf, any +inf or any NaN) raises ValueError."""
+    check_temperature(temperature)
+    z = np.asarray(x, dtype=np.float64) / temperature
+    if z.ndim != 1 or z.size < 1:
+        raise ValueError("scores must be a nonempty vector")
+    m = np.max(z)
+    if not np.isfinite(m):
+        raise ValueError("scores have no finite maximum")
+    e = np.exp(z - m)
     return e / e.sum()
 
 
@@ -165,15 +180,10 @@ def check_distribution(p: np.ndarray, name: str):
 
 
 def retrieval_distribution(scores: Sequence[float], temperature: float) -> np.ndarray:
-    """Temperature softmax over retrieval scores, max-stabilized."""
-    if not 0 < temperature < np.inf:
-        raise ValueError("temperature must be finite and > 0")
-    s = np.asarray(scores, dtype=np.float64)
-    if s.ndim != 1 or s.size < 1:
-        raise ValueError("scores must be a nonempty vector")
-    if not np.all(np.isfinite(s)):
+    """`softmax(scores, temperature)` of retrieval scores, all finite."""
+    if not np.all(np.isfinite(scores)):
         raise ValueError("scores must be finite")
-    return softmax(s / temperature)
+    return softmax(scores, temperature)
 
 
 @dataclass

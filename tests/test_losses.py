@@ -7,6 +7,7 @@ import pytest
 from rlab.losses import (TargetDistribution, adist_target, build_target,
                          distill_step, emdr2_objective, kl_divergence,
                          loop_target, pdist_target)
+from rlab.retriever import softmax
 
 from oracles import central_difference, mp_emdr2, mp_kl, mp_softmax
 
@@ -37,6 +38,18 @@ class MockScorer:
 
     def attention_relevance(self, query, docs, output):
         return [self.relevances.get(i, 0.0) for i in self.doc_ids]
+
+
+def emdr2_uniform(logliks, temperature=1.0):
+    """emdr2_objective under a uniform retrieval distribution."""
+    return emdr2_objective(logliks, np.full(len(logliks), 1 / len(logliks)),
+                           temperature)
+
+
+def distill_uniform(scores, temperature):
+    """distill_step of the PDist target into a uniform distribution."""
+    return distill_step(pdist_target(scores),
+                        np.full(len(scores), 1 / len(scores)), temperature)
 
 
 class TestKLDivergence:
@@ -86,11 +99,14 @@ class TestTargets:
             adist_target([0.1], temperature_target=0.0)
 
     @pytest.mark.parametrize("temperature", [np.nan, np.inf, 0.0, -1.0])
-    @pytest.mark.parametrize("ctor", [adist_target, pdist_target, loop_target])
+    @pytest.mark.parametrize("ctor", [adist_target, pdist_target, loop_target,
+                                      distill_uniform, emdr2_uniform])
     def test_temperature_must_be_finite_and_positive(self, ctor, temperature):
         # A NaN temperature passed `<= 0` and gave a NaN target; an
-        # infinite one gave a uniform target.
-        with pytest.raises(ValueError, match="target temperature"):
+        # infinite one gave a uniform target. distill_step and
+        # emdr2_objective took any temperature: -1.0 flipped the gradient's
+        # sign and 0.0 divided by zero.
+        with pytest.raises(ValueError, match="temperature must be finite"):
             ctor([-1.0, -2.0], temperature)
 
     def test_pdist_normalizes_likelihoods(self):
@@ -117,18 +133,36 @@ class TestTargets:
     @pytest.mark.parametrize("scores", [
         [-np.inf, -np.inf], [-1.0, np.inf], [-1.0, np.nan],
         [np.nan, -np.inf]])
-    @pytest.mark.parametrize("ctor", [adist_target, pdist_target])
+    @pytest.mark.parametrize("ctor", [adist_target, pdist_target, softmax,
+                                      emdr2_uniform])
     def test_no_finite_maximum_raises(self, ctor, scores):
-        # Any non-finite score gave a uniform target and a warning.
+        # Any non-finite score gave a uniform target and a warning;
+        # emdr2_objective called +inf and NaN "all terms vanish".
         with pytest.raises(ValueError, match="no finite maximum"):
             ctor(scores)
 
     @pytest.mark.parametrize("loo_logliks", [
-        [-np.inf, -1.0], [np.inf, np.inf], [-1.0, np.nan]])
+        [np.inf, np.inf], [-1.0, np.nan]])
     def test_loop_no_finite_maximum_raises(self, loo_logliks):
-        # A leave-one-out log-likelihood of -inf is a LOOP score of +inf.
         with pytest.raises(ValueError, match="no finite maximum"):
             loop_target(loo_logliks)
+
+    @pytest.mark.parametrize("loo_logliks, want", [
+        ([-np.inf, -1.0], [1.0, 0.0]),
+        ([-np.inf, -1.0, -np.inf], [0.5, 0.0, 0.5]),
+        ([-np.inf, np.inf, -3.0], [1.0, 0.0, 0.0]),
+        ([-np.inf] * 4, [0.25] * 4)])
+    def test_loop_indispensable_documents_share_all_mass(self, loo_logliks,
+                                                         want):
+        # Without such a document the output is impossible; the first
+        # case raised "no finite maximum".
+        for temperature in (0.3, 1.0, 7.0):
+            np.testing.assert_array_equal(
+                loop_target(loo_logliks, temperature).probs, want)
+        with pytest.raises(ValueError, match="temperature must be finite"):
+            loop_target(loo_logliks, 0.0)
+        with pytest.raises(ValueError, match="no finite maximum"):
+            loop_target(loo_logliks + [np.nan])
 
     def test_ruled_out_document_gets_zero_mass(self):
         # Was [0.5, 0.5], with a warning.
@@ -137,7 +171,7 @@ class TestTargets:
         np.testing.assert_array_equal(loop_target([-1.0, np.inf]).probs,
                                       [1.0, 0.0])
 
-    @pytest.mark.parametrize("ctor", [adist_target, pdist_target])
+    @pytest.mark.parametrize("ctor", [adist_target, pdist_target, softmax])
     def test_minus_inf_entries_match_softmax_over_the_rest(self, ctor):
         rng = np.random.default_rng(7)
         for _ in range(100):
@@ -147,7 +181,8 @@ class TestTargets:
             out = rng.permutation(k)[:int(rng.integers(1, k))]
             scores[out] = -np.inf
             kept = np.isfinite(scores)
-            probs = ctor(scores, theta_t).probs
+            probs = ctor(scores, theta_t)
+            probs = probs if ctor is softmax else probs.probs
             assert np.all(probs[~kept] == 0.0)
             np.testing.assert_allclose(
                 probs[kept], mp_softmax(scores[kept] / theta_t), rtol=1e-9)

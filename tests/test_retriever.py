@@ -257,6 +257,8 @@ class TestRetrievalDistribution:
             retrieval_distribution([1.0], 0.0)
         with pytest.raises(ValueError):
             retrieval_distribution([np.inf, 0.0], 1.0)
+        with pytest.raises(ValueError, match="scores must be finite"):
+            retrieval_distribution([-np.inf, 0.0], 1.0)
 
     @pytest.mark.parametrize("temperature",
                              [np.nan, np.inf, -np.inf, 0.0, -1.0])

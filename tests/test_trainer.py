@@ -841,23 +841,31 @@ class TestTokenTableDifferential:
 
 class RulingOutScorer(TupleScorer):
     """OverlapLM's scores, except that the output is impossible under the
-    first document of each call: its log-likelihood is -inf."""
+    first document of each call, and without it: both its log-likelihood
+    and its leave-one-out log-likelihood are -inf."""
 
     def per_doc_loglik(self, query, docs, output):
         logliks = super().per_doc_loglik(query, docs, output)
         logliks[0] = -np.inf
         return logliks
 
+    def loo_logliks(self, query, docs, output):
+        logliks = super().loo_logliks(query, docs, output)
+        logliks[0] = -np.inf
+        return logliks
+
 
 class TestRuledOutDocument:
-    def test_gets_zero_target_mass_and_trains(self, monkeypatch):
+    @pytest.mark.parametrize("loss, mass", [("pdist", 0.0), ("loop", 1.0)])
+    def test_gets_zero_target_mass_and_trains(self, monkeypatch, loss, mass):
         # Every example's target was uniform, with one warning each, so
-        # PDist learned nothing from the step's examples.
+        # PDist learned nothing from the step's examples; LOOP raised. The
+        # first document is ruled out for PDist, and indispensable for LOOP.
         passages, examples, encoder = small_task(n_passages=40,
                                                  n_examples=12, dim=8)
         state = init_state(encoder, passages)
         cfg = TrainConfig(mode=MaintenanceMode.QUERY_SIDE, k_retrieved=5,
-                          batch_size=4, steps=3, learning_rate=0.5)
+                          batch_size=4, steps=3, learning_rate=0.5, loss=loss)
         targets = []
 
         def recording(*args):
@@ -871,8 +879,8 @@ class TestRuledOutDocument:
         assert len(targets) == 12
         assert all(np.isfinite(m.loss) and m.loss > 0 for m in history)
         for target in targets:
-            assert target.probs[0] == 0.0
-            assert target.probs[1:].sum() == pytest.approx(1.0)
+            assert target.probs[0] == mass
+            assert target.probs[1:].sum() == pytest.approx(1.0 - mass)
 
 
 class TestTrainLoop:

@@ -13,7 +13,8 @@ directory:
 - `compress-index` of the float32 index;
 - 20 searches, half on each index;
 - `train` in every maintenance mode with both tasks (pdist for prefix_lm,
-  emdr2 for mlm), and once in rerank with loss loop;
+  emdr2 for mlm), once in rerank with loss loop and once in query_side
+  with loss adist, so each of the four objectives runs;
 - `evaluate --mode cyclic4 --audit-leakage` on a trained index, and
   `evaluate` with `--passages` alone;
 - `build-index --checkpoint` with a trained `encoder.rlab` (an index
@@ -111,7 +112,8 @@ def commands(words):
             f"{name}.rlab", "--query", words(1 + q % 5), "--k",
             str((1, 5, 10)[q % 3])]))
     runs = [(mode, task, loss) for mode in MODES for task, loss in TASK_LOSSES]
-    for mode, task, loss in runs + [("rerank", "prefix_lm", "loop")]:
+    for mode, task, loss in runs + [("rerank", "prefix_lm", "loop"),
+                                    ("query_side", "prefix_lm", "adist")]:
         label = f"train-{mode}-{task}-{loss}"
         Path(f"in/{label}.cfg").write_text(
             TRAIN_CONFIG.format(mode=mode, loss=loss))
